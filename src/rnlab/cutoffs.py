@@ -7,8 +7,10 @@ convention f(t) = Int F(f)(omega) e^{i t omega} domega of the field model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy import fft as sfft
@@ -21,10 +23,16 @@ from .grid import FrequencyGrid, SpaceTimeField
 _ALIAS_MARGIN = 1200.0
 
 
+@dataclass(frozen=True)
 class BumpProfile:
-    """Even smooth bump: 1 on [-1,1], exp(1 - 1/(1-(|t|-1)^2)) on 1<|t|<2, 0 beyond."""
+    """Even smooth bump: 1 on [-1,1], exp(1 - 1/(1-(|t|-1)^2)) on 1<|t|<2, 0 beyond.
 
-    support = 2.0
+    A frozen dataclass without fields: profiles hash and compare by class, so
+    the transform cache is keyed by value, and a subclass with another shape
+    never shares an entry with this one.
+    """
+
+    support: ClassVar[float] = 2.0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -57,22 +65,21 @@ class CutoffSpec:
             raise ValueError("cutoff scale T must lie in (0, 1/4]")
 
 
-_transform_cache = {}
-
-
 def transform_on_lattice(spacing, j_max, t_power=0, profile=standard_bump):
     """F(t^k profile)(j * spacing) for j = -j_max .. j_max (length 2 j_max + 1).
 
     One zero-padded FFT of the sampled bump; the rectangle rule on the
     compactly supported smooth integrand is spectrally accurate and the pad
-    keeps the periodization images outside the evaluated band.
+    keeps the periodization images outside the evaluated band.  Results are
+    cached read-only, keyed by the profile's value and the lattice.
     """
-    key = (id(profile), float(spacing), int(j_max), int(t_power))
-    hit = _transform_cache.get(key)
-    if hit is not None:
-        return hit
-    spacing = float(spacing)
-    j_max = int(j_max)
+    return _transform_on_lattice(profile, float(spacing), int(j_max), int(t_power))
+
+
+# A Picard solve on one grid holds about 24 entries (N1's t-powers and the
+# cutoff kernel); the bound keeps many grids in one process from growing it.
+@functools.lru_cache(maxsize=128)
+def _transform_on_lattice(profile, spacing, j_max, t_power):
     band = j_max * spacing
     min_len = max(2 * j_max + 1, int(math.ceil((band + _ALIAS_MARGIN) / spacing)))
     # 16x oversampling of the bump brings the per-sample rectangle-rule error
@@ -90,7 +97,6 @@ def transform_on_lattice(spacing, j_max, t_power=0, profile=standard_bump):
     out = (delta / (2.0 * math.pi)) * np.exp(1j * profile.support * js * spacing)
     out = out * spectrum[js % P]
     out.setflags(write=False)
-    _transform_cache[key] = out
     return out
 
 
@@ -115,12 +121,16 @@ def sigma_lattice(grid, t_power=0, profile=standard_bump):
     return transform_on_lattice(grid.tau_step, j_max, t_power, profile), j_max
 
 
-def gather_profile(grid, norm_sq, lattice, j_max):
-    """Per-column rows L(tau_j + |n|^2) for the given |n|^2 values, shape (K, n_tau)."""
+def profile_index(grid, norm_sq, j_max):
+    """Lattice positions of sigma = tau_j + |n|^2 for the given |n|^2, shape (K, n_tau)."""
     per_unit = _require_unit_step_ratio(grid)
     offsets = np.asarray(norm_sq, dtype=np.int64) * per_unit - grid.half_index + j_max
-    cols = np.arange(grid.n_tau)
-    return lattice[offsets[:, None] + cols[None, :]]
+    return offsets[:, None] + np.arange(grid.n_tau)[None, :]
+
+
+def gather_profile(grid, norm_sq, lattice, j_max):
+    """Per-column rows L(tau_j + |n|^2) for the given |n|^2 values, shape (K, n_tau)."""
+    return lattice[profile_index(grid, norm_sq, j_max)]
 
 
 def free_evolution_data(grid, phi_hat, profile=standard_bump, prune=True):

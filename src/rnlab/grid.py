@@ -437,7 +437,8 @@ def _convolve_dense(f, g, report):
         )
     shape = (pad_side,) * d + (pad_tau,)
     FA = sfft.fftn(f.box_array(), s=shape)
-    FA *= sfft.fftn(g.box_array(), s=shape)
+    # a self-product squares its one transform: bitwise what two would give
+    FA *= FA if g is f else sfft.fftn(g.box_array(), s=shape)
     conv = sfft.ifftn(FA)
     del FA
     spatial_core = (slice(grid.n_max, 3 * grid.n_max + 1),) * d

@@ -20,6 +20,7 @@ applied with v = u.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -95,63 +96,98 @@ class DivergenceError(RuntimeError):
 
 
 def nonlinear_fourier_data(u, v, cutoff):
-    """Data of (eta_{2T} conj(u)) * (eta_{2T} conj(v))."""
+    """Data of (eta_{2T} conj(u)) * (eta_{2T} conj(v)).
+
+    When ``v is u`` the reflected, cutoff factor is formed once and the
+    convolution squares its transform; the result is bitwise the same.
+    """
     u.grid.assert_compatible(v.grid)
     a = apply_time_cutoff(conjugate_reflect(u), 2.0 * cutoff.T, cutoff.eta)
+    if v is u:
+        return spacetime_convolve(a, a)
     b = apply_time_cutoff(conjugate_reflect(v), 2.0 * cutoff.T, cutoff.eta)
     return spacetime_convolve(a, b)
 
 
-def _psi_split(fhat, cutoff):
-    mod = fhat.mod_array()
-    psi = cutoff.psi(mod)
-    return mod, psi
+def _psi_band(fhat, cutoff):
+    """(tau-indices, sigma, psi(sigma)) on each column's supp-psi band, shape (K, B).
+
+    psi vanishes for |sigma| >= support, so column n needs only the samples
+    from tau = -|n|^2 - support upward, located in closed form; off the band
+    psi(sigma) is exactly zero.  The band holds one sample more than the
+    2 support / tau_step + 1 of an exact fit, so a start that rounds one
+    sample low still covers it.
+    """
+    grid = fhat.grid
+    support = cutoff.psi.support
+    width = min(int(math.floor(2.0 * support / grid.tau_step)) + 2, grid.n_tau)
+    nsq = fhat.norm_sq_columns()
+    start = np.floor((-support - nsq) / grid.tau_step).astype(np.int64) + grid.half_index
+    cols = np.clip(start, 0, grid.n_tau - width)[:, None] + np.arange(width)
+    # the same float operations as mod_array, so sigma matches it bitwise
+    sigma = grid.tau_nodes[cols] + nsq[:, None].astype(float)
+    return cols, sigma, cutoff.psi(sigma)
 
 
 def duhamel_n1(u, v, cutoff, fhat=None):
     """psi-localized Duhamel piece via the convergent Taylor construction.
 
-    The series in k is truncated once a term falls below 1e-12 of the
-    accumulated maximum twice in a row; |sigma| <= 2 on supp psi keeps the
-    terms bounded by 4^k / k!, so the sigma -> 0 limit is removable by
-    construction.
+    Term k is a_k(n) F(t^k eta)(sigma) with a_k = -(i^k / k!) g_k and the
+    moment g_k(n) = Int F psi sigma^{k-1} dtau, taken over the supp-psi band
+    of each column only.  The series is truncated on the coefficients: the
+    bound max|a_k| * max|F(t^k eta)| on the largest entry of term k must
+    fall below 1e-12 of the largest bound so far twice in a row.
+    |sigma| <= 2 on supp psi keeps the terms bounded by 4^k / k!, so the
+    sigma -> 0 limit is removable by construction.  The output is one
+    (columns x terms) @ (terms x lattice) contraction of the cached
+    sigma-lattice rows, gathered at each column's |n|^2 shift.
     """
     if fhat is None:
         fhat = nonlinear_fourier_data(u, v, cutoff)
     grid = fhat.grid
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(grid)
-    mod, psi = _psi_split(fhat, cutoff)
-    weighted = fhat.data * psi  # psi(sigma) F, the only part the series sees
-    nsq = fhat.norm_sq_columns()
-    out = np.zeros_like(fhat.data)
-    sigma_pow = np.ones_like(mod)
-    w = grid.tau_weights
+    cols, sigma, psi = _psi_band(fhat, cutoff)
+    weighted = np.take_along_axis(fhat.data, cols, axis=1) * psi * grid.tau_weights[cols]
+    sigma_pow = np.ones_like(sigma)
+    coefs, lattices = [], []
     coef = 1.0
+    largest = 0.0
     below = 0
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        moments = (weighted * sigma_pow) @ w  # g_k(n) = Int F psi sigma^{k-1}
-        lattice, j_max = cutoffs.sigma_lattice(grid, t_power=k, profile=cutoff.eta)
-        profile = cutoffs.gather_profile(grid, nsq, lattice, j_max)
         coef *= 1j / k  # builds i^k / k!
-        term = (-coef) * profile * moments[:, None]
-        out += term
-        t_max = np.abs(term).max()
-        if t_max <= _SERIES_TOL * max(np.abs(out).max(), 1e-300):
+        a = (-coef) * (weighted * sigma_pow).sum(axis=1)
+        lattice, j_max = cutoffs.sigma_lattice(grid, t_power=k, profile=cutoff.eta)
+        coefs.append(a)
+        lattices.append(lattice)
+        bound = np.abs(a).max() * np.abs(lattice).max()
+        largest = max(largest, bound)
+        if bound <= _SERIES_TOL * max(largest, 1e-300):
             below += 1
             if below >= 2:
                 break
         else:
             below = 0
-        sigma_pow = sigma_pow * mod
-    return SpaceTimeField(grid, fhat.index.copy(), out)
+        sigma_pow = sigma_pow * sigma
+    series = np.stack(coefs, axis=1) @ np.stack(lattices)
+    index = cutoffs.profile_index(grid, fhat.norm_sq_columns(), j_max)
+    return SpaceTimeField(grid, fhat.index.copy(), np.take_along_axis(series, index, axis=1))
 
 
-def _high_modulation_multiplier(mod, psi):
-    # (1 - psi(sigma)) / (i sigma); the numerator vanishes where |sigma| <= 1
-    out = np.zeros_like(mod, dtype=np.complex128)
+def _high_modulation_multiplier(fhat, cutoff):
+    """(1 - psi(sigma)) / (i sigma) on every stored entry of fhat.
+
+    Off the supp-psi band this is 1 / (i sigma), bitwise what the formula
+    gives there with psi = 0; on it the numerator vanishes where psi = 1.
+    """
+    cols, sigma, psi = _psi_band(fhat, cutoff)
+    band = np.zeros(sigma.shape, dtype=np.complex128)
     mask = psi < 1.0
-    out[mask] = (1.0 - psi[mask]) / (1j * mod[mask])
+    band[mask] = (1.0 - psi[mask]) / (1j * sigma[mask])
+    mod = fhat.mod_array()
+    np.put_along_axis(mod, cols, 1.0, axis=1)  # keeps sigma = 0 out of the division
+    out = 1.0 / (1j * mod)
+    np.put_along_axis(out, cols, band, axis=1)
     return out
 
 
@@ -162,8 +198,7 @@ def duhamel_n2(u, v, cutoff, fhat=None):
     grid = fhat.grid
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(grid)
-    mod, psi = _psi_split(fhat, cutoff)
-    column_sums = (fhat.data * _high_modulation_multiplier(mod, psi)) @ grid.tau_weights
+    column_sums = (fhat.data * _high_modulation_multiplier(fhat, cutoff)) @ grid.tau_weights
     lattice, j_max = cutoffs.sigma_lattice(grid, t_power=0, profile=cutoff.eta)
     profile = cutoffs.gather_profile(grid, fhat.norm_sq_columns(), lattice, j_max)
     return SpaceTimeField(grid, fhat.index.copy(), 1j * profile * column_sums[:, None])
@@ -175,8 +210,7 @@ def duhamel_n3(u, v, cutoff, fhat=None):
         fhat = nonlinear_fourier_data(u, v, cutoff)
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
-    mod, psi = _psi_split(fhat, cutoff)
-    data = -1j * fhat.data * _high_modulation_multiplier(mod, psi)
+    data = -1j * fhat.data * _high_modulation_multiplier(fhat, cutoff)
     return SpaceTimeField(fhat.grid, fhat.index.copy(), data)
 
 

@@ -9,6 +9,7 @@ from rnlab.cutoffs import (
     apply_time_cutoff,
     free_evolution_data,
     standard_bump,
+    _transform_on_lattice,
     transform_on_lattice,
 )
 from rnlab.grid import FrequencyGrid, time_slices
@@ -67,6 +68,25 @@ class TestTransformOnLattice:
     def test_cache_returns_readonly(self):
         arr = transform_on_lattice(0.5, 4)
         assert not arr.flags.writeable
+
+    def test_cache_keyed_by_profile_value(self):
+        class WideBump(BumpProfile):
+            support = 3.0
+
+            def __call__(self, t):  # the standard bump stretched by 3/2
+                return super().__call__(np.asarray(t, dtype=float) / 1.5)
+
+        std = transform_on_lattice(0.5, 8)
+        wide = transform_on_lattice(0.5, 8, profile=WideBump())
+        assert not np.allclose(std, wide)
+        assert not wide.flags.writeable
+        # equal profiles share one entry; freed temporaries, whose ids the
+        # interpreter reuses, never pick up the other shape's transform
+        assert transform_on_lattice(0.5, 8.0, profile=BumpProfile()) is std
+        for _ in range(20):
+            assert transform_on_lattice(0.5, 8, profile=WideBump()) is wide
+            assert transform_on_lattice(0.5, 8, profile=BumpProfile()) is std
+        assert _transform_on_lattice.cache_info().maxsize >= 128
 
 
 class TestFreeEvolution:

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from rnlab.cutoffs import CutoffSpec, free_evolution_data
-from rnlab.grid import FrequencyGrid, SpaceTimeField, time_slices
+from rnlab import cutoffs
+from rnlab.cutoffs import CutoffSpec, apply_time_cutoff, free_evolution_data
+from rnlab.grid import (
+    FrequencyGrid,
+    SpaceTimeField,
+    conjugate_reflect,
+    spacetime_convolve,
+    time_slices,
+)
 from rnlab.norms import spatial_hs_norm, zsb_norm
 from rnlab.solver import (
     DivergenceError,
@@ -38,6 +45,87 @@ def smooth_pair(grid, seed, decay=2.0):
     u = free_evolution_data(grid, (ns, mk()), prune=False)
     v = free_evolution_data(grid, (ns, mk()), prune=False)
     return u, v
+
+
+def _n1_taylor_oracle(fhat, cutoff):
+    """N1 as a full-window Taylor loop: per term, the sigma^{k-1}-moment of
+    psi F over every stored entry times a gathered F(t^k eta) profile,
+    truncated when max|term| falls below 1e-12 of max|sum| twice in a row."""
+    grid = fhat.grid
+    mod = fhat.mod_array()
+    weighted = fhat.data * cutoff.psi(mod)
+    nsq = fhat.norm_sq_columns()
+    out = np.zeros_like(fhat.data)
+    sigma_pow = np.ones_like(mod)
+    coef = 1.0
+    below = 0
+    for k in range(1, 61):
+        moments = (weighted * sigma_pow) @ grid.tau_weights
+        lattice, j_max = cutoffs.sigma_lattice(grid, t_power=k, profile=cutoff.eta)
+        coef *= 1j / k
+        term = (-coef) * cutoffs.gather_profile(grid, nsq, lattice, j_max) * moments[:, None]
+        out += term
+        if np.abs(term).max() <= 1e-12 * max(np.abs(out).max(), 1e-300):
+            below += 1
+            if below >= 2:
+                break
+        else:
+            below = 0
+        sigma_pow = sigma_pow * mod
+    return out
+
+
+def _high_modulation_oracle(fhat, cutoff):
+    """(1 - psi(sigma)) / (i sigma) with psi evaluated on every stored entry."""
+    mod = fhat.mod_array()
+    psi = cutoff.psi(mod)
+    out = np.zeros_like(mod, dtype=np.complex128)
+    mask = psi < 1.0
+    out[mask] = (1.0 - psi[mask]) / (1j * mod[mask])
+    return out
+
+
+class TestFastPathsAgainstOracles:
+    # d=1 n_max=8 (17 columns) convolves on the per-column path, d=2 n_max=4
+    # (81 columns) on the padded-FFT path
+    @pytest.fixture(params=[(1, 8), (2, 4)], ids=["line_grid", "box_2_4"])
+    def pair(self, request):
+        grid = FrequencyGrid.for_box(*request.param, tau_step=0.25)
+        cut = CutoffSpec(T=0.125)
+        u, v = (free_evolution_data(grid, rough_initial_data(grid, -0.6, seed), cut,
+                                    prune=False) for seed in (1, 2))
+        return u, v, cut
+
+    def test_n1_matches_taylor_oracle(self, pair):
+        u, v, cut = pair
+        for a, b in ((u, v), (u, u)):
+            fhat = nonlinear_fourier_data(a, b, cut)
+            old = _n1_taylor_oracle(fhat, cut)
+            new = duhamel_n1(a, b, cut, fhat)
+            assert np.array_equal(new.index, fhat.index)
+            assert np.abs(new.data - old).max() <= 1e-12 * np.abs(old).max()
+
+    def test_n2_n3_bitwise_against_full_window_multiplier(self, pair):
+        u, v, cut = pair
+        fhat = nonlinear_fourier_data(u, v, cut)
+        mult = _high_modulation_oracle(fhat, cut)
+        assert np.array_equal(duhamel_n3(u, v, cut, fhat).data, -1j * fhat.data * mult)
+        sums = (fhat.data * mult) @ fhat.grid.tau_weights
+        lattice, j_max = cutoffs.sigma_lattice(fhat.grid, 0, cut.eta)
+        rows = cutoffs.gather_profile(fhat.grid, fhat.norm_sq_columns(), lattice, j_max)
+        assert np.array_equal(duhamel_n2(u, v, cut, fhat).data, 1j * rows * sums[:, None])
+
+    def test_self_product_bitwise(self, pair):
+        u, _, cut = pair
+        shared = nonlinear_fourier_data(u, u, cut)
+        separate = nonlinear_fourier_data(u, u.copy(), cut)
+        assert np.array_equal(shared.index, separate.index)
+        assert np.array_equal(shared.data, separate.data)
+        f = apply_time_cutoff(conjugate_reflect(u), 2.0 * cut.T, cut.eta)
+        shared = spacetime_convolve(f, f)
+        separate = spacetime_convolve(f, f.copy())
+        assert np.array_equal(shared.index, separate.index)
+        assert np.array_equal(shared.data, separate.data)
 
 
 class TestSolverParams:
