@@ -20,7 +20,7 @@ import numpy as np
 
 from .checks import run_all
 from .families import FAMILY_KINDS, build_family, conjugate_product, discrete_tent, product_support
-from .grid import FrequencyGrid, random_field
+from .grid import FrequencyGrid, dense_workspace_shape, random_field
 from .norms import (
     NormParams,
     dyadic_norm_profile,
@@ -30,7 +30,7 @@ from .norms import (
     zsb_norm,
 )
 from .solver import DivergenceError, SolverParams, dump_field, picard_solve, rough_initial_data
-from .sweep import SCAN_N_DEFAULT, env_workers, run_sweep, threshold_scan
+from .sweep import SCAN_N_DEFAULT, run_sweep, threshold_scan
 
 DEFAULT_SWEEP_N = (4, 8, 16, 32, 64, 128)
 
@@ -59,7 +59,6 @@ class ExperimentConfig:
     seed: int = 2024
     out: str = "."
     dump_fields: bool = False
-    time_cutoff: float | None = None
 
 
 _COMMANDS = ("norm", "family", "sweep", "threshold", "solve", "check")
@@ -121,7 +120,6 @@ _PARSERS = {
     "seed": _parse_int,
     "out": lambda k, v: v,
     "dump_fields": _parse_bool,
-    "time_cutoff": _parse_float,
 }
 
 
@@ -146,6 +144,9 @@ def _validate(cfg):
                           f"expected one of {_COMMANDS}")
     if cfg.d not in (1, 2):
         raise ConfigError("key 'd': dimension must be 1 or 2")
+    if cfg.command in ("family", "sweep", "threshold") and cfg.d != 2:
+        raise ConfigError(f"key 'd': the {cfg.command} command builds 2-D family "
+                          "grids; d must be 2")
     if cfg.n_max < 1:
         raise ConfigError("key 'n_max': must be >= 1")
     if cfg.tau_step <= 0:
@@ -312,8 +313,7 @@ def _cmd_sweep(cfg):
     n_list = cfg.N or DEFAULT_SWEEP_N
     p = NormParams(s=cfg.s, b=cfg.b, mod_threshold=cfg.mod_threshold)
     try:
-        report = run_sweep(cfg.family, n_list, p, cfg.mode, cfg.tau_step,
-                           workers=env_workers())
+        report = run_sweep(cfg.family, n_list, p, cfg.mode, cfg.tau_step)
     except ValueError as exc:
         raise ConfigError(f"key 'N': {exc}") from None
     _write(cfg, "sweep.csv", report.to_csv_text())
@@ -329,7 +329,7 @@ def _cmd_threshold(cfg):
     n_list = cfg.N or SCAN_N_DEFAULT
     scan = threshold_scan(cfg.family, s_values, cfg.b, cfg.mode, n_list,
                           tau_step=cfg.tau_step if cfg.N else 0.5,
-                          mod_threshold=cfg.mod_threshold, workers=env_workers())
+                          mod_threshold=cfg.mod_threshold)
     _write(cfg, "threshold.json", scan.to_json_text())
     if scan.crossing is None:
         print("no ratio-slope sign change in the scanned range")
@@ -346,6 +346,10 @@ def _cmd_solve(cfg):
             f"{grid.box_count * grid.n_tau:.2g} complex entries per field -- "
             "reduce n_max, tau_pad, or d"
         )
+    try:
+        dense_workspace_shape(grid)
+    except MemoryError as exc:
+        raise ConfigError(f"key 'n_max': {exc}") from None
     u0 = rough_initial_data(grid, cfg.s, cfg.seed)
     params = SolverParams(s=cfg.s, T=cfg.T, max_iterations=cfg.max_iterations,
                           contraction_tolerance=cfg.tolerance,

@@ -44,10 +44,6 @@ class BumpProfile:
         out[mid] = np.exp(1.0 - 1.0 / (1.0 - r * r))
         return out if out.shape else float(out)
 
-    def scaled(self, scale):
-        """Callable t -> profile(t / scale)."""
-        return lambda t: self(np.asarray(t, dtype=float) / scale)
-
 
 standard_bump = BumpProfile()
 

@@ -136,6 +136,14 @@ class FrequencyGrid:
             return shifted[:, 0]
         return shifted[:, 0] * self.box_side + shifted[:, 1]
 
+    def index_from_keys(self, keys):
+        """Lattice points of row-major flat keys, shape (len(keys), d); inverts flat_keys."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if self.dimension == 1:
+            return (keys - self.n_max).reshape(-1, 1)
+        return np.stack([keys // self.box_side - self.n_max,
+                         keys % self.box_side - self.n_max], axis=1)
+
     @staticmethod
     def norm_sq(ns):
         ns = np.asarray(ns, dtype=np.int64)
@@ -285,12 +293,7 @@ def _add_fields(a, b, sign):
     data = np.zeros((len(keys), grid.n_tau), dtype=np.complex128)
     data[np.searchsorted(keys, ka)] += a.data
     data[np.searchsorted(keys, kb)] += sign * b.data
-    if grid.dimension == 1:
-        ns = (keys - grid.n_max).reshape(-1, 1)
-    else:
-        ns = np.stack([keys // grid.box_side - grid.n_max,
-                       keys % grid.box_side - grid.n_max], axis=1)
-    return SpaceTimeField(grid, ns, data)
+    return SpaceTimeField(grid, grid.index_from_keys(keys), data)
 
 
 # -- dyadic spatial projections -------------------------------------------
@@ -413,12 +416,24 @@ def _convolve_sparse(f, g, report):
         return SpaceTimeField.zero(grid)
     keys = np.array(sorted(acc), dtype=np.int64)
     data = h * np.stack([acc[k] for k in keys])
-    if grid.dimension == 1:
-        ns = (keys - grid.n_max).reshape(-1, 1)
-    else:
-        ns = np.stack([keys // grid.box_side - grid.n_max,
-                       keys % grid.box_side - grid.n_max], axis=1)
-    return SpaceTimeField(grid, ns, data)
+    return SpaceTimeField(grid, grid.index_from_keys(keys), data)
+
+
+def dense_workspace_shape(grid):
+    """Padded FFT shape (spatial axes, then tau) of the dense convolution on grid.
+
+    Raises MemoryError, before anything is allocated, when one array of this
+    shape would exceed the workspace limit.
+    """
+    shape = (sfft.next_fast_len(2 * grid.box_side - 1),) * grid.dimension \
+        + (sfft.next_fast_len(2 * grid.n_tau - 1),)
+    entries = math.prod(shape)
+    if entries > _DENSE_ENTRY_LIMIT:
+        raise MemoryError(
+            f"dense convolution workspace of {entries:.3g} complex entries is too "
+            "large; reduce n_max or the tau-window"
+        )
+    return shape
 
 
 def _convolve_dense(f, g, report):
@@ -428,14 +443,7 @@ def _convolve_dense(f, g, report):
     M = grid.n_tau
     half = grid.half_index
     h = grid.tau_step
-    pad_side = sfft.next_fast_len(2 * side - 1)
-    pad_tau = sfft.next_fast_len(2 * M - 1)
-    workspace = pad_side**d * pad_tau
-    if workspace > _DENSE_ENTRY_LIMIT:
-        raise MemoryError(
-            "dense convolution workspace too large; reduce n_max or the tau-window"
-        )
-    shape = (pad_side,) * d + (pad_tau,)
+    shape = dense_workspace_shape(grid)
     FA = sfft.fftn(f.box_array(), s=shape)
     # a self-product squares its one transform: bitwise what two would give
     FA *= FA if g is f else sfft.fftn(g.box_array(), s=shape)

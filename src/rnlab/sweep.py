@@ -17,14 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .cutoffs import apply_time_cutoff, standard_bump
 from .families import build_family, conjugate_product, predicted_exponents
 from .grid import FrequencyGrid, conjugate_reflect, spacetime_convolve
 from .norms import NormParams, apply_modulation_weight, norm_for_mode
@@ -37,21 +33,6 @@ DIVERGENCE_SLOPE = 0.02
 # on-paraboloid members are not yet power laws.
 SCAN_N_DEFAULT = (64, 128, 256, 512)
 SCAN_TAU_STEP = 0.5
-
-
-def env_workers():
-    """Parallelism cap from RNL_THREADS (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("RNL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def fit_loglog(n_values, values):
@@ -142,19 +123,15 @@ def lhs_norm_of_product(product, p, mode):
     return norm_for_mode(apply_modulation_weight(product, -1.0), p, mode)
 
 
-def bilinear_lhs(u, v, p, mode="Z", time_cutoff_T=None, profile=standard_bump):
+def bilinear_lhs(u, v, p, mode="Z"):
     """Duhamel-weighted norm of the data of conj(u)*conj(v).
 
-    ``time_cutoff_T`` multiplies both factors by profile(t/T) first (off by
-    default: the families are already time-localized).
+    No time cutoff is applied: the families are already time-localized (the
+    cut-off product of the solver is ``solver.nonlinear_fourier_data``).
     """
     u.grid.assert_compatible(v.grid)
-    a = conjugate_reflect(u)
-    b = conjugate_reflect(v)
-    if time_cutoff_T is not None:
-        a = apply_time_cutoff(a, float(time_cutoff_T), profile)
-        b = apply_time_cutoff(b, float(time_cutoff_T), profile)
-    return lhs_norm_of_product(spacetime_convolve(a, b), p, mode)
+    product = spacetime_convolve(conjugate_reflect(u), conjugate_reflect(v))
+    return lhs_norm_of_product(product, p, mode)
 
 
 def _validate_n_list(n_list):
@@ -172,12 +149,11 @@ def _family_grid(N, tau_step):
     return FrequencyGrid.for_box(2, N, tau_step)
 
 
-@lru_cache(maxsize=48)
 def _sweep_point(kind, N, tau_step):
     """Family member plus its product data on a minimal per-N grid.
 
-    Cached across sweeps and scans: the fields are s-independent and norm
-    evaluation never mutates them.
+    The fields are s-independent: a sweep or scan builds each point once and
+    re-norms it for every s.
     """
     inst = build_family(kind, N, _family_grid(N, tau_step))
     return inst, conjugate_product(inst)
@@ -192,11 +168,10 @@ def _row_from_point(inst, product, p, mode):
     return SweepRow(inst.N, u_norm, v_norm, lhs, lhs / (u_norm * v_norm))
 
 
-def run_sweep(kind, n_list, p, mode="Z", tau_step=0.25, workers=None):
+def run_sweep(kind, n_list, p, mode="Z", tau_step=0.25):
     """Full scaling sweep of one family across dyadic N."""
     ns = _validate_n_list(n_list)
-    workers = env_workers() if workers is None else workers
-    points = _ordered_map(lambda N: _sweep_point(kind, N, tau_step), ns, workers)
+    points = [_sweep_point(kind, N, tau_step) for N in ns]
     report = SweepReport(kind, p.s, p.b, mode)
     report.rows = [_row_from_point(inst, prod, p, mode) for inst, prod in points]
     slope, _, resid = fit_loglog(ns, [r.ratio for r in report.rows])
@@ -240,7 +215,7 @@ def locate_sign_change(points):
 
 
 def threshold_scan(kind, s_list, b, mode="Z", n_list=SCAN_N_DEFAULT,
-                   tau_step=SCAN_TAU_STEP, mod_threshold=2.0**-10, workers=None):
+                   tau_step=SCAN_TAU_STEP, mod_threshold=2.0**-10):
     """Ratio-slope sign change across regularities s.
 
     The family data and products are built once per N and re-normed for every
@@ -251,8 +226,7 @@ def threshold_scan(kind, s_list, b, mode="Z", n_list=SCAN_N_DEFAULT,
     if any(s_values[i] >= s_values[i + 1] for i in range(len(s_values) - 1)):
         raise ValueError("s values must be strictly increasing")
     ns = _validate_n_list(n_list)
-    workers = env_workers() if workers is None else workers
-    points = _ordered_map(lambda N: _sweep_point(kind, N, tau_step), ns, workers)
+    points = [_sweep_point(kind, N, tau_step) for N in ns]
     scan = ThresholdScan(kind, b, mode)
     for s in s_values:
         p = NormParams(s=s, b=b, mod_threshold=mod_threshold)

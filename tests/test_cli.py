@@ -44,6 +44,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'d'"):
             parse_config(["norm", "--d", "3"])
 
+    def test_family_commands_reject_other_dimensions(self):
+        for command in ("family", "sweep", "threshold"):
+            with pytest.raises(ConfigError, match="'d'"):
+                parse_config([command, "--d", "1"])
+            assert parse_config([command, "--d", "2"]).d == 2
+
     def test_file_values_and_flag_precedence(self):
         text = "\n".join([
             "# comment line",
@@ -155,6 +161,19 @@ class TestRunCommands:
     def test_solve_dense_guard_names_key(self, tmp_path):
         cfg = parse_config(["solve", "--out", str(tmp_path)])  # d=2, n_max=64
         assert run(cfg) == 2
+
+    def test_solve_convolution_guard_names_key(self, tmp_path, monkeypatch, capsys):
+        # 26.2M entries per field pass the field guard, but the padded
+        # convolution workspace is 2.2e8 complex entries
+        import rnlab.cli
+
+        def no_fields(*args):
+            raise AssertionError("a field was built before the workspace guard")
+
+        monkeypatch.setattr(rnlab.cli, "rough_initial_data", no_fields)
+        cfg = parse_config(["solve", "--d", "2", "--n-max", "25", "--out", str(tmp_path)])
+        assert run(cfg) == 2
+        assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_dump_fields_roundtrip(self, tmp_path):
         from rnlab.solver import load_field

@@ -72,6 +72,7 @@ class TestFrequencyGrid:
         assert g.box_index[-1].tolist() == [1, 1]
         keys = g.flat_keys(g.box_index)
         assert np.array_equal(keys, np.arange(9))
+        assert np.array_equal(g.index_from_keys(keys), g.box_index)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="dimension"):
