@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .norms import (
     zsb_norm,
 )
 from .solver import DivergenceError, SolverParams, dump_field, picard_solve, rough_initial_data
-from .sweep import SCAN_N_DEFAULT, run_sweep, threshold_scan
+from .sweep import SCAN_N_DEFAULT, SCAN_TAU_STEP, run_sweep, threshold_scan
 
 DEFAULT_SWEEP_N = (4, 8, 16, 32, 64, 128)
 
@@ -223,6 +223,13 @@ def parse_config(argv, config_text=None):
     merged = {**file_values, **values}
     if command is not None:
         merged["command"] = command
+    command = merged.get("command", ExperimentConfig.command)
+    if command == "check":
+        ignored = sorted(set(merged) - {"command", "seed"})
+        if ignored:
+            raise ConfigError(f"key '{ignored[0]}': the check command reads only 'seed'")
+    if command == "threshold" and "tau_step" not in merged and "N" not in merged:
+        merged["tau_step"] = SCAN_TAU_STEP  # the scan's own step unless one is given
     try:
         cfg = replace(ExperimentConfig(), **merged)
     except TypeError as exc:
@@ -328,7 +335,7 @@ def _cmd_threshold(cfg):
     s_values = np.arange(lo, hi + step / 2, step)
     n_list = cfg.N or SCAN_N_DEFAULT
     scan = threshold_scan(cfg.family, s_values, cfg.b, cfg.mode, n_list,
-                          tau_step=cfg.tau_step if cfg.N else 0.5,
+                          tau_step=cfg.tau_step,
                           mod_threshold=cfg.mod_threshold)
     _write(cfg, "threshold.json", scan.to_json_text())
     if scan.crossing is None:

@@ -228,9 +228,18 @@ class SpaceTimeField:
     def norm_sq_columns(self):
         return FrequencyGrid.norm_sq(self.index)
 
-    def mod_array(self):
-        """Modulation tau + |n|^2 for every stored entry, shape (K, n_tau)."""
-        return self.grid.tau_nodes[None, :] + self.norm_sq_columns()[:, None].astype(float)
+    def mod_array(self, span=None):
+        """Modulation tau + |n|^2 per stored entry, shape (K, n_tau), or (K, b-a) on [a, b)."""
+        a, b = (0, self.grid.n_tau) if span is None else span
+        return self.grid.tau_nodes[None, a:b] + self.norm_sq_columns()[:, None].astype(float)
+
+    def tau_span(self):
+        """Half-open tau-index range [a, b) holding every nonzero entry; (0, 0) if none.
+
+        The union over all stored columns.
+        """
+        nz = np.flatnonzero(self.data.any(axis=0))
+        return (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
 
     def column(self, n):
         """Tau-profile of one column (zeros if the column is not occupied)."""
@@ -342,10 +351,14 @@ def project_modulation(u, side, threshold=2.0**-10):
         raise ValueError("side must be 'lo' or 'hi'")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    nsq = u.norm_sq_columns().astype(float)
-    lo_mask = np.abs(u.mod_array()) < threshold * nsq[:, None]
+    lo_mask = low_modulation_mask(u.mod_array(), u.norm_sq_columns(), threshold)
     mask = lo_mask if side == "lo" else ~lo_mask
     return SpaceTimeField(u.grid, u.index.copy(), u.data * mask)
+
+
+def low_modulation_mask(mod, norm_sq, threshold):
+    """True where |tau + |n|^2| < threshold * |n|^2, for modulations ``mod`` (K, *)."""
+    return np.abs(mod) < threshold * norm_sq.astype(float)[:, None]
 
 
 def conjugate_reflect(u):
@@ -383,23 +396,35 @@ def spacetime_convolve(f, g, report=None):
 
 
 def _convolve_sparse(f, g, report):
+    """Per-column convolution of the operands' nonzero tau-spans only.
+
+    The FFT length is that of the spans' linear convolution, and the product
+    is exactly zero off its offset span; full-span operands take the
+    full-window arithmetic.
+    """
     grid = f.grid
     if f.n_columns > g.n_columns:
         f, g = g, f
     M = grid.n_tau
-    half = grid.half_index
     h = grid.tau_step
-    L = sfft.next_fast_len(2 * M - 1)
-    G = sfft.fft(g.data, n=L, axis=1)
+    (af, bf), (ag, bg) = f.tau_span(), g.tau_span()
+    if bf == af or bg == ag:
+        return SpaceTimeField.zero(grid)  # an all-zero operand; the report stays 0
+    length = (bf - af) + (bg - ag) - 1
+    start = af + ag - grid.half_index
+    # samples [k0, k1) of the linear convolution land inside the window
+    k0 = min(max(0, -start), length)
+    k1 = max(k0, min(length, M - start))
+    L = sfft.next_fast_len(length)
+    G = sfft.fft(g.data[:, ag:bg], n=L, axis=1)
     acc = {}
     dropped_spatial = 0.0
     dropped_tau = 0.0
     for i in range(f.n_columns):
-        Fi = sfft.fft(f.data[i], n=L)
-        conv = sfft.ifft(Fi[None, :] * G, axis=1)[:, : 2 * M - 1]
-        dropped_tau += h * float(np.abs(conv[:, :half]).sum()
-                                 + np.abs(conv[:, half + M:]).sum())
-        core = conv[:, half: half + M]
+        Fi = sfft.fft(f.data[i, af:bf], n=L)
+        conv = sfft.ifft(Fi[None, :] * G, axis=1)[:, :length]
+        dropped_tau += h * float(np.abs(conv[:, :k0]).sum() + np.abs(conv[:, k1:]).sum())
+        core = conv[:, k0:k1]
         ns_out = f.index[i][None, :] + g.index
         inside = grid.in_box(ns_out)
         if not inside.all():
@@ -415,7 +440,8 @@ def _convolve_sparse(f, g, report):
     if not acc:
         return SpaceTimeField.zero(grid)
     keys = np.array(sorted(acc), dtype=np.int64)
-    data = h * np.stack([acc[k] for k in keys])
+    data = np.zeros((len(keys), M), dtype=np.complex128)
+    np.multiply(h, np.stack([acc[k] for k in keys]), out=data[:, start + k0: start + k1])
     return SpaceTimeField(grid, grid.index_from_keys(keys), data)
 
 

@@ -21,8 +21,8 @@ from scipy import fft as sfft
 from .grid import (
     SpaceTimeField,
     dyadic_blocks,
+    low_modulation_mask,
     project_dyadic,
-    project_modulation,
     time_slices,
 )
 
@@ -40,46 +40,69 @@ class NormParams:
             raise ValueError("mod_threshold must be positive")
 
 
-def _bracket_sq_columns(u):
-    # <n>^2 = 1 + |n|^2 per stored column
-    return 1.0 + u.norm_sq_columns().astype(float)
+def _on_span(u):
+    """Data, modulation, quadrature weights and |n|^2 on u's nonzero tau-span.
+
+    Every integrand below vanishes off the span, so the norms cost the span,
+    not the window; on a full-span field the arithmetic is the window's.
+    """
+    a, b = u.tau_span()
+    return (u.data[:, a:b], u.mod_array((a, b)), u.grid.tau_weights[a:b],
+            u.norm_sq_columns().astype(float))
 
 
-def _bracket_sq_mod(u):
-    m = u.mod_array()
-    return 1.0 + m * m
+def _bracket_sq(mod):
+    return 1.0 + mod * mod
 
 
-def _l2_tau_sq(u, mod_power):
+def _l2_tau_sq(data, bracket_sq, weights, mod_power):
     """Per-column Int <tau+|n|^2>^{2 mod_power} |u|^2 dtau by the grid quadrature."""
-    integrand = np.abs(u.data) ** 2
+    integrand = np.abs(data) ** 2
     if mod_power != 0.0:
-        integrand = integrand * _bracket_sq_mod(u) ** mod_power
-    return integrand @ u.grid.tau_weights
+        integrand = integrand * bracket_sq ** mod_power
+    return integrand @ weights
+
+
+def _energy(data, weights, nsq, s):
+    l1 = np.abs(data) @ weights
+    return float(np.sqrt(((1.0 + nsq) ** s * l1 * l1).sum()))
+
+
+def _x_norm(data, bracket_sq, weights, nsq, p):
+    cols = _l2_tau_sq(data, bracket_sq, weights, p.b)
+    return float(np.sqrt(((1.0 + nsq) ** p.s * cols).sum()))
+
+
+def _y_norm(data, bracket_sq, weights, nsq, p):
+    return _energy(data, weights, nsq, p.s) + float(
+        np.sqrt(_l2_tau_sq(data, bracket_sq, weights, p.s / 2.0 + p.b).sum()))
 
 
 def xsb_norm(u, p):
     """|| <n>^s <tau+|n|^2>^b u_hat ||_{l^2 L^2}."""
-    cols = _l2_tau_sq(u, p.b)
-    return float(np.sqrt((_bracket_sq_columns(u) ** p.s * cols).sum()))
+    data, mod, w, nsq = _on_span(u)
+    return _x_norm(data, _bracket_sq(mod), w, nsq, p)
 
 
 def energy_l2l1(u, s):
     """|| <n>^s u_hat ||_{l^2_n L^1_tau}, the H^s-energy functional."""
-    l1 = np.abs(u.data) @ u.grid.tau_weights
-    return float(np.sqrt(((1.0 + u.norm_sq_columns().astype(float)) ** s * l1 * l1).sum()))
+    data, _, w, nsq = _on_span(u)
+    return _energy(data, w, nsq, s)
 
 
 def ysb_norm(u, p):
     """Energy term plus the modulation-weighted L^2 term with exponent s/2 + b."""
-    return energy_l2l1(u, p.s) + float(np.sqrt(_l2_tau_sq(u, p.s / 2.0 + p.b).sum()))
+    data, mod, w, nsq = _on_span(u)
+    return _y_norm(data, _bracket_sq(mod), w, nsq, p)
 
 
 def zsb_norm(u, p):
     """X-norm below the modulation split plus Y-norm above it."""
-    lo = project_modulation(u, "lo", p.mod_threshold)
-    hi = project_modulation(u, "hi", p.mod_threshold)
-    return xsb_norm(lo, p) + ysb_norm(hi, p)
+    data, mod, w, nsq = _on_span(u)
+    lo = low_modulation_mask(mod, nsq, p.mod_threshold)
+    bracket_sq = _bracket_sq(mod)
+    return (_x_norm(data * lo, bracket_sq, w, nsq, p)
+            + _y_norm(data * ~lo, bracket_sq, w, nsq, p))
 
 
 def norm_for_mode(u, p, mode):
@@ -149,5 +172,7 @@ def dyadic_norm_profile(u, p):
 
 def apply_modulation_weight(u, power):
     """Multiply coefficients by <tau + |n|^2>^power (used for the Duhamel weight)."""
-    data = u.data * _bracket_sq_mod(u) ** (power / 2.0)
-    return SpaceTimeField(u.grid, u.index.copy(), data)
+    a, b = u.tau_span()
+    out = np.zeros_like(u.data)
+    out[:, a:b] = u.data[:, a:b] * _bracket_sq(u.mod_array((a, b))) ** (power / 2.0)
+    return SpaceTimeField(u.grid, u.index.copy(), out)

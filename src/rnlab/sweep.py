@@ -150,19 +150,19 @@ def _family_grid(N, tau_step):
 
 
 def _sweep_point(kind, N, tau_step):
-    """Family member plus its product data on a minimal per-N grid.
+    """Family member plus its Duhamel-weighted product data on a minimal per-N grid.
 
-    The fields are s-independent: a sweep or scan builds each point once and
-    re-norms it for every s.
+    The fields, the weight <tau+|n|^2>^{-1} included, are s-independent: a
+    sweep or scan builds each point once and re-norms it for every s.
     """
     inst = build_family(kind, N, _family_grid(N, tau_step))
-    return inst, conjugate_product(inst)
+    return inst, apply_modulation_weight(conjugate_product(inst), -1.0)
 
 
-def _row_from_point(inst, product, p, mode):
+def _row_from_point(inst, weighted_product, p, mode):
     u_norm = norm_for_mode(inst.u, p, mode)
     v_norm = norm_for_mode(inst.v, p, mode)
-    lhs = lhs_norm_of_product(product, p, mode)
+    lhs = norm_for_mode(weighted_product, p, mode)
     if u_norm <= 0 or v_norm <= 0:
         raise ValueError("family norms must be positive to form the ratio")
     return SweepRow(inst.N, u_norm, v_norm, lhs, lhs / (u_norm * v_norm))

@@ -71,6 +71,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config(["check"], config_text="s = -0.5\nnot a pair\n")
 
+    def test_check_rejects_keys_it_ignores(self, capsys):
+        from rnlab.cli import main
+        assert parse_config(["check", "--seed", "5"]).seed == 5
+        assert parse_config(["--seed", "5"], config_text="command = check\n").seed == 5
+        with pytest.raises(ConfigError, match="'d'"):
+            parse_config(["check", "--d", "1", "--seed", "2024"])
+        with pytest.raises(ConfigError, match="'n_max'"):
+            parse_config(["check"], config_text="n_max = 3\nseed = 1\n")
+        with pytest.raises(ConfigError, match="'dump_fields'"):
+            parse_config(["check", "--dump-fields"])
+        assert main(["check", "--s", "5"]) == 2
+        assert "'s'" in capsys.readouterr().err
+
     def test_n_list_parsing(self):
         cfg = parse_config(["sweep", "--N", "4,8,16"])
         assert cfg.N == (4, 8, 16)
@@ -143,6 +156,29 @@ class TestRunCommands:
         assert run(cfg) == 0
         obj = json.loads((tmp_path / "threshold.json").read_text())
         assert obj["crossing"] == pytest.approx(-2.0 / 3.0, abs=0.05)
+
+    def test_threshold_tau_step_reaches_scan(self, tmp_path, monkeypatch):
+        import rnlab.cli
+        from rnlab.sweep import ThresholdScan
+
+        steps = []
+
+        def recording_scan(kind, s_values, b, mode, n_list, tau_step, mod_threshold):
+            steps.append(tau_step)
+            return ThresholdScan(kind, b, mode, crossing=-0.5)
+
+        monkeypatch.setattr(rnlab.cli, "threshold_scan", recording_scan)
+        out = ["--out", str(tmp_path)]
+        cases = [
+            (["threshold", "--tau-step", "0.25"], None, 0.25),
+            (["threshold"], "tau_step = 0.25\n", 0.25),
+            (["threshold"], None, 0.5),               # the scan's default step
+            (["threshold", "--N", "64,128,256"], None, 0.25),
+            (["threshold", "--N", "64,128,256", "--tau-step", "1"], None, 1.0),
+        ]
+        for args, text, _ in cases:
+            assert run(parse_config(args + out, config_text=text)) == 0
+        assert steps == [step for _, _, step in cases]
 
     def test_threshold_not_found_exits_one(self, tmp_path):
         cfg = parse_config(["threshold", "--family", "example2", "--mode", "Z",
