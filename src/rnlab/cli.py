@@ -2,8 +2,9 @@
 
 Commands: norm, family, sweep, threshold, solve, check.  Configuration comes
 from defaults, then an optional flat key=value file (--config), then flags,
-later sources overriding earlier ones.  All randomness is seeded, and report
-files are byte-deterministic for a fixed config.
+later sources overriding earlier ones; a key the command does not read is
+a configuration error.  All randomness is seeded, and report files are
+byte-deterministic for a fixed config.
 
 Exit codes: 0 success, 1 assertion failure (failed check, divergence, or a
 threshold crossing not found), 2 configuration error.
@@ -123,6 +124,21 @@ _PARSERS = {
 }
 
 
+# The keys each command's _cmd_* body reads; any other key, given by flag or
+# file, is rejected.  The 2-D family commands read 'd' only to validate it.
+_GRID_KEYS = {"d", "n_max", "tau_step", "tau_pad"}
+_READ_KEYS = {
+    "norm": _GRID_KEYS | {"s", "b", "mod_threshold", "seed", "out"},
+    "family": {"d", "family", "N", "tau_step", "s", "b", "mod_threshold", "out"},
+    "sweep": {"d", "family", "N", "mode", "tau_step", "s", "b", "mod_threshold", "out"},
+    "threshold": {"d", "family", "N", "mode", "tau_step", "s_range", "b", "mod_threshold",
+                  "out"},
+    "solve": _GRID_KEYS | {"s", "T", "max_iterations", "tolerance", "mod_threshold", "seed",
+                           "out", "dump_fields"},
+    "check": {"seed"},
+}
+
+
 def _parse_file(text):
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -224,10 +240,11 @@ def parse_config(argv, config_text=None):
     if command is not None:
         merged["command"] = command
     command = merged.get("command", ExperimentConfig.command)
-    if command == "check":
-        ignored = sorted(set(merged) - {"command", "seed"})
+    if command in _READ_KEYS:
+        ignored = sorted(set(merged) - _READ_KEYS[command] - {"command"})
         if ignored:
-            raise ConfigError(f"key '{ignored[0]}': the check command reads only 'seed'")
+            raise ConfigError(f"key '{ignored[0]}': the {command} command does not read it; "
+                              f"it reads {sorted(_READ_KEYS[command])}")
     if command == "threshold" and "tau_step" not in merged and "N" not in merged:
         merged["tau_step"] = SCAN_TAU_STEP  # the scan's own step unless one is given
     try:

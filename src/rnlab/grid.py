@@ -296,6 +296,9 @@ class SpaceTimeField:
 def _add_fields(a, b, sign):
     a.grid.assert_compatible(b.grid)
     grid = a.grid
+    if np.array_equal(a.index, b.index):
+        data = a.data + b.data if sign > 0 else a.data - b.data
+        return SpaceTimeField(grid, a.index.copy(), data)
     ka = grid.flat_keys(a.index)
     kb = grid.flat_keys(b.index)
     keys = np.union1d(ka, kb)
@@ -471,8 +474,7 @@ def _convolve_dense(f, g, report):
     h = grid.tau_step
     shape = dense_workspace_shape(grid)
     FA = sfft.fftn(f.box_array(), s=shape)
-    # a self-product squares its one transform: bitwise what two would give
-    FA *= FA if g is f else sfft.fftn(g.box_array(), s=shape)
+    FA *= sfft.fftn(g.box_array(), s=shape)
     conv = sfft.ifftn(FA)
     del FA
     spatial_core = (slice(grid.n_max, 3 * grid.n_max + 1),) * d

@@ -1,8 +1,8 @@
 """Picard fixed-point scheme for i u_t + Laplacian u = conj(u)^2.
 
 The Duhamel map is realized entirely on space-time Fourier data.  With
-F = eta_{2T} conj(u) * eta_{2T} conj(v) (data: conjugate-reflect, cutoff
-kernel convolution in tau, space-time convolution) and sigma = tau + |n|^2,
+F = eta_{2T} conj(u) * eta_{2T} conj(v) (data: one dealiased product of the
+reflected factors' (x, t) samples times eta_{2T}) and sigma = tau + |n|^2,
 the three nonlinear pieces are
 
   N1: psi(sigma)-localized part of the Duhamel multiplier, realized through
@@ -25,11 +25,12 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.integrate import quad_vec
 
 from . import cutoffs
-from .cutoffs import CutoffSpec, apply_time_cutoff, free_evolution_data
-from .grid import FrequencyGrid, SpaceTimeField, conjugate_reflect, spacetime_convolve
+from .cutoffs import CutoffSpec, free_evolution_data
+from .grid import FrequencyGrid, SpaceTimeField, conjugate_reflect, dense_workspace_shape
 from .norms import NormParams, ct_hs_norm, spatial_hs_norm, zsb_norm
 
 _SERIES_TOL = 1e-12
@@ -96,17 +97,52 @@ class DivergenceError(RuntimeError):
 
 
 def nonlinear_fourier_data(u, v, cutoff):
-    """Data of (eta_{2T} conj(u)) * (eta_{2T} conj(v)).
+    """Data of (eta_{2T} conj(u)) * (eta_{2T} conj(v)) as one dealiased (x, t) product.
 
-    When ``v is u`` the reflected, cutoff factor is formed once and the
-    convolution squares its transform; the result is bitwise the same.
+    Each reflected factor goes once to (x, t) samples on the padded
+    workspace of ``dense_workspace_shape`` (tau length P), is multiplied by
+    eta(t / 2T) at the signed nodes t_l = 2 pi l / (h P), l in (-P/2, P/2],
+    and the two are multiplied pointwise; one transform back and the
+    [n_max, 3 n_max] x [half, half + n_tau) crop give the product, with the
+    h of the tau quadrature.  The cut-off factor is not truncated to the
+    tau-window: its transform tail aliases at the period P h instead.
+    eta vanishes off |t| < 4T, so only the t-nodes it keeps pass through
+    the spatial transforms.  When ``v is u`` the one transform is squared.
     """
     u.grid.assert_compatible(v.grid)
-    a = apply_time_cutoff(conjugate_reflect(u), 2.0 * cutoff.T, cutoff.eta)
-    if v is u:
-        return spacetime_convolve(a, a)
-    b = apply_time_cutoff(conjugate_reflect(v), 2.0 * cutoff.T, cutoff.eta)
-    return spacetime_convolve(a, b)
+    grid = u.grid
+    if not (u.data.any() and v.data.any()):
+        return SpaceTimeField.zero(grid)
+    shape = dense_workspace_shape(grid)
+    P = shape[-1]
+    l = np.arange(P)
+    l[l > P // 2] -= P
+    eta = cutoff.eta(2.0 * math.pi * l / (grid.tau_step * P) / (2.0 * cutoff.T))
+    live = np.flatnonzero(eta)
+    prod = _cutoff_samples(u, eta, live, shape)
+    prod *= prod if v is u else _cutoff_samples(v, eta, live, shape)
+    conv = sfft.ifftn(prod, axes=tuple(range(grid.dimension)), overwrite_x=True)
+    rows = np.zeros((grid.box_count, P), dtype=np.complex128)
+    core = conv[(slice(grid.n_max, 3 * grid.n_max + 1),) * grid.dimension]
+    rows[:, live] = core.reshape(grid.box_count, len(live))
+    out = sfft.ifft(rows, axis=1, overwrite_x=True)
+    half = grid.half_index
+    return SpaceTimeField(grid, grid.box_index.copy(),
+                          grid.tau_step * out[:, half:half + grid.n_tau])
+
+
+def _cutoff_samples(f, eta, live, shape):
+    """eta times the padded (x, t) samples of conj(f) at the t-nodes ``live``.
+
+    The tau transform runs on the stored rows only; its ``live`` outputs are
+    placed in the box and taken through the spatial axes.
+    """
+    grid = f.grid
+    f = conjugate_reflect(f)
+    box = np.zeros((grid.box_count, len(live)), dtype=np.complex128)
+    box[grid.flat_keys(f.index)] = sfft.fft(f.data, n=shape[-1], axis=1)[:, live] * eta[live]
+    box = box.reshape((grid.box_side,) * grid.dimension + (len(live),))
+    return sfft.fftn(box, s=shape[:-1], axes=tuple(range(grid.dimension)), overwrite_x=True)
 
 
 def _psi_band(fhat, cutoff):
@@ -335,8 +371,6 @@ class ReferenceTrajectory:
 
 def _nonlinear_coefficients(vals, grid, pad):
     """F_x(conj(u)^2)(n) from box coefficients via dealiased padded FFTs."""
-    from scipy import fft as sfft
-
     side = grid.box_side
     d = grid.dimension
     emb = np.zeros((pad,) * d, dtype=np.complex128)
@@ -355,8 +389,6 @@ def reference_integrate(u0, grid, T, steps, include_nonlinearity=True):
     d/dt u_hat = -i |n|^2 u_hat - i F_x(conj(u)^2) with the linear part
     removed exactly by the integrating factor.
     """
-    from scipy import fft as sfft
-
     ns, vals = cutoffs._spatial_pairs(grid, u0)
     if not np.array_equal(ns, grid.box_index):
         full = np.zeros(grid.box_count, dtype=np.complex128)

@@ -54,13 +54,13 @@ class TestParseConfig:
         text = "\n".join([
             "# comment line",
             "s = -0.5",
-            "n_max = 8   # trailing comment",
+            "tau_step = 0.5   # trailing comment",
             "mode = X",
             "",
         ])
         cfg = parse_config(["sweep", "--s", "-0.45"], config_text=text)
         assert cfg.s == -0.45      # flag wins
-        assert cfg.n_max == 8      # file value survives
+        assert cfg.tau_step == 0.5  # file value survives
         assert cfg.mode == "X"
 
     def test_file_unknown_key(self):
@@ -84,6 +84,35 @@ class TestParseConfig:
         assert main(["check", "--s", "5"]) == 2
         assert "'s'" in capsys.readouterr().err
 
+    def test_commands_reject_keys_they_ignore(self, capsys):
+        from rnlab.cli import main
+        # one key each command's body never reads, by flag and by file
+        cases = {"norm": ("T", "0.2"), "family": ("tau_pad", "100"),
+                 "sweep": ("seed", "9"), "threshold": ("s", "-0.6"),
+                 "solve": ("family", "example2"), "check": ("out", "x")}
+        for command, (key, value) in cases.items():
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                parse_config([command, "--" + key.replace("_", "-"), value])
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                parse_config([command], config_text=f"{key} = {value}\n")
+        assert main(["family", "--family", "remark_uu", "--N", "4,8", "--tau-pad", "100",
+                     "--n-max", "3", "--T", "0.2"]) == 2
+        assert "'T'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="'n_max'"):
+            parse_config(["--config", "run.cfg"], config_text="command = sweep\nn_max = 8\n")
+
+    def test_commands_accept_every_key_they_read(self):
+        from rnlab.cli import _READ_KEYS
+        values = {"d": "2", "n_max": "4", "tau_step": "0.5", "tau_pad": "8", "s": "-0.5",
+                  "b": "0.6", "mod_threshold": "0.001", "family": "example2", "N": "4,8",
+                  "mode": "X", "s_range": "-0.9:-0.4:0.1", "T": "0.1",
+                  "max_iterations": "3", "tolerance": "1e-9", "seed": "3", "out": "x",
+                  "dump_fields": "true"}
+        for command, keys in _READ_KEYS.items():
+            text = "".join(f"{k} = {values[k]}\n" for k in sorted(keys))
+            cfg = parse_config([command], config_text=text)
+            assert cfg.command == command
+
     def test_n_list_parsing(self):
         cfg = parse_config(["sweep", "--N", "4,8,16"])
         assert cfg.N == (4, 8, 16)
@@ -96,9 +125,9 @@ class TestParseConfig:
 
     def test_config_file_read_from_disk(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("s = -0.5\nn_max = 8\n")
+        path.write_text("s = -0.5\ntau_step = 0.5\n")
         cfg = parse_config(["--config", str(path), "sweep"])
-        assert cfg.s == -0.5 and cfg.n_max == 8
+        assert cfg.s == -0.5 and cfg.tau_step == 0.5
         with pytest.raises(ConfigError, match="'config'"):
             parse_config(["--config", str(tmp_path / "missing.cfg"), "sweep"])
 
@@ -125,7 +154,7 @@ class TestRunCommands:
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--family", "example2", "--mode", "Z",
-                "--N", "4,8,16", "--seed", "77"]
+                "--N", "4,8,16", "--s", "-0.7"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run(parse_config(args + ["--out", str(out_a)]))
         run(parse_config(args + ["--out", str(out_b)]))

@@ -282,6 +282,20 @@ class TestFieldAlgebra:
             for n, row in zip(total.index, total.data):
                 assert np.array_equal(row, a.column(n) + sign * b.column(n))
 
+    @PROPERTY
+    @given(st.sampled_from(GRIDS).flatmap(fields), st.integers(0, 2**32 - 1))
+    def test_equal_index_path_matches_union_path(self, a, seed):
+        b = random_field(a.grid, np.random.default_rng(seed), columns=a.index)
+        for total, sign in ((a + b, 1.0), (a - b, -1.0)):
+            # the union path: a zeroed array over the union, both operands scattered
+            keys = np.union1d(_keys(a), _keys(b))
+            data = np.zeros((len(keys), a.grid.n_tau), dtype=np.complex128)
+            data[np.searchsorted(keys, _keys(a))] += a.data
+            data[np.searchsorted(keys, _keys(b))] += sign * b.data
+            assert np.array_equal(_keys(total), keys)
+            assert np.array_equal(total.data, data)
+            assert total.index is not a.index
+
 
 class TestConjugateReflect:
     @PROPERTY

@@ -1,7 +1,12 @@
 """Duhamel operators, Picard iteration, reference integrator, field dumps."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from rnlab import cutoffs
 from rnlab.cutoffs import CutoffSpec, apply_time_cutoff, free_evolution_data
@@ -9,6 +14,7 @@ from rnlab.grid import (
     FrequencyGrid,
     SpaceTimeField,
     conjugate_reflect,
+    dense_workspace_shape,
     spacetime_convolve,
     time_slices,
 )
@@ -75,6 +81,32 @@ def _n1_taylor_oracle(fhat, cutoff):
     return out
 
 
+def _truncated_product_oracle(u, v, cutoff):
+    """The cut-off product through a window-truncated kernel: each reflected
+    factor is convolved in tau with the cutoff kernel on [-(M-1), M-1] and
+    cropped to the window, then the two are convolved in space-time."""
+    a = apply_time_cutoff(conjugate_reflect(u), 2.0 * cutoff.T, cutoff.eta)
+    b = apply_time_cutoff(conjugate_reflect(v), 2.0 * cutoff.T, cutoff.eta)
+    return spacetime_convolve(a, b)
+
+
+def _workspace_product(u, v, cutoff, P):
+    """The fused (x, t) product with tau length P, on every workspace sample:
+    the cut-off factor's tail aliases at the period P h."""
+    grid = u.grid
+    d, M, half = grid.dimension, grid.n_tau, grid.half_index
+    shape = (sfft.next_fast_len(2 * grid.box_side - 1),) * d + (P,)
+    l = np.arange(P)
+    t = 2.0 * math.pi * np.where(l > P // 2, l - P, l) / (grid.tau_step * P)
+    eta = cutoff.eta(t / (2.0 * cutoff.T))
+    prod = np.ones(shape, dtype=np.complex128)
+    for f in (u, v):
+        prod *= sfft.fftn(conjugate_reflect(f).box_array(), s=shape) * eta
+    conv = sfft.ifftn(prod)
+    core = conv[(slice(grid.n_max, 3 * grid.n_max + 1),) * d + (slice(half, half + M),)]
+    return grid.tau_step * core.reshape(-1, M)
+
+
 def _high_modulation_oracle(fhat, cutoff):
     """(1 - psi(sigma)) / (i sigma) with psi evaluated on every stored entry."""
     mod = fhat.mod_array()
@@ -85,16 +117,20 @@ def _high_modulation_oracle(fhat, cutoff):
     return out
 
 
+def _product_pair(box):
+    grid = FrequencyGrid(2, 2, 240.0, 0.25) if box == "duhamel" \
+        else FrequencyGrid.for_box(*box, tau_step=0.25)
+    cut = CutoffSpec(T=0.125)
+    u, v = (free_evolution_data(grid, rough_initial_data(grid, -0.6, seed), cut,
+                                prune=False) for seed in (1, 2))
+    return u, v, cut
+
+
 class TestFastPathsAgainstOracles:
-    # d=1 n_max=8 (17 columns) convolves on the per-column path, d=2 n_max=4
-    # (81 columns) on the padded-FFT path
+    # d=1 n_max=8 (17 columns) and d=2 n_max=4 (81 columns)
     @pytest.fixture(params=[(1, 8), (2, 4)], ids=["line_grid", "box_2_4"])
     def pair(self, request):
-        grid = FrequencyGrid.for_box(*request.param, tau_step=0.25)
-        cut = CutoffSpec(T=0.125)
-        u, v = (free_evolution_data(grid, rough_initial_data(grid, -0.6, seed), cut,
-                                    prune=False) for seed in (1, 2))
-        return u, v, cut
+        return _product_pair(request.param)
 
     def test_n1_matches_taylor_oracle(self, pair):
         u, v, cut = pair
@@ -126,6 +162,57 @@ class TestFastPathsAgainstOracles:
         separate = spacetime_convolve(f, f.copy())
         assert np.array_equal(shared.index, separate.index)
         assert np.array_equal(shared.data, separate.data)
+
+
+SHORT_WINDOWS = pytest.mark.parametrize("box", [(1, 8), (2, 4), "duhamel"],
+                                        ids=["line_8", "box_2_4", "duhamel_grid"])
+
+
+class TestFusedProduct:
+    def test_agrees_with_truncated_oracle(self):
+        # the two differ by the kernel tail the oracle truncates (2.3e-8 and
+        # 9.5e-9 of max), which is small only on a window this wide
+        u, v, cut = _product_pair((1, 32))
+        for a, b in ((u, v), (u, u)):
+            new = nonlinear_fourier_data(a, b, cut)
+            old = _truncated_product_oracle(a, b, cut)
+            assert np.array_equal(new.index, old.index)
+            assert np.abs(new.data - old.data).max() <= 1e-7 * np.abs(old.data).max()
+
+    @SHORT_WINDOWS
+    def test_matches_every_workspace_sample(self, box):
+        # carrying only the t-nodes where eta is non-zero changes no value
+        u, v, cut = _product_pair(box)
+        P = dense_workspace_shape(u.grid)[-1]
+        for a, b in ((u, v), (u, u)):
+            want = _workspace_product(a, b, cut, P)
+            got = nonlinear_fourier_data(a, b, cut).data
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @SHORT_WINDOWS
+    def test_closer_than_oracle_to_oversampled_product(self, box):
+        u, v, cut = _product_pair(box)
+        for a, b in ((u, v), (u, u)):
+            fine = _workspace_product(a, b, cut, sfft.next_fast_len(16 * a.grid.n_tau))
+            fused = np.abs(nonlinear_fourier_data(a, b, cut).data - fine).max()
+            truncated = np.abs(_truncated_product_oracle(a, b, cut).data - fine).max()
+            assert fused <= 0.1 * truncated
+
+    @SHORT_WINDOWS
+    def test_symmetric_in_its_factors(self, box):
+        u, v, cut = _product_pair(box)
+        uv = nonlinear_fourier_data(u, v, cut)
+        vu = nonlinear_fourier_data(v, u, cut)
+        assert np.array_equal(uv.index, vu.index)
+        assert np.abs(uv.data - vu.data).max() <= 1e-13 * np.abs(uv.data).max()
+
+    @SHORT_WINDOWS
+    def test_empty_operand_gives_zero_field(self, box):
+        u, _, cut = _product_pair(box)
+        empty = SpaceTimeField.zero(u.grid)
+        zeros = SpaceTimeField(u.grid, u.index.copy(), np.zeros_like(u.data))
+        for a, b in ((u, empty), (empty, u), (empty, empty), (u, zeros), (zeros, zeros)):
+            assert nonlinear_fourier_data(a, b, cut).n_columns == 0
 
 
 class TestSolverParams:
@@ -273,6 +360,21 @@ class TestPicard:
         gap = np.sqrt((w[:, None] * np.abs(a - b) ** 2).sum(axis=0)).max()
         scale = np.sqrt((w[:, None] * np.abs(a) ** 2).sum(axis=0)).max()
         assert gap <= 1e-4 * scale
+
+    def test_benchmark_reference_trace(self):
+        # the benchmark's picard_1d workload on seed 0 against its stored trace
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "picard_1d.json"
+        with open(path) as f:
+            stored = json.load(f)
+        cfg = stored["config"]
+        grid = FrequencyGrid.for_box(cfg["d"], cfg["n_max"], cfg["tau_step"])
+        params = SolverParams(s=cfg["s"], T=cfg["T"], max_iterations=cfg["iterations"],
+                              contraction_tolerance=0.0)
+        trace = picard_solve(rough_initial_data(grid, cfg["s"], 0), params, grid)
+        want = np.asarray(stored["z_norms"]["0"])
+        got = np.asarray(trace.z_norms)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
 
     def test_divergence_raises_with_trace(self):
         grid = FrequencyGrid.for_box(1, 8, 0.25)
