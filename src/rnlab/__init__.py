@@ -43,6 +43,7 @@ from .norms import (
 from .solver import (
     DivergenceError,
     IterationTrace,
+    PicardPlan,
     ReferenceTrajectory,
     SolverParams,
     continuous_dependence,

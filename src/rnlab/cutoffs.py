@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 
 from .grid import FrequencyGrid, SpaceTimeField
@@ -117,16 +118,15 @@ def sigma_lattice(grid, t_power=0, profile=standard_bump):
     return transform_on_lattice(grid.tau_step, j_max, t_power, profile), j_max
 
 
-def profile_index(grid, norm_sq, j_max):
-    """Lattice positions of sigma = tau_j + |n|^2 for the given |n|^2, shape (K, n_tau)."""
+def profile_offsets(grid, norm_sq, j_max):
+    """Lattice position of sigma = tau_0 + |n|^2 for the given |n|^2, shape (K,)."""
     per_unit = _require_unit_step_ratio(grid)
-    offsets = np.asarray(norm_sq, dtype=np.int64) * per_unit - grid.half_index + j_max
-    return offsets[:, None] + np.arange(grid.n_tau)[None, :]
+    return np.asarray(norm_sq, dtype=np.int64) * per_unit - grid.half_index + j_max
 
 
 def gather_profile(grid, norm_sq, lattice, j_max):
     """Per-column rows L(tau_j + |n|^2) for the given |n|^2 values, shape (K, n_tau)."""
-    return lattice[profile_index(grid, norm_sq, j_max)]
+    return sliding_window_view(lattice, grid.n_tau)[profile_offsets(grid, norm_sq, j_max)]
 
 
 def free_evolution_data(grid, phi_hat, profile=standard_bump, prune=True):

@@ -99,10 +99,35 @@ def ysb_norm(u, p):
 def zsb_norm(u, p):
     """X-norm below the modulation split plus Y-norm above it."""
     data, mod, w, nsq = _on_span(u)
-    lo = low_modulation_mask(mod, nsq, p.mod_threshold)
+    return _z_apply(data, _z_factors(mod, nsq, p), w)
+
+
+def _z_factors(mod, nsq, p):
+    """What the Z-norm needs of the modulations ``mod`` (K, L) besides the data.
+
+    The lo entries as index arrays, <sigma>^{2b} on them, <sigma>^{s+2b} on
+    every entry, and (1+|n|^2)^s per column.
+    """
+    lo = np.nonzero(low_modulation_mask(mod, nsq, p.mod_threshold))
     bracket_sq = _bracket_sq(mod)
-    return (_x_norm(data * lo, bracket_sq, w, nsq, p)
-            + _y_norm(data * ~lo, bracket_sq, w, nsq, p))
+    return lo, bracket_sq[lo] ** p.b, bracket_sq ** (p.s / 2.0 + p.b), (1.0 + nsq) ** p.s
+
+
+def _z_apply(data, factors, weights):
+    """Z-norm of ``data`` (K, L) from its ``_z_factors`` and quadrature weights.
+
+    The lo integrand and the hi |u| are entry for entry those of the X- and
+    Y-norms of the lo and hi projections, with the same reductions.
+    """
+    lo, x_weight, y_weight, col_weight = factors
+    hi = np.abs(data)
+    x_integrand = np.zeros_like(hi)
+    x_integrand[lo] = hi[lo] ** 2 * x_weight
+    hi[lo] = 0.0
+    x = float(np.sqrt((col_weight * (x_integrand @ weights)).sum()))
+    l1 = hi @ weights
+    energy = float(np.sqrt((col_weight * l1 * l1).sum()))
+    return x + (energy + float(np.sqrt(((hi ** 2 * y_weight) @ weights).sum())))
 
 
 def norm_for_mode(u, p, mode):

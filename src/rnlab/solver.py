@@ -13,8 +13,11 @@ the three nonlinear pieces are
       i * F(eta)(sigma) * Int F (1-psi)/(i sigma) dtau;
   N3: the pointwise multiplier -i (1-psi(sigma))/(i sigma) applied to F.
 
-The fixed-point iterate is Gamma[u] = eta(t) e^{it Lap} u0 + N1 + N2 + N3
-applied with v = u.
+With the real r = (1-psi(sigma))/sigma, N2 = F(eta)(sigma) Int F r dtau and
+N3 = -r F.  Everything that depends only on the grid, the cutoffs and the
+norm parameters lives in a PicardPlan built once per solve.  The fixed-point
+iterate is Gamma[u] = eta(t) e^{it Lap} u0 + N1 + N2 + N3 applied with v = u,
+where N2 enters N1's series as its k = 0 term.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy.integrate import quad_vec
 
 from . import cutoffs
 from .cutoffs import CutoffSpec, free_evolution_data
 from .grid import FrequencyGrid, SpaceTimeField, conjugate_reflect, dense_workspace_shape
-from .norms import NormParams, ct_hs_norm, spatial_hs_norm, zsb_norm
+from .norms import NormParams, _z_apply, _z_factors, ct_hs_norm, spatial_hs_norm
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
@@ -145,7 +149,7 @@ def _cutoff_samples(f, eta, live, shape):
     return sfft.fftn(box, s=shape[:-1], axes=tuple(range(grid.dimension)), overwrite_x=True)
 
 
-def _psi_band(fhat, cutoff):
+def _psi_band(grid, nsq, cutoff):
     """(tau-indices, sigma, psi(sigma)) on each column's supp-psi band, shape (K, B).
 
     psi vanishes for |sigma| >= support, so column n needs only the samples
@@ -154,10 +158,8 @@ def _psi_band(fhat, cutoff):
     2 support / tau_step + 1 of an exact fit, so a start that rounds one
     sample low still covers it.
     """
-    grid = fhat.grid
     support = cutoff.psi.support
     width = min(int(math.floor(2.0 * support / grid.tau_step)) + 2, grid.n_tau)
-    nsq = fhat.norm_sq_columns()
     start = np.floor((-support - nsq) / grid.tau_step).astype(np.int64) + grid.half_index
     cols = np.clip(start, 0, grid.n_tau - width)[:, None] + np.arange(width)
     # the same float operations as mod_array, so sigma matches it bitwise
@@ -165,26 +167,65 @@ def _psi_band(fhat, cutoff):
     return cols, sigma, cutoff.psi(sigma)
 
 
-def duhamel_n1(u, v, cutoff, fhat=None):
-    """psi-localized Duhamel piece via the convergent Taylor construction.
+@dataclass(frozen=True)
+class PicardPlan:
+    """What no Picard step changes, built once per solve on every box column.
 
-    Term k is a_k(n) F(t^k eta)(sigma) with a_k = -(i^k / k!) g_k and the
-    moment g_k(n) = Int F psi sigma^{k-1} dtau, taken over the supp-psi band
-    of each column only.  The series is truncated on the coefficients: the
-    bound max|a_k| * max|F(t^k eta)| on the largest entry of term k must
-    fall below 1e-12 of the largest bound so far twice in a row.
-    |sigma| <= 2 on supp psi keeps the terms bounded by 4^k / k!, so the
-    sigma -> 0 limit is removable by construction.  The output is one
-    (columns x terms) @ (terms x lattice) contraction of the cached
-    sigma-lattice rows, gathered at each column's |n|^2 shift.
+    ``cols``, ``sigma``, ``psi``: each column's supp-psi band (``_psi_band``).
+    ``r``: the real high-modulation multiplier (1 - psi(sigma)) / sigma on
+    every entry, zero where psi = 1, so (1 - psi) / (i sigma) = -i r.
+    ``offsets``: each column's sigma-lattice position of tau_0,
+    |n|^2 / tau_step - half + j_max.  ``z``: the Z-norm factors of the box
+    (``norms._z_factors``).  Every array is read-only.  A field's columns
+    take the rows at their flat keys.
     """
-    if fhat is None:
-        fhat = nonlinear_fourier_data(u, v, cutoff)
-    grid = fhat.grid
-    if fhat.n_columns == 0:
-        return SpaceTimeField.zero(grid)
-    cols, sigma, psi = _psi_band(fhat, cutoff)
-    weighted = np.take_along_axis(fhat.data, cols, axis=1) * psi * grid.tau_weights[cols]
+
+    grid: FrequencyGrid
+    cutoff: CutoffSpec
+    cols: np.ndarray
+    sigma: np.ndarray
+    psi: np.ndarray
+    r: np.ndarray
+    offsets: np.ndarray
+    z: tuple
+
+    @classmethod
+    def build(cls, grid, cutoff, p):
+        """The plan of ``grid`` for the cutoff pair and the Z-norm parameters ``p``."""
+        nsq = FrequencyGrid.norm_sq(grid.box_index)
+        cols, sigma, psi = _psi_band(grid, nsq, cutoff)
+        # the float operations of mod_array, so the Z factors are zsb_norm's
+        mod = grid.tau_nodes[None, :] + nsq[:, None].astype(float)
+        z = _z_factors(mod, nsq.astype(float), p)
+        np.put_along_axis(mod, cols, 1.0, axis=1)  # keeps sigma = 0 out of the division
+        r = 1.0 / mod
+        band = np.zeros(sigma.shape)
+        keep = psi < 1.0
+        # (1 - psi) * (1 / sigma): the rounding of the complex (1 - psi) / (i sigma)
+        band[keep] = (1.0 - psi[keep]) * (1.0 / sigma[keep])
+        np.put_along_axis(r, cols, band, axis=1)
+        _, j_max = cutoffs.sigma_lattice(grid, t_power=0, profile=cutoff.eta)
+        offsets = cutoffs.profile_offsets(grid, nsq, j_max)
+        arrays = (cols, sigma, psi, r, offsets) + z[0] + z[1:]
+        for a in arrays:
+            a.setflags(write=False)
+        return cls(grid, cutoff, cols, sigma, psi, r, offsets, z)
+
+
+def _n1_terms(fhat, plan, rows):
+    """N1's Taylor coefficients a_k (K,) and sigma-lattices F(t^k eta), k = 1, 2, ...
+
+    a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1} dtau,
+    taken over the supp-psi band of each column only.  The series is
+    truncated on the coefficients: the bound max|a_k| * max|F(t^k eta)| on
+    the largest entry of term k must fall below 1e-12 of the largest bound
+    so far twice in a row.  |sigma| <= 2 on supp psi keeps the terms bounded
+    by 4^k / k!, so the sigma -> 0 limit is removable by construction.
+    """
+    grid = plan.grid
+    cols, sigma = plan.cols[rows], plan.sigma[rows]
+    weighted = (np.take_along_axis(fhat.data, cols, axis=1) * plan.psi[rows]
+                * grid.tau_weights[cols])
     sigma_pow = np.ones_like(sigma)
     coefs, lattices = [], []
     coef = 1.0
@@ -193,7 +234,7 @@ def duhamel_n1(u, v, cutoff, fhat=None):
     for k in range(1, _SERIES_MAX_TERMS + 1):
         coef *= 1j / k  # builds i^k / k!
         a = (-coef) * (weighted * sigma_pow).sum(axis=1)
-        lattice, j_max = cutoffs.sigma_lattice(grid, t_power=k, profile=cutoff.eta)
+        lattice, _ = cutoffs.sigma_lattice(grid, t_power=k, profile=plan.cutoff.eta)
         coefs.append(a)
         lattices.append(lattice)
         bound = np.abs(a).max() * np.abs(lattice).max()
@@ -205,57 +246,79 @@ def duhamel_n1(u, v, cutoff, fhat=None):
         else:
             below = 0
         sigma_pow = sigma_pow * sigma
-    series = np.stack(coefs, axis=1) @ np.stack(lattices)
-    index = cutoffs.profile_index(grid, fhat.norm_sq_columns(), j_max)
-    return SpaceTimeField(grid, fhat.index.copy(), np.take_along_axis(series, index, axis=1))
+    return coefs, lattices
 
 
-def _high_modulation_multiplier(fhat, cutoff):
-    """(1 - psi(sigma)) / (i sigma) on every stored entry of fhat.
+def _rows(fhat):
+    """fhat's rows in a plan's box arrays; on the whole box a slice, so they are views."""
+    if fhat.n_columns == fhat.grid.box_count:
+        return slice(None)
+    return fhat.grid.flat_keys(fhat.index)
 
-    Off the supp-psi band this is 1 / (i sigma), bitwise what the formula
-    gives there with psi = 0; on it the numerator vanishes where psi = 1.
+
+def _gather(series, offsets, n_tau):
+    """Row i of ``series`` from offsets[i] on, n_tau long: its sigma-lattice at column i."""
+    return sliding_window_view(series, n_tau, axis=1)[np.arange(len(offsets)), offsets]
+
+
+def _eta_lattice(plan):
+    return cutoffs.sigma_lattice(plan.grid, t_power=0, profile=plan.cutoff.eta)
+
+
+def duhamel_n1(fhat, plan):
+    """psi-localized Duhamel piece via the convergent Taylor construction.
+
+    Term k is a_k(n) F(t^k eta)(sigma) (``_n1_terms``).  The output is one
+    (columns x terms) @ (terms x lattice) contraction of the cached
+    sigma-lattice rows, gathered at each column's |n|^2 shift.
     """
-    cols, sigma, psi = _psi_band(fhat, cutoff)
-    band = np.zeros(sigma.shape, dtype=np.complex128)
-    mask = psi < 1.0
-    band[mask] = (1.0 - psi[mask]) / (1j * sigma[mask])
-    mod = fhat.mod_array()
-    np.put_along_axis(mod, cols, 1.0, axis=1)  # keeps sigma = 0 out of the division
-    out = 1.0 / (1j * mod)
-    np.put_along_axis(out, cols, band, axis=1)
-    return out
-
-
-def duhamel_n2(u, v, cutoff, fhat=None):
-    """Collapsed high-modulation piece carried by a free eta-evolution."""
-    if fhat is None:
-        fhat = nonlinear_fourier_data(u, v, cutoff)
-    grid = fhat.grid
     if fhat.n_columns == 0:
-        return SpaceTimeField.zero(grid)
-    column_sums = (fhat.data * _high_modulation_multiplier(fhat, cutoff)) @ grid.tau_weights
-    lattice, j_max = cutoffs.sigma_lattice(grid, t_power=0, profile=cutoff.eta)
-    profile = cutoffs.gather_profile(grid, fhat.norm_sq_columns(), lattice, j_max)
+        return SpaceTimeField.zero(fhat.grid)
+    rows = _rows(fhat)
+    coefs, lattices = _n1_terms(fhat, plan, rows)
+    series = np.stack(coefs, axis=1) @ np.stack(lattices)
+    return SpaceTimeField(fhat.grid, fhat.index.copy(),
+                          _gather(series, plan.offsets[rows], fhat.grid.n_tau))
+
+
+def duhamel_n2(fhat, plan):
+    """Collapsed high-modulation piece i F(eta)(sigma) Int F (1-psi)/(i sigma) dtau.
+
+    Written with the multiplier as -i r, which rounds as the complex
+    (1-psi)/(i sigma) does.
+    """
+    if fhat.n_columns == 0:
+        return SpaceTimeField.zero(fhat.grid)
+    grid = fhat.grid
+    column_sums = -1j * ((fhat.data * plan.r[_rows(fhat)]) @ grid.tau_weights)
+    profile = cutoffs.gather_profile(grid, fhat.norm_sq_columns(), *_eta_lattice(plan))
     return SpaceTimeField(grid, fhat.index.copy(), 1j * profile * column_sums[:, None])
 
 
-def duhamel_n3(u, v, cutoff, fhat=None):
-    """Stationary high-modulation piece: pointwise multiplier on F."""
-    if fhat is None:
-        fhat = nonlinear_fourier_data(u, v, cutoff)
+def duhamel_n3(fhat, plan):
+    """Stationary high-modulation piece: -r F, the multiplier -i (1-psi)/(i sigma)."""
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
-    data = -1j * fhat.data * _high_modulation_multiplier(fhat, cutoff)
-    return SpaceTimeField(fhat.grid, fhat.index.copy(), data)
+    return SpaceTimeField(fhat.grid, fhat.index.copy(), -fhat.data * plan.r[_rows(fhat)])
 
 
-def duhamel_rhs(u, v, cutoff):
-    """N1 + N2 + N3 applied to the pair (u, v), sharing one product transform."""
-    fhat = nonlinear_fourier_data(u, v, cutoff)
-    return (duhamel_n1(u, v, cutoff, fhat)
-            + duhamel_n2(u, v, cutoff, fhat)
-            + duhamel_n3(u, v, cutoff, fhat))
+def duhamel_rhs(fhat, plan):
+    """N1 + N2 + N3 of the product data ``fhat`` in one array.
+
+    N2 is the k = 0 term of N1's series, with coefficient Int F r dtau and
+    the F(eta) lattice; one contraction and one gather give N1 + N2, and
+    N3 = -r F is subtracted in place.
+    """
+    if fhat.n_columns == 0:
+        return SpaceTimeField.zero(fhat.grid)
+    rows = _rows(fhat)
+    high = fhat.data * plan.r[rows]
+    coefs, lattices = _n1_terms(fhat, plan, rows)
+    series = (np.stack([high @ plan.grid.tau_weights] + coefs, axis=1)
+              @ np.stack([_eta_lattice(plan)[0]] + lattices))
+    out = _gather(series, plan.offsets[rows], plan.grid.n_tau)
+    out -= high
+    return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
 def duhamel_time_integral(fhat, times):
@@ -304,28 +367,38 @@ def rough_initial_data(grid, s, seed):
 def picard_solve(u0, params, grid, cutoff=None, initial=None):
     """Iterate Gamma[u] = eta e^{it Lap} u0 + N(u, u) from the linear solution.
 
-    ``u0`` is spatial data as a (columns, values) pair or box array.  Raises
-    DivergenceError (trace attached) when an iterate's Z-norm exceeds ten
-    times the ball radius.
+    ``u0`` is spatial data as a (columns, values) pair or box array;
+    ``initial``, a field on ``grid``, replaces the linear solution as the
+    first iterate.  Both are taken onto every box column, where the
+    ``PicardPlan`` lives.  Raises DivergenceError (trace attached) when an
+    iterate's Z-norm exceeds ten times the ball radius.
     """
     cutoff = cutoff if cutoff is not None else CutoffSpec(T=params.T)
     if abs(cutoff.T - params.T) > 1e-12:
         raise ValueError("cutoff scale and solver T must agree")
-    p = params.norm_params()
-    linear = free_evolution_data(grid, u0, cutoff.eta, prune=False)
+    if initial is not None:
+        grid.assert_compatible(initial.grid)
+    plan = PicardPlan.build(grid, cutoff, params.norm_params())
+    w = grid.tau_weights
+    linear = _on_box(free_evolution_data(grid, u0, cutoff.eta, prune=False))
     trace = IterationTrace()
     current = linear
-    z0 = zsb_norm(current, p)
+    z0 = _z_apply(current.data, plan.z, w)
     radius = params.ball_radius if params.ball_radius is not None else max(z0, 1e-12)
     if initial is not None:
-        current = initial
-        z0 = zsb_norm(current, p)
+        current = _on_box(initial)
+        z0 = _z_apply(current.data, plan.z, w)
     trace.iterates.append(current)
     trace.z_norms.append(z0)
     for _ in range(params.max_iterations):
-        nxt = linear + duhamel_rhs(current, current, cutoff)
-        z = zsb_norm(nxt, p)
-        diff = zsb_norm(nxt - current, p)
+        # the product is not held through the norms and the next product
+        nxt = duhamel_rhs(nonlinear_fourier_data(current, current, cutoff), plan)
+        if nxt.n_columns:
+            nxt.data += linear.data
+        else:
+            nxt = linear.copy()
+        z = _z_apply(nxt.data, plan.z, w)
+        diff = _z_apply(nxt.data - current.data, plan.z, w)
         trace.iterates.append(nxt)
         trace.z_norms.append(z)
         trace.successive_diffs.append(diff)
@@ -338,6 +411,13 @@ def picard_solve(u0, params, grid, cutoff=None, initial=None):
             trace.converged = True
             break
     return trace
+
+
+def _on_box(u):
+    """u on every box column, in box order."""
+    if u.n_columns == u.grid.box_count:
+        return u
+    return SpaceTimeField(u.grid, u.grid.box_index.copy(), u.box_array())
 
 
 def continuous_dependence(u0a, u0b, params, grid, cutoff=None, samples_per_unit=8):

@@ -35,6 +35,7 @@ from rnlab.families import predicted_exponents
 from rnlab.grid import FrequencyGrid, time_slices
 from rnlab.norms import NormParams, ct_hs_norm, spatial_hs_norm
 from rnlab.solver import (
+    PicardPlan,
     SolverParams,
     duhamel_n1,
     duhamel_n2,
@@ -201,6 +202,7 @@ def test_criterion_5_duhamel_identity():
     rng = np.random.default_rng(321)
     times = np.linspace(-cut.T, cut.T, 7)
     t0 = time.perf_counter()
+    plan = PicardPlan.build(grid, cut, NormParams(s=S_DEFAULT))
     worst = 0.0
     for _ in range(10):
         ns = grid.box_index
@@ -209,8 +211,7 @@ def test_criterion_5_duhamel_identity():
         u = free_evolution_data(grid, (ns, mk()), prune=False)
         v = free_evolution_data(grid, (ns, mk()), prune=False)
         fhat = nonlinear_fourier_data(u, v, cut)
-        total = (duhamel_n1(u, v, cut, fhat) + duhamel_n2(u, v, cut, fhat)
-                 + duhamel_n3(u, v, cut, fhat))
+        total = duhamel_n1(fhat, plan) + duhamel_n2(fhat, plan) + duhamel_n3(fhat, plan)
         lhs = time_slices(total, times)
         rhs = duhamel_time_integral(fhat, times)
         # relative error in C_t H^0: sup_t l2-distance over sup_t l2-size

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
+from rnlab.cutoffs import CutoffSpec
 from rnlab.grid import (
     FrequencyGrid,
     SpaceTimeField,
@@ -21,12 +22,14 @@ from rnlab.grid import (
 )
 from rnlab.norms import (
     NormParams,
+    _z_apply,
     apply_modulation_weight,
     energy_l2l1,
     xsb_norm,
     ysb_norm,
     zsb_norm,
 )
+from rnlab.solver import PicardPlan
 
 # one grid per dimension, small enough for dozens of examples
 GRIDS = (FrequencyGrid.for_box(1, 6, 0.5), FrequencyGrid.for_box(2, 3, 0.5))
@@ -258,6 +261,15 @@ class TestTrimmedNorms:
         for got, want in _norm_pairs(u, p):
             assert got == want
         assert zsb_norm(u, p) == ysb_norm(u, p)  # the n = 0 column is all hi
+
+
+    @PROPERTY
+    @given(st.sampled_from(GRIDS), st.integers(0, 2**32 - 1), NORM_PARAMS)
+    def test_plan_factors_bitwise(self, grid, seed, p):
+        # the Picard plan's box factors give zsb_norm's value on a full-box field
+        u = random_field(grid, np.random.default_rng(seed))
+        plan = PicardPlan.build(grid, CutoffSpec(T=0.125), p)
+        assert _z_apply(u.data, plan.z, grid.tau_weights) == zsb_norm(u, p)
 
 
 class TestFieldAlgebra:

@@ -18,9 +18,10 @@ from rnlab.grid import (
     spacetime_convolve,
     time_slices,
 )
-from rnlab.norms import spatial_hs_norm, zsb_norm
+from rnlab.norms import NormParams, spatial_hs_norm, zsb_norm
 from rnlab.solver import (
     DivergenceError,
+    PicardPlan,
     SolverParams,
     continuous_dependence,
     dump_field,
@@ -51,6 +52,10 @@ def smooth_pair(grid, seed, decay=2.0):
     u = free_evolution_data(grid, (ns, mk()), prune=False)
     v = free_evolution_data(grid, (ns, mk()), prune=False)
     return u, v
+
+
+def _plan(grid, cutoff):
+    return PicardPlan.build(grid, cutoff, NormParams(s=-0.6))
 
 
 def _n1_taylor_oracle(fhat, cutoff):
@@ -137,7 +142,7 @@ class TestFastPathsAgainstOracles:
         for a, b in ((u, v), (u, u)):
             fhat = nonlinear_fourier_data(a, b, cut)
             old = _n1_taylor_oracle(fhat, cut)
-            new = duhamel_n1(a, b, cut, fhat)
+            new = duhamel_n1(fhat, _plan(a.grid, cut))
             assert np.array_equal(new.index, fhat.index)
             assert np.abs(new.data - old).max() <= 1e-12 * np.abs(old).max()
 
@@ -145,11 +150,12 @@ class TestFastPathsAgainstOracles:
         u, v, cut = pair
         fhat = nonlinear_fourier_data(u, v, cut)
         mult = _high_modulation_oracle(fhat, cut)
-        assert np.array_equal(duhamel_n3(u, v, cut, fhat).data, -1j * fhat.data * mult)
+        plan = _plan(u.grid, cut)
+        assert np.array_equal(duhamel_n3(fhat, plan).data, -1j * fhat.data * mult)
         sums = (fhat.data * mult) @ fhat.grid.tau_weights
         lattice, j_max = cutoffs.sigma_lattice(fhat.grid, 0, cut.eta)
         rows = cutoffs.gather_profile(fhat.grid, fhat.norm_sq_columns(), lattice, j_max)
-        assert np.array_equal(duhamel_n2(u, v, cut, fhat).data, 1j * rows * sums[:, None])
+        assert np.array_equal(duhamel_n2(fhat, plan).data, 1j * rows * sums[:, None])
 
     def test_self_product_bitwise(self, pair):
         u, _, cut = pair
@@ -215,6 +221,102 @@ class TestFusedProduct:
             assert nonlinear_fourier_data(a, b, cut).n_columns == 0
 
 
+def _picard_oracle(u0, params, grid):
+    """The Picard loop as fields: linear + N1 + N2 + N3 summed per step, each
+    Z-norm by zsb_norm; returns (Z-norms, successive differences)."""
+    cut = CutoffSpec(T=params.T)
+    p = params.norm_params()
+    plan = PicardPlan.build(grid, cut, p)
+    linear = free_evolution_data(grid, u0, cut.eta, prune=False)
+    current = linear
+    z_norms, diffs = [zsb_norm(current, p)], []
+    for _ in range(params.max_iterations):
+        fhat = nonlinear_fourier_data(current, current, cut)
+        nxt = linear + duhamel_n1(fhat, plan) + duhamel_n2(fhat, plan) + duhamel_n3(fhat, plan)
+        z_norms.append(zsb_norm(nxt, p))
+        diffs.append(zsb_norm(nxt - current, p))
+        current = nxt
+    return z_norms, diffs
+
+
+def _assert_same_trace(a, b):
+    assert a.z_norms == b.z_norms
+    assert a.successive_diffs == b.successive_diffs
+    assert len(a.iterates) == len(b.iterates)
+    for x, y in zip(a.iterates, b.iterates):
+        assert np.array_equal(x.index, y.index)
+        assert np.array_equal(x.data, y.data)
+
+
+class TestPicardPlan:
+    @SHORT_WINDOWS
+    def test_rhs_is_the_sum_of_the_pieces(self, box):
+        u, v, cut = _product_pair(box)
+        plan = _plan(u.grid, cut)
+        fhat = nonlinear_fourier_data(u, v, cut)
+        # the full box, and one column, which takes the plan's row by its key
+        for f in (fhat, SpaceTimeField(fhat.grid, fhat.index[1:2], fhat.data[1:2])):
+            pieces = duhamel_n1(f, plan) + duhamel_n2(f, plan) + duhamel_n3(f, plan)
+            rhs = duhamel_rhs(f, plan)
+            assert np.array_equal(rhs.index, pieces.index)
+            assert np.abs(rhs.data - pieces.data).max() <= 1e-13 * np.abs(pieces.data).max()
+        assert duhamel_rhs(SpaceTimeField.zero(u.grid), plan).n_columns == 0
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_solve_matches_field_oracle(self, seed):
+        grid = FrequencyGrid.for_box(1, 8, 0.25)
+        u0 = rough_initial_data(grid, -0.6, seed)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=8, contraction_tolerance=0.0)
+        trace = picard_solve(u0, params, grid)
+        z_norms, diffs = _picard_oracle(u0, params, grid)
+        assert np.max(np.abs(np.subtract(trace.z_norms, z_norms)) / z_norms) <= 1e-13
+        assert np.max(np.abs(np.subtract(trace.successive_diffs, diffs)) / diffs) <= 1e-11
+
+    def test_arrays_are_read_only(self):
+        grid = FrequencyGrid.for_box(1, 8, 0.25)
+        plan = _plan(grid, CutoffSpec(T=0.125))
+        lo, *weights = plan.z
+        arrays = [plan.cols, plan.sigma, plan.psi, plan.r, plan.offsets, *lo, *weights]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+        with pytest.raises(AttributeError):
+            plan.r = plan.r.copy()
+
+    def test_two_solves_give_the_same_trace(self):
+        grid = FrequencyGrid.for_box(1, 8, 0.25)
+        u0 = rough_initial_data(grid, -0.6, 3)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=4, contraction_tolerance=0.0)
+        _assert_same_trace(picard_solve(u0, params, grid), picard_solve(u0, params, grid))
+
+    def test_initial_on_another_grid_rejected_before_any_transform(self, monkeypatch):
+        import rnlab.solver
+
+        def fail(*args, **kwargs):
+            raise AssertionError("transform reached")
+
+        monkeypatch.setattr(rnlab.solver, "nonlinear_fourier_data", fail)
+        monkeypatch.setattr(rnlab.solver, "free_evolution_data", fail)
+        grid = FrequencyGrid.for_box(1, 8, 0.25)
+        other = FrequencyGrid.for_box(1, 4, 0.25)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=2)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            picard_solve(rough_initial_data(grid, -0.6, 3), params, grid,
+                         initial=SpaceTimeField.full(other))
+
+    def test_initial_on_column_subset_is_scattered(self):
+        grid = FrequencyGrid.for_box(1, 8, 0.25)
+        u0 = rough_initial_data(grid, -0.6, 3)
+        linear = free_evolution_data(grid, u0, prune=False)
+        subset = SpaceTimeField(grid, linear.index[::3], linear.data[::3])
+        on_box = SpaceTimeField(grid, grid.box_index.copy(), subset.box_array())
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=4, contraction_tolerance=0.0)
+        scattered = picard_solve(u0, params, grid, initial=subset)
+        _assert_same_trace(scattered, picard_solve(u0, params, grid, initial=on_box))
+        assert scattered.z_norms[0] == pytest.approx(zsb_norm(subset, params.norm_params()),
+                                                     rel=1e-14)
+
+
 class TestSolverParams:
     def test_regularity_floor(self):
         with pytest.raises(ValueError, match="-2/3"):
@@ -230,14 +332,14 @@ class TestDuhamelOperators:
         cut = CutoffSpec(T=0.125)
         z = SpaceTimeField.zero(duhamel_grid)
         for op in (duhamel_n1, duhamel_n2, duhamel_n3):
-            assert op(z, z, cut).max_abs() == 0.0
+            assert op(nonlinear_fourier_data(z, z, cut), _plan(duhamel_grid, cut)).max_abs() == 0.0
 
     def test_n1_output_columns_single_mode(self, duhamel_grid):
         # conjugates add frequencies negatively: u = v at n0 -> column -2 n0
         cut = CutoffSpec(T=0.125)
         ns = np.array([[1, 0]])
         u = free_evolution_data(duhamel_grid, (ns, np.array([1.0 + 0j])))
-        out = duhamel_n1(u, u, cut).pruned(1e-14)
+        out = duhamel_n1(nonlinear_fourier_data(u, u, cut), _plan(duhamel_grid, cut)).pruned(1e-14)
         assert out.index.tolist() == [[-2, 0]]
 
     def test_n2_n3_vanish_on_low_modulation_product(self, duhamel_grid):
@@ -249,8 +351,8 @@ class TestDuhamelOperators:
         prof[j0:j1 + 1] = 1.0
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 1]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        assert duhamel_n2(z, z, cut, fhat).max_abs() == 0.0
-        assert duhamel_n3(z, z, cut, fhat).max_abs() == 0.0
+        assert duhamel_n2(fhat, _plan(duhamel_grid, cut)).max_abs() == 0.0
+        assert duhamel_n3(fhat, _plan(duhamel_grid, cut)).max_abs() == 0.0
 
     def test_n3_multiplier_values(self, duhamel_grid):
         cut = CutoffSpec(T=0.125)
@@ -259,7 +361,7 @@ class TestDuhamelOperators:
         prof[j] = 2.0
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 1]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        out = duhamel_n3(z, z, cut, fhat)
+        out = duhamel_n3(fhat, _plan(duhamel_grid, cut))
         # -i * F * (1 - psi(5)) / (i 5) = -F / 5 since psi(5) = 0
         assert out.column([1, 1])[j] == pytest.approx(-2.0 / 5.0, rel=1e-12)
 
@@ -270,7 +372,7 @@ class TestDuhamelOperators:
         prof[duhamel_grid.tau_index(-1.0)] = 1.0  # sigma = 0 at n = (1, 0)
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 0]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        out = duhamel_n1(z, z, cut, fhat)
+        out = duhamel_n1(fhat, _plan(duhamel_grid, cut))
         assert np.isfinite(out.data).all()
         assert out.max_abs() > 0.0
 
@@ -280,8 +382,8 @@ class TestDuhamelOperators:
         cut = CutoffSpec(T=0.125)
         u, v = smooth_pair(duhamel_grid, seed=42)
         fhat = nonlinear_fourier_data(u, v, cut)
-        total = (duhamel_n1(u, v, cut, fhat) + duhamel_n2(u, v, cut, fhat)
-                 + duhamel_n3(u, v, cut, fhat))
+        plan = _plan(duhamel_grid, cut)
+        total = duhamel_n1(fhat, plan) + duhamel_n2(fhat, plan) + duhamel_n3(fhat, plan)
         times = np.linspace(-cut.T, cut.T, 7)
         lhs = time_slices(total, times)
         rhs = duhamel_time_integral(fhat, times)
@@ -317,7 +419,8 @@ class TestPicard:
         cut = CutoffSpec(T=params.T)
         linear = free_evolution_data(grid, u0, prune=False)
         u = trace.iterates[-1]
-        resid = zsb_norm(linear + duhamel_rhs(u, u, cut) - u, params.norm_params())
+        rhs = duhamel_rhs(nonlinear_fourier_data(u, u, cut), _plan(grid, cut))
+        resid = zsb_norm(linear + rhs - u, params.norm_params())
         assert resid <= params.contraction_tolerance
 
     def test_uniqueness_under_perturbed_initialization(self):
