@@ -136,6 +136,9 @@ def free_evolution_data(grid, phi_hat, profile=standard_bump, prune=True):
     paraboloid tau = -|n|^2.  ``phi_hat`` is either a box-shaped coefficient
     array or a pair (columns, values); ``profile`` may be a CutoffSpec, whose
     eta is used.
+
+    The pairs are put in field order before the gather, so the gathered rows
+    are the field's data: one (K, n_tau) array, scaled in place.
     """
     if isinstance(profile, CutoffSpec):
         profile = profile.eta
@@ -143,9 +146,14 @@ def free_evolution_data(grid, phi_hat, profile=standard_bump, prune=True):
     if prune:
         keep = vals != 0
         ns, vals = ns[keep], vals[keep]
+    order = np.argsort(grid.flat_keys(ns), kind="stable")
+    ns, vals = ns[order], vals[order]
     lattice, j_max = sigma_lattice(grid, 0, profile)
     rows = gather_profile(grid, FrequencyGrid.norm_sq(ns), lattice, j_max)
-    return SpaceTimeField.from_columns(grid, ns, vals[:, None] * rows)
+    # the out= form keeps the operand order of vals[:, None] * rows, and with
+    # it the rounding; `rows *= vals[:, None]` differs in the last bit
+    np.multiply(vals[:, None], rows, out=rows)
+    return SpaceTimeField(grid, ns, rows)
 
 
 def _spatial_pairs(grid, phi_hat):

@@ -40,6 +40,12 @@ class NormParams:
             raise ValueError("mod_threshold must be positive")
 
 
+# Spatial columns per block of the X-norm; a multiple of 4, the row group of
+# OpenBLAS's matrix-vector kernel, so that on one thread each block rounds
+# each column as the one-call product does.
+_X_BLOCK = 32
+
+
 def _on_span(u):
     """Data, modulation, quadrature weights and |n|^2 on u's nonzero tau-span.
 
@@ -68,11 +74,6 @@ def _energy(data, weights, nsq, s):
     return float(np.sqrt(((1.0 + nsq) ** s * l1 * l1).sum()))
 
 
-def _x_norm(data, bracket_sq, weights, nsq, p):
-    cols = _l2_tau_sq(data, bracket_sq, weights, p.b)
-    return float(np.sqrt(((1.0 + nsq) ** p.s * cols).sum()))
-
-
 def _y_norm(data, bracket_sq, weights, nsq, p):
     return _energy(data, weights, nsq, p.s) + float(
         np.sqrt(_l2_tau_sq(data, bracket_sq, weights, p.s / 2.0 + p.b).sum()))
@@ -80,8 +81,27 @@ def _y_norm(data, bracket_sq, weights, nsq, p):
 
 def xsb_norm(u, p):
     """|| <n>^s <tau+|n|^2>^b u_hat ||_{l^2 L^2}."""
-    data, mod, w, nsq = _on_span(u)
-    return _x_norm(data, _bracket_sq(mod), w, nsq, p)
+    nsq = u.norm_sq_columns().astype(float)
+    return float(np.sqrt(((1.0 + nsq) ** p.s * _x_columns(u, p.b)).sum()))
+
+
+def _x_columns(u, b):
+    """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau on u's nonzero tau-span.
+
+    Taken about _X_BLOCK columns at a time, so the float temporaries stay a
+    few MB on any window; per column the arithmetic is that of the whole span.
+    """
+    lo, hi = u.tau_span()
+    w = u.grid.tau_weights[lo:hi]
+    nsq = u.norm_sq_columns().astype(float)
+    cols = np.empty(len(nsq))
+    # a lone last column joins the block before it: numpy takes a one-row
+    # product as a dot, which rounds unlike the matrix-vector kernel
+    bounds = [0, *range(_X_BLOCK, len(nsq) - 1, _X_BLOCK), len(nsq)]
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        mod = u.grid.tau_nodes[None, lo:hi] + nsq[i:j, None]
+        cols[i:j] = _l2_tau_sq(u.data[i:j, lo:hi], _bracket_sq(mod), w, b)
+    return cols
 
 
 def energy_l2l1(u, s):

@@ -6,13 +6,16 @@ import pytest
 from rnlab.cutoffs import (
     BumpProfile,
     CutoffSpec,
+    _spatial_pairs,
     apply_time_cutoff,
     free_evolution_data,
+    gather_profile,
+    sigma_lattice,
     standard_bump,
     _transform_on_lattice,
     transform_on_lattice,
 )
-from rnlab.grid import FrequencyGrid, time_slices
+from rnlab.grid import FrequencyGrid, SpaceTimeField, time_slices
 from rnlab.norms import NormParams, xsb_norm
 
 
@@ -146,6 +149,65 @@ class TestFreeEvolution:
             errs.append(abs(val - np.exp(-1j * 2.0 * 0.25)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-7
+
+
+def _free_evolution_oracle(grid, phi_hat, prune=True):
+    """The construction free_evolution_data replaced: scaled copy, then sorted copy."""
+    ns, vals = _spatial_pairs(grid, phi_hat)
+    if prune:
+        keep = vals != 0
+        ns, vals = ns[keep], vals[keep]
+    lattice, j_max = sigma_lattice(grid)
+    rows = gather_profile(grid, FrequencyGrid.norm_sq(ns), lattice, j_max)
+    return SpaceTimeField.from_columns(grid, ns, vals[:, None] * rows)
+
+
+class TestFreeEvolutionInPlace:
+    def _pairs(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        ns = grid.box_index.copy()
+        vals = rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))
+        return ns, vals
+
+    @pytest.mark.parametrize("grid", [FrequencyGrid.for_box(2, 4, 0.25),
+                                      FrequencyGrid.for_box(1, 8, 0.25)])
+    @pytest.mark.parametrize("case", ["box_order", "box_array", "shuffled", "zeros",
+                                      "all_zero"])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_bitwise_equal_to_old_construction(self, grid, case, prune):
+        ns, vals = self._pairs(grid, 7)
+        perm = np.random.default_rng(8).permutation(len(ns))
+        phi = (ns, vals)
+        if case == "box_array":
+            phi = vals.reshape((grid.box_side,) * grid.dimension)
+        elif case == "shuffled":
+            phi = (ns[perm], vals[perm])
+        elif case == "zeros":
+            vals[::3] = 0.0
+            phi = (ns[perm], vals[perm])
+        elif case == "all_zero":
+            vals[:] = 0.0
+        got = free_evolution_data(grid, phi, prune=prune)
+        want = _free_evolution_oracle(grid, phi, prune=prune)
+        assert np.array_equal(got.index, want.index)
+        assert np.array_equal(got.data, want.data)
+        assert got.data.flags.writeable and got.data.flags.c_contiguous
+
+    def test_duplicate_columns_rejected(self, small_grid):
+        ns = np.array([[1, 0], [0, 2], [1, 0]])
+        with pytest.raises(ValueError, match="duplicate"):
+            free_evolution_data(small_grid, (ns, np.ones(3, complex)))
+
+    def test_cached_lattice_not_scaled(self, small_grid):
+        # the rows are scaled in place; the cached transform they were
+        # gathered from must come through unchanged and read-only
+        lattice, _ = sigma_lattice(small_grid)
+        before = lattice.copy()
+        free_evolution_data(small_grid, self._pairs(small_grid, 10))
+        after, _ = sigma_lattice(small_grid)
+        assert after is lattice
+        assert not lattice.flags.writeable
+        assert np.array_equal(lattice, before)
 
 
 class TestApplyTimeCutoff:

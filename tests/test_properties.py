@@ -20,6 +20,7 @@ from rnlab.grid import (
     random_field,
     spacetime_convolve,
 )
+from rnlab import norms
 from rnlab.norms import (
     NormParams,
     _z_apply,
@@ -227,6 +228,13 @@ def _oracle_weight(u, power):
     return u.data * (1.0 + m * m) ** (power / 2.0)
 
 
+def _x_in_blocks(u, p, block):
+    """Per-column X integrals with the X-norm's block size set to ``block``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_X_BLOCK", block)
+        return norms._x_columns(u, p.b)
+
+
 NORM_PARAMS = st.builds(NormParams, s=st.floats(-0.9, 0.5), b=st.floats(0.0, 1.0),
                         mod_threshold=st.sampled_from((2.0**-10, 2.0**-3, 0.5)))
 
@@ -262,6 +270,36 @@ class TestTrimmedNorms:
             assert got == want
         assert zsb_norm(u, p) == ysb_norm(u, p)  # the n = 0 column is all hi
 
+
+    @PROPERTY
+    @given(st.sampled_from(GRIDS).flatmap(fields).flatmap(tau_supports), NORM_PARAMS,
+           st.sampled_from((4, 8)))
+    def test_blocked_x_norm_bitwise(self, u, p, block):
+        # blocks of a few columns, the last one mostly short, against one
+        # block over the span; a full-span field also against the window oracle
+        full = random_field(u.grid, np.random.default_rng(0), columns=u.index)
+        zero = SpaceTimeField(u.grid, u.index.copy(), np.zeros_like(u.data))
+        for v in (u, full, zero, SpaceTimeField.zero(u.grid)):
+            assert np.array_equal(_x_in_blocks(v, p, block), _x_in_blocks(v, p, 10**9))
+        for v in (full, zero, SpaceTimeField.zero(u.grid)):
+            assert np.array_equal(_x_in_blocks(v, p, block), _oracle_l2_tau_sq(v, p.b))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(norms, "_X_BLOCK", block)
+                assert xsb_norm(v, p) == _oracle_xsb(v, p)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("block", [4, 8])
+    def test_blocked_x_norm_on_the_box(self, grid, block):
+        # 13 and 49 columns: a short last block, and a lone last column that
+        # joins the block before it
+        u = random_field(grid, np.random.default_rng(block), envelope_power=-1.0)
+        assert u.n_columns % block != 0
+        trimmed = SpaceTimeField(grid, u.index.copy(), u.data.copy())
+        trimmed.data[:, : grid.n_tau // 3] = 0.0
+        p = NormParams(s=-0.6)
+        assert np.array_equal(_x_in_blocks(u, p, block), _oracle_l2_tau_sq(u, p.b))
+        assert np.array_equal(_x_in_blocks(trimmed, p, block),
+                              _x_in_blocks(trimmed, p, 10**9))
 
     @PROPERTY
     @given(st.sampled_from(GRIDS), st.integers(0, 2**32 - 1), NORM_PARAMS)
