@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import run_all
 from .families import FAMILY_KINDS, build_family, conjugate_product, discrete_tent, product_support
-from .grid import FrequencyGrid, dense_workspace_shape, random_field
+from .grid import FrequencyGrid, random_field
 from .norms import (
     NormParams,
     dyadic_norm_profile,
@@ -30,10 +30,15 @@ from .norms import (
     ysb_norm,
     zsb_norm,
 )
-from .solver import DivergenceError, SolverParams, dump_field, picard_solve, rough_initial_data
+from .solver import (DivergenceError, SolverParams, dump_field, peak_bytes, picard_solve,
+                     rough_initial_data)
 from .sweep import SCAN_N_DEFAULT, SCAN_TAU_STEP, run_sweep, threshold_scan
 
 DEFAULT_SWEEP_N = (4, 8, 16, 32, 64, 128)
+
+# Live GiB a solve may hold (solver.peak_bytes): half of an 8 GB machine,
+# which leaves room for the interpreter, the libraries and allocator slack.
+_SOLVE_BUDGET_GIB = 4
 
 
 class ConfigError(Exception):
@@ -364,20 +369,14 @@ def _cmd_threshold(cfg):
 
 def _cmd_solve(cfg):
     grid = _grid(cfg)
-    if grid.box_count * grid.n_tau > 40_000_000:
-        raise ConfigError(
-            "key 'n_max': the solver materializes dense fields; this grid needs "
-            f"{grid.box_count * grid.n_tau:.2g} complex entries per field -- "
-            "reduce n_max, tau_pad, or d"
-        )
-    try:
-        dense_workspace_shape(grid)
-    except MemoryError as exc:
-        raise ConfigError(f"key 'n_max': {exc}") from None
-    u0 = rough_initial_data(grid, cfg.s, cfg.seed)
     params = SolverParams(s=cfg.s, T=cfg.T, max_iterations=cfg.max_iterations,
                           contraction_tolerance=cfg.tolerance,
                           mod_threshold=cfg.mod_threshold)
+    gib = peak_bytes(grid, params) / 2**30
+    if gib > _SOLVE_BUDGET_GIB:
+        raise ConfigError(f"key 'n_max': needs {gib:.2f} GiB, over the {_SOLVE_BUDGET_GIB} GiB "
+                          "budget; reduce n_max, tau_pad, d or max_iterations")
+    u0 = rough_initial_data(grid, cfg.s, cfg.seed)
     try:
         trace = picard_solve(u0, params, grid)
         code = 0

@@ -143,6 +143,8 @@ def free_evolution_data(grid, phi_hat, profile=standard_bump, prune=True):
     if isinstance(profile, CutoffSpec):
         profile = profile.eta
     ns, vals = _spatial_pairs(grid, phi_hat)
+    if not np.isfinite(vals).all():  # spatial data enters the field model here
+        raise ValueError("spatial data contains non-finite coefficients")
     if prune:
         keep = vals != 0
         ns, vals = ns[keep], vals[keep]

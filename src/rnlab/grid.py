@@ -189,8 +189,6 @@ class SpaceTimeField:
                 raise ValueError("field index must be sorted")
             if (d == 0).any():
                 raise ValueError("field index must not contain duplicate columns")
-        if len(self.data) and not np.isfinite(self.data).all():
-            raise ValueError("field contains non-finite coefficients")
 
     # -- constructors -----------------------------------------------------
 
@@ -202,20 +200,15 @@ class SpaceTimeField:
     @classmethod
     def full(cls, grid):
         """Zero field materialized on every box column (guarded by size)."""
-        entries = grid.box_count * grid.n_tau
-        if entries > _DENSE_ENTRY_LIMIT:
-            raise MemoryError(
-                f"full field would hold {entries:.3g} complex entries; "
-                "use column-sparse construction on a grid this large"
-            )
-        return cls(grid, grid.box_index.copy(),
-                   np.zeros((grid.box_count, grid.n_tau), dtype=np.complex128))
+        return cls(grid, grid.box_index.copy(), cls.zero(grid).box_array())
 
     @classmethod
     def from_columns(cls, grid, ns, profiles):
         """Field occupying the given lattice points with the given tau-profiles."""
         ns = np.asarray(ns, dtype=np.int64).reshape(-1, grid.dimension)
         profiles = np.asarray(profiles, dtype=np.complex128).reshape(len(ns), grid.n_tau)
+        if not np.isfinite(profiles).all():  # data enters here; derived fields are not rechecked
+            raise ValueError("field contains non-finite coefficients")
         ns, profiles = _sorted_rows(grid, ns, profiles)
         return cls(grid, ns, profiles)
 
@@ -395,7 +388,7 @@ def spacetime_convolve(f, g, report=None):
         return SpaceTimeField.zero(grid)
     if min(f.n_columns, g.n_columns) <= _SPARSE_COLUMN_LIMIT:
         return _convolve_sparse(f, g, report)
-    return _convolve_dense(f, g, report)
+    return _padded_product(f, g, report=report)
 
 
 def _convolve_sparse(f, g, report):
@@ -448,50 +441,64 @@ def _convolve_sparse(f, g, report):
     return SpaceTimeField(grid, grid.index_from_keys(keys), data)
 
 
-def dense_workspace_shape(grid):
-    """Padded FFT shape (spatial axes, then tau) of the dense convolution on grid.
-
-    Raises MemoryError, before anything is allocated, when one array of this
-    shape would exceed the workspace limit.
-    """
+def _workspace(grid, weight=None):
+    """Padded (x, t) shape (spatial axes, then tau length P), kept t-nodes, their
+    count and the weight there: a function of t_l = 2 pi l / (h P), l in
+    (-P/2, P/2], keeping the nodes where it is non-zero (all when None)."""
     shape = (sfft.next_fast_len(2 * grid.box_side - 1),) * grid.dimension \
         + (sfft.next_fast_len(2 * grid.n_tau - 1),)
-    entries = math.prod(shape)
-    if entries > _DENSE_ENTRY_LIMIT:
-        raise MemoryError(
-            f"dense convolution workspace of {entries:.3g} complex entries is too "
-            "large; reduce n_max or the tau-window"
-        )
-    return shape
+    P = shape[-1]
+    if weight is None:
+        return shape, slice(None), P, None
+    l = np.arange(P)
+    l[l > P // 2] -= P
+    w = weight(2.0 * math.pi * l / (grid.tau_step * P))
+    live = np.flatnonzero(w)
+    return shape, live, len(live), w[live]
 
 
-def _convolve_dense(f, g, report):
-    grid = f.grid
-    d = grid.dimension
-    side = grid.box_side
-    M = grid.n_tau
-    half = grid.half_index
-    h = grid.tau_step
-    shape = dense_workspace_shape(grid)
-    FA = sfft.fftn(f.box_array(), s=shape)
-    FA *= sfft.fftn(g.box_array(), s=shape)
-    conv = sfft.ifftn(FA)
-    del FA
-    spatial_core = (slice(grid.n_max, 3 * grid.n_max + 1),) * d
-    tau_core = slice(half, half + M)
+def _padded_product(f, g, weight=None, report=None):
+    """h (f * g) on the box and window as one padded (x, t) product.
+
+    The operands' rows are tau-transformed at length P, weighted at the
+    ``_workspace`` t-nodes and taken through the spatial axes; the pointwise
+    product (one transform squared when ``g is f``) goes back and is cropped
+    to [n_max, 3 n_max] x [half, half + n_tau).  A ``report`` dict receives
+    the masses ``spacetime_convolve`` documents.
+    """
+    grid, d = f.grid, f.grid.dimension
+    shape, live, n_live, w = _workspace(grid, weight)
+    P, axes = shape[-1], tuple(range(d))
+    if math.prod(shape[:-1]) * n_live > _DENSE_ENTRY_LIMIT:
+        raise MemoryError("padded product workspace is too large; reduce n_max or the tau-window")
+
+    def samples(u):
+        rows = sfft.fft(u.data, n=P, axis=1)
+        box = np.zeros((grid.box_count, n_live), dtype=np.complex128)
+        box[grid.flat_keys(u.index)] = rows if w is None else rows[:, live] * w
+        box = box.reshape((grid.box_side,) * d + (n_live,))
+        return sfft.fftn(box, s=shape[:-1], axes=axes, overwrite_x=True)
+
+    conv = samples(f)
+    conv *= conv if g is f else samples(g)
+    conv = sfft.ifftn(conv, axes=axes, overwrite_x=True)
+    core = (slice(grid.n_max, 3 * grid.n_max + 1),) * d
+    full = (2 * grid.box_side - 1,) * d  # the linear convolution's spatial range
+    kept = conv[core] if report is None else conv[tuple(slice(0, n) for n in full)]
+    rows = np.zeros((kept[..., 0].size, P), dtype=np.complex128)
+    rows[:, live] = kept.reshape(len(rows), n_live)
+    del conv, kept
+    out = sfft.ifft(rows, axis=1, overwrite_x=True)
+    half, M, h = grid.half_index, grid.n_tau, grid.tau_step
     if report is not None:
-        full_spatial = (slice(0, 2 * side - 1),) * d
-        sp_block = np.abs(conv[full_spatial + (tau_core,)])
-        total_sp = float(sp_block.sum())
-        kept_sp = float(sp_block[spatial_core + (slice(None),)].sum())
-        report["dropped_spatial_mass"] = h * (total_sp - kept_sp)
-        tau_block = np.abs(conv[spatial_core + (slice(0, 2 * M - 1),)])
-        report["dropped_tau_mass"] = h * float(
-            tau_block[..., :half].sum() + tau_block[..., half + M:].sum()
-        )
-    core = h * conv[spatial_core + (tau_core,)]
-    out = core.reshape(-1, M)
-    return SpaceTimeField(grid, grid.box_index.copy(), out)
+        out = out.reshape(full + (P,))
+        spatial = np.abs(out[..., half:half + M])
+        report["dropped_spatial_mass"] = h * float(spatial.sum() - spatial[core].sum())
+        # every output column's tail outside the window, as on the per-column path
+        tau = np.abs(out[..., :2 * M - 1])
+        report["dropped_tau_mass"] = h * float(tau[..., :half].sum() + tau[..., half + M:].sum())
+        out = out[core].reshape(grid.box_count, P)
+    return SpaceTimeField(grid, grid.box_index.copy(), h * out[:, half:half + M])
 
 
 # -- time synthesis ----------------------------------------------------------

@@ -34,7 +34,7 @@ from scipy.integrate import quad_vec
 
 from . import cutoffs
 from .cutoffs import CutoffSpec, free_evolution_data
-from .grid import FrequencyGrid, SpaceTimeField, conjugate_reflect, dense_workspace_shape
+from .grid import FrequencyGrid, SpaceTimeField, _padded_product, _workspace, conjugate_reflect
 from .norms import NormParams, _z_apply, _z_factors, ct_hs_norm, spatial_hs_norm
 
 _SERIES_TOL = 1e-12
@@ -103,50 +103,23 @@ class DivergenceError(RuntimeError):
 def nonlinear_fourier_data(u, v, cutoff):
     """Data of (eta_{2T} conj(u)) * (eta_{2T} conj(v)) as one dealiased (x, t) product.
 
-    Each reflected factor goes once to (x, t) samples on the padded
-    workspace of ``dense_workspace_shape`` (tau length P), is multiplied by
-    eta(t / 2T) at the signed nodes t_l = 2 pi l / (h P), l in (-P/2, P/2],
-    and the two are multiplied pointwise; one transform back and the
-    [n_max, 3 n_max] x [half, half + n_tau) crop give the product, with the
-    h of the tau quadrature.  The cut-off factor is not truncated to the
-    tau-window: its transform tail aliases at the period P h instead.
-    eta vanishes off |t| < 4T, so only the t-nodes it keeps pass through
-    the spatial transforms.  When ``v is u`` the one transform is squared.
+    The reflected factors go through ``grid._padded_product`` weighted by
+    eta(t / 2T), which vanishes off |t| < 4T, so only those t-nodes pass
+    the spatial transforms.  The cut-off factor is not truncated to the
+    tau-window: its transform tail aliases at the workspace period.  When
+    ``v is u`` the one reflected factor is passed twice and squared.
     """
     u.grid.assert_compatible(v.grid)
-    grid = u.grid
     if not (u.data.any() and v.data.any()):
-        return SpaceTimeField.zero(grid)
-    shape = dense_workspace_shape(grid)
-    P = shape[-1]
-    l = np.arange(P)
-    l[l > P // 2] -= P
-    eta = cutoff.eta(2.0 * math.pi * l / (grid.tau_step * P) / (2.0 * cutoff.T))
-    live = np.flatnonzero(eta)
-    prod = _cutoff_samples(u, eta, live, shape)
-    prod *= prod if v is u else _cutoff_samples(v, eta, live, shape)
-    conv = sfft.ifftn(prod, axes=tuple(range(grid.dimension)), overwrite_x=True)
-    rows = np.zeros((grid.box_count, P), dtype=np.complex128)
-    core = conv[(slice(grid.n_max, 3 * grid.n_max + 1),) * grid.dimension]
-    rows[:, live] = core.reshape(grid.box_count, len(live))
-    out = sfft.ifft(rows, axis=1, overwrite_x=True)
-    half = grid.half_index
-    return SpaceTimeField(grid, grid.box_index.copy(),
-                          grid.tau_step * out[:, half:half + grid.n_tau])
+        return SpaceTimeField.zero(u.grid)
+    fu = conjugate_reflect(u)
+    fv = fu if v is u else conjugate_reflect(v)
+    return _padded_product(fu, fv, _eta_weight(cutoff))
 
 
-def _cutoff_samples(f, eta, live, shape):
-    """eta times the padded (x, t) samples of conj(f) at the t-nodes ``live``.
-
-    The tau transform runs on the stored rows only; its ``live`` outputs are
-    placed in the box and taken through the spatial axes.
-    """
-    grid = f.grid
-    f = conjugate_reflect(f)
-    box = np.zeros((grid.box_count, len(live)), dtype=np.complex128)
-    box[grid.flat_keys(f.index)] = sfft.fft(f.data, n=shape[-1], axis=1)[:, live] * eta[live]
-    box = box.reshape((grid.box_side,) * grid.dimension + (len(live),))
-    return sfft.fftn(box, s=shape[:-1], axes=tuple(range(grid.dimension)), overwrite_x=True)
+def _eta_weight(cutoff):
+    """eta(t / 2T), the product's weight on its t-nodes."""
+    return lambda t: cutoff.eta(t / (2.0 * cutoff.T))
 
 
 def _psi_band(grid, nsq, cutoff):
@@ -364,6 +337,25 @@ def rough_initial_data(grid, s, seed):
     return ns, vals
 
 
+def peak_bytes(grid, params):
+    """Estimated peak bytes of ``picard_solve`` on ``grid``, without building anything.
+
+    With K box columns: max_iterations + 1 iterate fields, the plan (r, the
+    Z weight, the psi band), and the larger step transient, the product
+    (reflected factor, result, (K, P) rows, spatial workspace at eta's
+    t-nodes) or the Duhamel step (F, F r, N1's series of K plus at most
+    _SERIES_MAX_TERMS + 1 lattice rows).  Cached cutoff transforms are not counted.
+    """
+    cutoff = CutoffSpec(T=params.T)
+    K, M = grid.box_count, grid.n_tau
+    shape, _, n_live, _ = _workspace(grid, _eta_weight(cutoff))
+    lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
+    band = 24 * K * (2.0 * cutoff.psi.support / grid.tau_step + 2)
+    product = 32 * K * M + 16 * (K * shape[-1] + math.prod(shape[:-1]) * n_live)
+    series = 32 * K * M + 16 * (K + _SERIES_MAX_TERMS + 1) * lattice
+    return int(16 * K * M * (params.max_iterations + 2) + band + max(product, series))
+
+
 def picard_solve(u0, params, grid, cutoff=None, initial=None):
     """Iterate Gamma[u] = eta e^{it Lap} u0 + N(u, u) from the linear solution.
 
@@ -371,7 +363,7 @@ def picard_solve(u0, params, grid, cutoff=None, initial=None):
     ``initial``, a field on ``grid``, replaces the linear solution as the
     first iterate.  Both are taken onto every box column, where the
     ``PicardPlan`` lives.  Raises DivergenceError (trace attached) when an
-    iterate's Z-norm exceeds ten times the ball radius.
+    iterate's Z-norm is not finite or exceeds ten times the ball radius.
     """
     cutoff = cutoff if cutoff is not None else CutoffSpec(T=params.T)
     if abs(cutoff.T - params.T) > 1e-12:
@@ -403,7 +395,7 @@ def picard_solve(u0, params, grid, cutoff=None, initial=None):
         trace.z_norms.append(z)
         trace.successive_diffs.append(diff)
         current = nxt
-        if z > 10.0 * radius:
+        if not math.isfinite(z) or z > 10.0 * radius:
             raise DivergenceError(
                 f"iterate Z-norm {z:.3e} exceeded 10x ball radius {radius:.3e}", trace
             )
@@ -530,5 +522,4 @@ def load_field(path):
         dim, n_max, tau_min, tau_max, tau_step = _HEADER.unpack(f.read(_HEADER.size))
         grid = FrequencyGrid(dim, n_max, tau_max, tau_step)
         payload = np.frombuffer(f.read(), dtype="<c8")
-    data = payload.reshape(grid.box_count, grid.n_tau).astype(np.complex128)
-    return SpaceTimeField(grid, grid.box_index.copy(), data)
+    return SpaceTimeField.from_columns(grid, grid.box_index, payload)

@@ -140,6 +140,15 @@ class TestParseConfig:
         assert "unknown key" in err
 
 
+def _forbid_fields(monkeypatch):
+    import rnlab.cli
+
+    def no_fields(*args):
+        raise AssertionError("a field was built before the size guard")
+
+    monkeypatch.setattr(rnlab.cli, "rough_initial_data", no_fields)
+
+
 class TestRunCommands:
     def test_sweep_outputs_and_schema(self, tmp_path):
         cfg = parse_config(["sweep", "--family", "example1", "--mode", "X",
@@ -223,22 +232,42 @@ class TestRunCommands:
         obj = json.loads((tmp_path / "solve_trace.json").read_text())
         assert len(obj["contraction_ratios"]) >= 1
 
-    def test_solve_dense_guard_names_key(self, tmp_path):
+    def test_solve_dense_guard_names_key(self, tmp_path, capsys):
         cfg = parse_config(["solve", "--out", str(tmp_path)])  # d=2, n_max=64
         assert run(cfg) == 2
+        assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_convolution_guard_names_key(self, tmp_path, monkeypatch, capsys):
-        # 26.2M entries per field pass the field guard, but the padded
-        # convolution workspace is 2.2e8 complex entries
-        import rnlab.cli
-
-        def no_fields(*args):
-            raise AssertionError("a field was built before the workspace guard")
-
-        monkeypatch.setattr(rnlab.cli, "rough_initial_data", no_fields)
+        # the solve's peak-bytes estimate (6.4 GiB) is over the budget before
+        # any field is built
+        _forbid_fields(monkeypatch)
         cfg = parse_config(["solve", "--d", "2", "--n-max", "25", "--out", str(tmp_path)])
         assert run(cfg) == 2
         assert "'n_max'" in capsys.readouterr().err
+
+    def test_solve_guard_counts_kept_iterates(self, tmp_path, monkeypatch, capsys):
+        # each field is 2401 x 9281 complex entries, within both former
+        # guards, but the 11 kept iterates alone are 3.65 GiB
+        _forbid_fields(monkeypatch)
+        cfg = parse_config(["solve", "--d", "2", "--n-max", "24", "--out", str(tmp_path)])
+        assert run(cfg) == 2
+        err = capsys.readouterr().err
+        assert "'n_max'" in err and "budget" in err
+
+    def test_solve_guard_admits_the_benchmark_solve(self, tmp_path, monkeypatch):
+        import rnlab.cli
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(rnlab.cli, "rough_initial_data", admitted)
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "32", "--T", "0.125",
+                            "--out", str(tmp_path)])
+        with pytest.raises(Admitted):
+            run(cfg)
 
     def test_solve_dump_fields_roundtrip(self, tmp_path):
         from rnlab.solver import load_field

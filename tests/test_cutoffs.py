@@ -101,6 +101,12 @@ class TestFreeEvolution:
         with pytest.raises(ValueError, match="shape"):
             free_evolution_data(small_grid, np.zeros((3, 3), complex))
 
+    def test_non_finite_rejected(self, small_grid):
+        phi = np.zeros((9, 9), complex)
+        phi[4, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            free_evolution_data(small_grid, phi)
+
     def test_single_mode_column_profile(self, small_grid):
         phi = np.zeros((9, 9), complex)
         phi[small_grid.n_max + 2, small_grid.n_max + 0] = 1.0  # n0 = (2, 0)

@@ -81,9 +81,10 @@ class TestFrequencyGrid:
 
 class TestFieldBasics:
     def test_finite_enforced(self, small_grid):
+        # data is checked where it enters, not on every field built from fields
         data = np.full((1, small_grid.n_tau), np.nan, dtype=complex)
         with pytest.raises(ValueError, match="non-finite"):
-            SpaceTimeField(small_grid, [[0, 0]], data)
+            SpaceTimeField.from_columns(small_grid, [[0, 0]], data)
 
     def test_out_of_box_rejected(self, small_grid):
         with pytest.raises(ValueError, match="outside the grid box"):

@@ -14,8 +14,8 @@ from rnlab.cutoffs import CutoffSpec
 from rnlab.grid import (
     FrequencyGrid,
     SpaceTimeField,
-    _convolve_dense,
     _convolve_sparse,
+    _padded_product,
     conjugate_reflect,
     random_field,
     spacetime_convolve,
@@ -126,11 +126,32 @@ class TestConvolutionPaths:
     def test_sparse_equals_dense(self, pair):
         f, g = pair
         via_sparse = spacetime_convolve(f, g)  # f has at most 8 columns
-        via_dense = _convolve_dense(f, g, None)
+        via_dense = _padded_product(f, g)
         # a product that leaves the box is zero on the sparse path and FFT
         # round-off on the dense one, so the inputs' scale is the floor
         scale = max(via_dense.max_abs(), f.grid.tau_step * f.max_abs() * g.max_abs())
         assert (via_sparse - via_dense).max_abs() <= 1e-12 * scale
+
+    @PROPERTY
+    @given(partial_field_pairs())
+    def test_padded_product_and_masses_agree_with_window_oracle(self, pair):
+        f, g = pair
+        # the oracle sums each pair's dropped mass and the padded product each
+        # output column's; with one column in f no two pairs share a column
+        f1 = SpaceTimeField(f.grid, f.index[:1], f.data[:1])
+        for a, b in ((f, g), (f1, g), (f1, f1)):  # (f1, f1) squares one transform
+            got_report, want_report = {}, {}
+            got = _padded_product(a, b, report=got_report)
+            want = _convolve_window_oracle(a, b, want_report)
+            assert np.array_equal(got.data, _padded_product(a, b).data)
+            scale = max(want.max_abs(), a.grid.tau_step * a.max_abs() * b.max_abs())
+            assert (got - want).max_abs() <= 1e-12 * scale
+            if a is f1:
+                # a mass sums up to (2 side - 1)^d (2 n_tau - 1) moduli taken
+                # from other transforms, so its round-off scales with the mass
+                for key in ("dropped_spatial_mass", "dropped_tau_mass"):
+                    assert abs(got_report[key] - want_report[key]) \
+                        <= 1e-12 * max(scale, want_report[key])
 
 
 class TestTrimmedConvolution:

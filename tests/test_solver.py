@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from rnlab.cutoffs import CutoffSpec, apply_time_cutoff, free_evolution_data
 from rnlab.grid import (
     FrequencyGrid,
     SpaceTimeField,
+    _workspace,
     conjugate_reflect,
-    dense_workspace_shape,
     spacetime_convolve,
     time_slices,
 )
@@ -32,6 +33,7 @@ from rnlab.solver import (
     duhamel_time_integral,
     load_field,
     nonlinear_fourier_data,
+    peak_bytes,
     picard_solve,
     reference_integrate,
     rough_initial_data,
@@ -189,7 +191,7 @@ class TestFusedProduct:
     def test_matches_every_workspace_sample(self, box):
         # carrying only the t-nodes where eta is non-zero changes no value
         u, v, cut = _product_pair(box)
-        P = dense_workspace_shape(u.grid)[-1]
+        P = _workspace(u.grid)[0][-1]
         for a, b in ((u, v), (u, u)):
             want = _workspace_product(a, b, cut, P)
             got = nonlinear_fourier_data(a, b, cut).data
@@ -488,6 +490,18 @@ class TestPicard:
             picard_solve((ns, 40.0 * vals), params, grid)
         assert len(err.value.trace.z_norms) >= 2
 
+    def test_non_finite_iterate_raises_with_trace(self):
+        # NaN > 10 * radius is False, so the Z-norm is checked for finiteness
+        grid = FrequencyGrid.for_box(1, 8, 0.25)
+        u0 = rough_initial_data(grid, -0.6, seed=1)
+        initial = free_evolution_data(grid, u0, prune=False)
+        initial.data[3, 100] = np.nan
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=5)
+        with pytest.raises(DivergenceError, match="nan") as err:
+            picard_solve(u0, params, grid, initial=initial)
+        assert len(err.value.trace.z_norms) == 2
+        assert math.isnan(err.value.trace.z_norms[-1])
+
     def test_trace_json_schema(self):
         import json
         grid = FrequencyGrid.for_box(1, 4, 0.25)
@@ -582,6 +596,28 @@ class TestReferenceIntegrator:
         assert err <= 1e-6 * np.abs(exact).max()
 
 
+class TestPeakBytes:
+    @pytest.mark.parametrize("box", [(1, 8), (2, 4)], ids=["line_8", "box_2_4"])
+    def test_estimate_bounds_the_traced_peak(self, box):
+        # the estimate leaves out the cutoff transforms cached per process,
+        # so a first solve fills that cache before the traced one
+        grid = FrequencyGrid.for_box(*box)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=3, contraction_tolerance=0.0)
+        u0 = rough_initial_data(grid, params.s, seed=4)
+        picard_solve(u0, params, grid)
+        tracemalloc.start()
+        try:
+            trace = picard_solve(u0, params, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.iterates) == 4
+        estimate = peak_bytes(grid, params)
+        # measured: 1.45x on line_8 (17 columns, where N1's lattice rows
+        # weigh most) and 1.14x on box_2_4
+        assert peak <= estimate <= 1.5 * peak, f"estimate {estimate / peak:.2f}x the peak"
+
+
 class TestFieldDumps:
     def test_roundtrip(self, tmp_path):
         grid = FrequencyGrid.for_box(1, 4, 0.25)
@@ -593,3 +629,12 @@ class TestFieldDumps:
         assert back.grid == grid
         # payload is complex64, so round-trip is exact at single precision
         assert np.abs(back.data - u.data).max() <= 1e-6 * np.abs(u.data).max()
+
+    def test_load_rejects_non_finite(self, tmp_path):
+        grid = FrequencyGrid.for_box(1, 4, 0.25)
+        u = free_evolution_data(grid, rough_initial_data(grid, -0.6, seed=2), prune=False)
+        u.data[1, 5] = np.inf
+        path = tmp_path / "field.bin"
+        dump_field(u, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_field(path)
