@@ -104,13 +104,11 @@ def build_family(kind, N, grid):
     return FamilyInstance(kind, int(N), u, v)
 
 
-def conjugate_product(inst, report=None):
+def conjugate_product(inst):
     """Fourier data of conj(u) * conj(v) (plain u * v for remark_uu)."""
     if inst.kind == "remark_uu":
-        return spacetime_convolve(inst.u, inst.v, report)
-    return spacetime_convolve(
-        conjugate_reflect(inst.u), conjugate_reflect(inst.v), report
-    )
+        return spacetime_convolve(inst.u, inst.v)
+    return spacetime_convolve(conjugate_reflect(inst.u), conjugate_reflect(inst.v))
 
 
 def product_support(kind, N, dimension):

@@ -22,9 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sfft
 
-# Pair-count boundary between the per-column convolution path and the padded
-# FFT path, and a guard on the padded FFT workspace.
-_SPARSE_COLUMN_LIMIT = 32
+# Guard on dense materialization and on the padded product's workspace.
 _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
 
 
@@ -377,68 +375,12 @@ def spacetime_convolve(f, g, report=None):
     The tau-integral is the grid quadrature (step-weighted discrete
     convolution); output spatial frequencies escaping the box and tau values
     escaping the window are dropped.  If ``report`` is a dict it receives
-    'dropped_spatial_mass' and 'dropped_tau_mass' (step-weighted l1 mass).
+    'dropped_spatial_mass' and 'dropped_tau_mass', the step-weighted l1 mass
+    of the output columns outside the box inside the window, and of every
+    output column outside the window.
     """
     f.grid.assert_compatible(g.grid)
-    grid = f.grid
-    if report is not None:
-        report["dropped_spatial_mass"] = 0.0
-        report["dropped_tau_mass"] = 0.0
-    if f.n_columns == 0 or g.n_columns == 0:
-        return SpaceTimeField.zero(grid)
-    if min(f.n_columns, g.n_columns) <= _SPARSE_COLUMN_LIMIT:
-        return _convolve_sparse(f, g, report)
     return _padded_product(f, g, report=report)
-
-
-def _convolve_sparse(f, g, report):
-    """Per-column convolution of the operands' nonzero tau-spans only.
-
-    The FFT length is that of the spans' linear convolution, and the product
-    is exactly zero off its offset span; full-span operands take the
-    full-window arithmetic.
-    """
-    grid = f.grid
-    if f.n_columns > g.n_columns:
-        f, g = g, f
-    M = grid.n_tau
-    h = grid.tau_step
-    (af, bf), (ag, bg) = f.tau_span(), g.tau_span()
-    if bf == af or bg == ag:
-        return SpaceTimeField.zero(grid)  # an all-zero operand; the report stays 0
-    length = (bf - af) + (bg - ag) - 1
-    start = af + ag - grid.half_index
-    # samples [k0, k1) of the linear convolution land inside the window
-    k0 = min(max(0, -start), length)
-    k1 = max(k0, min(length, M - start))
-    L = sfft.next_fast_len(length)
-    G = sfft.fft(g.data[:, ag:bg], n=L, axis=1)
-    acc = {}
-    dropped_spatial = 0.0
-    dropped_tau = 0.0
-    for i in range(f.n_columns):
-        Fi = sfft.fft(f.data[i, af:bf], n=L)
-        conv = sfft.ifft(Fi[None, :] * G, axis=1)[:, :length]
-        dropped_tau += h * float(np.abs(conv[:, :k0]).sum() + np.abs(conv[:, k1:]).sum())
-        core = conv[:, k0:k1]
-        ns_out = f.index[i][None, :] + g.index
-        inside = grid.in_box(ns_out)
-        if not inside.all():
-            dropped_spatial += h * float(np.abs(core[~inside]).sum())
-        for key, row in zip(grid.flat_keys(ns_out[inside]), core[inside]):
-            if key in acc:
-                acc[key] += row
-            else:
-                acc[key] = row.copy()
-    if report is not None:
-        report["dropped_spatial_mass"] = dropped_spatial
-        report["dropped_tau_mass"] = dropped_tau
-    if not acc:
-        return SpaceTimeField.zero(grid)
-    keys = np.array(sorted(acc), dtype=np.int64)
-    data = np.zeros((len(keys), M), dtype=np.complex128)
-    np.multiply(h, np.stack([acc[k] for k in keys]), out=data[:, start + k0: start + k1])
-    return SpaceTimeField(grid, grid.index_from_keys(keys), data)
 
 
 def _workspace(grid, weight=None):
@@ -460,45 +402,73 @@ def _workspace(grid, weight=None):
 def _padded_product(f, g, weight=None, report=None):
     """h (f * g) on the box and window as one padded (x, t) product.
 
-    The operands' rows are tau-transformed at length P, weighted at the
-    ``_workspace`` t-nodes and taken through the spatial axes; the pointwise
-    product (one transform squared when ``g is f``) goes back and is cropped
-    to [n_max, 3 n_max] x [half, half + n_tau).  A ``report`` dict receives
-    the masses ``spacetime_convolve`` documents.
+    The workspace holds the linear convolution of the operands' column
+    bounding boxes and nonzero tau-spans; with a ``weight`` the spans are the
+    whole window and the t-nodes those of ``_workspace``.  Each operand's
+    rows are tau-transformed at length P, weighted, and taken through the
+    spatial axes; the pointwise product (one transform squared when
+    ``g is f``) goes back and is cropped to the box and window.  The result
+    holds the box columns of the product's support box and is exactly zero
+    off the offset span.  A ``report`` dict receives the masses
+    ``spacetime_convolve`` documents.
     """
     grid, d = f.grid, f.grid.dimension
-    shape, live, n_live, w = _workspace(grid, weight)
-    P, axes = shape[-1], tuple(range(d))
-    if math.prod(shape[:-1]) * n_live > _DENSE_ENTRY_LIMIT:
+    M, h = grid.n_tau, grid.tau_step
+    spans = [(0, M)] * 2 if weight is not None else [f.tau_span(), g.tau_span()]
+    if report is not None:
+        report["dropped_spatial_mass"] = 0.0
+        report["dropped_tau_mass"] = 0.0
+    if any(a == b for a, b in spans):
+        return SpaceTimeField.zero(grid)  # an operand with no nonzero entry
+    (af, bf), (ag, bg) = spans
+    length = (bf - af) + (bg - ag) - 1
+    if weight is None:
+        P = sfft.next_fast_len(length)
+        live, n_live, w = slice(None), P, None
+    else:
+        (*_, P), live, n_live, w = _workspace(grid, weight)
+    lo_f, lo_g = f.index.min(axis=0), g.index.min(axis=0)
+    ext_f, ext_g = f.index.max(axis=0) - lo_f + 1, g.index.max(axis=0) - lo_g + 1
+    full = tuple(int(n) for n in ext_f + ext_g - 1)  # the linear convolution's range
+    shape = tuple(sfft.next_fast_len(n) for n in full)
+    if math.prod(shape) * n_live > _DENSE_ENTRY_LIMIT:
         raise MemoryError("padded product workspace is too large; reduce n_max or the tau-window")
+    axes = tuple(range(d))
 
-    def samples(u):
-        rows = sfft.fft(u.data, n=P, axis=1)
-        box = np.zeros((grid.box_count, n_live), dtype=np.complex128)
-        box[grid.flat_keys(u.index)] = rows if w is None else rows[:, live] * w
-        box = box.reshape((grid.box_side,) * d + (n_live,))
-        return sfft.fftn(box, s=shape[:-1], axes=axes, overwrite_x=True)
+    def samples(u, lo, ext, a, b):
+        rows = sfft.fft(u.data[:, a:b], n=P, axis=1)
+        box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
+        box[np.ravel_multi_index((u.index - lo).T, ext)] = rows if w is None else rows[:, live] * w
+        box = box.reshape(tuple(ext) + (n_live,))
+        return sfft.fftn(box, s=shape, axes=axes, overwrite_x=True)
 
-    conv = samples(f)
-    conv *= conv if g is f else samples(g)
+    conv = samples(f, lo_f, ext_f, af, bf)
+    conv *= conv if g is f else samples(g, lo_g, ext_g, ag, bg)
     conv = sfft.ifftn(conv, axes=axes, overwrite_x=True)
-    core = (slice(grid.n_max, 3 * grid.n_max + 1),) * d
-    full = (2 * grid.box_side - 1,) * d  # the linear convolution's spatial range
+    lo = lo_f + lo_g  # the lattice point at the workspace origin
+    first = np.maximum(lo, -grid.n_max)  # lattice corners of the crop to the box
+    last = np.maximum(np.minimum(lo + full, grid.n_max + 1), first) - 1
+    core = tuple(slice(a - c, b + 1 - c) for a, b, c in zip(first, last, lo))
     kept = conv[core] if report is None else conv[tuple(slice(0, n) for n in full)]
     rows = np.zeros((kept[..., 0].size, P), dtype=np.complex128)
     rows[:, live] = kept.reshape(len(rows), n_live)
     del conv, kept
     out = sfft.ifft(rows, axis=1, overwrite_x=True)
-    half, M, h = grid.half_index, grid.n_tau, grid.tau_step
+    # samples [k0, k1) of the linear convolution land inside the window
+    start = af + ag - grid.half_index
+    k0 = min(max(0, -start), length)
+    k1 = max(k0, min(length, M - start))
     if report is not None:
         out = out.reshape(full + (P,))
-        spatial = np.abs(out[..., half:half + M])
+        spatial = np.abs(out[..., k0:k1])
         report["dropped_spatial_mass"] = h * float(spatial.sum() - spatial[core].sum())
-        # every output column's tail outside the window, as on the per-column path
-        tau = np.abs(out[..., :2 * M - 1])
-        report["dropped_tau_mass"] = h * float(tau[..., :half].sum() + tau[..., half + M:].sum())
-        out = out[core].reshape(grid.box_count, P)
-    return SpaceTimeField(grid, grid.box_index.copy(), h * out[:, half:half + M])
+        tau = np.abs(out[..., :length])
+        report["dropped_tau_mass"] = h * float(tau[..., :k0].sum() + tau[..., k1:].sum())
+        out = out[core].reshape(-1, P)
+    ns = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(first, last)), indexing="ij")
+    data = np.zeros((len(out), M), dtype=np.complex128)
+    np.multiply(h, out[:, k0:k1], out=data[:, start + k0:start + k1])
+    return SpaceTimeField(grid, np.stack([n.ravel() for n in ns], axis=1), data)
 
 
 # -- time synthesis ----------------------------------------------------------

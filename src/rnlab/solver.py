@@ -356,7 +356,7 @@ def peak_bytes(grid, params):
     return int(16 * K * M * (params.max_iterations + 2) + band + max(product, series))
 
 
-def picard_solve(u0, params, grid, cutoff=None, initial=None):
+def picard_solve(u0, params, grid, initial=None):
     """Iterate Gamma[u] = eta e^{it Lap} u0 + N(u, u) from the linear solution.
 
     ``u0`` is spatial data as a (columns, values) pair or box array;
@@ -365,9 +365,7 @@ def picard_solve(u0, params, grid, cutoff=None, initial=None):
     ``PicardPlan`` lives.  Raises DivergenceError (trace attached) when an
     iterate's Z-norm is not finite or exceeds ten times the ball radius.
     """
-    cutoff = cutoff if cutoff is not None else CutoffSpec(T=params.T)
-    if abs(cutoff.T - params.T) > 1e-12:
-        raise ValueError("cutoff scale and solver T must agree")
+    cutoff = CutoffSpec(T=params.T)
     if initial is not None:
         grid.assert_compatible(initial.grid)
     plan = PicardPlan.build(grid, cutoff, params.norm_params())
@@ -412,10 +410,10 @@ def _on_box(u):
     return SpaceTimeField(u.grid, u.grid.box_index.copy(), u.box_array())
 
 
-def continuous_dependence(u0a, u0b, params, grid, cutoff=None, samples_per_unit=8):
+def continuous_dependence(u0a, u0b, params, grid, samples_per_unit=8):
     """(input H^s distance, output C_t H^s distance on [-T, T], quotient)."""
-    ta = picard_solve(u0a, params, grid, cutoff)
-    tb = picard_solve(u0b, params, grid, cutoff)
+    ta = picard_solve(u0a, params, grid)
+    tb = picard_solve(u0b, params, grid)
     nsa, va = cutoffs._spatial_pairs(grid, u0a)
     nsb, vb = cutoffs._spatial_pairs(grid, u0b)
     if not np.array_equal(nsa, nsb):

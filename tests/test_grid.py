@@ -246,6 +246,21 @@ class TestConvolution:
         diff = via_sparse - via_dense
         assert diff.max_abs() < 1e-12 * via_dense.max_abs()
 
+    def test_dropped_masses_independent_of_stored_columns(self):
+        # two (f, g) pairs land on each of several dropped output columns;
+        # the masses are per output column, so zero-filling changes nothing
+        grid = FrequencyGrid.for_box(2, 3, 0.5)
+        f = random_field(grid, np.random.default_rng(0), columns=[[-2, 3], [-1, 3]])
+        g = random_field(grid, np.random.default_rng(1),
+                         columns=[[-1, 2], [0, 2], [1, 2], [3, -2]])
+        got, want = {}, {}
+        spacetime_convolve(f, g, got)
+        spacetime_convolve(*(SpaceTimeField(grid, grid.box_index.copy(), u.box_array())
+                             for u in (f, g)), want)
+        for key in ("dropped_spatial_mass", "dropped_tau_mass"):
+            assert want[key] > 0.0
+            assert got[key] == pytest.approx(want[key], rel=1e-12)
+
     def test_spatial_truncation_reported(self, rng):
         grid = FrequencyGrid.for_box(2, 1, 0.5)
         prof = np.zeros(grid.n_tau)
