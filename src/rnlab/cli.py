@@ -375,10 +375,15 @@ def _cmd_solve(cfg):
     gib = peak_bytes(grid, params) / 2**30
     if gib > _SOLVE_BUDGET_GIB:
         raise ConfigError(f"key 'n_max': needs {gib:.2f} GiB, over the {_SOLVE_BUDGET_GIB} GiB "
-                          "budget; reduce n_max, tau_pad, d or max_iterations")
+                          "budget; reduce n_max, tau_pad or d")
     u0 = rough_initial_data(grid, cfg.s, cfg.seed)
+
+    def dump(k, field):
+        os.makedirs(cfg.out, exist_ok=True)
+        dump_field(field, os.path.join(cfg.out, f"solve_iter_{k:02d}.bin"))
+
     try:
-        trace = picard_solve(u0, params, grid)
+        trace = picard_solve(u0, params, grid, on_iterate=dump if cfg.dump_fields else None)
         code = 0
     except DivergenceError as exc:
         trace = exc.trace
@@ -386,9 +391,7 @@ def _cmd_solve(cfg):
         code = 1
     _write(cfg, "solve_trace.json", trace.to_json_text())
     if cfg.dump_fields:
-        for k, field in enumerate(trace.iterates):
-            dump_field(field, os.path.join(cfg.out, f"solve_iter_{k:02d}.bin"))
-        print(f"dumped {len(trace.iterates)} iterate fields")
+        print(f"dumped {len(trace.z_norms)} iterate fields")
     return code
 
 

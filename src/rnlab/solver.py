@@ -67,12 +67,21 @@ class SolverParams:
 
 @dataclass
 class IterationTrace:
-    """Iterates, their Z-norms, successive differences, and contraction ratios."""
+    """The last iterate, every iterate's Z-norm, successive differences, ratios.
 
-    iterates: list = field(default_factory=list)
+    Only ``final`` is kept; ``picard_solve`` streams the others to its
+    ``on_iterate`` callback, so its memory does not grow with the iterations.
+    """
+
+    final: SpaceTimeField | None = None
     z_norms: list = field(default_factory=list)
     successive_diffs: list = field(default_factory=list)
     converged: bool = False
+
+    @property
+    def iterates(self):
+        """``[final]``, for the benchmark's reader only; ROADMAP item 1a deletes it."""
+        return [self.final]
 
     def contraction_ratios(self, floor=1e-14):
         out = []
@@ -87,7 +96,7 @@ class IterationTrace:
             "successive_diffs": self.successive_diffs,
             "contraction_ratios": self.contraction_ratios(),
             "converged": self.converged,
-            "iterations": len(self.iterates),
+            "iterations": len(self.z_norms),
         }
         return json.dumps(obj, indent=2) + "\n"
 
@@ -340,8 +349,9 @@ def rough_initial_data(grid, s, seed):
 def peak_bytes(grid, params):
     """Estimated peak bytes of ``picard_solve`` on ``grid``, without building anything.
 
-    With K box columns: max_iterations + 1 iterate fields, the plan (r, the
-    Z weight, the psi band), and the larger step transient, the product
+    With K box columns: three iterate fields (linear, current and next, at
+    any max_iterations), the plan (r, the Z weight, the psi band), and the
+    larger step transient, the product
     (reflected factor, result, (K, P) rows, spatial workspace at eta's
     t-nodes) or the Duhamel step (F, F r, N1's series of K plus at most
     _SERIES_MAX_TERMS + 1 lattice rows).  Cached cutoff transforms are not counted.
@@ -353,17 +363,20 @@ def peak_bytes(grid, params):
     band = 24 * K * (2.0 * cutoff.psi.support / grid.tau_step + 2)
     product = 32 * K * M + 16 * (K * shape[-1] + math.prod(shape[:-1]) * n_live)
     series = 32 * K * M + 16 * (K + _SERIES_MAX_TERMS + 1) * lattice
-    return int(16 * K * M * (params.max_iterations + 2) + band + max(product, series))
+    return int(16 * K * M * 3 + band + max(product, series))
 
 
-def picard_solve(u0, params, grid, initial=None):
+def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     """Iterate Gamma[u] = eta e^{it Lap} u0 + N(u, u) from the linear solution.
 
     ``u0`` is spatial data as a (columns, values) pair or box array;
     ``initial``, a field on ``grid``, replaces the linear solution as the
     first iterate.  Both are taken onto every box column, where the
-    ``PicardPlan`` lives.  Raises DivergenceError (trace attached) when an
-    iterate's Z-norm is not finite or exceeds ten times the ball radius.
+    ``PicardPlan`` lives.  The returned trace keeps only the last iterate;
+    ``on_iterate(k, field)``, when given, receives iterate k as soon as it
+    is made, from k = 0 up to and including one that diverges.  Raises
+    DivergenceError (trace attached) when an iterate's Z-norm is not
+    finite or exceeds ten times the ball radius.
     """
     cutoff = CutoffSpec(T=params.T)
     if initial is not None:
@@ -378,9 +391,11 @@ def picard_solve(u0, params, grid, initial=None):
     if initial is not None:
         current = _on_box(initial)
         z0 = _z_apply(current.data, plan.z, w)
-    trace.iterates.append(current)
+    emit = on_iterate or (lambda k, u: None)
+    trace.final = current
     trace.z_norms.append(z0)
-    for _ in range(params.max_iterations):
+    emit(0, current)
+    for k in range(1, params.max_iterations + 1):
         # the product is not held through the norms and the next product
         nxt = duhamel_rhs(nonlinear_fourier_data(current, current, cutoff), plan)
         if nxt.n_columns:
@@ -389,10 +404,10 @@ def picard_solve(u0, params, grid, initial=None):
             nxt = linear.copy()
         z = _z_apply(nxt.data, plan.z, w)
         diff = _z_apply(nxt.data - current.data, plan.z, w)
-        trace.iterates.append(nxt)
+        trace.final = current = nxt
         trace.z_norms.append(z)
         trace.successive_diffs.append(diff)
-        current = nxt
+        emit(k, nxt)
         if not math.isfinite(z) or z > 10.0 * radius:
             raise DivergenceError(
                 f"iterate Z-norm {z:.3e} exceeded 10x ball radius {radius:.3e}", trace
@@ -419,7 +434,7 @@ def continuous_dependence(u0a, u0b, params, grid, samples_per_unit=8):
     if not np.array_equal(nsa, nsb):
         raise ValueError("initial data must live on the same columns")
     input_dist = spatial_hs_norm(nsa, va - vb, params.s)
-    diff = ta.iterates[-1] - tb.iterates[-1]
+    diff = ta.final - tb.final
     output_dist = ct_hs_norm(diff, params.s, (-params.T, params.T), samples_per_unit)
     if input_dist == 0.0:
         return 0.0, output_dist, float("nan")

@@ -270,7 +270,7 @@ def test_criterion_7_continuous_dependence():
             g = rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))
             pert = g / spatial_hs_norm(ns, g, S_DEFAULT) * size
             trace = picard_solve((ns, base + pert), params, grid)
-            dout = ct_hs_norm(trace.iterates[-1] - base_trace.iterates[-1],
+            dout = ct_hs_norm(trace.final - base_trace.final,
                               S_DEFAULT, (-params.T, params.T))
             quotients.append(dout / size)
         spread = max(quotients) / min(quotients)

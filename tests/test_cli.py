@@ -1,5 +1,6 @@
 """CLI: config parsing, overrides, determinism, report schemas, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -149,6 +150,20 @@ def _forbid_fields(monkeypatch):
     monkeypatch.setattr(rnlab.cli, "rough_initial_data", no_fields)
 
 
+class _Admitted(Exception):
+    pass
+
+
+def _admit(monkeypatch):
+    """Stop a solve with _Admitted at its first field, which the size guard precedes."""
+    import rnlab.cli
+
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(rnlab.cli, "rough_initial_data", admitted)
+
+
 class TestRunCommands:
     def test_sweep_outputs_and_schema(self, tmp_path):
         cfg = parse_config(["sweep", "--family", "example1", "--mode", "X",
@@ -238,35 +253,35 @@ class TestRunCommands:
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_convolution_guard_names_key(self, tmp_path, monkeypatch, capsys):
-        # the solve's peak-bytes estimate (6.4 GiB) is over the budget before
-        # any field is built
+        # d=1, n_max=106 is the smallest d=1 box the peak-bytes estimate
+        # (4.09 GiB) puts over the budget; rejected before any field is built
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "2", "--n-max", "25", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "106", "--out", str(tmp_path)])
         assert run(cfg) == 2
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_guard_counts_kept_iterates(self, tmp_path, monkeypatch, capsys):
-        # each field is 2401 x 9281 complex entries, within both former
-        # guards, but the 11 kept iterates alone are 3.65 GiB
+        # the solve keeps three fields (linear, current, next) at any
+        # max_iterations: d=2, n_max=24 (2401 x 9281 entries a field) is
+        # 2.43 GiB, and n_max=28, the smallest d=2 box over the budget, 4.50 GiB
+        _admit(monkeypatch)
+        for iterations in ("10", "1000"):
+            cfg = parse_config(["solve", "--d", "2", "--n-max", "24",
+                                "--max-iterations", iterations, "--out", str(tmp_path)])
+            with pytest.raises(_Admitted):
+                run(cfg)
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "2", "--n-max", "24", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "2", "--n-max", "28", "--out", str(tmp_path)])
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert "'n_max'" in err and "budget" in err
+        assert "max_iterations" not in err
 
     def test_solve_guard_admits_the_benchmark_solve(self, tmp_path, monkeypatch):
-        import rnlab.cli
-
-        class Admitted(Exception):
-            pass
-
-        def admitted(*args):
-            raise Admitted
-
-        monkeypatch.setattr(rnlab.cli, "rough_initial_data", admitted)
+        _admit(monkeypatch)
         cfg = parse_config(["solve", "--d", "1", "--n-max", "32", "--T", "0.125",
                             "--out", str(tmp_path)])
-        with pytest.raises(Admitted):
+        with pytest.raises(_Admitted):
             run(cfg)
 
     def test_solve_dump_fields_roundtrip(self, tmp_path):
@@ -279,3 +294,32 @@ class TestRunCommands:
         assert dumps == ["solve_iter_00.bin", "solve_iter_01.bin", "solve_iter_02.bin"]
         field = load_field(tmp_path / dumps[0])
         assert field.grid.dimension == 1 and field.grid.n_max == 4
+        # the dumps are byte-stable reports for a fixed config
+        assert [hashlib.sha256((tmp_path / p).read_bytes()).hexdigest() for p in dumps] == [
+            "4b922f33b04fbf9a9c6183a1c6d8208ab35b35a038848979e2abf683946edd02",
+            "6b76ad0debc054e5f63d3ec9211226e03bded8591bef9817f84ece3f52606aaa",
+            "b15a5c555477dc1f278bc396238e6d352e4db800814fd3ecea054fd275bd4ecf",
+        ]
+
+    def test_solve_dump_fields_include_the_diverged_iterate(self, tmp_path, monkeypatch,
+                                                            capsys):
+        import rnlab.cli
+        from rnlab.norms import NormParams, zsb_norm
+        from rnlab.solver import load_field, rough_initial_data
+
+        def rough_times_40(grid, s, seed):
+            ns, vals = rough_initial_data(grid, s, seed)
+            return ns, 40.0 * vals
+
+        monkeypatch.setattr(rnlab.cli, "rough_initial_data", rough_times_40)
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "8", "--T", "0.25",
+                            "--max-iterations", "25", "--dump-fields", "--out", str(tmp_path)])
+        assert run(cfg) == 1
+        assert "divergence" in capsys.readouterr().out
+        z_norms = json.loads((tmp_path / "solve_trace.json").read_text())["z_norms"]
+        assert z_norms[-1] > 10.0 * z_norms[0]
+        dumps = sorted(p for p in os.listdir(tmp_path) if p.endswith(".bin"))
+        assert dumps == [f"solve_iter_{k:02d}.bin" for k in range(len(z_norms))]
+        # the last dump is the diverged iterate, at complex64 precision
+        diverged = load_field(tmp_path / dumps[-1])
+        assert zsb_norm(diverged, NormParams(s=cfg.s)) == pytest.approx(z_norms[-1], rel=1e-5)

@@ -241,11 +241,21 @@ def _picard_oracle(u0, params, grid):
     return z_norms, diffs
 
 
+def _solve_seen(u0, params, grid, **kwargs):
+    """(trace, every (k, iterate) picard_solve handed to on_iterate, in order)."""
+    seen = []
+    trace = picard_solve(u0, params, grid, on_iterate=lambda k, u: seen.append((k, u)),
+                         **kwargs)
+    return trace, seen
+
+
 def _assert_same_trace(a, b):
-    assert a.z_norms == b.z_norms
-    assert a.successive_diffs == b.successive_diffs
-    assert len(a.iterates) == len(b.iterates)
-    for x, y in zip(a.iterates, b.iterates):
+    (ta, seen_a), (tb, seen_b) = a, b
+    assert ta.z_norms == tb.z_norms
+    assert ta.successive_diffs == tb.successive_diffs
+    assert [k for k, _ in seen_a] == [k for k, _ in seen_b] == list(range(len(ta.z_norms)))
+    assert seen_a[-1][1] is ta.final and seen_b[-1][1] is tb.final
+    for (_, x), (_, y) in zip(seen_a, seen_b):
         assert np.array_equal(x.index, y.index)
         assert np.array_equal(x.data, y.data)
 
@@ -289,7 +299,7 @@ class TestPicardPlan:
         grid = FrequencyGrid.for_box(1, 8, 0.25)
         u0 = rough_initial_data(grid, -0.6, 3)
         params = SolverParams(s=-0.6, T=0.125, max_iterations=4, contraction_tolerance=0.0)
-        _assert_same_trace(picard_solve(u0, params, grid), picard_solve(u0, params, grid))
+        _assert_same_trace(_solve_seen(u0, params, grid), _solve_seen(u0, params, grid))
 
     def test_initial_on_another_grid_rejected_before_any_transform(self, monkeypatch):
         import rnlab.solver
@@ -313,10 +323,10 @@ class TestPicardPlan:
         subset = SpaceTimeField(grid, linear.index[::3], linear.data[::3])
         on_box = SpaceTimeField(grid, grid.box_index.copy(), subset.box_array())
         params = SolverParams(s=-0.6, T=0.125, max_iterations=4, contraction_tolerance=0.0)
-        scattered = picard_solve(u0, params, grid, initial=subset)
-        _assert_same_trace(scattered, picard_solve(u0, params, grid, initial=on_box))
-        assert scattered.z_norms[0] == pytest.approx(zsb_norm(subset, params.norm_params()),
-                                                     rel=1e-14)
+        scattered = _solve_seen(u0, params, grid, initial=subset)
+        _assert_same_trace(scattered, _solve_seen(u0, params, grid, initial=on_box))
+        assert scattered[0].z_norms[0] == pytest.approx(
+            zsb_norm(subset, params.norm_params()), rel=1e-14)
 
 
 class TestSolverParams:
@@ -420,7 +430,7 @@ class TestPicard:
         # converged iterate satisfies || u - Gamma[u] || <= tolerance
         cut = CutoffSpec(T=params.T)
         linear = free_evolution_data(grid, u0, prune=False)
-        u = trace.iterates[-1]
+        u = trace.final
         rhs = duhamel_rhs(nonlinear_fourier_data(u, u, cut), _plan(grid, cut))
         resid = zsb_norm(linear + rhs - u, params.norm_params())
         assert resid <= params.contraction_tolerance
@@ -440,7 +450,7 @@ class TestPicard:
         t2 = picard_solve(u0, params, grid, initial=linear + bump)
         assert t1.converged and t2.converged
         from rnlab.norms import ct_hs_norm
-        gap = ct_hs_norm(t1.iterates[-1] - t2.iterates[-1], params.s,
+        gap = ct_hs_norm(t1.final - t2.final, params.s,
                          (-params.T, params.T))
         assert gap <= 10.0 * params.contraction_tolerance
 
@@ -459,9 +469,9 @@ class TestPicard:
                                               contraction_tolerance=tol), grid)
         assert big.converged and small.converged
         times = np.linspace(-0.0625, 0.0625, 9)
-        a = time_slices(big.iterates[-1], times)
-        b = time_slices(small.iterates[-1], times)
-        w = (1.0 + big.iterates[-1].norm_sq_columns().astype(float)) ** -0.6
+        a = time_slices(big.final, times)
+        b = time_slices(small.final, times)
+        w = (1.0 + big.final.norm_sq_columns().astype(float)) ** -0.6
         gap = np.sqrt((w[:, None] * np.abs(a - b) ** 2).sum(axis=0)).max()
         scale = np.sqrt((w[:, None] * np.abs(a) ** 2).sum(axis=0)).max()
         assert gap <= 1e-4 * scale
@@ -583,7 +593,7 @@ class TestReferenceIntegrator:
         params = SolverParams(s=0.0, T=0.125, max_iterations=1,
                               contraction_tolerance=1e-15)
         trace = picard_solve((n0, np.array([a + 0j])), params, grid)
-        first = trace.iterates[1]
+        first = trace.final
         traj = reference_integrate((n0, np.array([a + 0j])), grid,
                                    T=params.T, steps=24)
         assert traj.reliable
@@ -611,11 +621,31 @@ class TestPeakBytes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(trace.iterates) == 4
+        assert len(trace.z_norms) == 4
         estimate = peak_bytes(grid, params)
-        # measured: 1.45x on line_8 (17 columns, where N1's lattice rows
-        # weigh most) and 1.14x on box_2_4
+        # measured: 1.37x on line_8 (17 columns, where N1's lattice rows
+        # weigh most) and 1.03x on box_2_4
         assert peak <= estimate <= 1.5 * peak, f"estimate {estimate / peak:.2f}x the peak"
+
+    def test_peak_does_not_grow_with_iterations(self):
+        grid = FrequencyGrid.for_box(1, 8)
+        u0 = rough_initial_data(grid, -0.6, seed=4)
+
+        def traced_peak(iterations):
+            params = SolverParams(s=-0.6, T=0.125, max_iterations=iterations,
+                                  contraction_tolerance=0.0)
+            tracemalloc.start()
+            try:
+                trace = picard_solve(u0, params, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(trace.z_norms) == iterations + 1
+            return peak
+
+        traced_peak(2)  # fills the per-process cutoff-transform cache
+        short, long = traced_peak(2), traced_peak(8)
+        assert long <= 1.1 * short, f"8 iterations peak at {long / short:.2f}x 2 iterations"
 
 
 class TestFieldDumps:
