@@ -21,7 +21,6 @@ from .grid import (
     conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
-    modulation,
     project_dyadic,
     project_modulation,
     random_field,
@@ -44,7 +43,6 @@ from .solver import (
     DivergenceError,
     IterationTrace,
     PicardPlan,
-    ReferenceTrajectory,
     SolverParams,
     continuous_dependence,
     dump_field,
@@ -52,11 +50,9 @@ from .solver import (
     duhamel_n2,
     duhamel_n3,
     duhamel_rhs,
-    duhamel_time_integral,
     load_field,
     nonlinear_fourier_data,
     picard_solve,
-    reference_integrate,
     rough_initial_data,
 )
 from .sweep import (

@@ -172,22 +172,16 @@ def _spatial_pairs(grid, phi_hat):
     return grid.box_index.copy(), arr.reshape(-1)
 
 
-def cutoff_kernel(grid, scale, profile=standard_bump):
-    """Tau-convolution kernel of multiplication by profile(t / scale).
-
-    Samples of F(profile(./scale))(tau) = scale * F(profile)(scale tau) at
-    every tau-difference j * tau_step, j = -(n_tau-1) .. n_tau-1.
-    """
-    j_max = grid.n_tau - 1
-    lattice = transform_on_lattice(scale * grid.tau_step, j_max, 0, profile)
-    return scale * lattice
-
-
+# Only tests call this; it stays because perfbench/tracer.py wraps it by name.
 def apply_time_cutoff(u, scale, profile=standard_bump):
-    """Multiply a field by profile(t / scale) in time (tau-convolution per column)."""
+    """Multiply a field by profile(t / scale) in time (tau-convolution per column).
+
+    The kernel samples F(profile(./scale))(tau) = scale * F(profile)(scale tau)
+    at every tau-difference j * tau_step, j = -(n_tau-1) .. n_tau-1.
+    """
     grid = u.grid
-    kernel = cutoff_kernel(grid, scale, profile)
     M = grid.n_tau
+    kernel = scale * transform_on_lattice(scale * grid.tau_step, M - 1, 0, profile)
     L = sfft.next_fast_len(3 * M - 2)
     K = sfft.fft(kernel, n=L)
     U = sfft.fft(u.data, n=L, axis=1)

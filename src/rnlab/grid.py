@@ -32,12 +32,6 @@ def japanese_bracket(x):
     return np.sqrt(1.0 + x * x)
 
 
-def modulation(n, tau):
-    """Signed distance tau + |n|^2 of a space-time frequency from the paraboloid."""
-    n = np.atleast_1d(np.asarray(n))
-    return np.asarray(tau, dtype=float) + float(np.dot(n, n))
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Truncated lattice {-n_max..n_max}^d times a symmetric uniform tau-window."""
@@ -244,13 +238,6 @@ class SpaceTimeField:
 
     def max_abs(self):
         return float(np.abs(self.data).max()) if self.data.size else 0.0
-
-    def pruned(self, tol=0.0):
-        """Drop columns whose coefficients are all <= tol in modulus."""
-        if not len(self.index):
-            return self
-        keep = np.abs(self.data).max(axis=1) > tol
-        return SpaceTimeField(self.grid, self.index[keep], self.data[keep])
 
     def box_array(self):
         """Dense array over the full box, spatial axes first (guarded by size)."""

@@ -40,12 +40,13 @@ from rnlab.solver import (
     duhamel_n1,
     duhamel_n2,
     duhamel_n3,
-    duhamel_time_integral,
     nonlinear_fourier_data,
     picard_solve,
     rough_initial_data,
 )
 from rnlab.sweep import fit_loglog, run_sweep, threshold_scan
+
+from oracles import duhamel_time_integral
 
 S_DEFAULT = -0.6
 B_DEFAULT = 2.0 / 3.0

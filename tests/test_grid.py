@@ -10,7 +10,6 @@ from rnlab.grid import (
     conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
-    modulation,
     project_dyadic,
     project_modulation,
     random_field,
@@ -35,14 +34,14 @@ class TestJapaneseBracket:
 
 
 class TestModulation:
-    def test_origin(self):
-        assert modulation([0, 0], 0.0) == 0.0
-
-    def test_on_paraboloid(self):
-        assert modulation([8, 0], -64.0) == 0.0
-
-    def test_signed(self):
-        assert modulation([1, 1], 3.0) == 5.0
+    @pytest.mark.parametrize("n, tau, expected",
+                             [([0, 0], 0.0, 0.0), ([8, 0], -64.0, 0.0), ([1, 1], 3.0, 5.0)],
+                             ids=["origin", "on_paraboloid", "signed"])
+    def test_mod_array(self, n, tau, expected):
+        # signed distance tau + |n|^2 from the paraboloid at the entry (n, tau)
+        grid = FrequencyGrid.for_box(2, 8, 0.25)
+        u = SpaceTimeField.from_columns(grid, [n], np.zeros((1, grid.n_tau)))
+        assert u.mod_array()[0, grid.tau_index(tau)] == expected
 
 
 class TestFrequencyGrid:
