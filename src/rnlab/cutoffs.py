@@ -14,9 +14,8 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sfft
 
-from .grid import FrequencyGrid, SpaceTimeField
+from .grid import FrequencyGrid, SpaceTimeField, _next_fast_len
 
 # Frequency headroom between the evaluated band and the first aliasing image
 # of the sampled-bump transform; the bump transform decays like
@@ -81,7 +80,7 @@ def _transform_on_lattice(profile, spacing, j_max, t_power):
     min_len = max(2 * j_max + 1, int(math.ceil((band + _ALIAS_MARGIN) / spacing)))
     # 16x oversampling of the bump brings the per-sample rectangle-rule error
     # to ~1e-13, so sums over tens of thousands of lattice samples stay ~1e-9.
-    P = sfft.next_fast_len(16 * min_len)
+    P = _next_fast_len(16 * min_len)
     delta = 2.0 * math.pi / (spacing * P)
     n_samples = int(math.floor(2.0 * profile.support / delta)) + 1
     t = -profile.support + delta * np.arange(n_samples)
@@ -89,7 +88,7 @@ def _transform_on_lattice(profile, spacing, j_max, t_power):
     if n_samples > P:
         # evaluating the length-P DFT on more samples means folding, not cropping
         vals = np.pad(vals, (0, -n_samples % P)).reshape(-1, P).sum(axis=0)
-    spectrum = sfft.fft(vals, n=P)
+    spectrum = np.fft.fft(vals, n=P)
     js = np.arange(-j_max, j_max + 1)
     out = (delta / (2.0 * math.pi)) * np.exp(1j * profile.support * js * spacing)
     out = out * spectrum[js % P]
@@ -182,10 +181,10 @@ def apply_time_cutoff(u, scale, profile=standard_bump):
     grid = u.grid
     M = grid.n_tau
     kernel = scale * transform_on_lattice(scale * grid.tau_step, M - 1, 0, profile)
-    L = sfft.next_fast_len(3 * M - 2)
-    K = sfft.fft(kernel, n=L)
-    U = sfft.fft(u.data, n=L, axis=1)
-    conv = sfft.ifft(U * K[None, :], axis=1)
+    L = _next_fast_len(3 * M - 2)
+    K = np.fft.fft(kernel, n=L)
+    U = np.fft.fft(u.data, n=L, axis=1)
+    conv = np.fft.ifft(U * K[None, :], axis=1)
     # kernel index j - (M-1) pairs with data index k: output m = k + j - (M-1)
     core = conv[:, M - 1: 2 * M - 1] * grid.tau_step
     return SpaceTimeField(grid, u.index.copy(), core)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
+import numpy.fft  # noqa: F401  (loaded at import, not by the first transform)
 
 # Guard on dense materialization and on the padded product's workspace.
 _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
@@ -374,8 +374,8 @@ def _workspace(grid, weight=None):
     """Padded (x, t) shape (spatial axes, then tau length P), kept t-nodes, their
     count and the weight there: a function of t_l = 2 pi l / (h P), l in
     (-P/2, P/2], keeping the nodes where it is non-zero (all when None)."""
-    shape = (sfft.next_fast_len(2 * grid.box_side - 1),) * grid.dimension \
-        + (sfft.next_fast_len(2 * grid.n_tau - 1),)
+    shape = (_next_fast_len(2 * grid.box_side - 1),) * grid.dimension \
+        + (_next_fast_len(2 * grid.n_tau - 1),)
     P = shape[-1]
     if weight is None:
         return shape, slice(None), P, None
@@ -410,28 +410,27 @@ def _padded_product(f, g, weight=None, report=None):
     (af, bf), (ag, bg) = spans
     length = (bf - af) + (bg - ag) - 1
     if weight is None:
-        P = sfft.next_fast_len(length)
+        P = _next_fast_len(length)
         live, n_live, w = slice(None), P, None
     else:
         (*_, P), live, n_live, w = _workspace(grid, weight)
     lo_f, lo_g = f.index.min(axis=0), g.index.min(axis=0)
     ext_f, ext_g = f.index.max(axis=0) - lo_f + 1, g.index.max(axis=0) - lo_g + 1
     full = tuple(int(n) for n in ext_f + ext_g - 1)  # the linear convolution's range
-    shape = tuple(sfft.next_fast_len(n) for n in full)
+    shape = tuple(_next_fast_len(n) for n in full)
     if math.prod(shape) * n_live > _DENSE_ENTRY_LIMIT:
         raise MemoryError("padded product workspace is too large; reduce n_max or the tau-window")
-    axes = tuple(range(d))
 
     def samples(u, lo, ext, a, b):
-        rows = sfft.fft(u.data[:, a:b], n=P, axis=1)
+        rows = np.fft.fft(u.data[:, a:b], n=P, axis=1)
         box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
         box[np.ravel_multi_index((u.index - lo).T, ext)] = rows if w is None else rows[:, live] * w
         box = box.reshape(tuple(ext) + (n_live,))
-        return sfft.fftn(box, s=shape, axes=axes, overwrite_x=True)
+        return _fftn(box, shape)
 
     conv = samples(f, lo_f, ext_f, af, bf)
     conv *= conv if g is f else samples(g, lo_g, ext_g, ag, bg)
-    conv = sfft.ifftn(conv, axes=axes, overwrite_x=True)
+    conv = _ifftn(conv, d)
     lo = lo_f + lo_g  # the lattice point at the workspace origin
     first = np.maximum(lo, -grid.n_max)  # lattice corners of the crop to the box
     last = np.maximum(np.minimum(lo + full, grid.n_max + 1), first) - 1
@@ -440,7 +439,7 @@ def _padded_product(f, g, weight=None, report=None):
     rows = np.zeros((kept[..., 0].size, P), dtype=np.complex128)
     rows[:, live] = kept.reshape(len(rows), n_live)
     del conv, kept
-    out = sfft.ifft(rows, axis=1, overwrite_x=True)
+    out = np.fft.ifft(rows, axis=1, out=rows)
     # samples [k0, k1) of the linear convolution land inside the window
     start = af + ag - grid.half_index
     k0 = min(max(0, -start), length)
@@ -456,6 +455,47 @@ def _padded_product(f, g, weight=None, report=None):
     data = np.zeros((len(out), M), dtype=np.complex128)
     np.multiply(h, out[:, k0:k1], out=data[:, start + k0:start + k1])
     return SpaceTimeField(grid, np.stack([n.ravel() for n in ns], axis=1), data)
+
+
+# numpy.fft (numpy >= 2.0) runs the C++ pocketfft.  The n-D helpers keep the
+# axis order and normalization step the byte-stable reports were made with.
+
+
+def _next_fast_len(target):
+    """Smallest 2-3-5-7-11-smooth integer >= target: a length pocketfft runs fast."""
+    n = max(target, 1)
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _fftn(x, s):
+    """Forward transform over the leading len(s) axes, zero-padded to lengths s.
+
+    Axis 0 first; np.fft.fftn goes last axis first and rounds differently in d=2.
+    """
+    for axis, n in enumerate(s):
+        x = np.fft.fft(x, n=n, axis=axis)
+    return x
+
+
+def _ifftn(x, d):
+    """Inverse transform over the leading d axes, in place.
+
+    The whole 1/prod(N) scales each real component once, right after the
+    first axis, where pocketfft's multi-axis transform applies it.
+    """
+    scale = 1.0 / math.prod(x.shape[:d])
+    for axis in range(d):
+        np.fft.ifft(x, axis=axis, norm="forward", out=x)
+        if axis == 0:
+            x.view(np.float64)[...] *= scale
+    return x
 
 
 # -- time synthesis ----------------------------------------------------------

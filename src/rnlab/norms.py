@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .grid import (
     SpaceTimeField,
+    _ifftn,
+    _next_fast_len,
     dyadic_blocks,
     low_modulation_mask,
     project_dyadic,
@@ -199,12 +200,12 @@ def l4_spacetime_norm(u, t_window, oversample=2, samples_per_unit=16):
     tw[0] *= 0.5
     tw[-1] *= 0.5
     slices = time_slices(u, times)
-    P = sfft.next_fast_len(oversample * grid.box_side)
+    P = _next_fast_len(oversample * grid.box_side)
     shape = (P,) * grid.dimension + (count,)
     spectral = np.zeros(shape, dtype=np.complex128)
     idx = [u.index[:, a] % P for a in range(grid.dimension)]
     spectral[tuple(idx)] = slices
-    phys = sfft.ifftn(spectral, axes=tuple(range(grid.dimension))) * P**grid.dimension
+    phys = _ifftn(spectral, grid.dimension) * P**grid.dimension
     cell = (2.0 * np.pi / P) ** grid.dimension
     integrand = (np.abs(phys) ** 4).reshape(-1, count)
     return float((integrand.sum(axis=0) * cell * tw).sum() ** 0.25)

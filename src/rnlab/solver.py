@@ -321,8 +321,8 @@ def peak_bytes(grid, params):
     """Estimated peak bytes of ``picard_solve`` on ``grid``, without building anything.
 
     With K box columns: three iterate fields (linear, current and next, at
-    any max_iterations), the plan (r, the Z weight, the psi band), and the
-    larger step transient, the product
+    any max_iterations), the plan (r and the Z weight on every entry, the
+    psi band), and the larger step transient, the product
     (reflected factor, result, (K, P) rows, spatial workspace at eta's
     t-nodes) or the Duhamel step (F, F r, N1's series of K plus at most
     _SERIES_MAX_TERMS + 1 lattice rows).  Cached cutoff transforms are not counted.
@@ -331,10 +331,10 @@ def peak_bytes(grid, params):
     K, M = grid.box_count, grid.n_tau
     shape, _, n_live, _ = _workspace(grid, _eta_weight(cutoff))
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
-    band = 24 * K * (2.0 * cutoff.psi.support / grid.tau_step + 2)
+    plan = 16 * K * M + 24 * K * (2.0 * cutoff.psi.support / grid.tau_step + 2)
     product = 32 * K * M + 16 * (K * shape[-1] + math.prod(shape[:-1]) * n_live)
     series = 32 * K * M + 16 * (K + _SERIES_MAX_TERMS + 1) * lattice
-    return int(16 * K * M * 3 + band + max(product, series))
+    return int(16 * K * M * 3 + plan + max(product, series))
 
 
 def picard_solve(u0, params, grid, initial=None, on_iterate=None):

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from rnlab.grid import (
     DyadicBlock,
     FrequencyGrid,
     SpaceTimeField,
+    _fftn,
+    _ifftn,
+    _next_fast_len,
     conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
@@ -290,3 +294,43 @@ class TestConvolution:
                                 left=0.0, right=0.0)
             expected = np.sum(grid.tau_weights * pa.real * shifted)
             assert out[j].real == pytest.approx(expected, abs=1e-10)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestTransformsAgainstScipy:
+    """rnlab's transforms run on numpy.fft; scipy.fft, the path they replaced,
+    is the oracle, and the check is bitwise (the reports are byte-stable)."""
+
+    # the transform lengths in use: the d=1 spatial workspace, the picard_1d
+    # tau workspace, the tent convolution of its window and the lattice transform
+    SIZES = (132, 32928, 49392, 395136)
+
+    def test_next_fast_len(self):
+        for n in list(range(1, 20001)) + list(self.SIZES):
+            assert _next_fast_len(n) == sfft.next_fast_len(n), n
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_fft_and_ifft_at_lengths_in_use(self, rng, n):
+        x = rng.standard_normal((2, 1500)) + 1j * rng.standard_normal((2, 1500))
+        assert _same_bits(np.fft.fft(x, n=n, axis=1), sfft.fft(x, n=n, axis=1))
+        y = sfft.fft(x, n=n, axis=1)
+        assert _same_bits(np.fft.ifft(y, axis=1), sfft.ifft(y, axis=1))
+
+    @pytest.mark.parametrize("shape, s", [((17, 90), (33,)), ((9, 7, 40), (20, 14)),
+                                          ((5, 9, 33), (9, 18))])
+    def test_padded_fftn_and_ifftn(self, rng, shape, s):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(len(s)))
+        spectrum = sfft.fftn(x, s=s, axes=axes)
+        assert _same_bits(_fftn(x, s), spectrum)
+        assert _same_bits(_ifftn(spectrum.copy(), len(s)), sfft.ifftn(spectrum, axes=axes))
+
+    def test_in_place_ifft_on_a_column_slice(self, rng):
+        x = rng.standard_normal((30, 80)) + 1j * rng.standard_normal((30, 80))
+        rows = x[:, 5:70]
+        expected = sfft.ifft(rows, axis=1)
+        out = np.fft.ifft(rows, axis=1, out=rows)
+        assert out is rows and _same_bits(np.ascontiguousarray(rows), expected)

@@ -408,18 +408,31 @@ class TestDuhamelOperators:
 
 
 def test_import_leaves_test_oracles_out():
-    # the quadrature and RK4 references live in tests/oracles.py, so the
-    # package loads neither scipy.integrate nor a scipy.fft the solver never uses
+    # the quadrature and RK4 references live in tests/oracles.py and every
+    # transform runs on numpy.fft, so the package runs with scipy unimportable
     src = str(Path(rnlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, rnlab\n"
-            "print(rnlab.__file__)\n"
-            "print([m for m in sys.modules if m.startswith('scipy.integrate')])\n"
-            "print(hasattr(rnlab.solver, 'sfft'))")
+    code = """
+import sys, tempfile
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+import rnlab, rnlab.checks
+from rnlab.cli import main
+from rnlab.grid import FrequencyGrid, random_field, spacetime_convolve
+from rnlab.norms import l4_spacetime_norm
+with tempfile.TemporaryDirectory() as out:
+    codes = [main(["solve", "--d", "1", "--n-max", "4", "--T", "0.0625",
+                   "--max-iterations", "2", "--out", out]),
+             main(["norm", "--d", "2", "--n-max", "3", "--seed", "1", "--out", out])]
+grid = FrequencyGrid.for_box(2, 3)
+u = random_field(grid, np.random.default_rng(0), envelope_power=-1.0)
+print(rnlab.__file__)
+print(codes, spacetime_convolve(u, u).n_columns, l4_spacetime_norm(u, (-0.5, 0.5)) > 0)
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert out == [rnlab.__file__, "[]", "False"]
+    assert out[-2:] == [rnlab.__file__, "[0, 0] 49 True"]
 
 
 class TestPicard:
@@ -627,7 +640,8 @@ class TestReferenceIntegrator:
 
 
 class TestPeakBytes:
-    @pytest.mark.parametrize("box", [(1, 8), (2, 4)], ids=["line_8", "box_2_4"])
+    @pytest.mark.parametrize("box", [(1, 8), (2, 4), (2, 8)],
+                             ids=["line_8", "box_2_4", "box_2_8"])
     def test_estimate_bounds_the_traced_peak(self, box):
         # the estimate leaves out the cutoff transforms cached per process,
         # so a first solve fills that cache before the traced one
@@ -643,8 +657,9 @@ class TestPeakBytes:
             tracemalloc.stop()
         assert len(trace.z_norms) == 4
         estimate = peak_bytes(grid, params)
-        # measured: 1.37x on line_8 (17 columns, where N1's lattice rows
-        # weigh most) and 1.03x on box_2_4
+        # measured: 1.49x on line_8 (17 columns, where N1's lattice rows
+        # weigh most), 1.15x on box_2_4 and 1.05x on box_2_8; on d=2 the
+        # peak is the Duhamel step, with the plan's r and Z weight alive
         assert peak <= estimate <= 1.5 * peak, f"estimate {estimate / peak:.2f}x the peak"
 
     def test_peak_does_not_grow_with_iterations(self):
