@@ -2,7 +2,7 @@
 lattices and the Picard scheme for the quadratic Schrodinger nonlinearity
 conj(u)^2 at negative regularity."""
 
-from .cutoffs import BumpProfile, CutoffSpec, apply_time_cutoff, free_evolution_data, standard_bump
+from .cutoffs import apply_time_cutoff, free_evolution_data, standard_bump
 from .families import (
     FAMILY_KINDS,
     FamilyInstance,

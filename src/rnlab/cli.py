@@ -36,9 +36,13 @@ from .sweep import SCAN_N_DEFAULT, SCAN_TAU_STEP, run_sweep, threshold_scan
 
 DEFAULT_SWEEP_N = (4, 8, 16, 32, 64, 128)
 
-# Live GiB a solve may hold (solver.peak_bytes): half of an 8 GB machine,
-# which leaves room for the interpreter, the libraries and allocator slack.
-_SOLVE_BUDGET_GIB = 4
+# Live GiB a command may hold: half of an 8 GB machine, which leaves room
+# for the interpreter, the libraries and allocator slack.
+_BUDGET_GIB = 4
+
+# Peak bytes of the norm command per drawn field entry: the two float draws,
+# the complex field and the Z-norm's per-entry weights (tracemalloc: 56-59).
+_NORM_BYTES_PER_ENTRY = 64
 
 
 class ConfigError(Exception):
@@ -285,14 +289,23 @@ def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_budget(nbytes):
+    gib = nbytes / 2**30
+    if gib > _BUDGET_GIB:
+        raise ConfigError(f"key 'n_max': needs {gib:.2f} GiB, over the {_BUDGET_GIB} GiB "
+                          "budget; reduce n_max, tau_pad or d")
+
+
 def _cmd_norm(cfg):
     grid = _grid(cfg)
+    sampled = grid.box_count * grid.n_tau > 4_000_000
+    n_columns = min(64, grid.box_count) if sampled else grid.box_count
+    _check_budget(_NORM_BYTES_PER_ENTRY * n_columns * grid.n_tau)
     rng = np.random.default_rng(cfg.seed)
-    if grid.box_count * grid.n_tau > 4_000_000:
-        keys = rng.choice(grid.box_count, size=64, replace=False)
+    columns = None
+    if sampled:
+        keys = rng.choice(grid.box_count, size=n_columns, replace=False)
         columns = grid.box_index[np.sort(keys)]
-    else:
-        columns = None
     u = random_field(grid, rng, columns=columns, envelope_power=-1.0)
     p = NormParams(s=cfg.s, b=cfg.b, mod_threshold=cfg.mod_threshold)
     obj = {
@@ -372,10 +385,7 @@ def _cmd_solve(cfg):
     params = SolverParams(s=cfg.s, T=cfg.T, max_iterations=cfg.max_iterations,
                           contraction_tolerance=cfg.tolerance,
                           mod_threshold=cfg.mod_threshold)
-    gib = peak_bytes(grid, params) / 2**30
-    if gib > _SOLVE_BUDGET_GIB:
-        raise ConfigError(f"key 'n_max': needs {gib:.2f} GiB, over the {_SOLVE_BUDGET_GIB} GiB "
-                          "budget; reduce n_max, tau_pad or d")
+    _check_budget(peak_bytes(grid, params))
     u0 = rough_initial_data(grid, cfg.s, cfg.seed)
 
     def dump(k, field):

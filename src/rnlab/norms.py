@@ -41,6 +41,11 @@ class NormParams:
             raise ValueError("mod_threshold must be positive")
 
 
+# t-samples per unit time of the sampled sup in ct_hs_norm and of the time
+# quadrature in l4_spacetime_norm.
+_CT_TIMES_PER_UNIT = 8
+_L4_TIMES_PER_UNIT = 16
+
 # Spatial columns per block of the X-norm; a multiple of 4, the row group of
 # OpenBLAS's matrix-vector kernel, so that on one thread each block rounds
 # each column as the one-call product does.
@@ -168,11 +173,11 @@ def spatial_hs_norm(ns, vals, s):
     return float(np.sqrt((w * np.abs(vals) ** 2).sum()))
 
 
-def ct_hs_norm(u, s, t_window, samples_per_unit=8):
+def ct_hs_norm(u, s, t_window):
     """sup over sampled t in the window of the H^s norm of u(t).
 
     u(n, t) is recovered per column by the inverse time-transform quadrature;
-    t is sampled at ``samples_per_unit`` points per unit time.
+    t is sampled at _CT_TIMES_PER_UNIT points per unit time.
     """
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
@@ -180,7 +185,7 @@ def ct_hs_norm(u, s, t_window, samples_per_unit=8):
     nyquist = np.pi / u.grid.tau_step
     if max(abs(t0), abs(t1)) > nyquist:
         raise ValueError("time window exceeds the reciprocal resolution of the tau-grid")
-    count = max(2, int(np.ceil((t1 - t0) * samples_per_unit)) + 1)
+    count = max(2, int(np.ceil((t1 - t0) * _CT_TIMES_PER_UNIT)) + 1)
     times = np.linspace(t0, t1, count)
     slices = time_slices(u, times)
     w = (1.0 + u.norm_sq_columns().astype(float)) ** s
@@ -188,19 +193,19 @@ def ct_hs_norm(u, s, t_window, samples_per_unit=8):
     return float(vals.max())
 
 
-def l4_spacetime_norm(u, t_window, oversample=2, samples_per_unit=16):
-    """Physical-space L^4 norm over T^d x window via oversampled synthesis."""
+def l4_spacetime_norm(u, t_window):
+    """Physical-space L^4 norm over T^d x window, synthesized on twice the box side."""
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
         raise ValueError("empty time window")
     grid = u.grid
-    count = max(3, int(np.ceil((t1 - t0) * samples_per_unit)) + 1)
+    count = max(3, int(np.ceil((t1 - t0) * _L4_TIMES_PER_UNIT)) + 1)
     times = np.linspace(t0, t1, count)
     tw = np.full(count, (t1 - t0) / (count - 1))
     tw[0] *= 0.5
     tw[-1] *= 0.5
     slices = time_slices(u, times)
-    P = _next_fast_len(oversample * grid.box_side)
+    P = _next_fast_len(2 * grid.box_side)
     shape = (P,) * grid.dimension + (count,)
     spectral = np.zeros(shape, dtype=np.complex128)
     idx = [u.index[:, a] % P for a in range(grid.dimension)]

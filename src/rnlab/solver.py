@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cutoffs
-from .cutoffs import CutoffSpec, free_evolution_data
+from .cutoffs import SUPPORT, free_evolution_data, standard_bump
 from .grid import FrequencyGrid, SpaceTimeField, _padded_product, _workspace, conjugate_reflect
 from .norms import NormParams, _z_apply, _z_factors, ct_hs_norm, spatial_hs_norm
 
@@ -41,14 +41,12 @@ _SERIES_MAX_TERMS = 60
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Picard iteration parameters; b is pinned to 2/3 by the bilinear estimate."""
+    """Picard iteration parameters; the Z-norm's b is 2/3, pinned by the bilinear estimate."""
 
     s: float
     T: float
-    b: float = 2.0 / 3.0
     max_iterations: int = 12
     contraction_tolerance: float = 1e-10
-    ball_radius: float | None = None
     mod_threshold: float = 2.0**-10
 
     def __post_init__(self):
@@ -60,7 +58,7 @@ class SolverParams:
             raise ValueError("max_iterations must be >= 1")
 
     def norm_params(self):
-        return NormParams(s=self.s, b=self.b, mod_threshold=self.mod_threshold)
+        return NormParams(s=self.s, b=2.0 / 3.0, mod_threshold=self.mod_threshold)
 
 
 @dataclass
@@ -107,7 +105,7 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-def nonlinear_fourier_data(u, v, cutoff):
+def nonlinear_fourier_data(u, v, T):
     """Data of (eta_{2T} conj(u)) * (eta_{2T} conj(v)) as one dealiased (x, t) product.
 
     The reflected factors go through ``grid._padded_product`` weighted by
@@ -121,37 +119,37 @@ def nonlinear_fourier_data(u, v, cutoff):
         return SpaceTimeField.zero(u.grid)
     fu = conjugate_reflect(u)
     fv = fu if v is u else conjugate_reflect(v)
-    return _padded_product(fu, fv, _eta_weight(cutoff))
+    return _padded_product(fu, fv, _eta_weight(T))
 
 
-def _eta_weight(cutoff):
+def _eta_weight(T):
     """eta(t / 2T), the product's weight on its t-nodes."""
-    return lambda t: cutoff.eta(t / (2.0 * cutoff.T))
+    return lambda t: standard_bump(t / (2.0 * T))
 
 
-def _psi_band(grid, nsq, cutoff):
+def _psi_band(grid, nsq):
     """(tau-indices, sigma, psi(sigma)) on each column's supp-psi band, shape (K, B).
 
-    psi vanishes for |sigma| >= support, so column n needs only the samples
-    from tau = -|n|^2 - support upward, located in closed form; off the band
+    psi vanishes for |sigma| >= SUPPORT, so column n needs only the samples
+    from tau = -|n|^2 - SUPPORT upward, located in closed form; off the band
     psi(sigma) is exactly zero.  The band holds one sample more than the
-    2 support / tau_step + 1 of an exact fit, so a start that rounds one
+    2 SUPPORT / tau_step + 1 of an exact fit, so a start that rounds one
     sample low still covers it.
     """
-    support = cutoff.psi.support
-    width = min(int(math.floor(2.0 * support / grid.tau_step)) + 2, grid.n_tau)
-    start = np.floor((-support - nsq) / grid.tau_step).astype(np.int64) + grid.half_index
+    width = min(int(math.floor(2.0 * SUPPORT / grid.tau_step)) + 2, grid.n_tau)
+    start = np.floor((-SUPPORT - nsq) / grid.tau_step).astype(np.int64) + grid.half_index
     cols = np.clip(start, 0, grid.n_tau - width)[:, None] + np.arange(width)
     # the same float operations as mod_array, so sigma matches it bitwise
     sigma = grid.tau_nodes[cols] + nsq[:, None].astype(float)
-    return cols, sigma, cutoff.psi(sigma)
+    return cols, sigma, standard_bump(sigma)
 
 
 @dataclass(frozen=True)
 class PicardPlan:
     """What no Picard step changes, built once per solve on every box column.
 
-    ``cols``, ``sigma``, ``psi``: each column's supp-psi band (``_psi_band``).
+    ``T``: the cutoff scale.  ``cols``, ``sigma``, ``psi``: each column's
+    supp-psi band (``_psi_band``).
     ``r``: the real high-modulation multiplier (1 - psi(sigma)) / sigma on
     every entry, zero where psi = 1, so (1 - psi) / (i sigma) = -i r.
     ``offsets``: each column's sigma-lattice position of tau_0,
@@ -161,7 +159,7 @@ class PicardPlan:
     """
 
     grid: FrequencyGrid
-    cutoff: CutoffSpec
+    T: float
     cols: np.ndarray
     sigma: np.ndarray
     psi: np.ndarray
@@ -170,10 +168,10 @@ class PicardPlan:
     z: tuple
 
     @classmethod
-    def build(cls, grid, cutoff, p):
-        """The plan of ``grid`` for the cutoff pair and the Z-norm parameters ``p``."""
+    def build(cls, grid, T, p):
+        """The plan of ``grid`` for the cutoff scale ``T`` and the Z-norm parameters ``p``."""
         nsq = FrequencyGrid.norm_sq(grid.box_index)
-        cols, sigma, psi = _psi_band(grid, nsq, cutoff)
+        cols, sigma, psi = _psi_band(grid, nsq)
         # the float operations of mod_array, so the Z factors are zsb_norm's
         mod = grid.tau_nodes[None, :] + nsq[:, None].astype(float)
         z = _z_factors(mod, nsq.astype(float), p)
@@ -184,12 +182,12 @@ class PicardPlan:
         # (1 - psi) * (1 / sigma): the rounding of the complex (1 - psi) / (i sigma)
         band[keep] = (1.0 - psi[keep]) * (1.0 / sigma[keep])
         np.put_along_axis(r, cols, band, axis=1)
-        _, j_max = cutoffs.sigma_lattice(grid, t_power=0, profile=cutoff.eta)
+        _, j_max = cutoffs.sigma_lattice(grid, t_power=0)
         offsets = cutoffs.profile_offsets(grid, nsq, j_max)
         arrays = (cols, sigma, psi, r, offsets) + z[0] + z[1:]
         for a in arrays:
             a.setflags(write=False)
-        return cls(grid, cutoff, cols, sigma, psi, r, offsets, z)
+        return cls(grid, T, cols, sigma, psi, r, offsets, z)
 
 
 def _n1_terms(fhat, plan, rows):
@@ -214,7 +212,7 @@ def _n1_terms(fhat, plan, rows):
     for k in range(1, _SERIES_MAX_TERMS + 1):
         coef *= 1j / k  # builds i^k / k!
         a = (-coef) * (weighted * sigma_pow).sum(axis=1)
-        lattice, _ = cutoffs.sigma_lattice(grid, t_power=k, profile=plan.cutoff.eta)
+        lattice, _ = cutoffs.sigma_lattice(grid, t_power=k)
         coefs.append(a)
         lattices.append(lattice)
         bound = np.abs(a).max() * np.abs(lattice).max()
@@ -242,7 +240,7 @@ def _gather(series, offsets, n_tau):
 
 
 def _eta_lattice(plan):
-    return cutoffs.sigma_lattice(plan.grid, t_power=0, profile=plan.cutoff.eta)
+    return cutoffs.sigma_lattice(plan.grid, t_power=0)
 
 
 def duhamel_n1(fhat, plan):
@@ -327,11 +325,10 @@ def peak_bytes(grid, params):
     t-nodes) or the Duhamel step (F, F r, N1's series of K plus at most
     _SERIES_MAX_TERMS + 1 lattice rows).  Cached cutoff transforms are not counted.
     """
-    cutoff = CutoffSpec(T=params.T)
     K, M = grid.box_count, grid.n_tau
-    shape, _, n_live, _ = _workspace(grid, _eta_weight(cutoff))
+    shape, _, n_live, _ = _workspace(grid, _eta_weight(params.T))
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
-    plan = 16 * K * M + 24 * K * (2.0 * cutoff.psi.support / grid.tau_step + 2)
+    plan = 16 * K * M + 24 * K * (2.0 * SUPPORT / grid.tau_step + 2)
     product = 32 * K * M + 16 * (K * shape[-1] + math.prod(shape[:-1]) * n_live)
     series = 32 * K * M + 16 * (K + _SERIES_MAX_TERMS + 1) * lattice
     return int(16 * K * M * 3 + plan + max(product, series))
@@ -347,18 +344,18 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     ``on_iterate(k, field)``, when given, receives iterate k as soon as it
     is made, from k = 0 up to and including one that diverges.  Raises
     DivergenceError (trace attached) when an iterate's Z-norm is not
-    finite or exceeds ten times the ball radius.
+    finite or exceeds ten times the ball radius, the Z-norm of the linear
+    solution.
     """
-    cutoff = CutoffSpec(T=params.T)
     if initial is not None:
         grid.assert_compatible(initial.grid)
-    plan = PicardPlan.build(grid, cutoff, params.norm_params())
+    plan = PicardPlan.build(grid, params.T, params.norm_params())
     w = grid.tau_weights
-    linear = _on_box(free_evolution_data(grid, u0, cutoff.eta, prune=False))
+    linear = _on_box(free_evolution_data(grid, u0))
     trace = IterationTrace()
     current = linear
     z0 = _z_apply(current.data, plan.z, w)
-    radius = params.ball_radius if params.ball_radius is not None else max(z0, 1e-12)
+    radius = max(z0, 1e-12)
     if initial is not None:
         current = _on_box(initial)
         z0 = _z_apply(current.data, plan.z, w)
@@ -368,7 +365,7 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     emit(0, current)
     for k in range(1, params.max_iterations + 1):
         # the product is not held through the norms and the next product
-        nxt = duhamel_rhs(nonlinear_fourier_data(current, current, cutoff), plan)
+        nxt = duhamel_rhs(nonlinear_fourier_data(current, current, params.T), plan)
         if nxt.n_columns:
             nxt.data += linear.data
         else:
@@ -396,7 +393,7 @@ def _on_box(u):
     return SpaceTimeField(u.grid, u.grid.box_index.copy(), u.box_array())
 
 
-def continuous_dependence(u0a, u0b, params, grid, samples_per_unit=8):
+def continuous_dependence(u0a, u0b, params, grid):
     """(input H^s distance, output C_t H^s distance on [-T, T], quotient)."""
     ta = picard_solve(u0a, params, grid)
     tb = picard_solve(u0b, params, grid)
@@ -406,7 +403,7 @@ def continuous_dependence(u0a, u0b, params, grid, samples_per_unit=8):
         raise ValueError("initial data must live on the same columns")
     input_dist = spatial_hs_norm(nsa, va - vb, params.s)
     diff = ta.final - tb.final
-    output_dist = ct_hs_norm(diff, params.s, (-params.T, params.T), samples_per_unit)
+    output_dist = ct_hs_norm(diff, params.s, (-params.T, params.T))
     if input_dist == 0.0:
         return 0.0, output_dist, float("nan")
     return input_dist, output_dist, output_dist / input_dist

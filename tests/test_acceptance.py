@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from rnlab.checks import run_all
-from rnlab.cutoffs import CutoffSpec, free_evolution_data
+from rnlab.cutoffs import free_evolution_data
 from rnlab.families import predicted_exponents
 from rnlab.grid import FrequencyGrid, time_slices
 from rnlab.norms import NormParams, ct_hs_norm, spatial_hs_norm
@@ -199,19 +199,19 @@ def test_criterion_4_remark_uu_obstruction():
 
 def test_criterion_5_duhamel_identity():
     grid = FrequencyGrid(2, 2, 240.0, 0.25)
-    cut = CutoffSpec(T=0.125)
+    T = 0.125
     rng = np.random.default_rng(321)
-    times = np.linspace(-cut.T, cut.T, 7)
+    times = np.linspace(-T, T, 7)
     t0 = time.perf_counter()
-    plan = PicardPlan.build(grid, cut, NormParams(s=S_DEFAULT))
+    plan = PicardPlan.build(grid, T, NormParams(s=S_DEFAULT))
     worst = 0.0
     for _ in range(10):
         ns = grid.box_index
         mk = lambda: ((rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns)))
                       * (1.0 + FrequencyGrid.norm_sq(ns).astype(float)) ** -2.0)
-        u = free_evolution_data(grid, (ns, mk()), prune=False)
-        v = free_evolution_data(grid, (ns, mk()), prune=False)
-        fhat = nonlinear_fourier_data(u, v, cut)
+        u = free_evolution_data(grid, (ns, mk()))
+        v = free_evolution_data(grid, (ns, mk()))
+        fhat = nonlinear_fourier_data(u, v, T)
         total = duhamel_n1(fhat, plan) + duhamel_n2(fhat, plan) + duhamel_n3(fhat, plan)
         lhs = time_slices(total, times)
         rhs = duhamel_time_integral(fhat, times)

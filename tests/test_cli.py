@@ -4,9 +4,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from rnlab.cli import ConfigError, ExperimentConfig, parse_config, run
+from rnlab.grid import FrequencyGrid
 
 
 class TestParseConfig:
@@ -191,6 +193,36 @@ class TestRunCommands:
         assert run(parse_config(args + ["--out", str(out_a)])) == 0
         assert run(parse_config(args + ["--out", str(out_b)])) == 0
         assert (out_a / "norms.json").read_bytes() == (out_b / "norms.json").read_bytes()
+
+    def test_norm_samples_every_column_of_a_small_box(self, tmp_path, monkeypatch):
+        # d=1, n_max=31 has 63 columns, and tau_pad 20000 puts the box over
+        # the sampling threshold; the sample is all 63, not 64 of 63
+        import rnlab.cli
+        drawn = []
+
+        def record(grid, rng, columns=None, envelope_power=0.0):
+            drawn.append(columns)
+            raise _Admitted
+
+        monkeypatch.setattr(rnlab.cli, "random_field", record)
+        cfg = parse_config(["norm", "--d", "1", "--n-max", "31", "--tau-pad", "20000",
+                            "--out", str(tmp_path)])
+        with pytest.raises(_Admitted):
+            run(cfg)
+        assert np.array_equal(drawn[0], FrequencyGrid.for_box(1, 31).box_index)
+
+    def test_norm_guard_names_key_before_drawing(self, tmp_path, monkeypatch, capsys):
+        # d=2, n_max=400 would draw 64 columns of 2,560,065 tau-samples
+        import rnlab.cli
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was drawn before the size guard")
+
+        monkeypatch.setattr(rnlab.cli, "random_field", no_field)
+        cfg = parse_config(["norm", "--d", "2", "--n-max", "400", "--out", str(tmp_path)])
+        assert run(cfg) == 2
+        err = capsys.readouterr().err
+        assert "'n_max'" in err and "budget" in err
 
     def test_family_command(self, tmp_path):
         cfg = parse_config(["family", "--family", "remark_uu", "--N", "4,8",

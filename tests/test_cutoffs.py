@@ -1,22 +1,20 @@
-"""Bump profiles, lattice transforms, free evolution, time cutoffs."""
+"""The bump, lattice transforms, free evolution, time cutoffs."""
 
 import numpy as np
 import pytest
 
 from rnlab.cutoffs import (
-    BumpProfile,
-    CutoffSpec,
     _spatial_pairs,
     apply_time_cutoff,
     free_evolution_data,
     gather_profile,
     sigma_lattice,
     standard_bump,
-    _transform_on_lattice,
     transform_on_lattice,
 )
 from rnlab.grid import FrequencyGrid, SpaceTimeField, time_slices
 from rnlab.norms import NormParams, xsb_norm
+from rnlab.solver import SolverParams, picard_solve
 
 
 class TestBumpProfile:
@@ -36,15 +34,6 @@ class TestBumpProfile:
         t = np.linspace(1.0, 2.0, 100)
         v = standard_bump(t)
         assert (np.diff(v) <= 1e-12).all()
-
-
-class TestCutoffSpec:
-    def test_scale_bounds(self):
-        CutoffSpec(T=0.25)
-        with pytest.raises(ValueError):
-            CutoffSpec(T=0.3)
-        with pytest.raises(ValueError):
-            CutoffSpec(T=0.0)
 
 
 class TestTransformOnLattice:
@@ -71,25 +60,6 @@ class TestTransformOnLattice:
     def test_cache_returns_readonly(self):
         arr = transform_on_lattice(0.5, 4)
         assert not arr.flags.writeable
-
-    def test_cache_keyed_by_profile_value(self):
-        class WideBump(BumpProfile):
-            support = 3.0
-
-            def __call__(self, t):  # the standard bump stretched by 3/2
-                return super().__call__(np.asarray(t, dtype=float) / 1.5)
-
-        std = transform_on_lattice(0.5, 8)
-        wide = transform_on_lattice(0.5, 8, profile=WideBump())
-        assert not np.allclose(std, wide)
-        assert not wide.flags.writeable
-        # equal profiles share one entry; freed temporaries, whose ids the
-        # interpreter reuses, never pick up the other shape's transform
-        assert transform_on_lattice(0.5, 8.0, profile=BumpProfile()) is std
-        for _ in range(20):
-            assert transform_on_lattice(0.5, 8, profile=WideBump()) is wide
-            assert transform_on_lattice(0.5, 8, profile=BumpProfile()) is std
-        assert _transform_on_lattice.cache_info().maxsize >= 128
 
 
 class TestFreeEvolution:
@@ -158,7 +128,8 @@ class TestFreeEvolution:
 
 
 def _free_evolution_oracle(grid, phi_hat, prune=True):
-    """The construction free_evolution_data replaced: scaled copy, then sorted copy."""
+    """The construction free_evolution_data replaced: scaled copy, then sorted
+    copy; ``prune=False`` keeps the zero coefficients' columns."""
     ns, vals = _spatial_pairs(grid, phi_hat)
     if prune:
         keep = vals != 0
@@ -168,6 +139,12 @@ def _free_evolution_oracle(grid, phi_hat, prune=True):
     return SpaceTimeField.from_columns(grid, ns, vals[:, None] * rows)
 
 
+_INPUT_GRIDS = pytest.mark.parametrize("grid", [FrequencyGrid.for_box(2, 4, 0.25),
+                                                 FrequencyGrid.for_box(1, 8, 0.25)])
+_INPUT_CASES = pytest.mark.parametrize("case", ["box_order", "box_array", "shuffled", "zeros",
+                                                "all_zero"])
+
+
 class TestFreeEvolutionInPlace:
     def _pairs(self, grid, seed):
         rng = np.random.default_rng(seed)
@@ -175,29 +152,44 @@ class TestFreeEvolutionInPlace:
         vals = rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))
         return ns, vals
 
-    @pytest.mark.parametrize("grid", [FrequencyGrid.for_box(2, 4, 0.25),
-                                      FrequencyGrid.for_box(1, 8, 0.25)])
-    @pytest.mark.parametrize("case", ["box_order", "box_array", "shuffled", "zeros",
-                                      "all_zero"])
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_bitwise_equal_to_old_construction(self, grid, case, prune):
+    def _phi(self, grid, case):
         ns, vals = self._pairs(grid, 7)
         perm = np.random.default_rng(8).permutation(len(ns))
-        phi = (ns, vals)
         if case == "box_array":
-            phi = vals.reshape((grid.box_side,) * grid.dimension)
-        elif case == "shuffled":
-            phi = (ns[perm], vals[perm])
-        elif case == "zeros":
+            return vals.reshape((grid.box_side,) * grid.dimension)
+        if case == "shuffled":
+            return ns[perm], vals[perm]
+        if case == "zeros":
             vals[::3] = 0.0
-            phi = (ns[perm], vals[perm])
-        elif case == "all_zero":
+            return ns[perm], vals[perm]
+        if case == "all_zero":
             vals[:] = 0.0
-        got = free_evolution_data(grid, phi, prune=prune)
-        want = _free_evolution_oracle(grid, phi, prune=prune)
+        return ns, vals
+
+    @_INPUT_GRIDS
+    @_INPUT_CASES
+    def test_bitwise_equal_to_old_construction(self, grid, case):
+        phi = self._phi(grid, case)
+        got = free_evolution_data(grid, phi)
+        want = _free_evolution_oracle(grid, phi)
         assert np.array_equal(got.index, want.index)
         assert np.array_equal(got.data, want.data)
         assert got.data.flags.writeable and got.data.flags.c_contiguous
+
+    @_INPUT_GRIDS
+    @_INPUT_CASES
+    def test_solve_puts_the_dropped_columns_back(self, grid, case):
+        # a solve's iterate 0 is the unpruned construction on the whole box
+        phi = self._phi(grid, case)
+        seen = []
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=1)
+        picard_solve(phi, params, grid, on_iterate=lambda k, u: seen.append((k, u)))
+        unpruned = _free_evolution_oracle(grid, phi, prune=False)
+        want = SpaceTimeField(grid, grid.box_index.copy(), unpruned.box_array())
+        k, first = seen[0]
+        assert k == 0
+        assert np.array_equal(first.index, want.index)
+        assert np.array_equal(first.data, want.data)
 
     def test_duplicate_columns_rejected(self, small_grid):
         ns = np.array([[1, 0], [0, 2], [1, 0]])

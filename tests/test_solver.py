@@ -14,7 +14,7 @@ from scipy import fft as sfft
 
 import rnlab
 from rnlab import cutoffs
-from rnlab.cutoffs import CutoffSpec, apply_time_cutoff, free_evolution_data
+from rnlab.cutoffs import apply_time_cutoff, free_evolution_data, standard_bump
 from rnlab.grid import (
     FrequencyGrid,
     SpaceTimeField,
@@ -55,22 +55,22 @@ def smooth_pair(grid, seed, decay=2.0):
     ns = grid.box_index
     mk = lambda: (rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))) \
         * (1.0 + FrequencyGrid.norm_sq(ns).astype(float)) ** -decay
-    u = free_evolution_data(grid, (ns, mk()), prune=False)
-    v = free_evolution_data(grid, (ns, mk()), prune=False)
+    u = free_evolution_data(grid, (ns, mk()))
+    v = free_evolution_data(grid, (ns, mk()))
     return u, v
 
 
-def _plan(grid, cutoff):
-    return PicardPlan.build(grid, cutoff, NormParams(s=-0.6))
+def _plan(grid, T):
+    return PicardPlan.build(grid, T, NormParams(s=-0.6))
 
 
-def _n1_taylor_oracle(fhat, cutoff):
+def _n1_taylor_oracle(fhat):
     """N1 as a full-window Taylor loop: per term, the sigma^{k-1}-moment of
     psi F over every stored entry times a gathered F(t^k eta) profile,
     truncated when max|term| falls below 1e-12 of max|sum| twice in a row."""
     grid = fhat.grid
     mod = fhat.mod_array()
-    weighted = fhat.data * cutoff.psi(mod)
+    weighted = fhat.data * standard_bump(mod)
     nsq = fhat.norm_sq_columns()
     out = np.zeros_like(fhat.data)
     sigma_pow = np.ones_like(mod)
@@ -78,7 +78,7 @@ def _n1_taylor_oracle(fhat, cutoff):
     below = 0
     for k in range(1, 61):
         moments = (weighted * sigma_pow) @ grid.tau_weights
-        lattice, j_max = cutoffs.sigma_lattice(grid, t_power=k, profile=cutoff.eta)
+        lattice, j_max = cutoffs.sigma_lattice(grid, t_power=k)
         coef *= 1j / k
         term = (-coef) * cutoffs.gather_profile(grid, nsq, lattice, j_max) * moments[:, None]
         out += term
@@ -92,16 +92,16 @@ def _n1_taylor_oracle(fhat, cutoff):
     return out
 
 
-def _truncated_product_oracle(u, v, cutoff):
+def _truncated_product_oracle(u, v, T):
     """The cut-off product through a window-truncated kernel: each reflected
     factor is convolved in tau with the cutoff kernel on [-(M-1), M-1] and
     cropped to the window, then the two are convolved in space-time."""
-    a = apply_time_cutoff(conjugate_reflect(u), 2.0 * cutoff.T, cutoff.eta)
-    b = apply_time_cutoff(conjugate_reflect(v), 2.0 * cutoff.T, cutoff.eta)
+    a = apply_time_cutoff(conjugate_reflect(u), 2.0 * T)
+    b = apply_time_cutoff(conjugate_reflect(v), 2.0 * T)
     return spacetime_convolve(a, b)
 
 
-def _workspace_product(u, v, cutoff, P):
+def _workspace_product(u, v, T, P):
     """The fused (x, t) product with tau length P, on every workspace sample:
     the cut-off factor's tail aliases at the period P h."""
     grid = u.grid
@@ -109,7 +109,7 @@ def _workspace_product(u, v, cutoff, P):
     shape = (sfft.next_fast_len(2 * grid.box_side - 1),) * d + (P,)
     l = np.arange(P)
     t = 2.0 * math.pi * np.where(l > P // 2, l - P, l) / (grid.tau_step * P)
-    eta = cutoff.eta(t / (2.0 * cutoff.T))
+    eta = standard_bump(t / (2.0 * T))
     prod = np.ones(shape, dtype=np.complex128)
     for f in (u, v):
         prod *= sfft.fftn(conjugate_reflect(f).box_array(), s=shape) * eta
@@ -118,10 +118,10 @@ def _workspace_product(u, v, cutoff, P):
     return grid.tau_step * core.reshape(-1, M)
 
 
-def _high_modulation_oracle(fhat, cutoff):
+def _high_modulation_oracle(fhat):
     """(1 - psi(sigma)) / (i sigma) with psi evaluated on every stored entry."""
     mod = fhat.mod_array()
-    psi = cutoff.psi(mod)
+    psi = standard_bump(mod)
     out = np.zeros_like(mod, dtype=np.complex128)
     mask = psi < 1.0
     out[mask] = (1.0 - psi[mask]) / (1j * mod[mask])
@@ -131,10 +131,8 @@ def _high_modulation_oracle(fhat, cutoff):
 def _product_pair(box):
     grid = FrequencyGrid(2, 2, 240.0, 0.25) if box == "duhamel" \
         else FrequencyGrid.for_box(*box, tau_step=0.25)
-    cut = CutoffSpec(T=0.125)
-    u, v = (free_evolution_data(grid, rough_initial_data(grid, -0.6, seed), cut,
-                                prune=False) for seed in (1, 2))
-    return u, v, cut
+    u, v = (free_evolution_data(grid, rough_initial_data(grid, -0.6, seed)) for seed in (1, 2))
+    return u, v, 0.125
 
 
 class TestFastPathsAgainstOracles:
@@ -144,32 +142,32 @@ class TestFastPathsAgainstOracles:
         return _product_pair(request.param)
 
     def test_n1_matches_taylor_oracle(self, pair):
-        u, v, cut = pair
+        u, v, T = pair
         for a, b in ((u, v), (u, u)):
-            fhat = nonlinear_fourier_data(a, b, cut)
-            old = _n1_taylor_oracle(fhat, cut)
-            new = duhamel_n1(fhat, _plan(a.grid, cut))
+            fhat = nonlinear_fourier_data(a, b, T)
+            old = _n1_taylor_oracle(fhat)
+            new = duhamel_n1(fhat, _plan(a.grid, T))
             assert np.array_equal(new.index, fhat.index)
             assert np.abs(new.data - old).max() <= 1e-12 * np.abs(old).max()
 
     def test_n2_n3_bitwise_against_full_window_multiplier(self, pair):
-        u, v, cut = pair
-        fhat = nonlinear_fourier_data(u, v, cut)
-        mult = _high_modulation_oracle(fhat, cut)
-        plan = _plan(u.grid, cut)
+        u, v, T = pair
+        fhat = nonlinear_fourier_data(u, v, T)
+        mult = _high_modulation_oracle(fhat)
+        plan = _plan(u.grid, T)
         assert np.array_equal(duhamel_n3(fhat, plan).data, -1j * fhat.data * mult)
         sums = (fhat.data * mult) @ fhat.grid.tau_weights
-        lattice, j_max = cutoffs.sigma_lattice(fhat.grid, 0, cut.eta)
+        lattice, j_max = cutoffs.sigma_lattice(fhat.grid, 0)
         rows = cutoffs.gather_profile(fhat.grid, fhat.norm_sq_columns(), lattice, j_max)
         assert np.array_equal(duhamel_n2(fhat, plan).data, 1j * rows * sums[:, None])
 
     def test_self_product_bitwise(self, pair):
-        u, _, cut = pair
-        shared = nonlinear_fourier_data(u, u, cut)
-        separate = nonlinear_fourier_data(u, u.copy(), cut)
+        u, _, T = pair
+        shared = nonlinear_fourier_data(u, u, T)
+        separate = nonlinear_fourier_data(u, u.copy(), T)
         assert np.array_equal(shared.index, separate.index)
         assert np.array_equal(shared.data, separate.data)
-        f = apply_time_cutoff(conjugate_reflect(u), 2.0 * cut.T, cut.eta)
+        f = apply_time_cutoff(conjugate_reflect(u), 2.0 * T)
         shared = spacetime_convolve(f, f)
         separate = spacetime_convolve(f, f.copy())
         assert np.array_equal(shared.index, separate.index)
@@ -184,60 +182,59 @@ class TestFusedProduct:
     def test_agrees_with_truncated_oracle(self):
         # the two differ by the kernel tail the oracle truncates (2.3e-8 and
         # 9.5e-9 of max), which is small only on a window this wide
-        u, v, cut = _product_pair((1, 32))
+        u, v, T = _product_pair((1, 32))
         for a, b in ((u, v), (u, u)):
-            new = nonlinear_fourier_data(a, b, cut)
-            old = _truncated_product_oracle(a, b, cut)
+            new = nonlinear_fourier_data(a, b, T)
+            old = _truncated_product_oracle(a, b, T)
             assert np.array_equal(new.index, old.index)
             assert np.abs(new.data - old.data).max() <= 1e-7 * np.abs(old.data).max()
 
     @SHORT_WINDOWS
     def test_matches_every_workspace_sample(self, box):
         # carrying only the t-nodes where eta is non-zero changes no value
-        u, v, cut = _product_pair(box)
+        u, v, T = _product_pair(box)
         P = _workspace(u.grid)[0][-1]
         for a, b in ((u, v), (u, u)):
-            want = _workspace_product(a, b, cut, P)
-            got = nonlinear_fourier_data(a, b, cut).data
+            want = _workspace_product(a, b, T, P)
+            got = nonlinear_fourier_data(a, b, T).data
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @SHORT_WINDOWS
     def test_closer_than_oracle_to_oversampled_product(self, box):
-        u, v, cut = _product_pair(box)
+        u, v, T = _product_pair(box)
         for a, b in ((u, v), (u, u)):
-            fine = _workspace_product(a, b, cut, sfft.next_fast_len(16 * a.grid.n_tau))
-            fused = np.abs(nonlinear_fourier_data(a, b, cut).data - fine).max()
-            truncated = np.abs(_truncated_product_oracle(a, b, cut).data - fine).max()
+            fine = _workspace_product(a, b, T, sfft.next_fast_len(16 * a.grid.n_tau))
+            fused = np.abs(nonlinear_fourier_data(a, b, T).data - fine).max()
+            truncated = np.abs(_truncated_product_oracle(a, b, T).data - fine).max()
             assert fused <= 0.1 * truncated
 
     @SHORT_WINDOWS
     def test_symmetric_in_its_factors(self, box):
-        u, v, cut = _product_pair(box)
-        uv = nonlinear_fourier_data(u, v, cut)
-        vu = nonlinear_fourier_data(v, u, cut)
+        u, v, T = _product_pair(box)
+        uv = nonlinear_fourier_data(u, v, T)
+        vu = nonlinear_fourier_data(v, u, T)
         assert np.array_equal(uv.index, vu.index)
         assert np.abs(uv.data - vu.data).max() <= 1e-13 * np.abs(uv.data).max()
 
     @SHORT_WINDOWS
     def test_empty_operand_gives_zero_field(self, box):
-        u, _, cut = _product_pair(box)
+        u, _, T = _product_pair(box)
         empty = SpaceTimeField.zero(u.grid)
         zeros = SpaceTimeField(u.grid, u.index.copy(), np.zeros_like(u.data))
         for a, b in ((u, empty), (empty, u), (empty, empty), (u, zeros), (zeros, zeros)):
-            assert nonlinear_fourier_data(a, b, cut).n_columns == 0
+            assert nonlinear_fourier_data(a, b, T).n_columns == 0
 
 
 def _picard_oracle(u0, params, grid):
     """The Picard loop as fields: linear + N1 + N2 + N3 summed per step, each
     Z-norm by zsb_norm; returns (Z-norms, successive differences)."""
-    cut = CutoffSpec(T=params.T)
     p = params.norm_params()
-    plan = PicardPlan.build(grid, cut, p)
-    linear = free_evolution_data(grid, u0, cut.eta, prune=False)
+    plan = PicardPlan.build(grid, params.T, p)
+    linear = free_evolution_data(grid, u0)
     current = linear
     z_norms, diffs = [zsb_norm(current, p)], []
     for _ in range(params.max_iterations):
-        fhat = nonlinear_fourier_data(current, current, cut)
+        fhat = nonlinear_fourier_data(current, current, params.T)
         nxt = linear + duhamel_n1(fhat, plan) + duhamel_n2(fhat, plan) + duhamel_n3(fhat, plan)
         z_norms.append(zsb_norm(nxt, p))
         diffs.append(zsb_norm(nxt - current, p))
@@ -267,9 +264,9 @@ def _assert_same_trace(a, b):
 class TestPicardPlan:
     @SHORT_WINDOWS
     def test_rhs_is_the_sum_of_the_pieces(self, box):
-        u, v, cut = _product_pair(box)
-        plan = _plan(u.grid, cut)
-        fhat = nonlinear_fourier_data(u, v, cut)
+        u, v, T = _product_pair(box)
+        plan = _plan(u.grid, T)
+        fhat = nonlinear_fourier_data(u, v, T)
         # the full box, and one column, which takes the plan's row by its key
         for f in (fhat, SpaceTimeField(fhat.grid, fhat.index[1:2], fhat.data[1:2])):
             pieces = duhamel_n1(f, plan) + duhamel_n2(f, plan) + duhamel_n3(f, plan)
@@ -290,7 +287,7 @@ class TestPicardPlan:
 
     def test_arrays_are_read_only(self):
         grid = FrequencyGrid.for_box(1, 8, 0.25)
-        plan = _plan(grid, CutoffSpec(T=0.125))
+        plan = _plan(grid, 0.125)
         lo, *weights = plan.z
         arrays = [plan.cols, plan.sigma, plan.psi, plan.r, plan.offsets, *lo, *weights]
         for a in arrays:
@@ -323,7 +320,7 @@ class TestPicardPlan:
     def test_initial_on_column_subset_is_scattered(self):
         grid = FrequencyGrid.for_box(1, 8, 0.25)
         u0 = rough_initial_data(grid, -0.6, 3)
-        linear = free_evolution_data(grid, u0, prune=False)
+        linear = free_evolution_data(grid, u0)
         subset = SpaceTimeField(grid, linear.index[::3], linear.data[::3])
         on_box = SpaceTimeField(grid, grid.box_index.copy(), subset.box_array())
         params = SolverParams(s=-0.6, T=0.125, max_iterations=4, contraction_tolerance=0.0)
@@ -345,63 +342,63 @@ class TestSolverParams:
 
 class TestDuhamelOperators:
     def test_zero_inputs(self, duhamel_grid):
-        cut = CutoffSpec(T=0.125)
+        T = 0.125
         z = SpaceTimeField.zero(duhamel_grid)
         for op in (duhamel_n1, duhamel_n2, duhamel_n3):
-            assert op(nonlinear_fourier_data(z, z, cut), _plan(duhamel_grid, cut)).max_abs() == 0.0
+            assert op(nonlinear_fourier_data(z, z, T), _plan(duhamel_grid, T)).max_abs() == 0.0
 
     def test_n1_output_columns_single_mode(self, duhamel_grid):
         # conjugates add frequencies negatively: u = v at n0 -> column -2 n0
-        cut = CutoffSpec(T=0.125)
+        T = 0.125
         ns = np.array([[1, 0]])
         u = free_evolution_data(duhamel_grid, (ns, np.array([1.0 + 0j])))
-        out = duhamel_n1(nonlinear_fourier_data(u, u, cut), _plan(duhamel_grid, cut))
+        out = duhamel_n1(nonlinear_fourier_data(u, u, T), _plan(duhamel_grid, T))
         out_index = out.index[np.abs(out.data).max(axis=1) > 1e-14]
         assert out_index.tolist() == [[-2, 0]]
 
     def test_n2_n3_vanish_on_low_modulation_product(self, duhamel_grid):
         # a product supported where |sigma| <= 1 is annihilated by 1 - psi
-        cut = CutoffSpec(T=0.125)
+        T = 0.125
         prof = np.zeros(duhamel_grid.n_tau, complex)
         j0 = duhamel_grid.tau_index(-2.0)
         j1 = duhamel_grid.tau_index(-1.0)  # sigma = tau + 2 in [0, 1]
         prof[j0:j1 + 1] = 1.0
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 1]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        assert duhamel_n2(fhat, _plan(duhamel_grid, cut)).max_abs() == 0.0
-        assert duhamel_n3(fhat, _plan(duhamel_grid, cut)).max_abs() == 0.0
+        assert duhamel_n2(fhat, _plan(duhamel_grid, T)).max_abs() == 0.0
+        assert duhamel_n3(fhat, _plan(duhamel_grid, T)).max_abs() == 0.0
 
     def test_n3_multiplier_values(self, duhamel_grid):
-        cut = CutoffSpec(T=0.125)
+        T = 0.125
         prof = np.zeros(duhamel_grid.n_tau, complex)
         j = duhamel_grid.tau_index(3.0)  # sigma = 3 + 2 = 5 on column (1,1)
         prof[j] = 2.0
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 1]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        out = duhamel_n3(fhat, _plan(duhamel_grid, cut))
+        out = duhamel_n3(fhat, _plan(duhamel_grid, T))
         # -i * F * (1 - psi(5)) / (i 5) = -F / 5 since psi(5) = 0
         assert out.column([1, 1])[j] == pytest.approx(-2.0 / 5.0, rel=1e-12)
 
     def test_series_handles_zero_modulation(self, duhamel_grid):
         # data exactly on the paraboloid: sigma = 0 must stay finite
-        cut = CutoffSpec(T=0.125)
+        T = 0.125
         prof = np.zeros(duhamel_grid.n_tau, complex)
         prof[duhamel_grid.tau_index(-1.0)] = 1.0  # sigma = 0 at n = (1, 0)
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 0]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        out = duhamel_n1(fhat, _plan(duhamel_grid, cut))
+        out = duhamel_n1(fhat, _plan(duhamel_grid, T))
         assert np.isfinite(out.data).all()
         assert out.max_abs() > 0.0
 
     def test_duhamel_identity_against_quadrature(self, duhamel_grid):
         # N1+N2+N3 synthesized in time equals the adaptive-quadrature Duhamel
         # integral of the same product data, on [-T, T]
-        cut = CutoffSpec(T=0.125)
+        T = 0.125
         u, v = smooth_pair(duhamel_grid, seed=42)
-        fhat = nonlinear_fourier_data(u, v, cut)
-        plan = _plan(duhamel_grid, cut)
+        fhat = nonlinear_fourier_data(u, v, T)
+        plan = _plan(duhamel_grid, T)
         total = duhamel_n1(fhat, plan) + duhamel_n2(fhat, plan) + duhamel_n3(fhat, plan)
-        times = np.linspace(-cut.T, cut.T, 7)
+        times = np.linspace(-T, T, 7)
         lhs = time_slices(total, times)
         rhs = duhamel_time_integral(fhat, times)
         assert np.abs(lhs - rhs).max() <= 1e-6 * np.abs(rhs).max()
@@ -437,7 +434,7 @@ print(codes, spacetime_convolve(u, u).n_columns, l4_spacetime_norm(u, (-0.5, 0.5
 
 class TestPicard:
     def test_zero_data_fixed_at_zero(self, duhamel_grid):
-        params = SolverParams(s=-0.6, T=0.125, max_iterations=3, ball_radius=1.0)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=3)
         ns = duhamel_grid.box_index
         trace = picard_solve((ns, np.zeros(len(ns), complex)), params, duhamel_grid)
         assert trace.converged
@@ -461,10 +458,9 @@ class TestPicard:
         trace = picard_solve(u0, params, grid)
         assert trace.converged
         # converged iterate satisfies || u - Gamma[u] || <= tolerance
-        cut = CutoffSpec(T=params.T)
-        linear = free_evolution_data(grid, u0, prune=False)
+        linear = free_evolution_data(grid, u0)
         u = trace.final
-        rhs = duhamel_rhs(nonlinear_fourier_data(u, u, cut), _plan(grid, cut))
+        rhs = duhamel_rhs(nonlinear_fourier_data(u, u, params.T), _plan(grid, params.T))
         resid = zsb_norm(linear + rhs - u, params.norm_params())
         assert resid <= params.contraction_tolerance
 
@@ -474,7 +470,7 @@ class TestPicard:
         params = SolverParams(s=-0.6, T=0.0625, max_iterations=30,
                               contraction_tolerance=1e-10)
         t1 = picard_solve(u0, params, grid)
-        linear = free_evolution_data(grid, u0, prune=False)
+        linear = free_evolution_data(grid, u0)
         rng = np.random.default_rng(5)
         bump = SpaceTimeField(grid, linear.index.copy(),
                               0.05 * (rng.standard_normal(linear.data.shape)
@@ -528,7 +524,7 @@ class TestPicard:
         grid = FrequencyGrid.for_box(1, 8, 0.25)
         ns, vals = rough_initial_data(grid, -0.6, seed=1)
         params = SolverParams(s=-0.6, T=0.25, max_iterations=25,
-                              contraction_tolerance=1e-12, ball_radius=1.0)
+                              contraction_tolerance=1e-12)
         with pytest.raises(DivergenceError) as err:
             picard_solve((ns, 40.0 * vals), params, grid)
         assert len(err.value.trace.z_norms) >= 2
@@ -537,7 +533,7 @@ class TestPicard:
         # NaN > 10 * radius is False, so the Z-norm is checked for finiteness
         grid = FrequencyGrid.for_box(1, 8, 0.25)
         u0 = rough_initial_data(grid, -0.6, seed=1)
-        initial = free_evolution_data(grid, u0, prune=False)
+        initial = free_evolution_data(grid, u0)
         initial.data[3, 100] = np.nan
         params = SolverParams(s=-0.6, T=0.125, max_iterations=5)
         with pytest.raises(DivergenceError, match="nan") as err:
@@ -687,7 +683,7 @@ class TestFieldDumps:
     def test_roundtrip(self, tmp_path):
         grid = FrequencyGrid.for_box(1, 4, 0.25)
         u0 = rough_initial_data(grid, -0.6, seed=2)
-        u = free_evolution_data(grid, u0, prune=False)
+        u = free_evolution_data(grid, u0)
         path = tmp_path / "field.bin"
         dump_field(u, path)
         back = load_field(path)
@@ -697,7 +693,7 @@ class TestFieldDumps:
 
     def test_load_rejects_non_finite(self, tmp_path):
         grid = FrequencyGrid.for_box(1, 4, 0.25)
-        u = free_evolution_data(grid, rough_initial_data(grid, -0.6, seed=2), prune=False)
+        u = free_evolution_data(grid, rough_initial_data(grid, -0.6, seed=2))
         u.data[1, 5] = np.inf
         path = tmp_path / "field.bin"
         dump_field(u, path)
