@@ -52,13 +52,17 @@ class SolverParams:
     def __post_init__(self):
         if not self.s > -2.0 / 3.0:
             raise ValueError("regularity must satisfy s > -2/3")
-        if not 0.0 < self.T <= 0.25:
-            raise ValueError("localization scale must satisfy 0 < T <= 1/4")
+        _check_scale(self.T)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
     def norm_params(self):
         return NormParams(s=self.s, b=2.0 / 3.0, mod_threshold=self.mod_threshold)
+
+
+def _check_scale(T):
+    if not 0.0 < T <= 0.25:
+        raise ValueError("localization scale must satisfy 0 < T <= 1/4")
 
 
 @dataclass
@@ -113,7 +117,9 @@ def nonlinear_fourier_data(u, v, T):
     the spatial transforms.  The cut-off factor is not truncated to the
     tau-window: its transform tail aliases at the workspace period.  When
     ``v is u`` the one reflected factor is passed twice and squared.
+    The scale must satisfy 0 < T <= 1/4, as in ``SolverParams``.
     """
+    _check_scale(T)
     u.grid.assert_compatible(v.grid)
     if not (u.data.any() and v.data.any()):
         return SpaceTimeField.zero(u.grid)
@@ -148,8 +154,7 @@ def _psi_band(grid, nsq):
 class PicardPlan:
     """What no Picard step changes, built once per solve on every box column.
 
-    ``T``: the cutoff scale.  ``cols``, ``sigma``, ``psi``: each column's
-    supp-psi band (``_psi_band``).
+    ``cols``, ``sigma``, ``psi``: each column's supp-psi band (``_psi_band``).
     ``r``: the real high-modulation multiplier (1 - psi(sigma)) / sigma on
     every entry, zero where psi = 1, so (1 - psi) / (i sigma) = -i r.
     ``offsets``: each column's sigma-lattice position of tau_0,
@@ -159,7 +164,6 @@ class PicardPlan:
     """
 
     grid: FrequencyGrid
-    T: float
     cols: np.ndarray
     sigma: np.ndarray
     psi: np.ndarray
@@ -168,8 +172,8 @@ class PicardPlan:
     z: tuple
 
     @classmethod
-    def build(cls, grid, T, p):
-        """The plan of ``grid`` for the cutoff scale ``T`` and the Z-norm parameters ``p``."""
+    def build(cls, grid, p):
+        """The plan of ``grid`` for the Z-norm parameters ``p``; no array depends on T."""
         nsq = FrequencyGrid.norm_sq(grid.box_index)
         cols, sigma, psi = _psi_band(grid, nsq)
         # the float operations of mod_array, so the Z factors are zsb_norm's
@@ -187,7 +191,7 @@ class PicardPlan:
         arrays = (cols, sigma, psi, r, offsets) + z[0] + z[1:]
         for a in arrays:
             a.setflags(write=False)
-        return cls(grid, T, cols, sigma, psi, r, offsets, z)
+        return cls(grid, cols, sigma, psi, r, offsets, z)
 
 
 def _n1_terms(fhat, plan, rows):
@@ -349,7 +353,7 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     """
     if initial is not None:
         grid.assert_compatible(initial.grid)
-    plan = PicardPlan.build(grid, params.T, params.norm_params())
+    plan = PicardPlan.build(grid, params.norm_params())
     w = grid.tau_weights
     linear = _on_box(free_evolution_data(grid, u0))
     trace = IterationTrace()

@@ -203,7 +203,7 @@ def test_criterion_5_duhamel_identity():
     rng = np.random.default_rng(321)
     times = np.linspace(-T, T, 7)
     t0 = time.perf_counter()
-    plan = PicardPlan.build(grid, T, NormParams(s=S_DEFAULT))
+    plan = PicardPlan.build(grid, NormParams(s=S_DEFAULT))
     worst = 0.0
     for _ in range(10):
         ns = grid.box_index

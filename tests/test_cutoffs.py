@@ -10,6 +10,7 @@ from rnlab.cutoffs import (
     gather_profile,
     sigma_lattice,
     standard_bump,
+    _transform_on_lattice,
     transform_on_lattice,
 )
 from rnlab.grid import FrequencyGrid, SpaceTimeField, time_slices
@@ -60,6 +61,11 @@ class TestTransformOnLattice:
     def test_cache_returns_readonly(self):
         arr = transform_on_lattice(0.5, 4)
         assert not arr.flags.writeable
+
+    def test_cache_key_and_size(self):
+        # j_max is keyed as an int, so 8.0 and 8 share one entry
+        assert transform_on_lattice(0.5, 8.0) is transform_on_lattice(0.5, 8)
+        assert _transform_on_lattice.cache_info().maxsize >= 128
 
 
 class TestFreeEvolution:

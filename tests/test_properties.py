@@ -314,7 +314,7 @@ class TestTrimmedNorms:
     def test_plan_factors_bitwise(self, grid, seed, p):
         # the Picard plan's box factors give zsb_norm's value on a full-box field
         u = random_field(grid, np.random.default_rng(seed))
-        plan = PicardPlan.build(grid, 0.125, p)
+        plan = PicardPlan.build(grid, p)
         assert _z_apply(u.data, plan.z, grid.tau_weights) == zsb_norm(u, p)
 
 

@@ -60,8 +60,8 @@ def smooth_pair(grid, seed, decay=2.0):
     return u, v
 
 
-def _plan(grid, T):
-    return PicardPlan.build(grid, T, NormParams(s=-0.6))
+def _plan(grid):
+    return PicardPlan.build(grid, NormParams(s=-0.6))
 
 
 def _n1_taylor_oracle(fhat):
@@ -146,7 +146,7 @@ class TestFastPathsAgainstOracles:
         for a, b in ((u, v), (u, u)):
             fhat = nonlinear_fourier_data(a, b, T)
             old = _n1_taylor_oracle(fhat)
-            new = duhamel_n1(fhat, _plan(a.grid, T))
+            new = duhamel_n1(fhat, _plan(a.grid))
             assert np.array_equal(new.index, fhat.index)
             assert np.abs(new.data - old).max() <= 1e-12 * np.abs(old).max()
 
@@ -154,7 +154,7 @@ class TestFastPathsAgainstOracles:
         u, v, T = pair
         fhat = nonlinear_fourier_data(u, v, T)
         mult = _high_modulation_oracle(fhat)
-        plan = _plan(u.grid, T)
+        plan = _plan(u.grid)
         assert np.array_equal(duhamel_n3(fhat, plan).data, -1j * fhat.data * mult)
         sums = (fhat.data * mult) @ fhat.grid.tau_weights
         lattice, j_max = cutoffs.sigma_lattice(fhat.grid, 0)
@@ -229,7 +229,7 @@ def _picard_oracle(u0, params, grid):
     """The Picard loop as fields: linear + N1 + N2 + N3 summed per step, each
     Z-norm by zsb_norm; returns (Z-norms, successive differences)."""
     p = params.norm_params()
-    plan = PicardPlan.build(grid, params.T, p)
+    plan = PicardPlan.build(grid, p)
     linear = free_evolution_data(grid, u0)
     current = linear
     z_norms, diffs = [zsb_norm(current, p)], []
@@ -265,7 +265,7 @@ class TestPicardPlan:
     @SHORT_WINDOWS
     def test_rhs_is_the_sum_of_the_pieces(self, box):
         u, v, T = _product_pair(box)
-        plan = _plan(u.grid, T)
+        plan = _plan(u.grid)
         fhat = nonlinear_fourier_data(u, v, T)
         # the full box, and one column, which takes the plan's row by its key
         for f in (fhat, SpaceTimeField(fhat.grid, fhat.index[1:2], fhat.data[1:2])):
@@ -287,7 +287,7 @@ class TestPicardPlan:
 
     def test_arrays_are_read_only(self):
         grid = FrequencyGrid.for_box(1, 8, 0.25)
-        plan = _plan(grid, 0.125)
+        plan = _plan(grid)
         lo, *weights = plan.z
         arrays = [plan.cols, plan.sigma, plan.psi, plan.r, plan.offsets, *lo, *weights]
         for a in arrays:
@@ -336,8 +336,16 @@ class TestSolverParams:
             SolverParams(s=-0.7, T=0.1)
 
     def test_time_scale(self):
-        with pytest.raises(ValueError, match="1/4"):
-            SolverParams(s=-0.6, T=0.3)
+        assert SolverParams(s=-0.6, T=0.25).T == 0.25
+        for T in (0.3, 0.0):
+            with pytest.raises(ValueError, match="1/4"):
+                SolverParams(s=-0.6, T=T)
+
+    def test_product_checks_the_scale(self, duhamel_grid):
+        u, _ = smooth_pair(duhamel_grid, seed=42)
+        for T in (0.0, 0.5, -0.125):
+            with pytest.raises(ValueError, match="1/4"):
+                nonlinear_fourier_data(u, u, T)
 
 
 class TestDuhamelOperators:
@@ -345,48 +353,45 @@ class TestDuhamelOperators:
         T = 0.125
         z = SpaceTimeField.zero(duhamel_grid)
         for op in (duhamel_n1, duhamel_n2, duhamel_n3):
-            assert op(nonlinear_fourier_data(z, z, T), _plan(duhamel_grid, T)).max_abs() == 0.0
+            assert op(nonlinear_fourier_data(z, z, T), _plan(duhamel_grid)).max_abs() == 0.0
 
     def test_n1_output_columns_single_mode(self, duhamel_grid):
         # conjugates add frequencies negatively: u = v at n0 -> column -2 n0
         T = 0.125
         ns = np.array([[1, 0]])
         u = free_evolution_data(duhamel_grid, (ns, np.array([1.0 + 0j])))
-        out = duhamel_n1(nonlinear_fourier_data(u, u, T), _plan(duhamel_grid, T))
+        out = duhamel_n1(nonlinear_fourier_data(u, u, T), _plan(duhamel_grid))
         out_index = out.index[np.abs(out.data).max(axis=1) > 1e-14]
         assert out_index.tolist() == [[-2, 0]]
 
     def test_n2_n3_vanish_on_low_modulation_product(self, duhamel_grid):
         # a product supported where |sigma| <= 1 is annihilated by 1 - psi
-        T = 0.125
         prof = np.zeros(duhamel_grid.n_tau, complex)
         j0 = duhamel_grid.tau_index(-2.0)
         j1 = duhamel_grid.tau_index(-1.0)  # sigma = tau + 2 in [0, 1]
         prof[j0:j1 + 1] = 1.0
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 1]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        assert duhamel_n2(fhat, _plan(duhamel_grid, T)).max_abs() == 0.0
-        assert duhamel_n3(fhat, _plan(duhamel_grid, T)).max_abs() == 0.0
+        assert duhamel_n2(fhat, _plan(duhamel_grid)).max_abs() == 0.0
+        assert duhamel_n3(fhat, _plan(duhamel_grid)).max_abs() == 0.0
 
     def test_n3_multiplier_values(self, duhamel_grid):
-        T = 0.125
         prof = np.zeros(duhamel_grid.n_tau, complex)
         j = duhamel_grid.tau_index(3.0)  # sigma = 3 + 2 = 5 on column (1,1)
         prof[j] = 2.0
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 1]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        out = duhamel_n3(fhat, _plan(duhamel_grid, T))
+        out = duhamel_n3(fhat, _plan(duhamel_grid))
         # -i * F * (1 - psi(5)) / (i 5) = -F / 5 since psi(5) = 0
         assert out.column([1, 1])[j] == pytest.approx(-2.0 / 5.0, rel=1e-12)
 
     def test_series_handles_zero_modulation(self, duhamel_grid):
         # data exactly on the paraboloid: sigma = 0 must stay finite
-        T = 0.125
         prof = np.zeros(duhamel_grid.n_tau, complex)
         prof[duhamel_grid.tau_index(-1.0)] = 1.0  # sigma = 0 at n = (1, 0)
         fhat = SpaceTimeField.from_columns(duhamel_grid, [[1, 0]], [prof])
         z = SpaceTimeField.zero(duhamel_grid)
-        out = duhamel_n1(fhat, _plan(duhamel_grid, T))
+        out = duhamel_n1(fhat, _plan(duhamel_grid))
         assert np.isfinite(out.data).all()
         assert out.max_abs() > 0.0
 
@@ -396,7 +401,7 @@ class TestDuhamelOperators:
         T = 0.125
         u, v = smooth_pair(duhamel_grid, seed=42)
         fhat = nonlinear_fourier_data(u, v, T)
-        plan = _plan(duhamel_grid, T)
+        plan = _plan(duhamel_grid)
         total = duhamel_n1(fhat, plan) + duhamel_n2(fhat, plan) + duhamel_n3(fhat, plan)
         times = np.linspace(-T, T, 7)
         lhs = time_slices(total, times)
@@ -460,7 +465,7 @@ class TestPicard:
         # converged iterate satisfies || u - Gamma[u] || <= tolerance
         linear = free_evolution_data(grid, u0)
         u = trace.final
-        rhs = duhamel_rhs(nonlinear_fourier_data(u, u, params.T), _plan(grid, params.T))
+        rhs = duhamel_rhs(nonlinear_fourier_data(u, u, params.T), _plan(grid))
         resid = zsb_norm(linear + rhs - u, params.norm_params())
         assert resid <= params.contraction_tolerance
 
