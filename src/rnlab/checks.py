@@ -15,8 +15,10 @@ import numpy as np
 from .cutoffs import free_evolution_data
 from .families import build_family, conjugate_product, discrete_tent, product_support
 from .grid import (
+    MOD_THRESHOLD,
     FrequencyGrid,
     SpaceTimeField,
+    conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
     project_dyadic,
@@ -46,32 +48,27 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _check_grid(tau_step=0.25):
-    return FrequencyGrid.for_box(2, 4, tau_step)
+def _check_grid():
+    return FrequencyGrid.for_box(2, 4, 0.25)
 
 
-def _sample_fields(seed, count, grid=None, envelope_power=-1.0):
-    grid = grid or _check_grid()
+def _sample_fields(seed, count):
+    grid = _check_grid()
     rng = np.random.default_rng(seed)
-    return [random_field(grid, rng, envelope_power=envelope_power) for _ in range(count)]
+    return [random_field(grid, rng, envelope_power=-1.0) for _ in range(count)]
 
 
-_NORMS = {
-    "xsb": lambda u, p: xsb_norm(u, p),
-    "ysb": lambda u, p: ysb_norm(u, p),
-    "zsb": lambda u, p: zsb_norm(u, p),
-    "energy": lambda u, p: energy_l2l1(u, p.s),
-}
+_NORMS = (xsb_norm, ysb_norm, zsb_norm, lambda u, p: energy_l2l1(u, p.s))
 
 
-def check_homogeneity(seed=101, count=100):
+def check_homogeneity(seed=101):
     """|alpha| homogeneity of every norm, machine precision."""
     p = NormParams(s=-0.6)
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
-    for u in _sample_fields(seed, count):
+    for u in _sample_fields(seed, 100):
         alpha = complex(rng.standard_normal(), rng.standard_normal())
-        for fn in _NORMS.values():
+        for fn in _NORMS:
             base = fn(u, p)
             scaled = fn(alpha * u, p)
             worst = max(worst, abs(scaled - abs(alpha) * base) / max(base, 1e-300))
@@ -79,12 +76,12 @@ def check_homogeneity(seed=101, count=100):
                        f"max relative defect {worst:.2e}")
 
 
-def check_triangle(seed=102, count=100):
+def check_triangle(seed=102):
     p = NormParams(s=-0.6)
     worst = -np.inf
-    fields = _sample_fields(seed, 2 * count)
+    fields = _sample_fields(seed, 200)
     for u, v in zip(fields[::2], fields[1::2]):
-        for fn in _NORMS.values():
+        for fn in _NORMS:
             nu, nv = fn(u, p), fn(v, p)
             excess = fn(u + v, p) - nu - nv
             worst = max(worst, excess / max(nu + nv, 1e-300))
@@ -92,12 +89,12 @@ def check_triangle(seed=102, count=100):
                        f"max relative excess {worst:.2e}")
 
 
-def check_monotonic_mask(seed=103, count=100):
+def check_monotonic_mask(seed=103):
     """Z-norm monotonicity under pointwise masks with values in [0, 1]."""
     p = NormParams(s=-0.6)
     rng = np.random.default_rng(seed + 1)
     worst = -np.inf
-    for u in _sample_fields(seed, count):
+    for u in _sample_fields(seed, 100):
         mask = rng.uniform(0.0, 1.0, size=u.data.shape)
         masked = SpaceTimeField(u.grid, u.index.copy(), u.data * mask)
         z = zsb_norm(u, p)
@@ -106,11 +103,11 @@ def check_monotonic_mask(seed=103, count=100):
                        f"max relative violation {worst:.2e}")
 
 
-def check_dyadic_pythagoras(seed=104, count=20):
+def check_dyadic_pythagoras(seed=104):
     """Sum over blocks of xsb(P_N u)^2 equals xsb(u)^2 to 1e-12 relative."""
     p = NormParams(s=-0.6)
     worst = 0.0
-    for u in _sample_fields(seed, count):
+    for u in _sample_fields(seed, 20):
         total = xsb_norm(u, p) ** 2
         parts = sum(xsb_norm(project_dyadic(u, blk), p) ** 2 for blk in dyadic_blocks(u.grid))
         worst = max(worst, abs(parts - total) / total)
@@ -118,10 +115,10 @@ def check_dyadic_pythagoras(seed=104, count=20):
                        f"max relative defect {worst:.2e}")
 
 
-def check_lohi_partition(seed=105, count=20):
+def check_lohi_partition(seed=105):
     worst = 1.0
     ok = True
-    for u in _sample_fields(seed, count):
+    for u in _sample_fields(seed, 20):
         lo = project_modulation(u, "lo")
         hi = project_modulation(u, "hi")
         back = lo + hi
@@ -131,7 +128,7 @@ def check_lohi_partition(seed=105, count=20):
                        "bitwise partition and disjoint supports" if ok else "partition broken")
 
 
-def check_convolution_tent(n_values=(4, 8), tau_step=0.25):
+def check_convolution_tent():
     """Product data of each family equals the closed-form tent to 1e-12.
 
     The tent is the paper formula; at the three offsets where both indicator
@@ -141,8 +138,8 @@ def check_convolution_tent(n_values=(4, 8), tau_step=0.25):
     """
     worst = 0.0
     for kind in ("example1", "example2", "remark_uu"):
-        for N in n_values:
-            grid = FrequencyGrid.for_box(2, N, tau_step)
+        for N in (4, 8):
+            grid = FrequencyGrid.for_box(2, N, 0.25)
             inst = build_family(kind, N, grid)
             prod = conjugate_product(inst)
             col, center = product_support(kind, N, 2)
@@ -150,7 +147,7 @@ def check_convolution_tent(n_values=(4, 8), tau_step=0.25):
                 return CheckResult("convolution matches analytic tent", False,
                                    f"{kind} N={N}: wrong product support")
             vals = prod.data[0]
-            expected = discrete_tent(grid.tau_nodes - center, tau_step)
+            expected = discrete_tent(grid.tau_nodes - center, 0.25)
             denom = np.maximum(np.abs(expected), 1.0)
             worst = max(worst, float((np.abs(vals - expected) / denom).max()))
     return CheckResult("convolution matches analytic tent (1e-12)", worst < 1e-12,
@@ -164,11 +161,11 @@ def _calibrate_validate(pairs_cal, pairs_val):
     return C, worst, worst <= 2.0 * C
 
 
-def check_embedding_chain(seed=106, count=50):
+def check_embedding_chain(seed=106):
     """ct_hs <= energy and energy <= C * zsb with calibrated C and 2x headroom."""
     p = NormParams(s=-0.6)
-    fields = _sample_fields(seed, 2 * count)
-    cal, val = fields[:count], fields[count:]
+    fields = _sample_fields(seed, 100)
+    cal, val = fields[:50], fields[50:]
 
     def pair(u):
         return energy_l2l1(u, p.s), zsb_norm(u, p)
@@ -184,39 +181,39 @@ def check_embedding_chain(seed=106, count=50):
                        bool(passed), f"calibrated C {C:.3f}, validation max {worst:.3f}")
 
 
-def check_est2_embedding(seed=107, count=50):
+def check_est2_embedding(seed=107):
     """zsb <= C xsb for s <= 0 (the X-space embeds in Z)."""
     p = NormParams(s=-0.6)
-    fields = _sample_fields(seed, 2 * count)
+    fields = _sample_fields(seed, 100)
     pairs = [(zsb_norm(u, p), xsb_norm(u, p)) for u in fields]
-    C, worst, ok = _calibrate_validate(pairs[:count], pairs[count:])
+    C, worst, ok = _calibrate_validate(pairs[:50], pairs[50:])
     return CheckResult("Z embeds in X for s<=0 (2x headroom)", ok,
                        f"calibrated C {C:.3f}, validation max {worst:.3f}")
 
 
-def check_weight_inequality(s=-0.6, b=2.0 / 3.0):
-    """Pointwise on the hi region: <mod>^{s/2+b} <= C <n>^s <mod>^b."""
+def check_weight_inequality():
+    """Pointwise on the hi region, s = -0.6: <mod>^{s/2+b} <= C <n>^s <mod>^b."""
+    s = -0.6
     grid = _check_grid()
     u = SpaceTimeField.full(grid)
     mod = u.mod_array()
     nsq = u.norm_sq_columns().astype(float)
-    hi = np.abs(mod) >= 2.0**-10 * nsq[:, None]
+    hi = np.abs(mod) >= MOD_THRESHOLD * nsq[:, None]
     lhs = japanese_bracket(mod[hi]) ** (s / 2.0)
     ncol = japanese_bracket(np.sqrt(nsq))[:, None]
     rhs = np.broadcast_to(ncol**s, mod.shape)[hi]
-    threshold_bracket = japanese_bracket(2.0**-10 * nsq)
+    threshold_bracket = japanese_bracket(MOD_THRESHOLD * nsq)
     C = float((threshold_bracket ** (s / 2.0) / japanese_bracket(np.sqrt(nsq)) ** s).max())
     ok = bool((lhs <= C * rhs * (1 + 1e-12)).all())
     return CheckResult("hi-region weight inequality", ok, f"explicit constant C {C:.3f}")
 
 
-def check_cauchy_schwarz_constant(seed=108, count=25):
+def check_cauchy_schwarz_constant(seed=108):
     """energy <= sqrt(Int <sigma>^{-2b}) * xsb with the grid quadrature constant."""
     p = NormParams(s=-0.6)
-    grid = _check_grid()
     ok = True
     worst = 0.0
-    for u in _sample_fields(seed, count, grid):
+    for u in _sample_fields(seed, 25):
         mod = u.mod_array()
         csq = ((1.0 + mod * mod) ** (-p.b) * u.grid.tau_weights).sum(axis=1)
         C = float(np.sqrt(csq.max()))
@@ -228,11 +225,11 @@ def check_cauchy_schwarz_constant(seed=108, count=25):
                        f"max saturation {worst:.3f}")
 
 
-def check_dyadic_z_equivalence(seed=109, count=100):
+def check_dyadic_z_equivalence(seed=109):
     """1/3 <= sum_N zsb(P_N u)^2 / zsb(u)^2 <= 3 (three-term norm comparison)."""
     p = NormParams(s=-0.6)
     lo, hi = np.inf, -np.inf
-    for u in _sample_fields(seed, count):
+    for u in _sample_fields(seed, 100):
         total = zsb_norm(u, p) ** 2
         parts = sum(zsb_norm(project_dyadic(u, blk), p) ** 2 for blk in dyadic_blocks(u.grid))
         r = parts / total
@@ -253,36 +250,36 @@ def check_convolution_bilinear(seed=110):
     return CheckResult("convolution bilinearity", diff < 1e-12, f"relative defect {diff:.2e}")
 
 
-def check_l4_slope(seed=111, n_values=(4, 8, 16, 32), b=0.38, bound=0.26 + 0.05):
-    """L^4/X^{0,b} growth across dyadic free data stays under the Strichartz slope."""
+def check_l4_slope(seed=111):
+    """L^4/X^{0,0.38} growth across dyadic free data stays under the Strichartz
+    slope 0.26 plus 0.05."""
     rng = np.random.default_rng(seed)
-    p = NormParams(s=0.0, b=b)
+    n_values = (4, 8, 16, 32)
+    p = NormParams(s=0.0, b=0.38)
     ratios = []
     for N in n_values:
         grid = FrequencyGrid.for_box(2, N, tau_step=0.5)
         ns = grid.box_index
         nsq = FrequencyGrid.norm_sq(ns)
-        annulus = (4 * nsq > N**2) & (nsq <= N**2) if N > 1 else nsq <= 1
+        annulus = (4 * nsq > N**2) & (nsq <= N**2)
         ns = ns[annulus]
         vals = np.exp(2j * np.pi * rng.uniform(size=len(ns)))
         u = free_evolution_data(grid, (ns, vals))
         ratios.append(l4_spacetime_norm(u, (-1.0, 1.0)) / xsb_norm(u, p))
     slope, _, _ = fit_loglog(n_values, ratios)
-    return CheckResult(f"L4/X^(0,{b}) slope <= {bound}", slope <= bound,
+    return CheckResult("L4/X^(0,0.38) slope <= 0.31", slope <= 0.31,
                        f"fitted slope {slope:+.4f}")
 
 
-def check_reflect_isometries(seed=112, count=25):
+def check_reflect_isometries(seed=112):
     """conjugate_reflect is an involution and preserves the reflection-invariant norms.
 
     The modulation-weighted norms are *not* preserved (the weight recenters to
     the conjugate paraboloid), so only energy and C_t H^s are asserted.
     """
-    from .grid import conjugate_reflect
-
     ok = True
     worst = 0.0
-    for u in _sample_fields(seed, count):
+    for u in _sample_fields(seed, 25):
         r = conjugate_reflect(u)
         rr = conjugate_reflect(r)
         ok &= np.array_equal(rr.data, u.data) and np.array_equal(rr.index, u.index)

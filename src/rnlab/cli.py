@@ -58,7 +58,6 @@ class ExperimentConfig:
     tau_pad: float = 8.0
     s: float = -0.6
     b: float = 2.0 / 3.0
-    mod_threshold: float = 2.0**-10
     family: str = "example1"
     N: tuple | None = None
     mode: str = "Z"
@@ -119,7 +118,6 @@ _PARSERS = {
     "tau_pad": _parse_float,
     "s": _parse_float,
     "b": _parse_float,
-    "mod_threshold": _parse_float,
     "family": lambda k, v: v,
     "N": _parse_n_list,
     "mode": lambda k, v: v,
@@ -137,13 +135,12 @@ _PARSERS = {
 # file, is rejected.  The 2-D family commands read 'd' only to validate it.
 _GRID_KEYS = {"d", "n_max", "tau_step", "tau_pad"}
 _READ_KEYS = {
-    "norm": _GRID_KEYS | {"s", "b", "mod_threshold", "seed", "out"},
-    "family": {"d", "family", "N", "tau_step", "s", "b", "mod_threshold", "out"},
-    "sweep": {"d", "family", "N", "mode", "tau_step", "s", "b", "mod_threshold", "out"},
-    "threshold": {"d", "family", "N", "mode", "tau_step", "s_range", "b", "mod_threshold",
-                  "out"},
-    "solve": _GRID_KEYS | {"s", "T", "max_iterations", "tolerance", "mod_threshold", "seed",
-                           "out", "dump_fields"},
+    "norm": _GRID_KEYS | {"s", "b", "seed", "out"},
+    "family": {"d", "family", "N", "tau_step", "s", "b", "out"},
+    "sweep": {"d", "family", "N", "mode", "tau_step", "s", "b", "out"},
+    "threshold": {"d", "family", "N", "mode", "tau_step", "s_range", "b", "out"},
+    "solve": _GRID_KEYS | {"s", "T", "max_iterations", "tolerance", "seed", "out",
+                           "dump_fields"},
     "check": {"seed"},
 }
 
@@ -178,8 +175,6 @@ def _validate(cfg):
         raise ConfigError("key 'tau_step': must be positive")
     if cfg.tau_pad < 4.0:
         raise ConfigError("key 'tau_pad': window padding must be >= 4")
-    if cfg.mod_threshold <= 0:
-        raise ConfigError("key 'mod_threshold': must be positive")
     if cfg.family not in FAMILY_KINDS:
         raise ConfigError(f"key 'family': expected one of {FAMILY_KINDS}")
     if cfg.mode not in ("X", "Z"):
@@ -307,7 +302,7 @@ def _cmd_norm(cfg):
         keys = rng.choice(grid.box_count, size=n_columns, replace=False)
         columns = grid.box_index[np.sort(keys)]
     u = random_field(grid, rng, columns=columns, envelope_power=-1.0)
-    p = NormParams(s=cfg.s, b=cfg.b, mod_threshold=cfg.mod_threshold)
+    p = NormParams(s=cfg.s, b=cfg.b)
     obj = {
         "s": cfg.s,
         "b": cfg.b,
@@ -324,7 +319,7 @@ def _cmd_norm(cfg):
 
 def _cmd_family(cfg):
     n_list = cfg.N or DEFAULT_SWEEP_N
-    p = NormParams(s=cfg.s, b=cfg.b, mod_threshold=cfg.mod_threshold)
+    p = NormParams(s=cfg.s, b=cfg.b)
     rows = []
     for N in n_list:
         grid = FrequencyGrid.for_box(2, N, cfg.tau_step)
@@ -353,7 +348,7 @@ def _cmd_family(cfg):
 
 def _cmd_sweep(cfg):
     n_list = cfg.N or DEFAULT_SWEEP_N
-    p = NormParams(s=cfg.s, b=cfg.b, mod_threshold=cfg.mod_threshold)
+    p = NormParams(s=cfg.s, b=cfg.b)
     try:
         report = run_sweep(cfg.family, n_list, p, cfg.mode, cfg.tau_step)
     except ValueError as exc:
@@ -370,8 +365,7 @@ def _cmd_threshold(cfg):
     s_values = np.arange(lo, hi + step / 2, step)
     n_list = cfg.N or SCAN_N_DEFAULT
     scan = threshold_scan(cfg.family, s_values, cfg.b, cfg.mode, n_list,
-                          tau_step=cfg.tau_step,
-                          mod_threshold=cfg.mod_threshold)
+                          tau_step=cfg.tau_step)
     _write(cfg, "threshold.json", scan.to_json_text())
     if scan.crossing is None:
         print("no ratio-slope sign change in the scanned range")
@@ -383,8 +377,7 @@ def _cmd_threshold(cfg):
 def _cmd_solve(cfg):
     grid = _grid(cfg)
     params = SolverParams(s=cfg.s, T=cfg.T, max_iterations=cfg.max_iterations,
-                          contraction_tolerance=cfg.tolerance,
-                          mod_threshold=cfg.mod_threshold)
+                          contraction_tolerance=cfg.tolerance)
     _check_budget(peak_bytes(grid, params))
     u0 = rough_initial_data(grid, cfg.s, cfg.seed)
 

@@ -25,6 +25,10 @@ import numpy.fft  # noqa: F401  (loaded at import, not by the first transform)
 # Guard on dense materialization and on the padded product's workspace.
 _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
 
+# The one split of the Z-space: modulation |tau + |n|^2| below MOD_THRESHOLD
+# times |n|^2 is low, the rest high.
+MOD_THRESHOLD = 2.0**-10
+
 
 def japanese_bracket(x):
     """<x> = (1 + x^2)^(1/2), elementwise; >= 1 and even in x."""
@@ -323,23 +327,21 @@ def project_dyadic(u, block):
     return SpaceTimeField(u.grid, u.index[keep], u.data[keep])
 
 
-def project_modulation(u, side, threshold=2.0**-10):
-    """Split at |tau + |n|^2| < threshold * |n|^2: 'lo' keeps it, 'hi' the rest.
+def project_modulation(u, side):
+    """Split at |tau + |n|^2| < MOD_THRESHOLD * |n|^2: 'lo' keeps it, 'hi' the rest.
 
     The n=0 column has empty lo-region (the threshold is zero there).
     """
     if side not in ("lo", "hi"):
         raise ValueError("side must be 'lo' or 'hi'")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    lo_mask = low_modulation_mask(u.mod_array(), u.norm_sq_columns(), threshold)
+    lo_mask = low_modulation_mask(u.mod_array(), u.norm_sq_columns())
     mask = lo_mask if side == "lo" else ~lo_mask
     return SpaceTimeField(u.grid, u.index.copy(), u.data * mask)
 
 
-def low_modulation_mask(mod, norm_sq, threshold):
-    """True where |tau + |n|^2| < threshold * |n|^2, for modulations ``mod`` (K, *)."""
-    return np.abs(mod) < threshold * norm_sq.astype(float)[:, None]
+def low_modulation_mask(mod, norm_sq):
+    """True where |tau + |n|^2| < MOD_THRESHOLD * |n|^2, for modulations ``mod`` (K, *)."""
+    return np.abs(mod) < MOD_THRESHOLD * norm_sq.astype(float)[:, None]
 
 
 def conjugate_reflect(u):
@@ -501,15 +503,22 @@ def _ifftn(x, d):
 # -- time synthesis ----------------------------------------------------------
 
 
+def _time_kernel(grid, times):
+    """e^{i t tau} times the tau quadrature weights, shape (n_tau, len(times))."""
+    kernel = np.exp(1j * np.outer(grid.tau_nodes, times))
+    kernel *= grid.tau_weights[:, None]  # in place: the L^4 check's kernel is 4 MB
+    return kernel
+
+
 def time_slices(u, times):
     """Per-column values u_hat(n, t) = Int u_hat(n, tau) e^{i t tau} dtau.
 
-    Returns an array of shape (K, len(times)).
+    Returns an array of shape (K, len(times)).  A BLAS product, whose last bits
+    follow the thread count: of the norms only ``l4_spacetime_norm`` takes it,
+    where np.einsum took 2.3 s against 0.18 s on the check's N = 32 field, and
+    the check prints that norm's slope to 4 decimals.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    kernel = np.exp(1j * np.outer(u.grid.tau_nodes, times))
-    kernel *= u.grid.tau_weights[:, None]
-    return u.data @ kernel
+    return u.data @ _time_kernel(u.grid, times)
 
 
 def random_field(grid, rng, columns=None, envelope_power=0.0):

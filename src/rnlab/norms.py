@@ -8,7 +8,7 @@ norms:
   Y^{s,b}:  || <n>^s u_hat ||_{l^2_n L^1_tau}
               + || <tau+|n|^2>^{s/2+b} u_hat ||_{l^2_n L^2_tau}
   Z^{s,b}:  X-norm of the low-modulation part plus Y-norm of the
-            high-modulation part, split at |tau+|n|^2| = threshold * |n|^2.
+            high-modulation part, split at |tau+|n|^2| = MOD_THRESHOLD * |n|^2.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .grid import (
     SpaceTimeField,
     _ifftn,
     _next_fast_len,
+    _time_kernel,
     dyadic_blocks,
     low_modulation_mask,
     project_dyadic,
@@ -30,15 +31,10 @@ from .grid import (
 
 @dataclass(frozen=True)
 class NormParams:
-    """Regularity s, modulation exponent b, and the lo/hi split constant."""
+    """Regularity s and modulation exponent b."""
 
     s: float
     b: float = 2.0 / 3.0
-    mod_threshold: float = 2.0**-10
-
-    def __post_init__(self):
-        if not self.mod_threshold > 0:
-            raise ValueError("mod_threshold must be positive")
 
 
 # t-samples per unit time of the sampled sup in ct_hs_norm and of the time
@@ -46,9 +42,7 @@ class NormParams:
 _CT_TIMES_PER_UNIT = 8
 _L4_TIMES_PER_UNIT = 16
 
-# Spatial columns per block of the X-norm; a multiple of 4, the row group of
-# OpenBLAS's matrix-vector kernel, so that on one thread each block rounds
-# each column as the one-call product does.
+# Spatial columns per block of the X-norm, which bounds its temporaries.
 _X_BLOCK = 32
 
 
@@ -67,16 +61,22 @@ def _bracket_sq(mod):
     return 1.0 + mod * mod
 
 
+def _tau_integral(a, weights):
+    """The tau quadrature of each row of ``a`` (K, L) against ``weights`` (L, ...),
+    by one unthreaded einsum, whose bits do not follow the BLAS thread count."""
+    return np.einsum("kl,l...->k...", a, weights)
+
+
 def _l2_tau_sq(data, bracket_sq, weights, mod_power):
     """Per-column Int <tau+|n|^2>^{2 mod_power} |u|^2 dtau by the grid quadrature."""
     integrand = np.abs(data) ** 2
     if mod_power != 0.0:
         integrand = integrand * bracket_sq ** mod_power
-    return integrand @ weights
+    return _tau_integral(integrand, weights)
 
 
 def _energy(data, weights, nsq, s):
-    l1 = np.abs(data) @ weights
+    l1 = _tau_integral(np.abs(data), weights)
     return float(np.sqrt(((1.0 + nsq) ** s * l1 * l1).sum()))
 
 
@@ -101,9 +101,7 @@ def _x_columns(u, b):
     w = u.grid.tau_weights[lo:hi]
     nsq = u.norm_sq_columns().astype(float)
     cols = np.empty(len(nsq))
-    # a lone last column joins the block before it: numpy takes a one-row
-    # product as a dot, which rounds unlike the matrix-vector kernel
-    bounds = [0, *range(_X_BLOCK, len(nsq) - 1, _X_BLOCK), len(nsq)]
+    bounds = [*range(0, len(nsq), _X_BLOCK), len(nsq)]
     for i, j in zip(bounds[:-1], bounds[1:]):
         mod = u.grid.tau_nodes[None, lo:hi] + nsq[i:j, None]
         cols[i:j] = _l2_tau_sq(u.data[i:j, lo:hi], _bracket_sq(mod), w, b)
@@ -134,7 +132,7 @@ def _z_factors(mod, nsq, p):
     The lo entries as index arrays, <sigma>^{2b} on them, <sigma>^{s+2b} on
     every entry, and (1+|n|^2)^s per column.
     """
-    lo = np.nonzero(low_modulation_mask(mod, nsq, p.mod_threshold))
+    lo = np.nonzero(low_modulation_mask(mod, nsq))
     bracket_sq = _bracket_sq(mod)
     return lo, bracket_sq[lo] ** p.b, bracket_sq ** (p.s / 2.0 + p.b), (1.0 + nsq) ** p.s
 
@@ -150,10 +148,10 @@ def _z_apply(data, factors, weights):
     x_integrand = np.zeros_like(hi)
     x_integrand[lo] = hi[lo] ** 2 * x_weight
     hi[lo] = 0.0
-    x = float(np.sqrt((col_weight * (x_integrand @ weights)).sum()))
-    l1 = hi @ weights
+    x = float(np.sqrt((col_weight * _tau_integral(x_integrand, weights)).sum()))
+    l1 = _tau_integral(hi, weights)
     energy = float(np.sqrt((col_weight * l1 * l1).sum()))
-    return x + (energy + float(np.sqrt(((hi ** 2 * y_weight) @ weights).sum())))
+    return x + (energy + float(np.sqrt(_tau_integral(hi ** 2 * y_weight, weights).sum())))
 
 
 def norm_for_mode(u, p, mode):
@@ -187,7 +185,7 @@ def ct_hs_norm(u, s, t_window):
         raise ValueError("time window exceeds the reciprocal resolution of the tau-grid")
     count = max(2, int(np.ceil((t1 - t0) * _CT_TIMES_PER_UNIT)) + 1)
     times = np.linspace(t0, t1, count)
-    slices = time_slices(u, times)
+    slices = _tau_integral(u.data, _time_kernel(u.grid, times))
     w = (1.0 + u.norm_sq_columns().astype(float)) ** s
     vals = np.sqrt((w[:, None] * np.abs(slices) ** 2).sum(axis=0))
     return float(vals.max())

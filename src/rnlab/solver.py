@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import cutoffs
 from .cutoffs import SUPPORT, free_evolution_data, standard_bump
 from .grid import FrequencyGrid, SpaceTimeField, _padded_product, _workspace, conjugate_reflect
-from .norms import NormParams, _z_apply, _z_factors, ct_hs_norm, spatial_hs_norm
+from .norms import NormParams, _tau_integral, _z_apply, _z_factors, ct_hs_norm, spatial_hs_norm
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
@@ -47,7 +47,6 @@ class SolverParams:
     T: float
     max_iterations: int = 12
     contraction_tolerance: float = 1e-10
-    mod_threshold: float = 2.0**-10
 
     def __post_init__(self):
         if not self.s > -2.0 / 3.0:
@@ -57,7 +56,7 @@ class SolverParams:
             raise ValueError("max_iterations must be >= 1")
 
     def norm_params(self):
-        return NormParams(s=self.s, b=2.0 / 3.0, mod_threshold=self.mod_threshold)
+        return NormParams(s=self.s, b=2.0 / 3.0)
 
 
 def _check_scale(T):
@@ -272,7 +271,7 @@ def duhamel_n2(fhat, plan):
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     grid = fhat.grid
-    column_sums = -1j * ((fhat.data * plan.r[_rows(fhat)]) @ grid.tau_weights)
+    column_sums = -1j * _tau_integral(fhat.data * plan.r[_rows(fhat)], grid.tau_weights)
     profile = cutoffs.gather_profile(grid, fhat.norm_sq_columns(), *_eta_lattice(plan))
     return SpaceTimeField(grid, fhat.index.copy(), 1j * profile * column_sums[:, None])
 
@@ -296,7 +295,9 @@ def duhamel_rhs(fhat, plan):
     rows = _rows(fhat)
     high = fhat.data * plan.r[rows]
     coefs, lattices = _n1_terms(fhat, plan, rows)
-    series = (np.stack([high @ plan.grid.tau_weights] + coefs, axis=1)
+    # a BLAS product (K x terms) @ (terms x lattice): einsum took 0.42 s against
+    # 0.035 s at d=1, n_max=32, and solve reports match on 1 and 2 BLAS threads
+    series = (np.stack([_tau_integral(high, plan.grid.tau_weights)] + coefs, axis=1)
               @ np.stack([_eta_lattice(plan)[0]] + lattices))
     out = _gather(series, plan.offsets[rows], plan.grid.n_tau)
     out -= high

@@ -215,7 +215,7 @@ def locate_sign_change(points):
 
 
 def threshold_scan(kind, s_list, b, mode="Z", n_list=SCAN_N_DEFAULT,
-                   tau_step=SCAN_TAU_STEP, mod_threshold=2.0**-10):
+                   tau_step=SCAN_TAU_STEP):
     """Ratio-slope sign change across regularities s.
 
     The family data and products are built once per N and re-normed for every
@@ -229,7 +229,7 @@ def threshold_scan(kind, s_list, b, mode="Z", n_list=SCAN_N_DEFAULT,
     points = [_sweep_point(kind, N, tau_step) for N in ns]
     scan = ThresholdScan(kind, b, mode)
     for s in s_values:
-        p = NormParams(s=s, b=b, mod_threshold=mod_threshold)
+        p = NormParams(s=s, b=b)
         rows = [_row_from_point(inst, prod, p, mode) for inst, prod in points]
         slope, _, _ = fit_loglog(ns, [r.ratio for r in rows])
         scan.points.append((s, slope))

@@ -3,10 +3,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rnlab
 from rnlab.cli import ConfigError, ExperimentConfig, parse_config, run
 from rnlab.grid import FrequencyGrid
 
@@ -17,7 +21,6 @@ class TestParseConfig:
         assert cfg == ExperimentConfig()
         assert (cfg.d, cfg.n_max, cfg.tau_step) == (2, 64, 0.25)
         assert cfg.s == -0.6 and cfg.b == pytest.approx(2.0 / 3.0)
-        assert cfg.mod_threshold == 2.0**-10
 
     def test_flag_overrides(self):
         cfg = parse_config(["sweep", "--s", "-0.55", "--b", "0.6667"])
@@ -32,6 +35,11 @@ class TestParseConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key 'frobnicate'"):
             parse_config(["sweep", "--frobnicate", "1"])
+
+    def test_split_constant_is_not_a_key(self, capsys):
+        from rnlab.cli import main
+        assert main(["sweep", "--mod-threshold", "0.001"]) == 2
+        assert "unknown key 'mod_threshold'" in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(ConfigError, match="'command'"):
@@ -107,7 +115,7 @@ class TestParseConfig:
     def test_commands_accept_every_key_they_read(self):
         from rnlab.cli import _READ_KEYS
         values = {"d": "2", "n_max": "4", "tau_step": "0.5", "tau_pad": "8", "s": "-0.5",
-                  "b": "0.6", "mod_threshold": "0.001", "family": "example2", "N": "4,8",
+                  "b": "0.6", "family": "example2", "N": "4,8",
                   "mode": "X", "s_range": "-0.9:-0.4:0.1", "T": "0.1",
                   "max_iterations": "3", "tolerance": "1e-9", "seed": "3", "out": "x",
                   "dump_fields": "true"}
@@ -248,7 +256,7 @@ class TestRunCommands:
 
         steps = []
 
-        def recording_scan(kind, s_values, b, mode, n_list, tau_step, mod_threshold):
+        def recording_scan(kind, s_values, b, mode, n_list, tau_step):
             steps.append(tau_step)
             return ThresholdScan(kind, b, mode, crossing=-0.5)
 
@@ -355,3 +363,42 @@ class TestRunCommands:
         # the last dump is the diverged iterate, at complex64 precision
         diverged = load_field(tmp_path / dumps[-1])
         assert zsb_norm(diverged, NormParams(s=cfg.s)) == pytest.approx(z_norms[-1], rel=1e-5)
+
+
+# -- the BLAS thread count ----------------------------------------------------
+
+_THREAD_RUNS = (
+    ["check", "--seed", "2024"],
+    ["norm", "--d", "1", "--n-max", "64", "--seed", "3", "--out", "."],
+    ["solve", "--d", "2", "--n-max", "8", "--T", "0.125", "--seed", "7",
+     "--max-iterations", "4", "--out", "."],
+)
+
+
+def _start(args, threads, cwd):
+    """``rnl args`` in a new process on ``threads`` BLAS threads, run in ``cwd``."""
+    src = str(Path(rnlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cwd.mkdir(parents=True)
+    code = "import sys; from rnlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.Popen([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE)
+
+
+def _outputs(proc, cwd):
+    """Exit code, stdout and written files of a process started by ``_start``."""
+    stdout, _ = proc.communicate(timeout=300)
+    return proc.returncode, stdout, {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+
+
+@pytest.mark.parametrize("args", _THREAD_RUNS, ids=lambda a: a[0])
+def test_reports_do_not_depend_on_blas_threads(args, tmp_path):
+    runs = [(_start(args, n, tmp_path / str(n)), tmp_path / str(n)) for n in (1, 2)]
+    try:
+        one, two = [_outputs(proc, cwd) for proc, cwd in runs]
+    finally:
+        for proc, _ in runs:
+            proc.kill()
+    assert one[0] == 0
+    assert one == two

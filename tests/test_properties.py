@@ -4,6 +4,8 @@ Convolution paths, the span-trimmed convolution and norms against their
 full-window oracles, field algebra, reflection.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from rnlab.grid import (
     random_field,
     spacetime_convolve,
 )
+from rnlab import grid as grid_module
 from rnlab import norms
 from rnlab.norms import (
     NormParams,
@@ -206,7 +209,7 @@ def _oracle_l2_tau_sq(u, mod_power):
     if mod_power != 0.0:
         m = u.mod_array()
         integrand = integrand * (1.0 + m * m) ** mod_power
-    return integrand @ u.grid.tau_weights
+    return np.einsum("kl,l->k", integrand, u.grid.tau_weights)
 
 
 def _oracle_xsb(u, p):
@@ -215,7 +218,7 @@ def _oracle_xsb(u, p):
 
 
 def _oracle_energy(u, s):
-    l1 = np.abs(u.data) @ u.grid.tau_weights
+    l1 = np.einsum("kl,l->k", np.abs(u.data), u.grid.tau_weights)
     return float(np.sqrt(((1.0 + u.norm_sq_columns().astype(float)) ** s * l1 * l1).sum()))
 
 
@@ -225,7 +228,7 @@ def _oracle_ysb(u, p):
 
 def _oracle_zsb(u, p):
     nsq = u.norm_sq_columns().astype(float)
-    lo_mask = np.abs(u.mod_array()) < p.mod_threshold * nsq[:, None]
+    lo_mask = np.abs(u.mod_array()) < grid_module.MOD_THRESHOLD * nsq[:, None]
     lo = SpaceTimeField(u.grid, u.index.copy(), u.data * lo_mask)
     hi = SpaceTimeField(u.grid, u.index.copy(), u.data * ~lo_mask)
     return _oracle_xsb(lo, p) + _oracle_ysb(hi, p)
@@ -243,8 +246,18 @@ def _x_in_blocks(u, p, block):
         return norms._x_columns(u, p.b)
 
 
-NORM_PARAMS = st.builds(NormParams, s=st.floats(-0.9, 0.5), b=st.floats(0.0, 1.0),
-                        mod_threshold=st.sampled_from((2.0**-10, 2.0**-3, 0.5)))
+NORM_PARAMS = st.builds(NormParams, s=st.floats(-0.9, 0.5), b=st.floats(0.0, 1.0))
+
+# the Z-norm's split constant and two larger ones, whose lo-regions are wider
+# than one tau-sample
+SPLITS = st.sampled_from((2.0**-10, 2.0**-3, 0.5))
+
+
+@contextlib.contextmanager
+def _split_at(threshold):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "MOD_THRESHOLD", threshold)
+        yield
 
 
 def _norm_pairs(u, p):
@@ -254,29 +267,35 @@ def _norm_pairs(u, p):
 
 class TestTrimmedNorms:
     @PROPERTY
-    @given(st.sampled_from(GRIDS).flatmap(fields).flatmap(tau_supports), NORM_PARAMS)
-    def test_partial_supports_agree(self, u, p):
-        for got, want in _norm_pairs(u, p):
+    @given(st.sampled_from(GRIDS).flatmap(fields).flatmap(tau_supports), NORM_PARAMS,
+           SPLITS)
+    def test_partial_supports_agree(self, u, p, split):
+        with _split_at(split):
+            pairs = _norm_pairs(u, p)
+        for got, want in pairs:
             assert abs(got - want) <= 1e-13 * want
         # zero off the span and the same products on it
         assert np.array_equal(apply_modulation_weight(u, -1.0).data, _oracle_weight(u, -1.0))
 
     @PROPERTY
-    @given(st.sampled_from(GRIDS).flatmap(fields), NORM_PARAMS)
-    def test_full_span_bitwise(self, u, p):
+    @given(st.sampled_from(GRIDS).flatmap(fields), NORM_PARAMS, SPLITS)
+    def test_full_span_bitwise(self, u, p, split):
         assert u.tau_span() == (0, u.grid.n_tau)
-        for got, want in _norm_pairs(u, p):
+        with _split_at(split):
+            pairs = _norm_pairs(u, p)
+        for got, want in pairs:
             assert got == want
         assert np.array_equal(apply_modulation_weight(u, -1.0).data, _oracle_weight(u, -1.0))
 
     @PROPERTY
-    @given(st.sampled_from(GRIDS), st.integers(0, 2**32 - 1), NORM_PARAMS)
-    def test_origin_column_bitwise(self, grid, seed, p):
+    @given(st.sampled_from(GRIDS), st.integers(0, 2**32 - 1), NORM_PARAMS, SPLITS)
+    def test_origin_column_bitwise(self, grid, seed, p, split):
         origin = np.zeros((1, grid.dimension), dtype=np.int64)
         u = random_field(grid, np.random.default_rng(seed), columns=origin)
-        for got, want in _norm_pairs(u, p):
-            assert got == want
-        assert zsb_norm(u, p) == ysb_norm(u, p)  # the n = 0 column is all hi
+        with _split_at(split):
+            for got, want in _norm_pairs(u, p):
+                assert got == want
+            assert zsb_norm(u, p) == ysb_norm(u, p)  # the n = 0 column is all hi
 
 
     @PROPERTY
@@ -298,8 +317,8 @@ class TestTrimmedNorms:
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("block", [4, 8])
     def test_blocked_x_norm_on_the_box(self, grid, block):
-        # 13 and 49 columns: a short last block, and a lone last column that
-        # joins the block before it
+        # 13 and 49 columns: a short last block, among them a lone last
+        # column; blocking never changes a column's bits
         u = random_field(grid, np.random.default_rng(block), envelope_power=-1.0)
         assert u.n_columns % block != 0
         trimmed = SpaceTimeField(grid, u.index.copy(), u.data.copy())
@@ -310,12 +329,13 @@ class TestTrimmedNorms:
                               _x_in_blocks(trimmed, p, 10**9))
 
     @PROPERTY
-    @given(st.sampled_from(GRIDS), st.integers(0, 2**32 - 1), NORM_PARAMS)
-    def test_plan_factors_bitwise(self, grid, seed, p):
+    @given(st.sampled_from(GRIDS), st.integers(0, 2**32 - 1), NORM_PARAMS, SPLITS)
+    def test_plan_factors_bitwise(self, grid, seed, p, split):
         # the Picard plan's box factors give zsb_norm's value on a full-box field
         u = random_field(grid, np.random.default_rng(seed))
-        plan = PicardPlan.build(grid, p)
-        assert _z_apply(u.data, plan.z, grid.tau_weights) == zsb_norm(u, p)
+        with _split_at(split):
+            plan = PicardPlan.build(grid, p)
+            assert _z_apply(u.data, plan.z, grid.tau_weights) == zsb_norm(u, p)
 
 
 class TestFieldAlgebra:

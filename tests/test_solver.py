@@ -156,7 +156,7 @@ class TestFastPathsAgainstOracles:
         mult = _high_modulation_oracle(fhat)
         plan = _plan(u.grid)
         assert np.array_equal(duhamel_n3(fhat, plan).data, -1j * fhat.data * mult)
-        sums = (fhat.data * mult) @ fhat.grid.tau_weights
+        sums = np.einsum("kl,l->k", fhat.data * mult, fhat.grid.tau_weights)
         lattice, j_max = cutoffs.sigma_lattice(fhat.grid, 0)
         rows = cutoffs.gather_profile(fhat.grid, fhat.norm_sq_columns(), lattice, j_max)
         assert np.array_equal(duhamel_n2(fhat, plan).data, 1j * rows * sums[:, None])
