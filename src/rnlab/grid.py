@@ -155,8 +155,17 @@ class FrequencyGrid:
 
 
 def _sorted_rows(grid, ns, data):
-    order = np.argsort(grid.flat_keys(ns), kind="stable")
-    return ns[order], data[order]
+    """Lattice points ``ns`` and their rows of ``data`` in row-major key order.
+
+    Both come back as new arrays, copied once: by the argsort gather, or by a
+    plain copy when the keys already strictly increase.
+    """
+    ns = np.asarray(ns, dtype=np.int64).reshape(-1, grid.dimension)
+    keys = grid.flat_keys(ns)
+    if (np.diff(keys) > 0).all():
+        return ns.copy(), np.array(data, dtype=np.complex128).reshape(len(ns), grid.n_tau)
+    order = np.argsort(keys, kind="stable")
+    return ns[order], np.asarray(data, dtype=np.complex128).reshape(len(ns), grid.n_tau)[order]
 
 
 @dataclass
@@ -200,12 +209,13 @@ class SpaceTimeField:
 
     @classmethod
     def from_columns(cls, grid, ns, profiles):
-        """Field occupying the given lattice points with the given tau-profiles."""
-        ns = np.asarray(ns, dtype=np.int64).reshape(-1, grid.dimension)
-        profiles = np.asarray(profiles, dtype=np.complex128).reshape(len(ns), grid.n_tau)
+        """Field occupying the given lattice points with the given tau-profiles.
+
+        The field owns its arrays: neither aliases the arguments.
+        """
+        ns, profiles = _sorted_rows(grid, ns, profiles)
         if not np.isfinite(profiles).all():  # data enters here; derived fields are not rechecked
             raise ValueError("field contains non-finite coefficients")
-        ns, profiles = _sorted_rows(grid, ns, profiles)
         return cls(grid, ns, profiles)
 
     # -- basic queries ----------------------------------------------------
@@ -347,12 +357,10 @@ def low_modulation_mask(mod, norm_sq):
 def conjugate_reflect(u):
     """Data of the complex conjugate: output(n, tau) = conj(input(-n, -tau)).
 
-    Exact on the symmetric tau-grid; an involution.
+    Exact on the symmetric tau-grid; an involution.  n -> -n reverses the
+    row-major key order, so reversing the rows keeps the index sorted.
     """
-    ns = -u.index
-    data = np.conj(u.data[:, ::-1])
-    ns, data = _sorted_rows(u.grid, ns, data)
-    return SpaceTimeField(u.grid, ns, data)
+    return SpaceTimeField(u.grid, -u.index[::-1], np.conj(u.data[::-1, ::-1]))
 
 
 # -- space-time convolution -------------------------------------------------
@@ -398,8 +406,9 @@ def _padded_product(f, g, weight=None, report=None):
     spatial axes; the pointwise product (one transform squared when
     ``g is f``) goes back and is cropped to the box and window.  The result
     holds the box columns of the product's support box and is exactly zero
-    off the offset span.  A ``report`` dict receives the masses
-    ``spacetime_convolve`` documents.
+    off the offset span.  An operand with no nonzero entry, or on the
+    weighted path no nonzero weighted sample, gives the zero field.  A
+    ``report`` dict receives the masses ``spacetime_convolve`` documents.
     """
     grid, d = f.grid, f.grid.dimension
     M, h = grid.n_tau, grid.tau_step
@@ -427,11 +436,16 @@ def _padded_product(f, g, weight=None, report=None):
         rows = np.fft.fft(u.data[:, a:b], n=P, axis=1)
         box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
         box[np.ravel_multi_index((u.index - lo).T, ext)] = rows if w is None else rows[:, live] * w
-        box = box.reshape(tuple(ext) + (n_live,))
-        return _fftn(box, shape)
+        if w is not None and not box.any():
+            return None  # no weighted sample; unweighted spans hold a nonzero entry
+        return _fftn(box.reshape(tuple(ext) + (n_live,)), shape)
 
     conv = samples(f, lo_f, ext_f, af, bf)
-    conv *= conv if g is f else samples(g, lo_g, ext_g, ag, bg)
+    other = conv if g is f or conv is None else samples(g, lo_g, ext_g, ag, bg)
+    if other is None:
+        return SpaceTimeField.zero(grid)
+    conv *= other
+    del other
     conv = _ifftn(conv, d)
     lo = lo_f + lo_g  # the lattice point at the workspace origin
     first = np.maximum(lo, -grid.n_max)  # lattice corners of the crop to the box
@@ -454,8 +468,10 @@ def _padded_product(f, g, weight=None, report=None):
         report["dropped_tau_mass"] = h * float(tau[..., :k0].sum() + tau[..., k1:].sum())
         out = out[core].reshape(-1, P)
     ns = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(first, last)), indexing="ij")
-    data = np.zeros((len(out), M), dtype=np.complex128)
-    np.multiply(h, out[:, k0:k1], out=data[:, start + k0:start + k1])
+    j0, j1 = start + k0, start + k1
+    # zero-filled only where the crop leaves part of the window uncovered
+    data = (np.empty if (j0, j1) == (0, M) else np.zeros)((len(out), M), dtype=np.complex128)
+    np.multiply(h, out[:, k0:k1], out=data[:, j0:j1])
     return SpaceTimeField(grid, np.stack([n.ravel() for n in ns], axis=1), data)
 
 

@@ -87,8 +87,7 @@ def _y_norm(data, bracket_sq, weights, nsq, p):
 
 def xsb_norm(u, p):
     """|| <n>^s <tau+|n|^2>^b u_hat ||_{l^2 L^2}."""
-    nsq = u.norm_sq_columns().astype(float)
-    return float(np.sqrt(((1.0 + nsq) ** p.s * _x_columns(u, p.b)).sum()))
+    return norms_over_s(u, p.b, [p.s], "X")[0]
 
 
 def _x_columns(u, b):
@@ -122,8 +121,7 @@ def ysb_norm(u, p):
 
 def zsb_norm(u, p):
     """X-norm below the modulation split plus Y-norm above it."""
-    data, mod, w, nsq = _on_span(u)
-    return _z_apply(data, _z_factors(mod, nsq, p), w)
+    return norms_over_s(u, p.b, [p.s], "Z")[0]
 
 
 def _z_factors(mod, nsq, p):
@@ -154,12 +152,19 @@ def _z_apply(data, factors, weights):
     return x + (energy + float(np.sqrt(_tau_integral(hi ** 2 * y_weight, weights).sum())))
 
 
-def norm_for_mode(u, p, mode):
-    """X^{s,b} or Z^{s,b} norm according to the sweep mode."""
+def norms_over_s(u, b, s_values, mode):
+    """The X^{s,b} (mode 'X') or Z^{s,b} (mode 'Z') norm of u for each s.
+
+    u's span is read once; per s only the weights (1+|n|^2)^s and, for Z,
+    <sigma>^{s+2b} are formed, by the float operations of a one-s norm.
+    """
     if mode == "X":
-        return xsb_norm(u, p)
+        nsq = u.norm_sq_columns().astype(float)
+        cols = _x_columns(u, b)
+        return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
     if mode == "Z":
-        return zsb_norm(u, p)
+        data, mod, w, nsq = _on_span(u)
+        return [_z_apply(data, _z_factors(mod, nsq, NormParams(s, b)), w) for s in s_values]
     raise ValueError("mode must be 'X' or 'Z'")
 
 

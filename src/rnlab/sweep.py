@@ -23,7 +23,7 @@ import numpy as np
 
 from .families import build_family, conjugate_product, predicted_exponents
 from .grid import FrequencyGrid, conjugate_reflect, spacetime_convolve
-from .norms import NormParams, apply_modulation_weight, norm_for_mode
+from .norms import apply_modulation_weight, norms_over_s
 
 # fitted-slope thresholds separating numerical noise from genuine growth
 DIVERGENCE_SLOPE = 0.02
@@ -120,7 +120,7 @@ def lhs_norm_of_product(product, p, mode):
     In mode 'X' this equals the classical X^{s,b-1} norm of the product since
     <mod>^b <mod>^{-1} = <mod>^{b-1}.
     """
-    return norm_for_mode(apply_modulation_weight(product, -1.0), p, mode)
+    return norms_over_s(apply_modulation_weight(product, -1.0), p.b, [p.s], mode)[0]
 
 
 def bilinear_lhs(u, v, p, mode="Z"):
@@ -159,13 +159,12 @@ def _sweep_point(kind, N, tau_step):
     return inst, apply_modulation_weight(conjugate_product(inst), -1.0)
 
 
-def _row_from_point(inst, weighted_product, p, mode):
-    u_norm = norm_for_mode(inst.u, p, mode)
-    v_norm = norm_for_mode(inst.v, p, mode)
-    lhs = norm_for_mode(weighted_product, p, mode)
-    if u_norm <= 0 or v_norm <= 0:
+def _point_rows(inst, weighted_product, b, s_values, mode):
+    """One point's sweep row for each s; each of its three fields is normed once."""
+    u, v, lhs = (norms_over_s(f, b, s_values, mode) for f in (inst.u, inst.v, weighted_product))
+    if any(n <= 0 for n in u + v):
         raise ValueError("family norms must be positive to form the ratio")
-    return SweepRow(inst.N, u_norm, v_norm, lhs, lhs / (u_norm * v_norm))
+    return [SweepRow(inst.N, *n, n[2] / (n[0] * n[1])) for n in zip(u, v, lhs)]
 
 
 def run_sweep(kind, n_list, p, mode="Z", tau_step=0.25):
@@ -173,7 +172,7 @@ def run_sweep(kind, n_list, p, mode="Z", tau_step=0.25):
     ns = _validate_n_list(n_list)
     points = [_sweep_point(kind, N, tau_step) for N in ns]
     report = SweepReport(kind, p.s, p.b, mode)
-    report.rows = [_row_from_point(inst, prod, p, mode) for inst, prod in points]
+    report.rows = [_point_rows(inst, prod, p.b, [p.s], mode)[0] for inst, prod in points]
     slope, _, resid = fit_loglog(ns, [r.ratio for r in report.rows])
     report.fitted_slope = slope
     report.fit_residual = resid
@@ -218,20 +217,19 @@ def threshold_scan(kind, s_list, b, mode="Z", n_list=SCAN_N_DEFAULT,
                    tau_step=SCAN_TAU_STEP):
     """Ratio-slope sign change across regularities s.
 
-    The family data and products are built once per N and re-normed for every
-    s (the fields do not depend on s).  A missing sign change is reported as
-    ``crossing=None``, not an error.
+    The family data and products are built once per N, and each field is
+    normed once for all s (the fields do not depend on s).  A missing sign
+    change is reported as ``crossing=None``, not an error.
     """
     s_values = [float(s) for s in s_list]
     if any(s_values[i] >= s_values[i + 1] for i in range(len(s_values) - 1)):
         raise ValueError("s values must be strictly increasing")
     ns = _validate_n_list(n_list)
     points = [_sweep_point(kind, N, tau_step) for N in ns]
+    rows = [_point_rows(inst, prod, b, s_values, mode) for inst, prod in points]
     scan = ThresholdScan(kind, b, mode)
-    for s in s_values:
-        p = NormParams(s=s, b=b)
-        rows = [_row_from_point(inst, prod, p, mode) for inst, prod in points]
-        slope, _, _ = fit_loglog(ns, [r.ratio for r in rows])
+    for s, row in zip(s_values, zip(*rows)):
+        slope, _, _ = fit_loglog(ns, [r.ratio for r in row])
         scan.points.append((s, slope))
     scan.crossing = locate_sign_change(scan.points)
     return scan

@@ -1,5 +1,6 @@
 """Reference solutions that only the tests use: the quadrature Duhamel
-integral and the Lawson-RK4 integrator of i u_t + Laplacian u = conj(u)^2.
+integral, the Lawson-RK4 integrator of i u_t + Laplacian u = conj(u)^2,
+and the replaced argsort reflection and per-s threshold scan.
 
 They live outside the package, so ``import rnlab`` does not load
 ``scipy.integrate``.
@@ -13,8 +14,9 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad_vec
 
-from rnlab import cutoffs
-from rnlab.grid import FrequencyGrid
+from rnlab import cutoffs, norms, sweep
+from rnlab.grid import FrequencyGrid, SpaceTimeField
+from rnlab.norms import NormParams
 
 
 def duhamel_time_integral(fhat, times):
@@ -116,3 +118,36 @@ def reference_integrate(u0, grid, T, steps, include_nonlinearity=True):
     err = float(np.abs(coarse - fine[::2]).max())
     times = np.linspace(-T, T, 4 * steps + 1)
     return ReferenceTrajectory(times, fine, err <= 1e-6, err)
+
+
+# -- replaced paths of the reflection and the threshold scan -----------------
+
+
+def conjugate_reflect_by_argsort(u):
+    """conj(u(-n, -tau)), its reflected index put in order by an argsort."""
+    ns, data = -u.index, np.conj(u.data[:, ::-1])
+    order = np.argsort(u.grid.flat_keys(ns), kind="stable")
+    return SpaceTimeField(u.grid, ns[order], data[order])
+
+
+def norm_at_s(u, p, mode):
+    """X^{s,b} or Z^{s,b} norm of u at one s, each call finding u's span anew."""
+    if mode == "X":
+        nsq = u.norm_sq_columns().astype(float)
+        return float(np.sqrt(((1.0 + nsq) ** p.s * norms._x_columns(u, p.b)).sum()))
+    data, mod, w, nsq = norms._on_span(u)
+    return norms._z_apply(data, norms._z_factors(mod, nsq, p), w)
+
+
+def threshold_scan_per_s(kind, s_list, b, mode, n_list, tau_step=sweep.SCAN_TAU_STEP):
+    """``sweep.threshold_scan`` as a loop over s that re-norms every field per s."""
+    ns = [int(N) for N in n_list]
+    points = [sweep._sweep_point(kind, N, tau_step) for N in ns]
+    scan = sweep.ThresholdScan(kind, b, mode)
+    for s in (float(s) for s in s_list):
+        p = NormParams(s=s, b=b)
+        ratios = [norm_at_s(prod, p, mode) / (norm_at_s(inst.u, p, mode) * norm_at_s(inst.v, p, mode))
+                  for inst, prod in points]
+        scan.points.append((s, sweep.fit_loglog(ns, ratios)[0]))
+    scan.crossing = sweep.locate_sign_change(scan.points)
+    return scan

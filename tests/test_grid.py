@@ -109,6 +109,30 @@ class TestFieldBasics:
         assert np.allclose(total.column([2, -1]),
                            sparse.column([2, -1]) + dense.column([2, -1]))
 
+    def test_from_columns_owns_its_arrays(self, small_grid, rng):
+        # sorted columns skip the argsort, but must not alias the caller's arrays
+        ns = np.array([[-1, 2], [0, 0], [3, 1]])
+        data = rng.standard_normal((3, small_grid.n_tau)) + 0j
+        u = SpaceTimeField.from_columns(small_grid, ns, data)
+        kept_ns, kept_data = ns.copy(), data.copy()
+        ns[:] = 0
+        data[:] = 7.0
+        assert np.array_equal(u.index, kept_ns)
+        assert np.array_equal(u.data, kept_data)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_from_columns_shuffled_equals_sorted(self, d, rng):
+        grid = FrequencyGrid.for_box(d, 3, 0.5)
+        keys = np.sort(rng.choice(grid.box_count, size=min(9, grid.box_count), replace=False))
+        data = rng.standard_normal((len(keys), grid.n_tau)) + 1j
+        perm = rng.permutation(len(keys))
+        ns = grid.index_from_keys(keys)
+        shuffled = SpaceTimeField.from_columns(grid, ns[perm], data[perm])
+        ordered = SpaceTimeField.from_columns(grid, ns, data)
+        assert np.array_equal(shuffled.index, ordered.index)
+        assert np.array_equal(shuffled.data, ordered.data)
+        assert np.array_equal(ordered.data, data)
+
     def test_column_lookup_missing_is_zero(self, small_grid):
         u = SpaceTimeField.zero(small_grid)
         assert not u.column([1, 1]).any()

@@ -33,6 +33,8 @@ from rnlab.norms import (
 )
 from rnlab.solver import PicardPlan
 
+from oracles import conjugate_reflect_by_argsort
+
 # one grid per dimension, small enough for dozens of examples
 GRIDS = (FrequencyGrid.for_box(1, 6, 0.5), FrequencyGrid.for_box(2, 3, 0.5))
 
@@ -40,10 +42,10 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def fields(draw, grid, max_columns=None):
+def fields(draw, grid, max_columns=None, min_columns=1):
     """Seeded random field on a drawn set of distinct box columns."""
     limit = grid.box_count if max_columns is None else max_columns
-    keys = draw(st.lists(st.integers(0, grid.box_count - 1), min_size=1,
+    keys = draw(st.lists(st.integers(0, grid.box_count - 1), min_size=min_columns,
                          max_size=limit, unique=True))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_field(grid, np.random.default_rng(seed), columns=grid.box_index[keys])
@@ -385,3 +387,20 @@ class TestConjugateReflect:
         assert np.array_equal(twice.index, u.index)
         assert np.array_equal(twice.data, u.data)
 
+    @staticmethod
+    def _assert_matches_argsort_oracle(u):
+        got, want = conjugate_reflect(u), conjugate_reflect_by_argsort(u)
+        assert np.array_equal(got.index, want.index)
+        assert np.array_equal(got.data, want.data)
+
+    @PROPERTY
+    @given(st.sampled_from(GRIDS).flatmap(lambda g: fields(g, max_columns=6, min_columns=0)))
+    def test_reversal_matches_argsort_on_sparse_sets(self, u):
+        self._assert_matches_argsort_oracle(u)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"d{g.dimension}")
+    def test_reversal_matches_argsort_on_empty_one_and_full_sets(self, grid):
+        rng = np.random.default_rng(5)
+        for keys in ([], [0], [grid.box_count // 2], [grid.box_count - 1], range(grid.box_count)):
+            u = random_field(grid, rng, columns=grid.box_index[list(keys)])
+            self._assert_matches_argsort_oracle(u)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from rnlab import sweep
-from rnlab.families import build_family
+from rnlab.families import FAMILY_KINDS, build_family
 from rnlab.grid import FrequencyGrid
-from rnlab.norms import NormParams
+from rnlab.norms import NormParams, norms_over_s
 from rnlab.sweep import (
     SweepReport,
     bilinear_lhs,
@@ -18,6 +18,8 @@ from rnlab.sweep import (
     run_sweep,
     threshold_scan,
 )
+
+from oracles import norm_at_s, threshold_scan_per_s
 
 
 class TestFitLoglog:
@@ -156,6 +158,38 @@ class TestThresholdScan:
     def test_unsorted_s_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             threshold_scan("example1", [-0.5, -0.7], 2.0 / 3.0)
+
+
+class TestOneNormPassForAllS:
+    """The scan norms each field once for all s; the per-s loop it replaced
+    is the oracle, at zero tolerance."""
+
+    @pytest.mark.parametrize("mode, b", [("X", 0.6), ("Z", 2.0 / 3.0)])
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_scan_matches_per_s_loop(self, kind, mode, b):
+        s_list = np.round(np.arange(-1.0, 0.01, 0.1), 10)
+        args = (kind, s_list, b, mode, (8, 16, 32))
+        assert threshold_scan(*args).to_json_text() == threshold_scan_per_s(*args).to_json_text()
+
+    def test_each_field_normed_once(self, monkeypatch):
+        calls = []
+
+        def recording(u, b, s_values, mode):
+            calls.append(len(s_values))
+            return norms_over_s(u, b, s_values, mode)
+
+        monkeypatch.setattr(sweep, "norms_over_s", recording)
+        threshold_scan("example1", [-0.6, -0.5, -0.4, -0.3], 0.6, "X", n_list=(8, 16, 32))
+        assert calls == [4] * 9  # u, v and the weighted product at each of three N
+
+    @pytest.mark.parametrize("mode", ["X", "Z"])
+    def test_sweep_rows_match_per_s_norms(self, mode):
+        p = NormParams(s=-0.55, b=0.6)
+        rep = run_sweep("example2", [4, 8, 16], p, mode=mode)
+        for row, N in zip(rep.rows, [4, 8, 16]):
+            inst, prod = sweep._sweep_point("example2", N, 0.25)
+            u, v, lhs = (norm_at_s(f, p, mode) for f in (inst.u, inst.v, prod))
+            assert (row.u_norm, row.v_norm, row.lhs, row.ratio) == (u, v, lhs, lhs / (u * v))
 
 
 class TestSweepPoints:
