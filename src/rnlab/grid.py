@@ -406,9 +406,8 @@ def _padded_product(f, g, weight=None, report=None):
     spatial axes; the pointwise product (one transform squared when
     ``g is f``) goes back and is cropped to the box and window.  The result
     holds the box columns of the product's support box and is exactly zero
-    off the offset span.  An operand with no nonzero entry, or on the
-    weighted path no nonzero weighted sample, gives the zero field.  A
-    ``report`` dict receives the masses ``spacetime_convolve`` documents.
+    off the offset span.  A ``report`` dict receives the masses
+    ``spacetime_convolve`` documents.
     """
     grid, d = f.grid, f.grid.dimension
     M, h = grid.n_tau, grid.tau_step
@@ -436,16 +435,11 @@ def _padded_product(f, g, weight=None, report=None):
         rows = np.fft.fft(u.data[:, a:b], n=P, axis=1)
         box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
         box[np.ravel_multi_index((u.index - lo).T, ext)] = rows if w is None else rows[:, live] * w
-        if w is not None and not box.any():
-            return None  # no weighted sample; unweighted spans hold a nonzero entry
-        return _fftn(box.reshape(tuple(ext) + (n_live,)), shape)
+        box = box.reshape(tuple(ext) + (n_live,))
+        return _fftn(box, shape)
 
     conv = samples(f, lo_f, ext_f, af, bf)
-    other = conv if g is f or conv is None else samples(g, lo_g, ext_g, ag, bg)
-    if other is None:
-        return SpaceTimeField.zero(grid)
-    conv *= other
-    del other
+    conv *= conv if g is f else samples(g, lo_g, ext_g, ag, bg)
     conv = _ifftn(conv, d)
     lo = lo_f + lo_g  # the lattice point at the workspace origin
     first = np.maximum(lo, -grid.n_max)  # lattice corners of the crop to the box
@@ -468,10 +462,8 @@ def _padded_product(f, g, weight=None, report=None):
         report["dropped_tau_mass"] = h * float(tau[..., :k0].sum() + tau[..., k1:].sum())
         out = out[core].reshape(-1, P)
     ns = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(first, last)), indexing="ij")
-    j0, j1 = start + k0, start + k1
-    # zero-filled only where the crop leaves part of the window uncovered
-    data = (np.empty if (j0, j1) == (0, M) else np.zeros)((len(out), M), dtype=np.complex128)
-    np.multiply(h, out[:, k0:k1], out=data[:, j0:j1])
+    data = np.zeros((len(out), M), dtype=np.complex128)
+    np.multiply(h, out[:, k0:k1], out=data[:, start + k0:start + k1])
     return SpaceTimeField(grid, np.stack([n.ravel() for n in ns], axis=1), data)
 
 

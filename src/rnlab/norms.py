@@ -155,8 +155,10 @@ def _z_apply(data, factors, weights):
 def norms_over_s(u, b, s_values, mode):
     """The X^{s,b} (mode 'X') or Z^{s,b} (mode 'Z') norm of u for each s.
 
-    u's span is read once; per s only the weights (1+|n|^2)^s and, for Z,
-    <sigma>^{s+2b} are formed, by the float operations of a one-s norm.
+    u's window is read once, to find its nonzero tau-span, and every s is
+    normed on that span by the float operations of a one-s norm.  For X the
+    column integrals are formed once and only (1+|n|^2)^s per s; for Z each
+    s redoes the whole ``_z_factors``/``_z_apply`` work on the span.
     """
     if mode == "X":
         nsq = u.norm_sq_columns().astype(float)

@@ -115,13 +115,12 @@ def nonlinear_fourier_data(u, v, T):
     eta(t / 2T), which vanishes off |t| < 4T, so only those t-nodes pass
     the spatial transforms.  The cut-off factor is not truncated to the
     tau-window: its transform tail aliases at the workspace period.  When
-    ``v is u`` the one reflected factor is passed twice and squared.  An
-    operand with no column, or with no nonzero weighted sample, gives the
-    zero field.  The scale must satisfy 0 < T <= 1/4, as in ``SolverParams``.
+    ``v is u`` the one reflected factor is passed twice and squared.
+    The scale must satisfy 0 < T <= 1/4, as in ``SolverParams``.
     """
     _check_scale(T)
     u.grid.assert_compatible(v.grid)
-    if not (u.n_columns and v.n_columns):
+    if not (u.data.any() and v.data.any()):
         return SpaceTimeField.zero(u.grid)
     fu = conjugate_reflect(u)
     fv = fu if v is u else conjugate_reflect(v)
