@@ -59,7 +59,6 @@ from .sweep import (
     SweepReport,
     SweepRow,
     ThresholdScan,
-    bilinear_lhs,
     fit_loglog,
     run_sweep,
     threshold_scan,

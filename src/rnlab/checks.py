@@ -146,7 +146,7 @@ def check_convolution_tent():
             if prod.n_columns != 1 or tuple(prod.index[0]) != col:
                 return CheckResult("convolution matches analytic tent", False,
                                    f"{kind} N={N}: wrong product support")
-            vals = prod.data[0]
+            vals = prod.column(col)
             expected = discrete_tent(grid.tau_nodes - center, 0.25)
             denom = np.maximum(np.abs(expected), 1.0)
             worst = max(worst, float((np.abs(vals - expected) / denom).max()))

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checks import run_all
-from .families import FAMILY_KINDS, build_family, conjugate_product, discrete_tent, product_support
+from .families import (FAMILY_KINDS, build_family, check_frequency, check_tau_step,
+                       conjugate_product, discrete_tent, product_support)
 from .grid import FrequencyGrid, random_field
 from .norms import (
     NormParams,
@@ -32,7 +33,7 @@ from .norms import (
 )
 from .solver import (DivergenceError, SolverParams, dump_field, peak_bytes, picard_solve,
                      rough_initial_data)
-from .sweep import SCAN_N_DEFAULT, SCAN_TAU_STEP, run_sweep, threshold_scan
+from .sweep import SCAN_N_DEFAULT, SCAN_TAU_STEP, _validate_n_list, run_sweep, threshold_scan
 
 DEFAULT_SWEEP_N = (4, 8, 16, 32, 64, 128)
 
@@ -43,6 +44,17 @@ _BUDGET_GIB = 4
 # Peak bytes of the norm command per drawn field entry: the two float draws,
 # the complex field and the Z-norm's per-entry weights (tracemalloc: 56-59).
 _NORM_BYTES_PER_ENTRY = 64
+
+# Peak bytes of the family command per window sample of its largest N: the
+# tent check reads the product over the whole window (tracemalloc: 42.0).
+_FAMILY_BYTES_PER_SAMPLE = 48
+
+# Peak bytes of sweep and threshold per indicator sample, 2 / tau_step + 1:
+# each point keeps its two members and its weighted product, 64 bytes, and
+# one point's product and norms add the transient (tracemalloc: 160-165).
+# No array of theirs is window-sized.
+_POINT_BYTES_PER_SAMPLE = 64
+_SCAN_TRANSIENT_BYTES_PER_SAMPLE = 192
 
 
 class ConfigError(Exception):
@@ -284,11 +296,38 @@ def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _check_budget(nbytes):
+def _check_budget(nbytes, key="n_max", remedy="reduce n_max, tau_pad or d"):
     gib = nbytes / 2**30
     if gib > _BUDGET_GIB:
-        raise ConfigError(f"key 'n_max': needs {gib:.2f} GiB, over the {_BUDGET_GIB} GiB "
-                          "budget; reduce n_max, tau_pad or d")
+        raise ConfigError(f"key '{key}': needs {gib:.2f} GiB, over the {_BUDGET_GIB} GiB "
+                          f"budget; {remedy}")
+
+
+def _family_n_list(cfg, default):
+    """The N values of family, sweep or threshold, checked before any field is built."""
+    n_list = cfg.N or default
+    try:
+        check_tau_step(cfg.tau_step)
+    except ValueError as exc:
+        raise ConfigError(f"key 'tau_step': {exc}") from None
+    try:
+        check_frequency(max(n_list), cfg.tau_step)
+    except ValueError as exc:
+        raise ConfigError(f"key 'N': {exc}") from None
+    if cfg.command == "family":
+        n_tau = FrequencyGrid.for_box(2, max(n_list), cfg.tau_step).n_tau
+        _check_budget(_FAMILY_BYTES_PER_SAMPLE * n_tau, "N",
+                      f"N={max(n_list)} has {n_tau} window samples; reduce N")
+        return n_list
+    try:
+        _validate_n_list(n_list)
+    except ValueError as exc:
+        raise ConfigError(f"key 'N': {exc}") from None
+    width = 2.0 / cfg.tau_step + 1.0
+    nbytes = (_POINT_BYTES_PER_SAMPLE * len(n_list) + _SCAN_TRANSIENT_BYTES_PER_SAMPLE) * width
+    _check_budget(nbytes, "N", f"{len(n_list)} N values at tau_step={cfg.tau_step}; "
+                  "use fewer N values or a larger tau_step")
+    return n_list
 
 
 def _cmd_norm(cfg):
@@ -318,7 +357,7 @@ def _cmd_norm(cfg):
 
 
 def _cmd_family(cfg):
-    n_list = cfg.N or DEFAULT_SWEEP_N
+    n_list = _family_n_list(cfg, DEFAULT_SWEEP_N)
     p = NormParams(s=cfg.s, b=cfg.b)
     rows = []
     for N in n_list:
@@ -347,12 +386,9 @@ def _cmd_family(cfg):
 
 
 def _cmd_sweep(cfg):
-    n_list = cfg.N or DEFAULT_SWEEP_N
-    p = NormParams(s=cfg.s, b=cfg.b)
-    try:
-        report = run_sweep(cfg.family, n_list, p, cfg.mode, cfg.tau_step)
-    except ValueError as exc:
-        raise ConfigError(f"key 'N': {exc}") from None
+    n_list = _family_n_list(cfg, DEFAULT_SWEEP_N)
+    report = run_sweep(cfg.family, n_list, NormParams(s=cfg.s, b=cfg.b), cfg.mode,
+                       cfg.tau_step)
     _write(cfg, "sweep.csv", report.to_csv_text())
     _write(cfg, "sweep.json", report.to_json_text())
     print(f"fitted ratio slope {report.fitted_slope:+.4f} "
@@ -363,7 +399,7 @@ def _cmd_sweep(cfg):
 def _cmd_threshold(cfg):
     lo, hi, step = cfg.s_range
     s_values = np.arange(lo, hi + step / 2, step)
-    n_list = cfg.N or SCAN_N_DEFAULT
+    n_list = _family_n_list(cfg, SCAN_N_DEFAULT)
     scan = threshold_scan(cfg.family, s_values, cfg.b, cfg.mode, n_list,
                           tau_step=cfg.tau_step)
     _write(cfg, "threshold.json", scan.to_json_text())

@@ -157,7 +157,7 @@ def apply_time_cutoff(u, scale):
     kernel = scale * transform_on_lattice(scale * grid.tau_step, M - 1)
     L = _next_fast_len(3 * M - 2)
     K = np.fft.fft(kernel, n=L)
-    U = np.fft.fft(u.data, n=L, axis=1)
+    U = np.fft.fft(u.on_window().data, n=L, axis=1)
     conv = np.fft.ifft(U * K[None, :], axis=1)
     # kernel index j - (M-1) pairs with data index k: output m = k + j - (M-1)
     core = conv[:, M - 1: 2 * M - 1] * grid.tau_step

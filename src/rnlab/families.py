@@ -13,7 +13,8 @@ unit-indicator tau-profile:
 
 Indicator endpoints sit exactly on tau-samples and carry the value 1/2
 (the jump average), which makes the grid quadrature of every product of an
-indicator with a continuous piecewise-linear function exact.
+indicator with a continuous piecewise-linear function exact.  Each member
+stores only its indicator's 2 / tau_step + 1 samples, whatever the window.
 """
 
 from __future__ import annotations
@@ -62,20 +63,33 @@ def _validate(kind, N, grid):
         raise ValueError(f"family frequency N={N} exceeds the spatial box n_max={grid.n_max}")
     if grid.tau_max < N**2 + 1:
         raise ValueError(f"tau window must contain +-(N^2+1)={N**2 + 1}")
-    per_unit = 1.0 / grid.tau_step
+    check_tau_step(grid.tau_step)
+    check_frequency(N, grid.tau_step)
+
+
+def check_tau_step(tau_step):
+    """Raise unless tau_step divides 1, so the indicator endpoints are samples."""
+    per_unit = 1.0 / tau_step
     if abs(per_unit - round(per_unit)) > 1e-9:
         raise ValueError("family indicators need a tau_step that divides 1")
 
 
-def indicator_profile(grid, center):
-    """Samples of 1_[center-1, center+1] with half-values at the two endpoints."""
+def check_frequency(N, tau_step):
+    """Raise unless every tau-sample out to +-2(N^2+1), where the products
+    reach, is exact in float64; beyond that the indicators lose samples."""
+    if (N * N + 1) / tau_step >= 2.0**52:
+        raise ValueError(f"family frequency N={N} puts the indicators beyond the "
+                         f"exact float64 tau-samples of tau_step={tau_step}")
+
+
+def _member(grid, n, center):
+    """Field at column n holding 1_[center-1, center+1] on the indicator's samples,
+    with half-values at the two endpoints."""
     j0 = grid.tau_index(center - 1.0)
-    j1 = grid.tau_index(center + 1.0)
-    prof = np.zeros(grid.n_tau, dtype=np.complex128)
-    prof[j0: j1 + 1] = 1.0
-    prof[j0] = 0.5
-    prof[j1] = 0.5
-    return prof
+    prof = np.ones(grid.tau_index(center + 1.0) - j0 + 1, dtype=np.complex128)
+    prof[0] = 0.5
+    prof[-1] = 0.5
+    return SpaceTimeField.from_columns(grid, [n], [prof], lo=j0)
 
 
 def _e1(grid, N):
@@ -90,17 +104,13 @@ def build_family(kind, N, grid):
     """Exact indicator data of one family member; no interpolation anywhere."""
     _validate(kind, N, grid)
     nsq = float(N) ** 2
-    u = SpaceTimeField.from_columns(grid, [_e1(grid, N)], [indicator_profile(grid, -nsq)])
+    u = _member(grid, _e1(grid, N), -nsq)
     if kind == "example1":
-        v = SpaceTimeField.from_columns(
-            grid, [[-c for c in _e1(grid, N)]], [indicator_profile(grid, -nsq)]
-        )
+        v = _member(grid, [-c for c in _e1(grid, N)], -nsq)
     elif kind == "example2":
-        v = SpaceTimeField.from_columns(
-            grid, [[-c for c in _e1(grid, N)]], [indicator_profile(grid, nsq)]
-        )
+        v = _member(grid, [-c for c in _e1(grid, N)], nsq)
     else:
-        v = SpaceTimeField.from_columns(grid, [_e2(N)], [indicator_profile(grid, -nsq)])
+        v = _member(grid, _e2(N), -nsq)
     return FamilyInstance(kind, int(N), u, v)
 
 

@@ -2,10 +2,14 @@
 
 The computational model: complex Fourier data u_hat(n, tau) lives on the
 integer box {-n_max, ..., n_max}^d times a uniform tau-window symmetric about
-zero.  A field stores only the spatial columns it occupies; any column absent
-from its index is identically zero.  All tau-integrals are trapezoid sums on
-the window (the endpoint half-weights matter only for data touching the
-window edge, which well-resolved fields never do).
+zero.  A field stores only the spatial columns it occupies, and of those only
+a block of tau-samples: the window indices [lo, lo + width).  Any column
+absent from its index, and every sample outside its block, is identically
+zero.  The solver and the random fields store the whole window (lo = 0);
+a family member stores the few samples of its indicator, so its cost
+follows its tau-support, not the window.  All tau-integrals are trapezoid
+sums on the window (the endpoint half-weights matter only for data touching
+the window edge, which well-resolved fields never do).
 
 Conventions (the 2*pi-free normalization): synthesis is
 u(x, t) = sum_n Int u_hat(n, tau) e^{i(n.x + t tau)} dtau, so multiplication
@@ -87,14 +91,24 @@ class FrequencyGrid:
 
     @cached_property
     def tau_nodes(self):
-        # (j - half)*step is exactly antisymmetric under j -> n_tau-1-j.
-        return (np.arange(self.n_tau) - self.half_index) * self.tau_step
+        return self.nodes_on(0, self.n_tau)
 
     @cached_property
     def tau_weights(self):
-        w = np.full(self.n_tau, self.tau_step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        return self.weights_on(0, self.n_tau)
+
+    def nodes_on(self, a, b):
+        """tau_nodes[a:b], computed on [a, b) alone and bitwise equal to it."""
+        # (j - half)*step is exactly antisymmetric under j -> n_tau-1-j.
+        return (np.arange(a, b) - self.half_index) * self.tau_step
+
+    def weights_on(self, a, b):
+        """tau_weights[a:b], computed on [a, b) alone and bitwise equal to it."""
+        w = np.full(b - a, self.tau_step)
+        if a == 0 < b:
+            w[0] *= 0.5
+        if a < b == self.n_tau:
+            w[-1] *= 0.5
         return w
 
     def tau_index(self, tau):
@@ -154,7 +168,13 @@ class FrequencyGrid:
             raise ValueError("grid mismatch between fields")
 
 
-def _sorted_rows(grid, ns, data):
+def _rows(data, count, width):
+    """``data`` as ``count`` complex rows; 2-D data keeps its own width."""
+    data = np.asarray(data, dtype=np.complex128)
+    return data.reshape(count, data.shape[1] if data.ndim == 2 else width)
+
+
+def _sorted_rows(grid, ns, data, width):
     """Lattice points ``ns`` and their rows of ``data`` in row-major key order.
 
     Both come back as new arrays, copied once: by the argsort gather, or by a
@@ -163,28 +183,33 @@ def _sorted_rows(grid, ns, data):
     ns = np.asarray(ns, dtype=np.int64).reshape(-1, grid.dimension)
     keys = grid.flat_keys(ns)
     if (np.diff(keys) > 0).all():
-        return ns.copy(), np.array(data, dtype=np.complex128).reshape(len(ns), grid.n_tau)
+        return ns.copy(), _rows(np.array(data, dtype=np.complex128), len(ns), width)
     order = np.argsort(keys, kind="stable")
-    return ns[order], np.asarray(data, dtype=np.complex128).reshape(len(ns), grid.n_tau)[order]
+    return ns[order], _rows(data, len(ns), width)[order]
 
 
 @dataclass
 class SpaceTimeField:
     """Complex coefficients u_hat(n, tau) on a set of occupied spatial columns.
 
-    ``index`` has shape (K, d) and is sorted (row-major key) with unique rows;
-    ``data`` has shape (K, n_tau).  Columns outside ``index`` are zero.
+    ``index`` has shape (K, d) and is sorted (row-major key) with unique rows.
+    ``data`` has shape (K, width) and holds the window samples
+    [lo, lo + width) of each column, with lo + width <= n_tau; a field on the
+    whole window has lo = 0 and width = n_tau.  Columns outside ``index`` and
+    samples outside the block are zero.
     """
 
     grid: FrequencyGrid
     index: np.ndarray
     data: np.ndarray
+    lo: int = 0
 
     def __post_init__(self):
         self.index = np.asarray(self.index, dtype=np.int64).reshape(-1, self.grid.dimension)
-        self.data = np.ascontiguousarray(self.data, dtype=np.complex128).reshape(
-            len(self.index), self.grid.n_tau
-        )
+        self.data = np.ascontiguousarray(
+            _rows(self.data, len(self.index), self.grid.n_tau - self.lo))
+        if not 0 <= self.lo <= self.lo + self.data.shape[1] <= self.grid.n_tau:
+            raise ValueError("field block must lie inside the tau-window")
         if len(self.index) and not self.grid.in_box(self.index).all():
             raise ValueError("field has columns outside the grid box")
         keys = self.grid.flat_keys(self.index)
@@ -208,15 +233,16 @@ class SpaceTimeField:
         return cls(grid, grid.box_index.copy(), cls.zero(grid).box_array())
 
     @classmethod
-    def from_columns(cls, grid, ns, profiles):
-        """Field occupying the given lattice points with the given tau-profiles.
+    def from_columns(cls, grid, ns, profiles, lo=0):
+        """Field occupying the given lattice points with the given tau-profiles,
+        each the window samples from ``lo`` on (the whole window by default).
 
         The field owns its arrays: neither aliases the arguments.
         """
-        ns, profiles = _sorted_rows(grid, ns, profiles)
+        ns, profiles = _sorted_rows(grid, ns, profiles, grid.n_tau - lo)
         if not np.isfinite(profiles).all():  # data enters here; derived fields are not rechecked
             raise ValueError("field contains non-finite coefficients")
-        return cls(grid, ns, profiles)
+        return cls(grid, ns, profiles, lo)
 
     # -- basic queries ----------------------------------------------------
 
@@ -224,37 +250,47 @@ class SpaceTimeField:
     def n_columns(self):
         return len(self.index)
 
+    @property
+    def stored(self):
+        """Half-open window range [lo, lo + width) of the stored block."""
+        return self.lo, self.lo + self.data.shape[1]
+
     def norm_sq_columns(self):
         return FrequencyGrid.norm_sq(self.index)
 
     def mod_array(self, span=None):
-        """Modulation tau + |n|^2 per stored entry, shape (K, n_tau), or (K, b-a) on [a, b)."""
-        a, b = (0, self.grid.n_tau) if span is None else span
-        return self.grid.tau_nodes[None, a:b] + self.norm_sq_columns()[:, None].astype(float)
+        """Modulation tau + |n|^2 per stored entry, shape (K, width), or (K, b-a) on [a, b)."""
+        a, b = self.stored if span is None else span
+        return self.grid.nodes_on(a, b)[None, :] + self.norm_sq_columns()[:, None].astype(float)
 
     def tau_span(self):
         """Half-open tau-index range [a, b) holding every nonzero entry; (0, 0) if none.
 
-        The union over all stored columns.
+        The union over all stored columns; only the stored block is read.
         """
         nz = np.flatnonzero(self.data.any(axis=0))
-        return (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0)
+        return (self.lo + int(nz[0]), self.lo + int(nz[-1]) + 1) if len(nz) else (0, 0)
+
+    def on(self, a, b):
+        """The stored data on window samples [a, b): a sub-range of the block, or empty."""
+        return self.data[:, a - self.lo:b - self.lo]
 
     def column(self, n):
-        """Tau-profile of one column (zeros if the column is not occupied)."""
+        """Tau-profile of one column over the window (zeros if it is not occupied)."""
         n = np.asarray(n, dtype=np.int64).reshape(1, self.grid.dimension)
         key = self.grid.flat_keys(n)[0]
         keys = self.grid.flat_keys(self.index)
         pos = np.searchsorted(keys, key)
+        out = np.zeros(self.grid.n_tau, dtype=np.complex128)
         if pos < len(keys) and keys[pos] == key:
-            return self.data[pos].copy()
-        return np.zeros(self.grid.n_tau, dtype=np.complex128)
+            out[slice(*self.stored)] = self.data[pos]
+        return out
 
     def max_abs(self):
         return float(np.abs(self.data).max()) if self.data.size else 0.0
 
     def box_array(self):
-        """Dense array over the full box, spatial axes first (guarded by size)."""
+        """Dense array over the full box and window, spatial axes first (guarded by size)."""
         entries = self.grid.box_count * self.grid.n_tau
         if entries > _DENSE_ENTRY_LIMIT:
             raise MemoryError("dense materialization of this field is too large")
@@ -262,13 +298,21 @@ class SpaceTimeField:
         shape = (side,) * self.grid.dimension + (self.grid.n_tau,)
         out = np.zeros(shape, dtype=np.complex128)
         flat = out.reshape(-1, self.grid.n_tau)
-        flat[self.grid.flat_keys(self.index)] = self.data
+        flat[self.grid.flat_keys(self.index), slice(*self.stored)] = self.data
         return out
+
+    def on_window(self):
+        """This field stored on the whole window: itself if it already is."""
+        if self.stored == (0, self.grid.n_tau):
+            return self
+        data = np.zeros((self.n_columns, self.grid.n_tau), dtype=np.complex128)
+        data[:, slice(*self.stored)] = self.data
+        return SpaceTimeField(self.grid, self.index.copy(), data)
 
     # -- algebra ----------------------------------------------------------
 
     def copy(self):
-        return SpaceTimeField(self.grid, self.index.copy(), self.data.copy())
+        return SpaceTimeField(self.grid, self.index.copy(), self.data.copy(), self.lo)
 
     def __add__(self, other):
         return _add_fields(self, other, 1.0)
@@ -277,7 +321,7 @@ class SpaceTimeField:
         return _add_fields(self, other, -1.0)
 
     def __mul__(self, scalar):
-        return SpaceTimeField(self.grid, self.index.copy(), self.data * complex(scalar))
+        return SpaceTimeField(self.grid, self.index.copy(), self.data * complex(scalar), self.lo)
 
     __rmul__ = __mul__
 
@@ -286,18 +330,27 @@ class SpaceTimeField:
 
 
 def _add_fields(a, b, sign):
+    """a + sign b on the union of the columns and of the stored blocks.
+
+    An operand with no stored entry adds no block, so adding the zero field
+    does not widen the other operand.
+    """
     a.grid.assert_compatible(b.grid)
     grid = a.grid
-    if np.array_equal(a.index, b.index):
+    if a.stored == b.stored and np.array_equal(a.index, b.index):
         data = a.data + b.data if sign > 0 else a.data - b.data
-        return SpaceTimeField(grid, a.index.copy(), data)
+        return SpaceTimeField(grid, a.index.copy(), data, a.lo)
     ka = grid.flat_keys(a.index)
     kb = grid.flat_keys(b.index)
     keys = np.union1d(ka, kb)
-    data = np.zeros((len(keys), grid.n_tau), dtype=np.complex128)
-    data[np.searchsorted(keys, ka)] += a.data
-    data[np.searchsorted(keys, kb)] += sign * b.data
-    return SpaceTimeField(grid, grid.index_from_keys(keys), data)
+    blocks = [u.stored for u in (a, b) if u.data.size] or [(0, 0)]
+    lo = min(s for s, _ in blocks)
+    data = np.zeros((len(keys), max(e for _, e in blocks) - lo), dtype=np.complex128)
+    for u, k, rows in ((a, ka, a.data), (b, kb, sign * b.data)):
+        if u.data.size:
+            s, e = u.stored
+            data[np.searchsorted(keys, k), s - lo:e - lo] += rows
+    return SpaceTimeField(grid, grid.index_from_keys(keys), data, lo)
 
 
 # -- dyadic spatial projections -------------------------------------------
@@ -334,7 +387,7 @@ def project_dyadic(u, block):
     if block.N > 2 * math.sqrt(u.grid.dimension) * u.grid.n_max:
         raise ValueError(f"block N={block.N} lies beyond the grid diameter")
     keep = block.contains(u.norm_sq_columns())
-    return SpaceTimeField(u.grid, u.index[keep], u.data[keep])
+    return SpaceTimeField(u.grid, u.index[keep], u.data[keep], u.lo)
 
 
 def project_modulation(u, side):
@@ -346,7 +399,7 @@ def project_modulation(u, side):
         raise ValueError("side must be 'lo' or 'hi'")
     lo_mask = low_modulation_mask(u.mod_array(), u.norm_sq_columns())
     mask = lo_mask if side == "lo" else ~lo_mask
-    return SpaceTimeField(u.grid, u.index.copy(), u.data * mask)
+    return SpaceTimeField(u.grid, u.index.copy(), u.data * mask, u.lo)
 
 
 def low_modulation_mask(mod, norm_sq):
@@ -358,9 +411,11 @@ def conjugate_reflect(u):
     """Data of the complex conjugate: output(n, tau) = conj(input(-n, -tau)).
 
     Exact on the symmetric tau-grid; an involution.  n -> -n reverses the
-    row-major key order, so reversing the rows keeps the index sorted.
+    row-major key order, so reversing the rows keeps the index sorted, and
+    tau -> -tau mirrors the stored block [lo, hi) to [n_tau - hi, n_tau - lo).
     """
-    return SpaceTimeField(u.grid, -u.index[::-1], np.conj(u.data[::-1, ::-1]))
+    return SpaceTimeField(u.grid, -u.index[::-1], np.conj(u.data[::-1, ::-1]),
+                          u.grid.n_tau - u.stored[1])
 
 
 # -- space-time convolution -------------------------------------------------
@@ -405,8 +460,9 @@ def _padded_product(f, g, weight=None, report=None):
     rows are tau-transformed at length P, weighted, and taken through the
     spatial axes; the pointwise product (one transform squared when
     ``g is f``) goes back and is cropped to the box and window.  The result
-    holds the box columns of the product's support box and is exactly zero
-    off the offset span.  A ``report`` dict receives the masses
+    holds the box columns of the product's support box and stores only the
+    offset span, the window samples the linear convolution reaches (the
+    whole window with a ``weight``).  A ``report`` dict receives the masses
     ``spacetime_convolve`` documents.
     """
     grid, d = f.grid, f.grid.dimension
@@ -432,7 +488,7 @@ def _padded_product(f, g, weight=None, report=None):
         raise MemoryError("padded product workspace is too large; reduce n_max or the tau-window")
 
     def samples(u, lo, ext, a, b):
-        rows = np.fft.fft(u.data[:, a:b], n=P, axis=1)
+        rows = np.fft.fft(u.on(a, b), n=P, axis=1)
         box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
         box[np.ravel_multi_index((u.index - lo).T, ext)] = rows if w is None else rows[:, live] * w
         box = box.reshape(tuple(ext) + (n_live,))
@@ -462,9 +518,8 @@ def _padded_product(f, g, weight=None, report=None):
         report["dropped_tau_mass"] = h * float(tau[..., :k0].sum() + tau[..., k1:].sum())
         out = out[core].reshape(-1, P)
     ns = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(first, last)), indexing="ij")
-    data = np.zeros((len(out), M), dtype=np.complex128)
-    np.multiply(h, out[:, k0:k1], out=data[:, start + k0:start + k1])
-    return SpaceTimeField(grid, np.stack([n.ravel() for n in ns], axis=1), data)
+    return SpaceTimeField(grid, np.stack([n.ravel() for n in ns], axis=1),
+                          h * out[:, k0:k1], start + k0 if k1 > k0 else 0)
 
 
 # numpy.fft (numpy >= 2.0) runs the C++ pocketfft.  The n-D helpers keep the
@@ -521,12 +576,13 @@ def _time_kernel(grid, times):
 def time_slices(u, times):
     """Per-column values u_hat(n, t) = Int u_hat(n, tau) e^{i t tau} dtau.
 
-    Returns an array of shape (K, len(times)).  A BLAS product, whose last bits
-    follow the thread count: of the norms only ``l4_spacetime_norm`` takes it,
-    where np.einsum took 2.3 s against 0.18 s on the check's N = 32 field, and
-    the check prints that norm's slope to 4 decimals.
+    Returns an array of shape (K, len(times)).  A BLAS product over the whole
+    window, whose last bits follow the thread count: of the norms only
+    ``l4_spacetime_norm`` takes it, where np.einsum took 2.3 s against 0.18 s
+    on the check's N = 32 field, and the check prints that norm's slope to 4
+    decimals.
     """
-    return u.data @ _time_kernel(u.grid, times)
+    return u.on_window().data @ _time_kernel(u.grid, times)
 
 
 def random_field(grid, rng, columns=None, envelope_power=0.0):

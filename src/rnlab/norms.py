@@ -53,7 +53,7 @@ def _on_span(u):
     not the window; on a full-span field the arithmetic is the window's.
     """
     a, b = u.tau_span()
-    return (u.data[:, a:b], u.mod_array((a, b)), u.grid.tau_weights[a:b],
+    return (u.on(a, b), u.mod_array((a, b)), u.grid.weights_on(a, b),
             u.norm_sq_columns().astype(float))
 
 
@@ -97,13 +97,15 @@ def _x_columns(u, b):
     few MB on any window; per column the arithmetic is that of the whole span.
     """
     lo, hi = u.tau_span()
-    w = u.grid.tau_weights[lo:hi]
+    w = u.grid.weights_on(lo, hi)
+    nodes = u.grid.nodes_on(lo, hi)[None, :]
+    data = u.on(lo, hi)
     nsq = u.norm_sq_columns().astype(float)
     cols = np.empty(len(nsq))
     bounds = [*range(0, len(nsq), _X_BLOCK), len(nsq)]
     for i, j in zip(bounds[:-1], bounds[1:]):
-        mod = u.grid.tau_nodes[None, lo:hi] + nsq[i:j, None]
-        cols[i:j] = _l2_tau_sq(u.data[i:j, lo:hi], _bracket_sq(mod), w, b)
+        mod = nodes + nsq[i:j, None]
+        cols[i:j] = _l2_tau_sq(data[i:j], _bracket_sq(mod), w, b)
     return cols
 
 
@@ -155,7 +157,7 @@ def _z_apply(data, factors, weights):
 def norms_over_s(u, b, s_values, mode):
     """The X^{s,b} (mode 'X') or Z^{s,b} (mode 'Z') norm of u for each s.
 
-    u's window is read once, to find its nonzero tau-span, and every s is
+    u's stored block is read once, to find its nonzero tau-span, and every s is
     normed on that span by the float operations of a one-s norm.  For X the
     column integrals are formed once and only (1+|n|^2)^s per s; for Z each
     s redoes the whole ``_z_factors``/``_z_apply`` work on the span.
@@ -192,7 +194,7 @@ def ct_hs_norm(u, s, t_window):
         raise ValueError("time window exceeds the reciprocal resolution of the tau-grid")
     count = max(2, int(np.ceil((t1 - t0) * _CT_TIMES_PER_UNIT)) + 1)
     times = np.linspace(t0, t1, count)
-    slices = _tau_integral(u.data, _time_kernel(u.grid, times))
+    slices = _tau_integral(u.on_window().data, _time_kernel(u.grid, times))
     w = (1.0 + u.norm_sq_columns().astype(float)) ** s
     vals = np.sqrt((w[:, None] * np.abs(slices) ** 2).sum(axis=0))
     return float(vals.max())
@@ -227,8 +229,10 @@ def dyadic_norm_profile(u, p):
 
 
 def apply_modulation_weight(u, power):
-    """Multiply coefficients by <tau + |n|^2>^power (used for the Duhamel weight)."""
+    """Multiply coefficients by <tau + |n|^2>^power (used for the Duhamel weight).
+
+    The result stores u's nonzero tau-span only.
+    """
     a, b = u.tau_span()
-    out = np.zeros_like(u.data)
-    out[:, a:b] = u.data[:, a:b] * _bracket_sq(u.mod_array((a, b))) ** (power / 2.0)
-    return SpaceTimeField(u.grid, u.index.copy(), out)
+    out = u.on(a, b) * _bracket_sq(u.mod_array((a, b))) ** (power / 2.0)
+    return SpaceTimeField(u.grid, u.index.copy(), out, a)

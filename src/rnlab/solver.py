@@ -392,8 +392,8 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
 
 
 def _on_box(u):
-    """u on every box column, in box order."""
-    if u.n_columns == u.grid.box_count:
+    """u on every box column and the whole window, in box order."""
+    if u.n_columns == u.grid.box_count and u.stored == (0, u.grid.n_tau):
         return u
     return SpaceTimeField(u.grid, u.grid.box_index.copy(), u.box_array())
 

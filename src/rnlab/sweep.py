@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import build_family, conjugate_product, predicted_exponents
-from .grid import FrequencyGrid, conjugate_reflect, spacetime_convolve
+from .grid import FrequencyGrid
 from .norms import apply_modulation_weight, norms_over_s
 
 # fitted-slope thresholds separating numerical noise from genuine growth
@@ -95,16 +95,6 @@ class SweepReport:
         }
         return json.dumps(obj, indent=2) + "\n"
 
-    @classmethod
-    def from_json_text(cls, text):
-        obj = json.loads(text)
-        rep = cls(obj["kind"], obj["s"], obj["b"], obj["mode"])
-        rep.rows = [SweepRow(int(r[0]), r[1], r[2], r[3], r[4]) for r in obj["rows"]]
-        rep.fitted_slope = obj["fitted_slope"]
-        rep.fit_residual = obj["fit_residual"]
-        rep.predicted_slope = obj["predicted_slope"]
-        return rep
-
     def to_csv_text(self):
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
@@ -121,17 +111,6 @@ def lhs_norm_of_product(product, p, mode):
     <mod>^b <mod>^{-1} = <mod>^{b-1}.
     """
     return norms_over_s(apply_modulation_weight(product, -1.0), p.b, [p.s], mode)[0]
-
-
-def bilinear_lhs(u, v, p, mode="Z"):
-    """Duhamel-weighted norm of the data of conj(u)*conj(v).
-
-    No time cutoff is applied: the families are already time-localized (the
-    cut-off product of the solver is ``solver.nonlinear_fourier_data``).
-    """
-    u.grid.assert_compatible(v.grid)
-    product = spacetime_convolve(conjugate_reflect(u), conjugate_reflect(v))
-    return lhs_norm_of_product(product, p, mode)
 
 
 def _validate_n_list(n_list):

@@ -1,6 +1,8 @@
 """Reference solutions that only the tests use: the quadrature Duhamel
 integral, the Lawson-RK4 integrator of i u_t + Laplacian u = conj(u)^2,
-and the replaced argsort reflection and per-s threshold scan.
+the replaced argsort reflection and per-s threshold scan, and the
+whole-window family fields, product, weight and norms that the span-stored
+ones replaced.
 
 They live outside the package, so ``import rnlab`` does not load
 ``scipy.integrate``.
@@ -14,8 +16,8 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.integrate import quad_vec
 
-from rnlab import cutoffs, norms, sweep
-from rnlab.grid import FrequencyGrid, SpaceTimeField
+from rnlab import cutoffs, families, norms, sweep
+from rnlab.grid import FrequencyGrid, SpaceTimeField, spacetime_convolve
 from rnlab.norms import NormParams
 
 
@@ -151,3 +153,79 @@ def threshold_scan_per_s(kind, s_list, b, mode, n_list, tau_step=sweep.SCAN_TAU_
         scan.points.append((s, sweep.fit_loglog(ns, ratios)[0]))
     scan.crossing = sweep.locate_sign_change(scan.points)
     return scan
+
+
+# -- whole-window fields, the storage the span-stored fields replaced --------
+
+
+def indicator_profile(grid, center):
+    """Samples of 1_[center-1, center+1] over the whole window, with
+    half-values at the two endpoints."""
+    j0 = grid.tau_index(center - 1.0)
+    j1 = grid.tau_index(center + 1.0)
+    prof = np.zeros(grid.n_tau, dtype=np.complex128)
+    prof[j0: j1 + 1] = 1.0
+    prof[j0] = 0.5
+    prof[j1] = 0.5
+    return prof
+
+
+def build_family_window(kind, N, grid):
+    """``families.build_family`` with each member on the whole window."""
+    families._validate(kind, N, grid)
+    nsq = float(N) ** 2
+    e1 = [N] if grid.dimension == 1 else [N, 0]
+    minus = [-c for c in e1]
+    v_col, v_center = {"example1": (minus, -nsq), "example2": (minus, nsq),
+                       "remark_uu": ([0, N], -nsq)}[kind]
+    u = SpaceTimeField.from_columns(grid, [e1], [indicator_profile(grid, -nsq)])
+    v = SpaceTimeField.from_columns(grid, [v_col], [indicator_profile(grid, v_center)])
+    return families.FamilyInstance(kind, int(N), u, v)
+
+
+def conjugate_reflect_window(u):
+    """conj(u(-n, -tau)) by reversing u's whole-window rows."""
+    u = u.on_window()
+    return SpaceTimeField(u.grid, -u.index[::-1], np.conj(u.data[::-1, ::-1]))
+
+
+def conjugate_product_window(inst):
+    """``families.conjugate_product`` of whole-window members, on the whole window."""
+    if inst.kind == "remark_uu":
+        return spacetime_convolve(inst.u, inst.v).on_window()
+    u, v = conjugate_reflect_window(inst.u), conjugate_reflect_window(inst.v)
+    return spacetime_convolve(u, v).on_window()
+
+
+def modulation_weight_window(u, power):
+    """<tau + |n|^2>^power u written into a zero-filled window."""
+    u = u.on_window()
+    a, b = u.tau_span()
+    mod = u.grid.tau_nodes[None, a:b] + u.norm_sq_columns()[:, None].astype(float)
+    out = np.zeros_like(u.data)
+    out[:, a:b] = u.data[:, a:b] * norms._bracket_sq(mod) ** (power / 2.0)
+    return SpaceTimeField(u.grid, u.index.copy(), out)
+
+
+def norms_over_s_window(u, b, s_values, mode):
+    """``norms.norms_over_s`` reading the span out of u's whole-window rows
+    and the window's nodes and weights."""
+    u = u.on_window()
+    lo, hi = u.tau_span()
+    data, w = u.data[:, lo:hi], u.grid.tau_weights[lo:hi]
+    nsq = u.norm_sq_columns().astype(float)
+    mod = u.grid.tau_nodes[None, lo:hi] + nsq[:, None]
+    if mode == "X":
+        cols = np.empty(len(nsq))
+        bounds = [*range(0, len(nsq), norms._X_BLOCK), len(nsq)]
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            cols[i:j] = norms._l2_tau_sq(data[i:j], norms._bracket_sq(mod[i:j]), w, b)
+        return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
+    return [norms._z_apply(data, norms._z_factors(mod, nsq, NormParams(s, b)), w)
+            for s in s_values]
+
+
+def sweep_point_window(kind, N, tau_step):
+    """``sweep._sweep_point`` on whole-window fields."""
+    inst = build_family_window(kind, N, sweep._family_grid(N, tau_step))
+    return inst, modulation_weight_window(conjugate_product_window(inst), -1.0)

@@ -160,6 +160,17 @@ def _forbid_fields(monkeypatch):
     monkeypatch.setattr(rnlab.cli, "rough_initial_data", no_fields)
 
 
+def _forbid_family_fields(monkeypatch):
+    import rnlab.cli
+    import rnlab.sweep
+
+    def no_fields(*args):
+        raise AssertionError("a family was built before the size guard")
+
+    monkeypatch.setattr(rnlab.cli, "build_family", no_fields)
+    monkeypatch.setattr(rnlab.sweep, "build_family", no_fields)
+
+
 class _Admitted(Exception):
     pass
 
@@ -279,6 +290,44 @@ class TestRunCommands:
                             "--N", "64,128,256", "--tau-step", "0.5",
                             "--out", str(tmp_path)])
         assert run(cfg) == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["threshold", "--N", "8,16"], "'N': need at least three N values"),
+        (["sweep", "--N", "8,16"], "'N': need at least three N values"),
+        (["threshold", "--tau-step", "0.3"], "'tau_step'"),
+        (["family", "--N", "8,16", "--tau-step", "0.3"], "'tau_step'"),
+        (["sweep", "--N", "8,16,1024", "--tau-step", "0.3"], "'tau_step'"),
+        # 2^25: the products' tau-samples near 2^51 are not exact at tau_step 1/4
+        (["sweep", "--N", "64,128,33554432"], "'N': family frequency N=33554432"),
+    ])
+    def test_bad_scan_inputs_exit_two_naming_the_key(self, args, message, tmp_path,
+                                                     monkeypatch, capsys):
+        _forbid_family_fields(monkeypatch)
+        assert run(parse_config(args + ["--out", str(tmp_path)])) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        # 268,435,521 window samples at N = 4096 and tau_step 1/4: 12 GiB
+        ["family", "--N", "64,4096"],
+        # members of 2^25 + 1 samples at tau_step 2^-24: 12 GiB
+        ["sweep", "--N", "64,128,256", "--tau-step", "5.9604644775390625e-08"],
+        ["threshold", "--N", "64,128,256", "--tau-step", "5.9604644775390625e-08"],
+    ], ids=lambda a: a[0])
+    def test_family_guard_names_n_before_building(self, args, tmp_path, monkeypatch, capsys):
+        _forbid_family_fields(monkeypatch)
+        assert run(parse_config(args + ["--out", str(tmp_path)])) == 2
+        err = capsys.readouterr().err
+        assert "'N'" in err and "budget" in err
+
+    def test_family_guard_admits_n_2048_and_any_scan_n(self):
+        # family at N = 2048: 67,108,993 window samples, 3.0 GiB; the scans
+        # store no window, so their footprint does not grow with N
+        from rnlab.cli import _family_n_list
+
+        for args in (["family", "--N", "2048"], ["sweep", "--N", "64,128,256"],
+                     ["threshold", "--N", "64,128,256,512,1024,2048,4096"]):
+            cfg = parse_config(args)
+            assert _family_n_list(cfg, ()) == cfg.N
 
     def test_solve_writes_trace(self, tmp_path):
         cfg = parse_config(["solve", "--d", "1", "--n-max", "8", "--T", "0.0625",

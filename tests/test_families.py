@@ -51,7 +51,7 @@ class TestBuildFamily:
         n = inst.u.index[0]
         center_idx = family_grid.tau_index(-float(n @ n))
         # modulation at the support center is exactly zero
-        assert inst.u.data[0][center_idx] == 1.0
+        assert inst.u.column(n)[center_idx] == 1.0
         assert float(family_grid.tau_nodes[center_idx] + n @ n) == 0.0
 
     def test_support_escape_errors(self, family_grid):
@@ -63,6 +63,12 @@ class TestBuildFamily:
             build_family("remark_uu", 4, FrequencyGrid.for_box(1, 8, 0.25))
         with pytest.raises(ValueError, match="unknown family"):
             build_family("example3", 4, family_grid)
+
+    def test_inexact_tau_samples_rejected(self):
+        # no window is built: 2^24 is the largest N whose samples are exact at 1/4
+        build_family("example1", 2**24, FrequencyGrid.for_box(2, 2**24, 0.25))
+        with pytest.raises(ValueError, match="exact float64"):
+            build_family("example1", 2**25, FrequencyGrid.for_box(2, 2**25, 0.25))
 
     def test_coarse_step_rejected(self):
         grid = FrequencyGrid(2, 4, 40.0, 0.4)
@@ -101,13 +107,13 @@ class TestConjugateProduct:
         inst = build_family("example1", 4, family_grid)
         prod = conjugate_product(inst)
         hi = project_modulation(prod, "hi")
-        assert np.array_equal(hi.data, prod.data)
+        assert np.array_equal(hi.box_array(), prod.box_array())
 
     def test_discrete_tent_mass_is_exact(self, family_grid):
         # step-weighted mass of the product equals mass(u) * mass(v) = 4
         inst = build_family("example1", 8, family_grid)
         prod = conjugate_product(inst)
-        mass = float((np.abs(prod.data[0]) * family_grid.tau_weights).sum())
+        mass = float((np.abs(prod.column(prod.index[0])) * family_grid.tau_weights).sum())
         assert mass == pytest.approx(4.0, rel=1e-12)
 
 

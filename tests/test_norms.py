@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rnlab.cutoffs import free_evolution_data
-from rnlab.families import indicator_profile
 from rnlab.grid import (
     FrequencyGrid,
     SpaceTimeField,
@@ -24,6 +23,8 @@ from rnlab.norms import (
     ysb_norm,
     zsb_norm,
 )
+
+from oracles import indicator_profile
 
 P_DEFAULT = NormParams(s=-0.6, b=2.0 / 3.0)
 

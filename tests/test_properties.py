@@ -277,7 +277,8 @@ class TestTrimmedNorms:
         for got, want in pairs:
             assert abs(got - want) <= 1e-13 * want
         # zero off the span and the same products on it
-        assert np.array_equal(apply_modulation_weight(u, -1.0).data, _oracle_weight(u, -1.0))
+        assert np.array_equal(apply_modulation_weight(u, -1.0).on_window().data,
+                              _oracle_weight(u, -1.0))
 
     @PROPERTY
     @given(st.sampled_from(GRIDS).flatmap(fields), NORM_PARAMS, SPLITS)
