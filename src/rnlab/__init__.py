@@ -44,7 +44,6 @@ from .solver import (
     IterationTrace,
     PicardPlan,
     SolverParams,
-    continuous_dependence,
     dump_field,
     duhamel_n1,
     duhamel_n2,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .checks import run_all
 from .families import (FAMILY_KINDS, build_family, check_frequency, check_tau_step,
-                       conjugate_product, discrete_tent, product_support)
+                       conjugate_product, product_support, tent_pairs)
 from .grid import FrequencyGrid, random_field
 from .norms import (
     NormParams,
@@ -45,9 +45,10 @@ _BUDGET_GIB = 4
 # the complex field and the Z-norm's per-entry weights (tracemalloc: 56-59).
 _NORM_BYTES_PER_ENTRY = 64
 
-# Peak bytes of the family command per window sample of its largest N: the
-# tent check reads the product over the whole window (tracemalloc: 42.0).
-_FAMILY_BYTES_PER_SAMPLE = 48
+# Peak bytes of the family command per indicator sample, 2 / tau_step + 1:
+# it holds one point at a time, and no array of its is window-sized
+# (tracemalloc: 256.2 at tau_step 2^-16 and 2^-18).
+_FAMILY_BYTES_PER_SAMPLE = 288
 
 # Peak bytes of sweep and threshold per indicator sample, 2 / tau_step + 1:
 # each point keeps its two members and its weighted product, 64 bytes, and
@@ -314,16 +315,15 @@ def _family_n_list(cfg, default):
         check_frequency(max(n_list), cfg.tau_step)
     except ValueError as exc:
         raise ConfigError(f"key 'N': {exc}") from None
+    width = 2.0 / cfg.tau_step + 1.0
     if cfg.command == "family":
-        n_tau = FrequencyGrid.for_box(2, max(n_list), cfg.tau_step).n_tau
-        _check_budget(_FAMILY_BYTES_PER_SAMPLE * n_tau, "N",
-                      f"N={max(n_list)} has {n_tau} window samples; reduce N")
+        _check_budget(_FAMILY_BYTES_PER_SAMPLE * width, "N",
+                      f"tau_step={cfg.tau_step}; use a larger tau_step")
         return n_list
     try:
         _validate_n_list(n_list)
     except ValueError as exc:
         raise ConfigError(f"key 'N': {exc}") from None
-    width = 2.0 / cfg.tau_step + 1.0
     nbytes = (_POINT_BYTES_PER_SAMPLE * len(n_list) + _SCAN_TRANSIENT_BYTES_PER_SAMPLE) * width
     _check_budget(nbytes, "N", f"{len(n_list)} N values at tau_step={cfg.tau_step}; "
                   "use fewer N values or a larger tau_step")
@@ -365,8 +365,8 @@ def _cmd_family(cfg):
         inst = build_family(cfg.family, N, grid)
         prod = conjugate_product(inst)
         col, center = product_support(cfg.family, N, 2)
-        expected = discrete_tent(grid.tau_nodes - center, cfg.tau_step)
-        deviation = float(np.abs(prod.column(np.array(col)) - expected).max())
+        deviation = max(float(np.abs(vals - tent).max())
+                        for vals, tent in tent_pairs(prod, col, center))
         rows.append({
             "N": N,
             "u_xsb": xsb_norm(inst.u, p), "v_xsb": xsb_norm(inst.v, p),

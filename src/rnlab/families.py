@@ -19,6 +19,7 @@ stores only its indicator's 2 / tau_step + 1 samples, whatever the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,21 @@ def discrete_tent(offsets, tau_step):
     vals = vals + (tau_step / 4.0) * (np.abs(np.abs(x) - 2.0) < 1e-12)
     vals = vals - (tau_step / 2.0) * (np.abs(x) < 1e-12)
     return vals
+
+
+def tent_pairs(prod, col, center):
+    """The product's column ``col`` and the discrete tent about ``center``, on
+    each window range where either can be nonzero: the product's stored block
+    and the tent's support [center - 2, center + 2].  Off both, both are zero,
+    so a deviation's maximum over the ranges is its maximum over the window.
+    """
+    grid = prod.grid
+    a = max(0, math.floor((center - 2.0 - grid.tau_min) / grid.tau_step))
+    b = min(grid.n_tau, math.ceil((center + 2.0 - grid.tau_min) / grid.tau_step) + 1)
+    for span in (prod.stored, (a, b)):
+        if span[0] < span[1]:
+            yield (prod.column(col, span),
+                   discrete_tent(grid.nodes_on(*span) - center, grid.tau_step))
 
 
 def predicted_exponents(kind, s, b, mode=None):

@@ -20,6 +20,7 @@ with no extra constants anywhere.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -275,15 +276,18 @@ class SpaceTimeField:
         """The stored data on window samples [a, b): a sub-range of the block, or empty."""
         return self.data[:, a - self.lo:b - self.lo]
 
-    def column(self, n):
-        """Tau-profile of one column over the window (zeros if it is not occupied)."""
+    def column(self, n, span=None):
+        """Tau-profile of one column over the window, or over window samples
+        [a, b) if ``span`` is given (zeros if it is not occupied)."""
+        a, b = (0, self.grid.n_tau) if span is None else span
         n = np.asarray(n, dtype=np.int64).reshape(1, self.grid.dimension)
         key = self.grid.flat_keys(n)[0]
         keys = self.grid.flat_keys(self.index)
         pos = np.searchsorted(keys, key)
-        out = np.zeros(self.grid.n_tau, dtype=np.complex128)
-        if pos < len(keys) and keys[pos] == key:
-            out[slice(*self.stored)] = self.data[pos]
+        out = np.zeros(b - a, dtype=np.complex128)
+        lo, hi = max(a, self.lo), min(b, self.stored[1])
+        if pos < len(keys) and keys[pos] == key and lo < hi:
+            out[lo - a:hi - a] = self.data[pos, lo - self.lo:hi - self.lo]
         return out
 
     def max_abs(self):
@@ -585,11 +589,55 @@ def time_slices(u, times):
     return u.on_window().data @ _time_kernel(u.grid, times)
 
 
+# -- data-independent weights -------------------------------------------------
+
+# Weights of at most _CACHED_ENTRIES entries are kept, read-only, in a cache
+# of at most _CACHE_BYTES: their arrays' bytes plus _ENTRY_BYTES per key for
+# the key and the array objects, so many tiny entries stay bounded too.
+# Larger weights are built on every call.  Nothing in the package runs
+# threads, and the cache takes no lock.
+_CACHED_ENTRIES = 1 << 16
+_CACHE_BYTES = 4 << 20
+_ENTRY_BYTES = 1024
+_weights = OrderedDict()  # key -> (weights, charged bytes), least recently used first
+_weights_bytes = 0
+
+
+def _arrays(value):
+    """The arrays of an array or of a nested tuple of them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for v in value for a in _arrays(v)]
+
+
+def cached_weights(key, entries, build):
+    """``build()``, built once per by-value ``key`` if it has at most
+    _CACHED_ENTRIES ``entries``, and kept read-only; the least recently used
+    keys are dropped while the cache holds more than _CACHE_BYTES."""
+    global _weights_bytes
+    if entries > _CACHED_ENTRIES:
+        return build()
+    hit = _weights.get(key)
+    if hit is not None:
+        _weights.move_to_end(key)
+        return hit[0]
+    value = build()
+    arrays = _arrays(value)
+    for a in arrays:
+        a.setflags(write=False)
+    charge = sum(a.nbytes for a in arrays) + _ENTRY_BYTES
+    _weights[key] = (value, charge)
+    _weights_bytes += charge
+    while _weights_bytes > _CACHE_BYTES:
+        _weights_bytes -= _weights.popitem(last=False)[1][1]
+    return value
+
+
 def random_field(grid, rng, columns=None, envelope_power=0.0):
     """Seeded complex-Gaussian field, optionally restricted to given columns.
 
     ``envelope_power`` < 0 concentrates mass near the paraboloid by the factor
-    <tau + |n|^2>^envelope_power.
+    <tau + |n|^2>^envelope_power, which depends on the columns alone.
     """
     if columns is None:
         ns = grid.box_index
@@ -599,5 +647,7 @@ def random_field(grid, rng, columns=None, envelope_power=0.0):
         + 1j * rng.standard_normal((len(ns), grid.n_tau))
     field = SpaceTimeField.from_columns(grid, ns, data)
     if envelope_power != 0.0:
-        field.data *= japanese_bracket(field.mod_array()) ** envelope_power
+        key = ("envelope", grid, field.index.tobytes(), envelope_power)
+        field.data *= cached_weights(
+            key, field.data.size, lambda: japanese_bracket(field.mod_array()) ** envelope_power)
     return field

@@ -9,19 +9,28 @@ norms:
               + || <tau+|n|^2>^{s/2+b} u_hat ||_{l^2_n L^2_tau}
   Z^{s,b}:  X-norm of the low-modulation part plus Y-norm of the
             high-modulation part, split at |tau+|n|^2| = MOD_THRESHOLD * |n|^2.
+
+Each norm builds its factors, then applies them to the data.  The factors
+(the modulation weights, the lo entries and the column weights) depend on
+the grid, the columns, the tau-span, (s, b) and the split, never on the
+data, so each is built once per key and held read-only in the byte-bounded
+``grid.cached_weights`` cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import grid as grid_module
 from .grid import (
     SpaceTimeField,
     _ifftn,
     _next_fast_len,
     _time_kernel,
+    cached_weights,
     dyadic_blocks,
     low_modulation_mask,
     project_dyadic,
@@ -42,23 +51,69 @@ class NormParams:
 _CT_TIMES_PER_UNIT = 8
 _L4_TIMES_PER_UNIT = 16
 
-# Spatial columns per block of the X-norm, which bounds its temporaries.
+# Spatial columns per block of an X-norm too large for the weight cache,
+# which bounds its temporaries.
 _X_BLOCK = 32
-
-
-def _on_span(u):
-    """Data, modulation, quadrature weights and |n|^2 on u's nonzero tau-span.
-
-    Every integrand below vanishes off the span, so the norms cost the span,
-    not the window; on a full-span field the arithmetic is the window's.
-    """
-    a, b = u.tau_span()
-    return (u.on(a, b), u.mod_array((a, b)), u.grid.weights_on(a, b),
-            u.norm_sq_columns().astype(float))
 
 
 def _bracket_sq(mod):
     return 1.0 + mod * mod
+
+
+# -- factors: what a norm needs of the columns besides the data ----------------
+#
+# Each builder takes the modulations ``mod`` (K, L) and |n|^2 (K,) of some
+# columns on some tau-samples.  ``_Factors`` builds them once per grid,
+# columns, span, parameters and split, through the weight cache.
+
+
+def _x_weight(mod, nsq, b):
+    """<sigma>^{2b} on every entry."""
+    return _bracket_sq(mod) ** b
+
+
+def _lo_factors(mod, nsq, b):
+    """The Z-norm's s-independent factors: the lo entries, as index arrays, and
+    <sigma>^{2b} on them."""
+    lo = np.nonzero(low_modulation_mask(mod, nsq))
+    return lo, _bracket_sq(mod)[lo] ** b
+
+
+def _s_factors(mod, nsq, s, b):
+    """The Y-norm's factors, also the Z-norm's s-dependent ones: <sigma>^{s+2b}
+    on every entry and (1+|n|^2)^s per column."""
+    return _bracket_sq(mod) ** (s / 2.0 + b), (1.0 + nsq) ** s
+
+
+def _z_factors(mod, nsq, p):
+    """All the Z-norm's factors, in the order ``_z_apply`` takes them."""
+    return _lo_factors(mod, nsq, p.b) + _s_factors(mod, nsq, p.s, p.b)
+
+
+class _Factors:
+    """The builders' factors of u's columns on the window samples ``span``.
+
+    ``self(build, *params)`` is ``build``'s factors, from the weight cache:
+    keyed by value, the split included, and kept read-only when the span is
+    small enough for the cache, built anew on every call otherwise.  The
+    modulations they are built from are formed at most once.
+    """
+
+    def __init__(self, u, span):
+        self.u, self.span = u, span
+        self.key = (u.grid, u.index.tobytes(), span, grid_module.MOD_THRESHOLD)
+
+    @cached_property
+    def columns(self):
+        return self.u.mod_array(self.span), self.u.norm_sq_columns().astype(float)
+
+    def __call__(self, build, *params):
+        entries = self.u.n_columns * (self.span[1] - self.span[0])
+        return cached_weights((build, params, *self.key), entries,
+                              lambda: build(*self.columns, *params))
+
+
+# -- apply: the data's part of each norm ----------------------------------------
 
 
 def _tau_integral(a, weights):
@@ -67,22 +122,46 @@ def _tau_integral(a, weights):
     return np.einsum("kl,l...->k...", a, weights)
 
 
-def _l2_tau_sq(data, bracket_sq, weights, mod_power):
-    """Per-column Int <tau+|n|^2>^{2 mod_power} |u|^2 dtau by the grid quadrature."""
-    integrand = np.abs(data) ** 2
-    if mod_power != 0.0:
-        integrand = integrand * bracket_sq ** mod_power
-    return _tau_integral(integrand, weights)
+def _x_apply(data, x_weight, weights):
+    """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau from ``_x_weight``."""
+    return _tau_integral(np.abs(data) ** 2 * x_weight, weights)
 
 
-def _energy(data, weights, nsq, s):
-    l1 = _tau_integral(np.abs(data), weights)
-    return float(np.sqrt(((1.0 + nsq) ** s * l1 * l1).sum()))
+def _y_apply(hi, y_weight, col_weight, weights):
+    """Y-norm of a field with |u| = ``hi`` from its ``_s_factors``: the energy
+    term plus the modulation-weighted L^2 term."""
+    l1 = _tau_integral(hi, weights)
+    energy = float(np.sqrt((col_weight * l1 * l1).sum()))
+    return energy + float(np.sqrt(_tau_integral(hi ** 2 * y_weight, weights).sum()))
 
 
-def _y_norm(data, bracket_sq, weights, nsq, p):
-    return _energy(data, weights, nsq, p.s) + float(
-        np.sqrt(_l2_tau_sq(data, bracket_sq, weights, p.s / 2.0 + p.b).sum()))
+def _z_split(data, lo, x_weight, weights):
+    """|u| zeroed on the lo entries, and per column the lo integral of
+    <sigma>^{2b} |u|^2: the s-independent part of the Z-norm."""
+    hi = np.abs(data)
+    x_integrand = np.zeros_like(hi)
+    x_integrand[lo] = hi[lo] ** 2 * x_weight
+    hi[lo] = 0.0
+    return hi, _tau_integral(x_integrand, weights)
+
+
+def _z_sum(hi, x_cols, y_weight, col_weight, weights):
+    """X-norm of the lo part plus Y-norm of the hi part, from ``_z_split``."""
+    x = float(np.sqrt((col_weight * x_cols).sum()))
+    return x + _y_apply(hi, y_weight, col_weight, weights)
+
+
+def _z_apply(data, factors, weights):
+    """Z-norm of ``data`` (K, L) from its ``_z_factors`` and quadrature weights.
+
+    The lo integrand and the hi |u| are entry for entry those of the X- and
+    Y-norms of the lo and hi projections, with the same reductions.
+    """
+    lo, x_weight, y_weight, col_weight = factors
+    return _z_sum(*_z_split(data, lo, x_weight, weights), y_weight, col_weight, weights)
+
+
+# -- the norms --------------------------------------------------------------------
 
 
 def xsb_norm(u, p):
@@ -93,32 +172,35 @@ def xsb_norm(u, p):
 def _x_columns(u, b):
     """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau on u's nonzero tau-span.
 
-    Taken about _X_BLOCK columns at a time, so the float temporaries stay a
-    few MB on any window; per column the arithmetic is that of the whole span.
+    A span too large for the weight cache is taken _X_BLOCK columns at a
+    time, so the float temporaries stay a few MB on any window; per column
+    the arithmetic is that of the whole span.
     """
-    lo, hi = u.tau_span()
-    w = u.grid.weights_on(lo, hi)
-    nodes = u.grid.nodes_on(lo, hi)[None, :]
-    data = u.on(lo, hi)
+    span = u.tau_span()
+    data, w = u.on(*span), u.grid.weights_on(*span)
+    if data.size <= grid_module._CACHED_ENTRIES:
+        return _x_apply(data, _Factors(u, span)(_x_weight, b), w)
+    nodes = u.grid.nodes_on(*span)[None, :]
     nsq = u.norm_sq_columns().astype(float)
     cols = np.empty(len(nsq))
     bounds = [*range(0, len(nsq), _X_BLOCK), len(nsq)]
     for i, j in zip(bounds[:-1], bounds[1:]):
-        mod = nodes + nsq[i:j, None]
-        cols[i:j] = _l2_tau_sq(data[i:j], _bracket_sq(mod), w, b)
+        cols[i:j] = _x_apply(data[i:j], _x_weight(nodes + nsq[i:j, None], None, b), w)
     return cols
 
 
 def energy_l2l1(u, s):
     """|| <n>^s u_hat ||_{l^2_n L^1_tau}, the H^s-energy functional."""
-    data, _, w, nsq = _on_span(u)
-    return _energy(data, w, nsq, s)
+    a, b = u.tau_span()
+    l1 = _tau_integral(np.abs(u.on(a, b)), u.grid.weights_on(a, b))
+    return float(np.sqrt(((1.0 + u.norm_sq_columns().astype(float)) ** s * l1 * l1).sum()))
 
 
 def ysb_norm(u, p):
     """Energy term plus the modulation-weighted L^2 term with exponent s/2 + b."""
-    data, mod, w, nsq = _on_span(u)
-    return _y_norm(data, _bracket_sq(mod), w, nsq, p)
+    span = u.tau_span()
+    return _y_apply(np.abs(u.on(*span)), *_Factors(u, span)(_s_factors, p.s, p.b),
+                    u.grid.weights_on(*span))
 
 
 def zsb_norm(u, p):
@@ -126,49 +208,24 @@ def zsb_norm(u, p):
     return norms_over_s(u, p.b, [p.s], "Z")[0]
 
 
-def _z_factors(mod, nsq, p):
-    """What the Z-norm needs of the modulations ``mod`` (K, L) besides the data.
-
-    The lo entries as index arrays, <sigma>^{2b} on them, <sigma>^{s+2b} on
-    every entry, and (1+|n|^2)^s per column.
-    """
-    lo = np.nonzero(low_modulation_mask(mod, nsq))
-    bracket_sq = _bracket_sq(mod)
-    return lo, bracket_sq[lo] ** p.b, bracket_sq ** (p.s / 2.0 + p.b), (1.0 + nsq) ** p.s
-
-
-def _z_apply(data, factors, weights):
-    """Z-norm of ``data`` (K, L) from its ``_z_factors`` and quadrature weights.
-
-    The lo integrand and the hi |u| are entry for entry those of the X- and
-    Y-norms of the lo and hi projections, with the same reductions.
-    """
-    lo, x_weight, y_weight, col_weight = factors
-    hi = np.abs(data)
-    x_integrand = np.zeros_like(hi)
-    x_integrand[lo] = hi[lo] ** 2 * x_weight
-    hi[lo] = 0.0
-    x = float(np.sqrt((col_weight * _tau_integral(x_integrand, weights)).sum()))
-    l1 = _tau_integral(hi, weights)
-    energy = float(np.sqrt((col_weight * l1 * l1).sum()))
-    return x + (energy + float(np.sqrt(_tau_integral(hi ** 2 * y_weight, weights).sum())))
-
-
 def norms_over_s(u, b, s_values, mode):
     """The X^{s,b} (mode 'X') or Z^{s,b} (mode 'Z') norm of u for each s.
 
     u's stored block is read once, to find its nonzero tau-span, and every s is
-    normed on that span by the float operations of a one-s norm.  For X the
-    column integrals are formed once and only (1+|n|^2)^s per s; for Z each
-    s redoes the whole ``_z_factors``/``_z_apply`` work on the span.
+    normed on that span by the float operations of a one-s norm.  What does
+    not depend on s is formed once: for X the column integrals, for Z the lo
+    factors and the data's split; each s adds its ``_s_factors`` alone.
     """
     if mode == "X":
         nsq = u.norm_sq_columns().astype(float)
         cols = _x_columns(u, b)
         return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
     if mode == "Z":
-        data, mod, w, nsq = _on_span(u)
-        return [_z_apply(data, _z_factors(mod, nsq, NormParams(s, b)), w) for s in s_values]
+        span = u.tau_span()
+        w = u.grid.weights_on(*span)
+        factors = _Factors(u, span)
+        hi, x_cols = _z_split(u.on(*span), *factors(_lo_factors, b), w)
+        return [_z_sum(hi, x_cols, *factors(_s_factors, s, b), w) for s in s_values]
     raise ValueError("mode must be 'X' or 'Z'")
 
 

@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import cutoffs
 from .cutoffs import SUPPORT, free_evolution_data, standard_bump
 from .grid import FrequencyGrid, SpaceTimeField, _padded_product, _workspace, conjugate_reflect
-from .norms import NormParams, _tau_integral, _z_apply, _z_factors, ct_hs_norm, spatial_hs_norm
+from .norms import NormParams, _tau_integral, _z_apply, _z_factors, spatial_hs_norm
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
@@ -396,22 +396,6 @@ def _on_box(u):
     if u.n_columns == u.grid.box_count and u.stored == (0, u.grid.n_tau):
         return u
     return SpaceTimeField(u.grid, u.grid.box_index.copy(), u.box_array())
-
-
-def continuous_dependence(u0a, u0b, params, grid):
-    """(input H^s distance, output C_t H^s distance on [-T, T], quotient)."""
-    ta = picard_solve(u0a, params, grid)
-    tb = picard_solve(u0b, params, grid)
-    nsa, va = cutoffs._spatial_pairs(grid, u0a)
-    nsb, vb = cutoffs._spatial_pairs(grid, u0b)
-    if not np.array_equal(nsa, nsb):
-        raise ValueError("initial data must live on the same columns")
-    input_dist = spatial_hs_norm(nsa, va - vb, params.s)
-    diff = ta.final - tb.final
-    output_dist = ct_hs_norm(diff, params.s, (-params.T, params.T))
-    if input_dist == 0.0:
-        return 0.0, output_dist, float("nan")
-    return input_dist, output_dist, output_dist / input_dist
 
 
 # -- flat binary field dumps --------------------------------------------------

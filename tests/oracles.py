@@ -1,8 +1,10 @@
 """Reference solutions that only the tests use: the quadrature Duhamel
 integral, the Lawson-RK4 integrator of i u_t + Laplacian u = conj(u)^2,
-the replaced argsort reflection and per-s threshold scan, and the
+the replaced argsort reflection and per-s threshold scan, the
 whole-window family fields, product, weight and norms that the span-stored
-ones replaced.
+ones replaced, the norms that built their weights on every call, the
+random field's envelope formula, and the solver's continuous-dependence
+measurement.
 
 They live outside the package, so ``import rnlab`` does not load
 ``scipy.integrate``.
@@ -17,8 +19,15 @@ from scipy import fft as sfft
 from scipy.integrate import quad_vec
 
 from rnlab import cutoffs, families, norms, sweep
-from rnlab.grid import FrequencyGrid, SpaceTimeField, spacetime_convolve
-from rnlab.norms import NormParams
+from rnlab.grid import (
+    FrequencyGrid,
+    SpaceTimeField,
+    japanese_bracket,
+    low_modulation_mask,
+    spacetime_convolve,
+)
+from rnlab.norms import NormParams, ct_hs_norm, spatial_hs_norm
+from rnlab.solver import picard_solve
 
 
 def duhamel_time_integral(fhat, times):
@@ -134,11 +143,7 @@ def conjugate_reflect_by_argsort(u):
 
 def norm_at_s(u, p, mode):
     """X^{s,b} or Z^{s,b} norm of u at one s, each call finding u's span anew."""
-    if mode == "X":
-        nsq = u.norm_sq_columns().astype(float)
-        return float(np.sqrt(((1.0 + nsq) ** p.s * norms._x_columns(u, p.b)).sum()))
-    data, mod, w, nsq = norms._on_span(u)
-    return norms._z_apply(data, norms._z_factors(mod, nsq, p), w)
+    return (xsb_uncached if mode == "X" else zsb_uncached)(u, p)
 
 
 def threshold_scan_per_s(kind, s_list, b, mode, n_list, tau_step=sweep.SCAN_TAU_STEP):
@@ -203,7 +208,7 @@ def modulation_weight_window(u, power):
     a, b = u.tau_span()
     mod = u.grid.tau_nodes[None, a:b] + u.norm_sq_columns()[:, None].astype(float)
     out = np.zeros_like(u.data)
-    out[:, a:b] = u.data[:, a:b] * norms._bracket_sq(mod) ** (power / 2.0)
+    out[:, a:b] = u.data[:, a:b] * _bracket_sq(mod) ** (power / 2.0)
     return SpaceTimeField(u.grid, u.index.copy(), out)
 
 
@@ -219,13 +224,133 @@ def norms_over_s_window(u, b, s_values, mode):
         cols = np.empty(len(nsq))
         bounds = [*range(0, len(nsq), norms._X_BLOCK), len(nsq)]
         for i, j in zip(bounds[:-1], bounds[1:]):
-            cols[i:j] = norms._l2_tau_sq(data[i:j], norms._bracket_sq(mod[i:j]), w, b)
+            cols[i:j] = _l2_tau_sq(data[i:j], _bracket_sq(mod[i:j]), w, b)
         return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
-    return [norms._z_apply(data, norms._z_factors(mod, nsq, NormParams(s, b)), w)
-            for s in s_values]
+    return [_z_apply(data, _z_factors(mod, nsq, NormParams(s, b)), w) for s in s_values]
 
 
 def sweep_point_window(kind, N, tau_step):
     """``sweep._sweep_point`` on whole-window fields."""
     inst = build_family_window(kind, N, sweep._family_grid(N, tau_step))
     return inst, modulation_weight_window(conjugate_product_window(inst), -1.0)
+
+
+# -- norms that build every weight on every call, the path the cached factors replaced --
+
+
+_X_BLOCK = 32
+
+
+def _on_span(u):
+    a, b = u.tau_span()
+    return (u.on(a, b), u.mod_array((a, b)), u.grid.weights_on(a, b),
+            u.norm_sq_columns().astype(float))
+
+
+def _bracket_sq(mod):
+    return 1.0 + mod * mod
+
+
+def _tau_integral(a, weights):
+    return np.einsum("kl,l...->k...", a, weights)
+
+
+def _l2_tau_sq(data, bracket_sq, weights, mod_power):
+    integrand = np.abs(data) ** 2
+    if mod_power != 0.0:
+        integrand = integrand * bracket_sq ** mod_power
+    return _tau_integral(integrand, weights)
+
+
+def _energy(data, weights, nsq, s):
+    l1 = _tau_integral(np.abs(data), weights)
+    return float(np.sqrt(((1.0 + nsq) ** s * l1 * l1).sum()))
+
+
+def _x_columns(u, b):
+    lo, hi = u.tau_span()
+    w = u.grid.weights_on(lo, hi)
+    nodes = u.grid.nodes_on(lo, hi)[None, :]
+    data = u.on(lo, hi)
+    nsq = u.norm_sq_columns().astype(float)
+    cols = np.empty(len(nsq))
+    bounds = [*range(0, len(nsq), _X_BLOCK), len(nsq)]
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        mod = nodes + nsq[i:j, None]
+        cols[i:j] = _l2_tau_sq(data[i:j], _bracket_sq(mod), w, b)
+    return cols
+
+
+def _z_factors(mod, nsq, p):
+    lo = np.nonzero(low_modulation_mask(mod, nsq))
+    bracket_sq = _bracket_sq(mod)
+    return lo, bracket_sq[lo] ** p.b, bracket_sq ** (p.s / 2.0 + p.b), (1.0 + nsq) ** p.s
+
+
+def _z_apply(data, factors, weights):
+    lo, x_weight, y_weight, col_weight = factors
+    hi = np.abs(data)
+    x_integrand = np.zeros_like(hi)
+    x_integrand[lo] = hi[lo] ** 2 * x_weight
+    hi[lo] = 0.0
+    x = float(np.sqrt((col_weight * _tau_integral(x_integrand, weights)).sum()))
+    l1 = _tau_integral(hi, weights)
+    energy = float(np.sqrt((col_weight * l1 * l1).sum()))
+    return x + (energy + float(np.sqrt(_tau_integral(hi ** 2 * y_weight, weights).sum())))
+
+
+def norms_over_s_uncached(u, b, s_values, mode):
+    """``norms.norms_over_s`` building its weights on every call, Z for every s."""
+    if mode == "X":
+        nsq = u.norm_sq_columns().astype(float)
+        cols = _x_columns(u, b)
+        return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
+    data, mod, w, nsq = _on_span(u)
+    return [_z_apply(data, _z_factors(mod, nsq, NormParams(s, b)), w) for s in s_values]
+
+
+def xsb_uncached(u, p):
+    return norms_over_s_uncached(u, p.b, [p.s], "X")[0]
+
+
+def zsb_uncached(u, p):
+    return norms_over_s_uncached(u, p.b, [p.s], "Z")[0]
+
+
+def ysb_uncached(u, p):
+    data, mod, w, nsq = _on_span(u)
+    return _energy(data, w, nsq, p.s) + float(
+        np.sqrt(_l2_tau_sq(data, _bracket_sq(mod), w, p.s / 2.0 + p.b).sum()))
+
+
+def energy_uncached(u, s):
+    data, _, w, nsq = _on_span(u)
+    return _energy(data, w, nsq, s)
+
+
+def random_field_uncached(grid, rng, columns=None, envelope_power=0.0):
+    """``grid.random_field`` with its envelope built on every call."""
+    ns = grid.box_index if columns is None else \
+        np.asarray(columns, dtype=np.int64).reshape(-1, grid.dimension)
+    data = rng.standard_normal((len(ns), grid.n_tau)) \
+        + 1j * rng.standard_normal((len(ns), grid.n_tau))
+    field = SpaceTimeField.from_columns(grid, ns, data)
+    if envelope_power != 0.0:
+        field.data *= japanese_bracket(field.mod_array()) ** envelope_power
+    return field
+
+
+def continuous_dependence(u0a, u0b, params, grid):
+    """(input H^s distance, output C_t H^s distance on [-T, T], quotient)."""
+    ta = picard_solve(u0a, params, grid)
+    tb = picard_solve(u0b, params, grid)
+    nsa, va = cutoffs._spatial_pairs(grid, u0a)
+    nsb, vb = cutoffs._spatial_pairs(grid, u0b)
+    if not np.array_equal(nsa, nsb):
+        raise ValueError("initial data must live on the same columns")
+    input_dist = spatial_hs_norm(nsa, va - vb, params.s)
+    diff = ta.final - tb.final
+    output_dist = ct_hs_norm(diff, params.s, (-params.T, params.T))
+    if input_dist == 0.0:
+        return 0.0, output_dist, float("nan")
+    return input_dist, output_dist, output_dist / input_dist

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+from rnlab import grid as grid_module
 from rnlab.checks import check_l4_slope
 from rnlab.grid import FrequencyGrid
 
@@ -26,3 +27,7 @@ def test_l4_slope_peak_memory_near_one_field():
         tracemalloc.stop()
     assert result.passed, result.line()
     assert peak <= 1.25 * field, f"peak {peak / field:.2f}x the N=32 field"
+    # the weight cache took none of the large fields' weights and kept its budget
+    assert grid_module._weights_bytes <= grid_module._CACHE_BYTES
+    assert all(a.size <= grid_module._CACHED_ENTRIES
+               for value, _ in grid_module._weights.values() for a in grid_module._arrays(value))

@@ -307,9 +307,9 @@ class TestRunCommands:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
-        # 268,435,521 window samples at N = 4096 and tau_step 1/4: 12 GiB
-        ["family", "--N", "64,4096"],
-        # members of 2^25 + 1 samples at tau_step 2^-24: 12 GiB
+        # members of 2^25 + 1 samples at tau_step 2^-24: 9 GiB for family,
+        # 12 GiB for the scans
+        ["family", "--N", "64,128,256", "--tau-step", "5.9604644775390625e-08"],
         ["sweep", "--N", "64,128,256", "--tau-step", "5.9604644775390625e-08"],
         ["threshold", "--N", "64,128,256", "--tau-step", "5.9604644775390625e-08"],
     ], ids=lambda a: a[0])
@@ -320,11 +320,12 @@ class TestRunCommands:
         assert "'N'" in err and "budget" in err
 
     def test_family_guard_admits_n_2048_and_any_scan_n(self):
-        # family at N = 2048: 67,108,993 window samples, 3.0 GiB; the scans
-        # store no window, so their footprint does not grow with N
+        # no command stores the window, so the footprint does not grow with
+        # N: family at N = 4096 has 268,435,521 window samples
         from rnlab.cli import _family_n_list
 
-        for args in (["family", "--N", "2048"], ["sweep", "--N", "64,128,256"],
+        for args in (["family", "--N", "2048"], ["family", "--N", "64,4096"],
+                     ["sweep", "--N", "64,128,256"],
                      ["threshold", "--N", "64,128,256,512,1024,2048,4096"]):
             cfg = parse_config(args)
             assert _family_n_list(cfg, ()) == cfg.N

@@ -11,6 +11,7 @@ from rnlab.families import (
     discrete_tent,
     predicted_exponents,
     product_support,
+    tent_pairs,
 )
 from rnlab.grid import FrequencyGrid
 
@@ -101,6 +102,20 @@ class TestConjugateProduct:
         expected = discrete_tent(family_grid.tau_nodes - center, family_grid.tau_step)
         denom = np.maximum(np.abs(expected), 1.0)
         assert (np.abs(vals - expected) / denom).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    @pytest.mark.parametrize("N, step", [(4, 0.25), (16, 0.5)])
+    def test_tent_pairs_give_the_window_maximum(self, kind, N, step):
+        # on the product's block and the tent's support the deviation's
+        # maximum is the whole window's, bit for bit; off-center tents and
+        # an absent column make it large
+        grid = FrequencyGrid.for_box(2, N, step)
+        prod = conjugate_product(build_family(kind, N, grid))
+        col, center = product_support(kind, N, 2)
+        for c, n in ((center, col), (center + 3.0, col), (-center - 0.5, col),
+                     (center, (1, 1))):
+            window = np.abs(prod.column(n) - discrete_tent(grid.tau_nodes - c, step)).max()
+            assert max(np.abs(v - t).max() for v, t in tent_pairs(prod, n, c)) == window
 
     def test_example1_product_entirely_hi(self, family_grid):
         from rnlab.grid import project_modulation

@@ -242,9 +242,11 @@ def _oracle_weight(u, power):
 
 
 def _x_in_blocks(u, p, block):
-    """Per-column X integrals with the X-norm's block size set to ``block``."""
+    """Per-column X integrals with the X-norm's block size set to ``block``,
+    on the blocked path of fields too large for the weight cache."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(norms, "_X_BLOCK", block)
+        mp.setattr(grid_module, "_CACHED_ENTRIES", 0)
         return norms._x_columns(u, p.b)
 
 
@@ -315,6 +317,7 @@ class TestTrimmedNorms:
             assert np.array_equal(_x_in_blocks(v, p, block), _oracle_l2_tau_sq(v, p.b))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(norms, "_X_BLOCK", block)
+                mp.setattr(grid_module, "_CACHED_ENTRIES", 0)
                 assert xsb_norm(v, p) == _oracle_xsb(v, p)
 
     @pytest.mark.parametrize("grid", GRIDS)

@@ -28,7 +28,6 @@ from rnlab.solver import (
     DivergenceError,
     PicardPlan,
     SolverParams,
-    continuous_dependence,
     dump_field,
     duhamel_n1,
     duhamel_n2,
@@ -41,7 +40,7 @@ from rnlab.solver import (
     rough_initial_data,
 )
 
-from oracles import duhamel_time_integral, reference_integrate
+from oracles import continuous_dependence, duhamel_time_integral, reference_integrate
 
 
 @pytest.fixture
