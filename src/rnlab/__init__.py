@@ -2,7 +2,7 @@
 lattices and the Picard scheme for the quadratic Schrodinger nonlinearity
 conj(u)^2 at negative regularity."""
 
-from .cutoffs import apply_time_cutoff, free_evolution_data, standard_bump
+from .cutoffs import free_evolution_data, standard_bump
 from .families import (
     FAMILY_KINDS,
     FamilyInstance,
@@ -45,9 +45,6 @@ from .solver import (
     PicardPlan,
     SolverParams,
     dump_field,
-    duhamel_n1,
-    duhamel_n2,
-    duhamel_n3,
     duhamel_rhs,
     load_field,
     nonlinear_fourier_data,

@@ -18,6 +18,7 @@ from .grid import (
     MOD_THRESHOLD,
     FrequencyGrid,
     SpaceTimeField,
+    _Factors,
     conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
@@ -28,6 +29,7 @@ from .grid import (
 )
 from .norms import (
     NormParams,
+    _x_weight,
     ct_hs_norm,
     energy_l2l1,
     l4_spacetime_norm,
@@ -213,8 +215,7 @@ def check_cauchy_schwarz_constant(seed=108):
     ok = True
     worst = 0.0
     for u in _sample_fields(seed, 25):
-        mod = u.mod_array()
-        csq = ((1.0 + mod * mod) ** (-p.b) * u.grid.tau_weights).sum(axis=1)
+        csq = (_Factors(u, u.stored)(_x_weight, -p.b) * u.grid.tau_weights).sum(axis=1)
         C = float(np.sqrt(csq.max()))
         lhs = energy_l2l1(u, p.s)
         rhs = C * xsb_norm(u, p)

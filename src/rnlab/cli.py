@@ -145,13 +145,13 @@ _PARSERS = {
 
 
 # The keys each command's _cmd_* body reads; any other key, given by flag or
-# file, is rejected.  The 2-D family commands read 'd' only to validate it.
+# file, is rejected.
 _GRID_KEYS = {"d", "n_max", "tau_step", "tau_pad"}
 _READ_KEYS = {
     "norm": _GRID_KEYS | {"s", "b", "seed", "out"},
-    "family": {"d", "family", "N", "tau_step", "s", "b", "out"},
-    "sweep": {"d", "family", "N", "mode", "tau_step", "s", "b", "out"},
-    "threshold": {"d", "family", "N", "mode", "tau_step", "s_range", "b", "out"},
+    "family": {"family", "N", "tau_step", "s", "b", "out"},
+    "sweep": {"family", "N", "mode", "tau_step", "s", "b", "out"},
+    "threshold": {"family", "N", "mode", "tau_step", "s_range", "b", "out"},
     "solve": _GRID_KEYS | {"s", "T", "max_iterations", "tolerance", "seed", "out",
                            "dump_fields"},
     "check": {"seed"},
@@ -179,9 +179,6 @@ def _validate(cfg):
                           f"expected one of {_COMMANDS}")
     if cfg.d not in (1, 2):
         raise ConfigError("key 'd': dimension must be 1 or 2")
-    if cfg.command in ("family", "sweep", "threshold") and cfg.d != 2:
-        raise ConfigError(f"key 'd': the {cfg.command} command builds 2-D family "
-                          "grids; d must be 2")
     if cfg.n_max < 1:
         raise ConfigError("key 'n_max': must be >= 1")
     if cfg.tau_step <= 0:

@@ -20,7 +20,6 @@ with no extra constants anywhere.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -592,45 +591,58 @@ def time_slices(u, times):
 # -- data-independent weights -------------------------------------------------
 
 # Weights of at most _CACHED_ENTRIES entries are kept, read-only, in a cache
-# of at most _CACHE_BYTES: their arrays' bytes plus _ENTRY_BYTES per key for
-# the key and the array objects, so many tiny entries stay bounded too.
-# Larger weights are built on every call.  Nothing in the package runs
-# threads, and the cache takes no lock.
+# of at most _CACHE_BYTES: their arrays' bytes plus _ENTRY_BYTES per key, so
+# many tiny entries stay bounded too.  An entry that would overflow the budget
+# empties the cache first; larger weights are built on every call.  Nothing in
+# the package runs threads, and the cache takes no lock.
 _CACHED_ENTRIES = 1 << 16
 _CACHE_BYTES = 4 << 20
 _ENTRY_BYTES = 1024
-_weights = OrderedDict()  # key -> (weights, charged bytes), least recently used first
+_weights = {}  # key -> read-only weights
 _weights_bytes = 0
 
 
-def _arrays(value):
-    """The arrays of an array or of a nested tuple of them."""
+def _read_only_bytes(value):
+    """Bytes of an array or of a nested tuple of them, each made read-only."""
     if isinstance(value, np.ndarray):
-        return [value]
-    return [a for v in value for a in _arrays(v)]
+        value.setflags(write=False)
+        return value.nbytes
+    return sum(_read_only_bytes(v) for v in value)
 
 
-def cached_weights(key, entries, build):
-    """``build()``, built once per by-value ``key`` if it has at most
-    _CACHED_ENTRIES ``entries``, and kept read-only; the least recently used
-    keys are dropped while the cache holds more than _CACHE_BYTES."""
-    global _weights_bytes
-    if entries > _CACHED_ENTRIES:
-        return build()
-    hit = _weights.get(key)
-    if hit is not None:
-        _weights.move_to_end(key)
-        return hit[0]
-    value = build()
-    arrays = _arrays(value)
-    for a in arrays:
-        a.setflags(write=False)
-    charge = sum(a.nbytes for a in arrays) + _ENTRY_BYTES
-    _weights[key] = (value, charge)
-    _weights_bytes += charge
-    while _weights_bytes > _CACHE_BYTES:
-        _weights_bytes -= _weights.popitem(last=False)[1][1]
-    return value
+class _Factors:
+    """``self(build, *params)`` is ``build(mod, nsq, *params)`` on the
+    modulations (K, L) and |n|^2 (K,) of u's columns on the window samples
+    ``span``, cached by value (builder, params, grid, columns, span, split).
+    The modulations are formed at most once."""
+
+    def __init__(self, u, span):
+        self.u, self.span = u, span
+        self.key = (u.grid, u.index.tobytes(), span, MOD_THRESHOLD)
+
+    @cached_property
+    def columns(self):
+        return self.u.mod_array(self.span), self.u.norm_sq_columns().astype(float)
+
+    def __call__(self, build, *params):
+        global _weights_bytes
+        key = (build, params, *self.key)
+        value = _weights.get(key)
+        if value is None:
+            value = build(*self.columns, *params)
+            if self.u.n_columns * (self.span[1] - self.span[0]) <= _CACHED_ENTRIES:
+                charge = _read_only_bytes(value) + _ENTRY_BYTES
+                if _weights_bytes + charge > _CACHE_BYTES:
+                    _weights.clear()
+                    _weights_bytes = 0
+                _weights[key] = value
+                _weights_bytes += charge
+        return value
+
+
+def _envelope(mod, nsq, power):
+    """<tau+|n|^2>^power on every entry."""
+    return japanese_bracket(mod) ** power
 
 
 def random_field(grid, rng, columns=None, envelope_power=0.0):
@@ -639,15 +651,11 @@ def random_field(grid, rng, columns=None, envelope_power=0.0):
     ``envelope_power`` < 0 concentrates mass near the paraboloid by the factor
     <tau + |n|^2>^envelope_power, which depends on the columns alone.
     """
-    if columns is None:
-        ns = grid.box_index
-    else:
-        ns = np.asarray(columns, dtype=np.int64).reshape(-1, grid.dimension)
+    ns = grid.box_index if columns is None else \
+        np.asarray(columns, dtype=np.int64).reshape(-1, grid.dimension)
     data = rng.standard_normal((len(ns), grid.n_tau)) \
         + 1j * rng.standard_normal((len(ns), grid.n_tau))
     field = SpaceTimeField.from_columns(grid, ns, data)
     if envelope_power != 0.0:
-        key = ("envelope", grid, field.index.tobytes(), envelope_power)
-        field.data *= cached_weights(
-            key, field.data.size, lambda: japanese_bracket(field.mod_array()) ** envelope_power)
+        field.data *= _Factors(field, field.stored)(_envelope, envelope_power)
     return field

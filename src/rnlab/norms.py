@@ -14,23 +14,22 @@ Each norm builds its factors, then applies them to the data.  The factors
 (the modulation weights, the lo entries and the column weights) depend on
 the grid, the columns, the tau-span, (s, b) and the split, never on the
 data, so each is built once per key and held read-only in the byte-bounded
-``grid.cached_weights`` cache.
+cache of ``grid._Factors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import grid as grid_module
 from .grid import (
     SpaceTimeField,
+    _Factors,
     _ifftn,
     _next_fast_len,
     _time_kernel,
-    cached_weights,
     dyadic_blocks,
     low_modulation_mask,
     project_dyadic,
@@ -62,9 +61,7 @@ def _bracket_sq(mod):
 
 # -- factors: what a norm needs of the columns besides the data ----------------
 #
-# Each builder takes the modulations ``mod`` (K, L) and |n|^2 (K,) of some
-# columns on some tau-samples.  ``_Factors`` builds them once per grid,
-# columns, span, parameters and split, through the weight cache.
+# Builders for ``grid._Factors``, each of the modulations (K, L) and |n|^2 (K,).
 
 
 def _x_weight(mod, nsq, b):
@@ -88,29 +85,6 @@ def _s_factors(mod, nsq, s, b):
 def _z_factors(mod, nsq, p):
     """All the Z-norm's factors, in the order ``_z_apply`` takes them."""
     return _lo_factors(mod, nsq, p.b) + _s_factors(mod, nsq, p.s, p.b)
-
-
-class _Factors:
-    """The builders' factors of u's columns on the window samples ``span``.
-
-    ``self(build, *params)`` is ``build``'s factors, from the weight cache:
-    keyed by value, the split included, and kept read-only when the span is
-    small enough for the cache, built anew on every call otherwise.  The
-    modulations they are built from are formed at most once.
-    """
-
-    def __init__(self, u, span):
-        self.u, self.span = u, span
-        self.key = (u.grid, u.index.tobytes(), span, grid_module.MOD_THRESHOLD)
-
-    @cached_property
-    def columns(self):
-        return self.u.mod_array(self.span), self.u.norm_sq_columns().astype(float)
-
-    def __call__(self, build, *params):
-        entries = self.u.n_columns * (self.span[1] - self.span[0])
-        return cached_weights((build, params, *self.key), entries,
-                              lambda: build(*self.columns, *params))
 
 
 # -- apply: the data's part of each norm ----------------------------------------

@@ -6,6 +6,8 @@ from rnlab import grid as grid_module
 from rnlab.checks import check_l4_slope
 from rnlab.grid import FrequencyGrid
 
+from test_factors import cached_arrays
+
 
 def _l4_field_nbytes(N=32):
     """Bytes of check_l4_slope's largest field: the annulus N/2 < |n| <= N by n_tau."""
@@ -29,5 +31,4 @@ def test_l4_slope_peak_memory_near_one_field():
     assert peak <= 1.25 * field, f"peak {peak / field:.2f}x the N=32 field"
     # the weight cache took none of the large fields' weights and kept its budget
     assert grid_module._weights_bytes <= grid_module._CACHE_BYTES
-    assert all(a.size <= grid_module._CACHED_ENTRIES
-               for value, _ in grid_module._weights.values() for a in grid_module._arrays(value))
+    assert all(a.size <= grid_module._CACHED_ENTRIES for a in cached_arrays())
