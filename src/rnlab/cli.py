@@ -13,6 +13,7 @@ threshold crossing not found), 2 configuration error.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -20,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checks import run_all
-from .families import (FAMILY_KINDS, build_family, check_frequency, check_tau_step,
-                       conjugate_product, product_support, tent_pairs)
-from .grid import FrequencyGrid, random_field
+from .families import (FAMILY_KINDS, build_family, check_frequency, conjugate_product,
+                       product_support, tent_pairs)
+from .grid import FrequencyGrid, random_field, steps_per_unit
 from .norms import (
     NormParams,
     dyadic_norm_profile,
@@ -57,6 +58,10 @@ _FAMILY_BYTES_PER_SAMPLE = 288
 _POINT_BYTES_PER_SAMPLE = 64
 _SCAN_TRANSIENT_BYTES_PER_SAMPLE = 192
 
+# Peak bytes of threshold per value of s and of N: the norms, sweep rows,
+# slopes and report text of each pair (tracemalloc: 232-245).
+_SCAN_BYTES_PER_S_AND_N = 256
+
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
@@ -86,62 +91,57 @@ class ExperimentConfig:
 _COMMANDS = ("norm", "family", "sweep", "threshold", "solve", "check")
 
 
-def _parse_int(key, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {text!r}") from None
-
-
-def _parse_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {text!r}") from None
-
-
-def _parse_bool(key, text):
+def _bool(text):
     low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"key '{key}': expected a boolean, got {text!r}")
+    if low not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(text)
+    return low in ("1", "true", "yes", "on")
 
 
-def _parse_n_list(key, text):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected comma-separated integers, got {text!r}") from None
+def _split(cast, sep):
+    return lambda text: tuple(cast(part) for part in text.split(sep))
 
 
-def _parse_s_range(key, text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"key '{key}': expected lo:hi:step, got {text!r}")
-    return tuple(_parse_float(key, p) for p in parts)
+def _dyadic_increasing(ns):
+    return all(n >= 1 and not n & (n - 1) for n in ns) and all(a < b for a, b in zip(ns, ns[1:]))
 
 
-_PARSERS = {
-    "command": lambda k, v: v,
-    "d": _parse_int,
-    "n_max": _parse_int,
-    "tau_step": _parse_float,
-    "tau_pad": _parse_float,
-    "s": _parse_float,
-    "b": _parse_float,
-    "family": lambda k, v: v,
-    "N": _parse_n_list,
-    "mode": lambda k, v: v,
-    "s_range": _parse_s_range,
-    "T": _parse_float,
-    "max_iterations": _parse_int,
-    "tolerance": _parse_float,
-    "seed": _parse_int,
-    "out": lambda k, v: v,
-    "dump_fields": _parse_bool,
+# key -> (parser of its flag or file text, rule on its merged value, the values
+# it accepts).  A parser raises ValueError on text it cannot read; every rule
+# is a comparison that NaN fails.
+_KEYS = {
+    "command": (str, lambda v: v in _COMMANDS, f"one of {_COMMANDS}"),
+    "d": (int, lambda v: v in (1, 2), "1 or 2"),
+    "n_max": (int, lambda v: v >= 1, "an integer >= 1"),
+    "tau_step": (float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "tau_pad": (float, lambda v: 4 <= v < math.inf, "a finite number >= 4"),
+    "s": (float, math.isfinite, "a finite number"),
+    "b": (float, math.isfinite, "a finite number"),
+    "family": (str, lambda v: v in FAMILY_KINDS, f"one of {FAMILY_KINDS}"),
+    "N": (_split(int, ","), lambda v: v is None or _dyadic_increasing(v),
+          "comma-separated strictly increasing powers of 2"),
+    "mode": (str, lambda v: v in ("X", "Z"), "X or Z"),
+    "s_range": (_split(float, ":"),
+                lambda v: len(v) == 3 and -math.inf < v[0] < v[1] < math.inf
+                and 0 < v[2] < math.inf, "lo:hi:step, finite numbers with lo < hi and step > 0"),
+    "T": (float, lambda v: 0 < v <= 0.25, "a number in (0, 1/4]"),
+    "max_iterations": (int, lambda v: v >= 1, "an integer >= 1"),
+    "tolerance": (float, lambda v: v > 0, "a number > 0"),
+    "seed": (int, lambda v: v >= 0, "an integer >= 0"),
+    "out": (str, lambda v: v != "", "a directory path"),
+    "dump_fields": (_bool, lambda v: v in (True, False), "true/false, yes/no, on/off or 1/0"),
 }
+
+
+def _rejected(key, value):
+    return ConfigError(f"key '{key}': expected {_KEYS[key][2]}, got {value!r}")
+
+
+def _parsed(key, text):
+    try:
+        return _KEYS[key][0](text)
+    except ValueError:
+        raise _rejected(key, text) from None
 
 
 # The keys each command's _cmd_* body reads; any other key, given by flag or
@@ -167,45 +167,10 @@ def _parse_file(text):
         if "=" not in line:
             raise ConfigError(f"config file line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}' in config file")
-        values[key] = _PARSERS[key](key, value)
+        values[key] = _parsed(key, value)
     return values
-
-
-def _validate(cfg):
-    if cfg.command not in _COMMANDS:
-        raise ConfigError(f"key 'command': unknown command {cfg.command!r}; "
-                          f"expected one of {_COMMANDS}")
-    if cfg.d not in (1, 2):
-        raise ConfigError("key 'd': dimension must be 1 or 2")
-    if cfg.n_max < 1:
-        raise ConfigError("key 'n_max': must be >= 1")
-    if cfg.tau_step <= 0:
-        raise ConfigError("key 'tau_step': must be positive")
-    if cfg.tau_pad < 4.0:
-        raise ConfigError("key 'tau_pad': window padding must be >= 4")
-    if cfg.family not in FAMILY_KINDS:
-        raise ConfigError(f"key 'family': expected one of {FAMILY_KINDS}")
-    if cfg.mode not in ("X", "Z"):
-        raise ConfigError("key 'mode': expected X or Z")
-    if cfg.N is not None:
-        if len(cfg.N) < 1 or any(n < 1 or (n & (n - 1)) for n in cfg.N):
-            raise ConfigError("key 'N': expected increasing dyadic integers")
-        if any(a >= b for a, b in zip(cfg.N, cfg.N[1:])):
-            raise ConfigError("key 'N': values must be strictly increasing")
-    lo, hi, step = cfg.s_range
-    if not (lo < hi and step > 0):
-        raise ConfigError("key 's_range': expected lo < hi and step > 0")
-    if not 0 < cfg.T <= 0.25:
-        raise ConfigError("key 'T': localization scale must lie in (0, 1/4]")
-    if cfg.max_iterations < 1:
-        raise ConfigError("key 'max_iterations': must be >= 1")
-    if cfg.tolerance <= 0:
-        raise ConfigError("key 'tolerance': must be positive")
-    if cfg.command == "solve" and cfg.s <= -2.0 / 3.0:
-        raise ConfigError("key 's': the solver needs s > -2/3")
-    return cfg
 
 
 def parse_config(argv, config_text=None):
@@ -243,11 +208,11 @@ def parse_config(argv, config_text=None):
             values[key] = True
             i += 1
             continue
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key '{key}'")
         if i + 1 >= len(argv):
             raise ConfigError(f"key '{key}': missing value")
-        values[key] = _PARSERS[key](key, argv[i + 1])
+        values[key] = _parsed(key, argv[i + 1])
         i += 2
     file_values = _parse_file(config_text) if config_text else {}
     merged = {**file_values, **values}
@@ -261,31 +226,46 @@ def parse_config(argv, config_text=None):
                               f"it reads {sorted(_READ_KEYS[command])}")
     if command == "threshold" and "tau_step" not in merged and "N" not in merged:
         merged["tau_step"] = SCAN_TAU_STEP  # the scan's own step unless one is given
-    try:
-        cfg = replace(ExperimentConfig(), **merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    return _validate(cfg)
+    cfg = replace(ExperimentConfig(), **merged)
+    for key, (_, rule, _) in _KEYS.items():
+        if not rule(getattr(cfg, key)):
+            raise _rejected(key, getattr(cfg, key))
+    return cfg
 
 
 # -- command implementations -------------------------------------------------
 
 
-def _grid(cfg):
+def _checked(key, check, *args):
+    """check(*args), its ValueError or OverflowError re-raised as a ConfigError naming key."""
     try:
-        return FrequencyGrid.for_box(cfg.d, cfg.n_max, cfg.tau_step, cfg.tau_pad)
-    except ValueError as exc:
-        raise ConfigError(f"key 'n_max'/'tau_step': {exc}") from None
+        return check(*args)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"key '{key}': {exc}") from None
+
+
+def _grid(cfg):
+    # d, tau_step and tau_pad have passed their rules; what can still fail is
+    # a window of n_max at tau_step with more samples than float64 counts
+    return _checked("n_max", FrequencyGrid.for_box, cfg.d, cfg.n_max, cfg.tau_step, cfg.tau_pad)
+
+
+def _out_path(cfg, name):
+    """cfg.out/name, with cfg.out made if it is missing."""
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'out': cannot make {cfg.out}: {exc}") from None
+    return os.path.join(cfg.out, name)
 
 
 def _write(cfg, name, text):
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, name)
+    path = _out_path(cfg, name)
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+        raise ConfigError(f"key 'out': cannot write {path}: {exc}") from None
     print(f"wrote {path}")
     return path
 
@@ -295,7 +275,7 @@ def _json_text(obj):
 
 
 def _check_budget(nbytes, key="n_max", remedy="reduce n_max, tau_pad or d"):
-    gib = nbytes / 2**30
+    gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf  # an int beyond float64
     if gib > _BUDGET_GIB:
         raise ConfigError(f"key '{key}': needs {gib:.2f} GiB, over the {_BUDGET_GIB} GiB "
                           f"budget; {remedy}")
@@ -304,23 +284,14 @@ def _check_budget(nbytes, key="n_max", remedy="reduce n_max, tau_pad or d"):
 def _family_n_list(cfg, default):
     """The N values of family, sweep or threshold, checked before any field is built."""
     n_list = cfg.N or default
-    try:
-        check_tau_step(cfg.tau_step)
-    except ValueError as exc:
-        raise ConfigError(f"key 'tau_step': {exc}") from None
-    try:
-        check_frequency(max(n_list), cfg.tau_step)
-    except ValueError as exc:
-        raise ConfigError(f"key 'N': {exc}") from None
+    _checked("tau_step", steps_per_unit, cfg.tau_step)
+    _checked("N", check_frequency, max(n_list), cfg.tau_step)
     width = 2.0 / cfg.tau_step + 1.0
     if cfg.command == "family":
         _check_budget(_FAMILY_BYTES_PER_SAMPLE * width, "N",
                       f"tau_step={cfg.tau_step}; use a larger tau_step")
         return n_list
-    try:
-        _validate_n_list(n_list)
-    except ValueError as exc:
-        raise ConfigError(f"key 'N': {exc}") from None
+    _checked("N", _validate_n_list, n_list)
     nbytes = (_POINT_BYTES_PER_SAMPLE * len(n_list) + _SCAN_TRANSIENT_BYTES_PER_SAMPLE) * width
     _check_budget(nbytes, "N", f"{len(n_list)} N values at tau_step={cfg.tau_step}; "
                   "use fewer N values or a larger tau_step")
@@ -394,9 +365,12 @@ def _cmd_sweep(cfg):
 
 
 def _cmd_threshold(cfg):
-    lo, hi, step = cfg.s_range
-    s_values = np.arange(lo, hi + step / 2, step)
     n_list = _family_n_list(cfg, SCAN_N_DEFAULT)
+    lo, hi, step = cfg.s_range
+    count = (hi - lo) / step + 1  # the length of np.arange below, within one
+    _check_budget(_SCAN_BYTES_PER_S_AND_N * len(n_list) * count, "s_range",
+                  f"{count:.3g} values of s; use a larger step")
+    s_values = np.arange(lo, hi + step / 2, step)
     scan = threshold_scan(cfg.family, s_values, cfg.b, cfg.mode, n_list,
                           tau_step=cfg.tau_step)
     _write(cfg, "threshold.json", scan.to_json_text())
@@ -408,15 +382,16 @@ def _cmd_threshold(cfg):
 
 
 def _cmd_solve(cfg):
+    params = _checked("s", SolverParams, cfg.s, cfg.T, cfg.max_iterations, cfg.tolerance)
+    _checked("tau_step", steps_per_unit, cfg.tau_step)
     grid = _grid(cfg)
-    params = SolverParams(s=cfg.s, T=cfg.T, max_iterations=cfg.max_iterations,
-                          contraction_tolerance=cfg.tolerance)
+    # peak_bytes, slow to evaluate on a huge grid, is at least its three iterates
+    _check_budget(48 * grid.box_count * grid.n_tau)
     _check_budget(peak_bytes(grid, params))
     u0 = rough_initial_data(grid, cfg.s, cfg.seed)
 
     def dump(k, field):
-        os.makedirs(cfg.out, exist_ok=True)
-        dump_field(field, os.path.join(cfg.out, f"solve_iter_{k:02d}.bin"))
+        dump_field(field, _out_path(cfg, f"solve_iter_{k:02d}.bin"))
 
     try:
         trace = picard_solve(u0, params, grid, on_iterate=dump if cfg.dump_fields else None)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import FrequencyGrid, SpaceTimeField, _next_fast_len
+from .grid import FrequencyGrid, SpaceTimeField, _next_fast_len, steps_per_unit
 
 # Frequency headroom between the evaluated band and the first aliasing image
 # of the sampled-bump transform; the bump transform decays like
@@ -74,30 +74,20 @@ def _transform_on_lattice(spacing, j_max, t_power):
     return out
 
 
-def _require_unit_step_ratio(grid):
-    ratio = 1.0 / grid.tau_step
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(
-            "this operation needs integer |n|^2 to land on the tau-grid; "
-            "use a tau_step that divides 1"
-        )
-    return int(round(ratio))
-
-
 def sigma_lattice(grid, t_power=0):
     """Transform samples on the sigma = tau + |n|^2 lattice covering the grid.
 
     Returns (values, j_max); entry j + j_max holds F(t^k eta)(j * tau_step)
     for every shift tau_index - half + |n|^2 / tau_step the grid can produce.
     """
-    per_unit = _require_unit_step_ratio(grid)
+    per_unit = steps_per_unit(grid.tau_step)
     j_max = grid.half_index + grid.dimension * grid.n_max**2 * per_unit
     return transform_on_lattice(grid.tau_step, j_max, t_power), j_max
 
 
 def profile_offsets(grid, norm_sq, j_max):
     """Lattice position of sigma = tau_0 + |n|^2 for the given |n|^2, shape (K,)."""
-    per_unit = _require_unit_step_ratio(grid)
+    per_unit = steps_per_unit(grid.tau_step)
     return np.asarray(norm_sq, dtype=np.int64) * per_unit - grid.half_index + j_max
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpaceTimeField, conjugate_reflect, spacetime_convolve
+from .grid import SpaceTimeField, conjugate_reflect, spacetime_convolve, steps_per_unit
 
 FAMILY_KINDS = ("example1", "example2", "remark_uu")
 
@@ -64,15 +64,8 @@ def _validate(kind, N, grid):
         raise ValueError(f"family frequency N={N} exceeds the spatial box n_max={grid.n_max}")
     if grid.tau_max < N**2 + 1:
         raise ValueError(f"tau window must contain +-(N^2+1)={N**2 + 1}")
-    check_tau_step(grid.tau_step)
+    steps_per_unit(grid.tau_step)
     check_frequency(N, grid.tau_step)
-
-
-def check_tau_step(tau_step):
-    """Raise unless tau_step divides 1, so the indicator endpoints are samples."""
-    per_unit = 1.0 / tau_step
-    if abs(per_unit - round(per_unit)) > 1e-9:
-        raise ValueError("family indicators need a tau_step that divides 1")
 
 
 def check_frequency(N, tau_step):

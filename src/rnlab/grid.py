@@ -34,6 +34,15 @@ _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
 MOD_THRESHOLD = 2.0**-10
 
 
+def steps_per_unit(tau_step):
+    """1 / tau_step as an int; raises unless it is a positive integer, so that
+    integer |n|^2 and the family indicators' endpoints land on tau-samples."""
+    per_unit = 1.0 / tau_step
+    if not 0.5 < per_unit < math.inf or abs(per_unit - round(per_unit)) > 1e-9:
+        raise ValueError(f"need a tau_step that divides 1, got {tau_step!r}")
+    return round(per_unit)
+
+
 def japanese_bracket(x):
     """<x> = (1 + x^2)^(1/2), elementwise; >= 1 and even in x."""
     x = np.asarray(x, dtype=float)

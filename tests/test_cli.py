@@ -156,10 +156,11 @@ class TestParseConfig:
 def _forbid_fields(monkeypatch):
     import rnlab.cli
 
-    def no_fields(*args):
+    def no_fields(*args, **kwargs):
         raise AssertionError("a field was built before the size guard")
 
-    monkeypatch.setattr(rnlab.cli, "rough_initial_data", no_fields)
+    for name in ("rough_initial_data", "random_field", "run_all"):
+        monkeypatch.setattr(rnlab.cli, name, no_fields)
 
 
 def _forbid_family_fields(monkeypatch):
@@ -307,6 +308,50 @@ class TestRunCommands:
         _forbid_family_fields(monkeypatch)
         assert run(parse_config(args + ["--out", str(tmp_path)])) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, key", [
+        (["norm", "--seed", "-1"], "seed"),
+        (["solve", "--d", "1", "--n-max", "4", "--seed", "-1"], "seed"),
+        (["check", "--seed", "-1"], "seed"),
+        (["norm", "--s", "nan"], "s"),
+        (["sweep", "--b", "nan"], "b"),
+        (["solve", "--d", "1", "--n-max", "4", "--tolerance", "nan"], "tolerance"),
+        (["sweep", "--N", "4,8,16", "--tau-step", "inf"], "tau_step"),
+        (["solve", "--d", "1", "--n-max", "4", "--tau-step", "0.3"], "tau_step"),
+        (["solve", "--d", "1", "--n-max", "4", "--tau-step", "2"], "tau_step"),
+        (["solve", "--tau-step", "5e-324"], "tau_step"),
+        # three iterates alone are 1.3e27 GiB; peak_bytes would count up
+        # from 4e11 to the next fast FFT length
+        (["solve", "--d", "1", "--n-max", "100000000000"], "n_max"),
+        (["solve", "--n-max", str(8 * 10**153), "--tau-step", "1"], "n_max"),
+        (["norm", "--n-max", str(10**160)], "n_max"),
+        (["norm", "--tau-pad", "inf"], "tau_pad"),
+        (["norm", "--tau-pad", "nan"], "tau_pad"),
+        (["threshold", "--s-range", "-0.9:-0.4:1e-12"], "s_range"),
+        (["threshold", "--s-range", "-0.9:inf:0.1"], "s_range"),
+        (["sweep", "--N", f"4,8,{2**700}"], "N"),
+        (["norm", "--out", ""], "out"),
+        (["norm", "--n-max", "4", "--out", "a_file"], "out"),
+        (["solve", "--d", "1", "--n-max", "4", "--dump-fields", "--out", "a_file"], "out"),
+    ], ids=lambda v: " ".join(v)[:48] if isinstance(v, list) else None)
+    def test_bad_config_exits_two_naming_its_key(self, args, key, tmp_path, monkeypatch,
+                                                 capsys):
+        import rnlab.cli
+        from rnlab.cli import main
+
+        if "a_file" in args:  # an out path taken by a file, after every check
+            (tmp_path / "a_file").touch()
+            args = [str(tmp_path / a) if a == "a_file" else a for a in args]
+        else:
+            _forbid_fields(monkeypatch)
+            _forbid_family_fields(monkeypatch)
+            monkeypatch.setattr(rnlab.cli, "peak_bytes", lambda *a: pytest.fail("peak_bytes ran"))
+        if args[0] != "check" and "--out" not in args:
+            args = args + ["--out", str(tmp_path)]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert f"key '{key}'" in err
+        assert "Traceback" not in out + err
 
     @pytest.mark.parametrize("args", [
         # members of 2^25 + 1 samples at tau_step 2^-24: 9 GiB for family,

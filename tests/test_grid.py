@@ -1,5 +1,7 @@
 """Spectral core: brackets, projectors, reflection, convolution."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -18,6 +20,7 @@ from rnlab.grid import (
     project_modulation,
     random_field,
     spacetime_convolve,
+    steps_per_unit,
 )
 
 
@@ -76,6 +79,13 @@ class TestFrequencyGrid:
         keys = g.flat_keys(g.box_index)
         assert np.array_equal(keys, np.arange(9))
         assert np.array_equal(g.index_from_keys(keys), g.box_index)
+
+    def test_steps_per_unit(self):
+        assert [steps_per_unit(h) for h in (1.0, 0.5, 0.25, 1 / 3)] == [1, 2, 4, 3]
+        # 1 / tau_step must be a positive integer: 1/inf rounds to 0, 1/5e-324 is inf
+        for tau_step in (0.3, 0.4, 2.0, math.inf, 5e-324, math.nan):
+            with pytest.raises(ValueError, match="divides 1"):
+                steps_per_unit(tau_step)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="dimension"):
