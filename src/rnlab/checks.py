@@ -215,7 +215,7 @@ def check_cauchy_schwarz_constant(seed=108):
     ok = True
     worst = 0.0
     for u in _sample_fields(seed, 25):
-        csq = (_Factors(u, u.stored)(_x_weight, -p.b) * u.grid.tau_weights).sum(axis=1)
+        csq = (_Factors(u)(_x_weight, -p.b) * u.grid.tau_weights).sum(axis=1)
         C = float(np.sqrt(csq.max()))
         lhs = energy_l2l1(u, p.s)
         rhs = C * xsb_norm(u, p)

@@ -277,7 +277,7 @@ def _json_text(obj):
 def _check_budget(nbytes, key="n_max", remedy="reduce n_max, tau_pad or d"):
     gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf  # an int beyond float64
     if gib > _BUDGET_GIB:
-        raise ConfigError(f"key '{key}': needs {gib:.2f} GiB, over the {_BUDGET_GIB} GiB "
+        raise ConfigError(f"key '{key}': needs {gib:.3g} GiB, over the {_BUDGET_GIB} GiB "
                           f"budget; {remedy}")
 
 
@@ -303,11 +303,15 @@ def _cmd_norm(cfg):
     sampled = grid.box_count * grid.n_tau > 4_000_000
     n_columns = min(64, grid.box_count) if sampled else grid.box_count
     _check_budget(_NORM_BYTES_PER_ENTRY * n_columns * grid.n_tau)
+    # rng.choice, the int64 flat keys and the int64 |n|^2 all stop below 2^63
+    if max(grid.box_count, grid.dimension * grid.n_max**2) >= 2**63:
+        raise ConfigError(f"key 'n_max': the d={grid.dimension} box of n_max={grid.n_max} "
+                          "is past the int64 range of its keys or |n|^2; reduce n_max or d")
     rng = np.random.default_rng(cfg.seed)
     columns = None
     if sampled:
         keys = rng.choice(grid.box_count, size=n_columns, replace=False)
-        columns = grid.box_index[np.sort(keys)]
+        columns = grid.index_from_keys(np.sort(keys))
     u = random_field(grid, rng, columns=columns, envelope_power=-1.0)
     p = NormParams(s=cfg.s, b=cfg.b)
     obj = {

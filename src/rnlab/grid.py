@@ -267,22 +267,10 @@ class SpaceTimeField:
     def norm_sq_columns(self):
         return FrequencyGrid.norm_sq(self.index)
 
-    def mod_array(self, span=None):
-        """Modulation tau + |n|^2 per stored entry, shape (K, width), or (K, b-a) on [a, b)."""
-        a, b = self.stored if span is None else span
-        return self.grid.nodes_on(a, b)[None, :] + self.norm_sq_columns()[:, None].astype(float)
-
-    def tau_span(self):
-        """Half-open tau-index range [a, b) holding every nonzero entry; (0, 0) if none.
-
-        The union over all stored columns; only the stored block is read.
-        """
-        nz = np.flatnonzero(self.data.any(axis=0))
-        return (self.lo + int(nz[0]), self.lo + int(nz[-1]) + 1) if len(nz) else (0, 0)
-
-    def on(self, a, b):
-        """The stored data on window samples [a, b): a sub-range of the block, or empty."""
-        return self.data[:, a - self.lo:b - self.lo]
+    def mod_array(self):
+        """Modulation tau + |n|^2 per stored entry, shape (K, width)."""
+        return self.grid.nodes_on(*self.stored)[None, :] \
+            + self.norm_sq_columns()[:, None].astype(float)
 
     def column(self, n, span=None):
         """Tau-profile of one column over the window, or over window samples
@@ -467,26 +455,28 @@ def _padded_product(f, g, weight=None, report=None):
     """h (f * g) on the box and window as one padded (x, t) product.
 
     The workspace holds the linear convolution of the operands' column
-    bounding boxes and nonzero tau-spans; with a ``weight`` the spans are the
-    whole window and the t-nodes those of ``_workspace``.  Each operand's
+    bounding boxes and stored blocks; with a ``weight``, which spreads the
+    product over the whole window, the operands are taken on the whole
+    window and the t-nodes are those of ``_workspace``.  Each operand's
     rows are tau-transformed at length P, weighted, and taken through the
     spatial axes; the pointwise product (one transform squared when
     ``g is f``) goes back and is cropped to the box and window.  The result
     holds the box columns of the product's support box and stores only the
     offset span, the window samples the linear convolution reaches (the
-    whole window with a ``weight``).  A ``report`` dict receives the masses
+    whole window with a ``weight``).  An operand with no stored entry gives
+    the zero field.  A ``report`` dict receives the masses
     ``spacetime_convolve`` documents.
     """
     grid, d = f.grid, f.grid.dimension
     M, h = grid.n_tau, grid.tau_step
-    spans = [(0, M)] * 2 if weight is not None else [f.tau_span(), g.tau_span()]
+    if weight is not None:
+        f, g = (f.on_window(), g.on_window()) if g is not f else (f.on_window(),) * 2
     if report is not None:
         report["dropped_spatial_mass"] = 0.0
         report["dropped_tau_mass"] = 0.0
-    if any(a == b for a, b in spans):
-        return SpaceTimeField.zero(grid)  # an operand with no nonzero entry
-    (af, bf), (ag, bg) = spans
-    length = (bf - af) + (bg - ag) - 1
+    if not (f.data.size and g.data.size):
+        return SpaceTimeField.zero(grid)
+    length = f.data.shape[1] + g.data.shape[1] - 1
     if weight is None:
         P = _next_fast_len(length)
         live, n_live, w = slice(None), P, None
@@ -499,15 +489,15 @@ def _padded_product(f, g, weight=None, report=None):
     if math.prod(shape) * n_live > _DENSE_ENTRY_LIMIT:
         raise MemoryError("padded product workspace is too large; reduce n_max or the tau-window")
 
-    def samples(u, lo, ext, a, b):
-        rows = np.fft.fft(u.on(a, b), n=P, axis=1)
+    def samples(u, lo, ext):
+        rows = np.fft.fft(u.data, n=P, axis=1)
         box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
         box[np.ravel_multi_index((u.index - lo).T, ext)] = rows if w is None else rows[:, live] * w
         box = box.reshape(tuple(ext) + (n_live,))
         return _fftn(box, shape)
 
-    conv = samples(f, lo_f, ext_f, af, bf)
-    conv *= conv if g is f else samples(g, lo_g, ext_g, ag, bg)
+    conv = samples(f, lo_f, ext_f)
+    conv *= conv if g is f else samples(g, lo_g, ext_g)
     conv = _ifftn(conv, d)
     lo = lo_f + lo_g  # the lattice point at the workspace origin
     first = np.maximum(lo, -grid.n_max)  # lattice corners of the crop to the box
@@ -519,7 +509,7 @@ def _padded_product(f, g, weight=None, report=None):
     del conv, kept
     out = np.fft.ifft(rows, axis=1, out=rows)
     # samples [k0, k1) of the linear convolution land inside the window
-    start = af + ag - grid.half_index
+    start = f.lo + g.lo - grid.half_index
     k0 = min(max(0, -start), length)
     k1 = max(k0, min(length, M - start))
     if report is not None:
@@ -621,17 +611,17 @@ def _read_only_bytes(value):
 
 class _Factors:
     """``self(build, *params)`` is ``build(mod, nsq, *params)`` on the
-    modulations (K, L) and |n|^2 (K,) of u's columns on the window samples
-    ``span``, cached by value (builder, params, grid, columns, span, split).
-    The modulations are formed at most once."""
+    modulations (K, L) and |n|^2 (K,) of u's stored block, cached by value
+    (builder, params, grid, columns, block, split).  The modulations are
+    formed at most once."""
 
-    def __init__(self, u, span):
-        self.u, self.span = u, span
-        self.key = (u.grid, u.index.tobytes(), span, MOD_THRESHOLD)
+    def __init__(self, u):
+        self.u = u
+        self.key = (u.grid, u.index.tobytes(), u.stored, MOD_THRESHOLD)
 
     @cached_property
     def columns(self):
-        return self.u.mod_array(self.span), self.u.norm_sq_columns().astype(float)
+        return self.u.mod_array(), self.u.norm_sq_columns().astype(float)
 
     def __call__(self, build, *params):
         global _weights_bytes
@@ -639,7 +629,7 @@ class _Factors:
         value = _weights.get(key)
         if value is None:
             value = build(*self.columns, *params)
-            if self.u.n_columns * (self.span[1] - self.span[0]) <= _CACHED_ENTRIES:
+            if self.u.data.size <= _CACHED_ENTRIES:
                 charge = _read_only_bytes(value) + _ENTRY_BYTES
                 if _weights_bytes + charge > _CACHE_BYTES:
                     _weights.clear()
@@ -666,5 +656,5 @@ def random_field(grid, rng, columns=None, envelope_power=0.0):
         + 1j * rng.standard_normal((len(ns), grid.n_tau))
     field = SpaceTimeField.from_columns(grid, ns, data)
     if envelope_power != 0.0:
-        field.data *= _Factors(field, field.stored)(_envelope, envelope_power)
+        field.data *= _Factors(field)(_envelope, envelope_power)
     return field

@@ -10,11 +10,11 @@ norms:
   Z^{s,b}:  X-norm of the low-modulation part plus Y-norm of the
             high-modulation part, split at |tau+|n|^2| = MOD_THRESHOLD * |n|^2.
 
-Each norm builds its factors, then applies them to the data.  The factors
-(the modulation weights, the lo entries and the column weights) depend on
-the grid, the columns, the tau-span, (s, b) and the split, never on the
-data, so each is built once per key and held read-only in the byte-bounded
-cache of ``grid._Factors``.
+Each norm builds its factors, then applies them to the stored block.  The
+factors (the modulation weights, the lo entries and the column weights)
+depend on the grid, the columns, the stored block, (s, b) and the split,
+never on the data, so each is built once per key and held read-only in the
+byte-bounded cache of ``grid._Factors``.
 """
 
 from __future__ import annotations
@@ -144,37 +144,34 @@ def xsb_norm(u, p):
 
 
 def _x_columns(u, b):
-    """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau on u's nonzero tau-span.
+    """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau on u's stored block.
 
-    A span too large for the weight cache is taken _X_BLOCK columns at a
+    A block too large for the weight cache is taken _X_BLOCK columns at a
     time, so the float temporaries stay a few MB on any window; per column
-    the arithmetic is that of the whole span.
+    the arithmetic is that of the whole block.
     """
-    span = u.tau_span()
-    data, w = u.on(*span), u.grid.weights_on(*span)
-    if data.size <= grid_module._CACHED_ENTRIES:
-        return _x_apply(data, _Factors(u, span)(_x_weight, b), w)
-    nodes = u.grid.nodes_on(*span)[None, :]
+    w = u.grid.weights_on(*u.stored)
+    if u.data.size <= grid_module._CACHED_ENTRIES:
+        return _x_apply(u.data, _Factors(u)(_x_weight, b), w)
+    nodes = u.grid.nodes_on(*u.stored)[None, :]
     nsq = u.norm_sq_columns().astype(float)
     cols = np.empty(len(nsq))
     bounds = [*range(0, len(nsq), _X_BLOCK), len(nsq)]
     for i, j in zip(bounds[:-1], bounds[1:]):
-        cols[i:j] = _x_apply(data[i:j], _x_weight(nodes + nsq[i:j, None], None, b), w)
+        cols[i:j] = _x_apply(u.data[i:j], _x_weight(nodes + nsq[i:j, None], None, b), w)
     return cols
 
 
 def energy_l2l1(u, s):
     """|| <n>^s u_hat ||_{l^2_n L^1_tau}, the H^s-energy functional."""
-    a, b = u.tau_span()
-    l1 = _tau_integral(np.abs(u.on(a, b)), u.grid.weights_on(a, b))
+    l1 = _tau_integral(np.abs(u.data), u.grid.weights_on(*u.stored))
     return float(np.sqrt(((1.0 + u.norm_sq_columns().astype(float)) ** s * l1 * l1).sum()))
 
 
 def ysb_norm(u, p):
     """Energy term plus the modulation-weighted L^2 term with exponent s/2 + b."""
-    span = u.tau_span()
-    return _y_apply(np.abs(u.on(*span)), *_Factors(u, span)(_s_factors, p.s, p.b),
-                    u.grid.weights_on(*span))
+    return _y_apply(np.abs(u.data), *_Factors(u)(_s_factors, p.s, p.b),
+                    u.grid.weights_on(*u.stored))
 
 
 def zsb_norm(u, p):
@@ -185,20 +182,19 @@ def zsb_norm(u, p):
 def norms_over_s(u, b, s_values, mode):
     """The X^{s,b} (mode 'X') or Z^{s,b} (mode 'Z') norm of u for each s.
 
-    u's stored block is read once, to find its nonzero tau-span, and every s is
-    normed on that span by the float operations of a one-s norm.  What does
-    not depend on s is formed once: for X the column integrals, for Z the lo
-    factors and the data's split; each s adds its ``_s_factors`` alone.
+    Every s is normed on u's stored block by the float operations of a one-s
+    norm.  What does not depend on s is formed once: for X the column
+    integrals, for Z the lo factors and the data's split; each s adds its
+    ``_s_factors`` alone.
     """
     if mode == "X":
         nsq = u.norm_sq_columns().astype(float)
         cols = _x_columns(u, b)
         return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
     if mode == "Z":
-        span = u.tau_span()
-        w = u.grid.weights_on(*span)
-        factors = _Factors(u, span)
-        hi, x_cols = _z_split(u.on(*span), *factors(_lo_factors, b), w)
+        w = u.grid.weights_on(*u.stored)
+        factors = _Factors(u)
+        hi, x_cols = _z_split(u.data, *factors(_lo_factors, b), w)
         return [_z_sum(hi, x_cols, *factors(_s_factors, s, b), w) for s in s_values]
     raise ValueError("mode must be 'X' or 'Z'")
 
@@ -260,10 +256,6 @@ def dyadic_norm_profile(u, p):
 
 
 def apply_modulation_weight(u, power):
-    """Multiply coefficients by <tau + |n|^2>^power (used for the Duhamel weight).
-
-    The result stores u's nonzero tau-span only.
-    """
-    a, b = u.tau_span()
-    out = u.on(a, b) * _bracket_sq(u.mod_array((a, b))) ** (power / 2.0)
-    return SpaceTimeField(u.grid, u.index.copy(), out, a)
+    """Multiply u's block by <tau + |n|^2>^power (the Duhamel weight); keeps the block."""
+    out = u.data * _bracket_sq(u.mod_array()) ** (power / 2.0)
+    return SpaceTimeField(u.grid, u.index.copy(), out, u.lo)

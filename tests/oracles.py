@@ -142,7 +142,7 @@ def conjugate_reflect_by_argsort(u):
 
 
 def norm_at_s(u, p, mode):
-    """X^{s,b} or Z^{s,b} norm of u at one s, each call finding u's span anew."""
+    """X^{s,b} or Z^{s,b} norm of u at one s, each call building its weights anew."""
     return (xsb_uncached if mode == "X" else zsb_uncached)(u, p)
 
 
@@ -188,6 +188,18 @@ def build_family_window(kind, N, grid):
     return families.FamilyInstance(kind, int(N), u, v)
 
 
+def nonzero_span(u):
+    """Half-open window range [a, b) holding every nonzero entry of u; (0, 0) if none."""
+    nz = np.flatnonzero(u.data.any(axis=0))
+    return (u.lo + int(nz[0]), u.lo + int(nz[-1]) + 1) if len(nz) else (0, 0)
+
+
+def _trimmed(u):
+    """u stored on the nonzero span of its whole-window rows."""
+    a, b = nonzero_span(u)
+    return SpaceTimeField.from_columns(u.grid, u.index, u.on_window().data[:, a:b], lo=a)
+
+
 def conjugate_reflect_window(u):
     """conj(u(-n, -tau)) by reversing u's whole-window rows."""
     u = u.on_window()
@@ -195,17 +207,19 @@ def conjugate_reflect_window(u):
 
 
 def conjugate_product_window(inst):
-    """``families.conjugate_product`` of whole-window members, on the whole window."""
+    """``families.conjugate_product`` of whole-window members, each convolved on
+    its nonzero span, on the whole window."""
     if inst.kind == "remark_uu":
-        return spacetime_convolve(inst.u, inst.v).on_window()
-    u, v = conjugate_reflect_window(inst.u), conjugate_reflect_window(inst.v)
-    return spacetime_convolve(u, v).on_window()
+        u, v = inst.u, inst.v
+    else:
+        u, v = conjugate_reflect_window(inst.u), conjugate_reflect_window(inst.v)
+    return spacetime_convolve(_trimmed(u), _trimmed(v)).on_window()
 
 
 def modulation_weight_window(u, power):
-    """<tau + |n|^2>^power u written into a zero-filled window."""
+    """<tau + |n|^2>^power u on its nonzero span, written into a zero-filled window."""
     u = u.on_window()
-    a, b = u.tau_span()
+    a, b = nonzero_span(u)
     mod = u.grid.tau_nodes[None, a:b] + u.norm_sq_columns()[:, None].astype(float)
     out = np.zeros_like(u.data)
     out[:, a:b] = u.data[:, a:b] * _bracket_sq(mod) ** (power / 2.0)
@@ -216,7 +230,7 @@ def norms_over_s_window(u, b, s_values, mode):
     """``norms.norms_over_s`` reading the span out of u's whole-window rows
     and the window's nodes and weights."""
     u = u.on_window()
-    lo, hi = u.tau_span()
+    lo, hi = nonzero_span(u)
     data, w = u.data[:, lo:hi], u.grid.tau_weights[lo:hi]
     nsq = u.norm_sq_columns().astype(float)
     mod = u.grid.tau_nodes[None, lo:hi] + nsq[:, None]
@@ -241,9 +255,8 @@ def sweep_point_window(kind, N, tau_step):
 _X_BLOCK = 32
 
 
-def _on_span(u):
-    a, b = u.tau_span()
-    return (u.on(a, b), u.mod_array((a, b)), u.grid.weights_on(a, b),
+def _on_block(u):
+    return (u.data, u.mod_array(), u.grid.weights_on(*u.stored),
             u.norm_sq_columns().astype(float))
 
 
@@ -268,16 +281,14 @@ def _energy(data, weights, nsq, s):
 
 
 def _x_columns(u, b):
-    lo, hi = u.tau_span()
-    w = u.grid.weights_on(lo, hi)
-    nodes = u.grid.nodes_on(lo, hi)[None, :]
-    data = u.on(lo, hi)
+    w = u.grid.weights_on(*u.stored)
+    nodes = u.grid.nodes_on(*u.stored)[None, :]
     nsq = u.norm_sq_columns().astype(float)
     cols = np.empty(len(nsq))
     bounds = [*range(0, len(nsq), _X_BLOCK), len(nsq)]
     for i, j in zip(bounds[:-1], bounds[1:]):
         mod = nodes + nsq[i:j, None]
-        cols[i:j] = _l2_tau_sq(data[i:j], _bracket_sq(mod), w, b)
+        cols[i:j] = _l2_tau_sq(u.data[i:j], _bracket_sq(mod), w, b)
     return cols
 
 
@@ -305,7 +316,7 @@ def norms_over_s_uncached(u, b, s_values, mode):
         nsq = u.norm_sq_columns().astype(float)
         cols = _x_columns(u, b)
         return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
-    data, mod, w, nsq = _on_span(u)
+    data, mod, w, nsq = _on_block(u)
     return [_z_apply(data, _z_factors(mod, nsq, NormParams(s, b)), w) for s in s_values]
 
 
@@ -318,13 +329,13 @@ def zsb_uncached(u, p):
 
 
 def ysb_uncached(u, p):
-    data, mod, w, nsq = _on_span(u)
+    data, mod, w, nsq = _on_block(u)
     return _energy(data, w, nsq, p.s) + float(
         np.sqrt(_l2_tau_sq(data, _bracket_sq(mod), w, p.s / 2.0 + p.b).sum()))
 
 
 def energy_uncached(u, s):
-    data, _, w, nsq = _on_span(u)
+    data, _, w, nsq = _on_block(u)
     return _energy(data, w, nsq, s)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -245,6 +246,20 @@ class TestRunCommands:
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert "'n_max'" in err and "budget" in err
+        # a 1.53e95 GiB estimate prints to 3 significant digits, not 96 digits
+        cfg = parse_config(["norm", "--n-max", str(10**50), "--tau-step", "1",
+                            "--out", str(tmp_path)])
+        assert run(cfg) == 2
+        assert len(capsys.readouterr().err) < 120
+
+    def test_norm_samples_a_huge_box(self, tmp_path):
+        # 4e12 columns of 3 samples: the 64 sampled columns come from their
+        # keys, not from the 29 TiB grid.box_index
+        cfg = parse_config(["norm", "--n-max", "1000000", "--tau-step", "1e13",
+                            "--out", str(tmp_path)])
+        assert run(cfg) == 0
+        obj = json.loads((tmp_path / "norms.json").read_text())
+        assert obj["columns"] == 64 and math.isfinite(obj["zsb"])
 
     def test_family_command(self, tmp_path):
         cfg = parse_config(["family", "--family", "remark_uu", "--N", "4,8",
@@ -325,6 +340,10 @@ class TestRunCommands:
         (["solve", "--d", "1", "--n-max", "100000000000"], "n_max"),
         (["solve", "--n-max", str(8 * 10**153), "--tau-step", "1"], "n_max"),
         (["norm", "--n-max", str(10**160)], "n_max"),
+        # a box of 1.02e19 columns, past rng.choice and the int64 flat keys
+        (["norm", "--n-max", "1600000000", "--tau-step", "1e18"], "n_max"),
+        # 4e9^2 wraps in int64 |n|^2, which made the norms NaN
+        (["norm", "--d", "1", "--n-max", "4000000000", "--tau-step", "1e19"], "n_max"),
         (["norm", "--tau-pad", "inf"], "tau_pad"),
         (["norm", "--tau-pad", "nan"], "tau_pad"),
         (["threshold", "--s-range", "-0.9:-0.4:1e-12"], "s_range"),

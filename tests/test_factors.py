@@ -31,11 +31,11 @@ ENTRY_LIMITS = st.sampled_from((grid_module._CACHED_ENTRIES, 0))
 @st.composite
 def stored_fields(draw, grid):
     """A field on drawn columns, zero off drawn per-column spans, stored on its
-    whole window or on its nonzero span alone."""
+    whole window or on a drawn block of it (samples off the block dropped)."""
     u = draw(tau_supports(draw(fields(grid))))
     if draw(st.booleans()):
-        a, b = u.tau_span()
-        u = SpaceTimeField(u.grid, u.index.copy(), u.on(a, b).copy(), a)
+        a, b = sorted(draw(st.lists(st.integers(0, grid.n_tau), min_size=2, max_size=2)))
+        u = SpaceTimeField.from_columns(grid, u.index, u.data[:, a:b], lo=a)
     return u
 
 
@@ -176,7 +176,7 @@ class TestFactorPath:
         assert key[3] == fields[2].index.tobytes()
 
     def test_the_envelope_key_has_the_norms_key_shape(self, traffic):
-        # (builder, params, grid, column bytes, span, split) for both
+        # (builder, params, grid, column bytes, stored block, split) for both
         u = random_field(CHECK_GRID, np.random.default_rng(11), envelope_power=-1.0)
         (envelope,) = traffic
         p = NormParams(s=-0.6)

@@ -1,7 +1,7 @@
 """Property tests on random column sets and tau-supports.
 
-Convolution paths, the span-trimmed convolution and norms against their
-full-window oracles, field algebra, reflection.
+Convolution paths, the convolution and norms of span-stored fields against
+their full-window oracles, field algebra, reflection.
 """
 
 import contextlib
@@ -120,7 +120,8 @@ def _convolve_window_oracle(f, g, report):
 
 def _convolve_both(f, g):
     new, old = {}, {}
-    return spacetime_convolve(f, g, new), new, _convolve_window_oracle(f, g, old), old
+    window = _convolve_window_oracle(f.on_window(), g.on_window(), old)
+    return spacetime_convolve(f, g, new), new, window, old
 
 
 class TestConvolutionPaths:
@@ -164,7 +165,7 @@ class TestTrimmedConvolution:
     def test_full_span(self, pair):
         f, g = pair
         got, _, want, _ = _convolve_both(f, g)
-        assert f.tau_span() == g.tau_span() == (0, f.grid.n_tau)
+        assert f.stored == g.stored == (0, f.grid.n_tau)
         scale = max(want.max_abs(), f.grid.tau_step * f.max_abs() * g.max_abs())
         assert (got - want).max_abs() <= 1e-12 * scale
 
@@ -180,11 +181,10 @@ class TestTrimmedConvolution:
         grid = GRIDS[1]
         f = random_field(grid, np.random.default_rng(1), columns=[[1, 0], [0, 2]])
         g = random_field(grid, np.random.default_rng(2), columns=[[-1, 1]])
-        for u, (a, b) in ((f, f_span), (g, g_span)):
-            u.data[:, :a] = 0.0
-            u.data[:, b:] = 0.0
+        f, g = (SpaceTimeField.from_columns(grid, u.index, u.data[:, a:b], lo=a)
+                for u, (a, b) in ((f, f_span), (g, g_span)))
         got, got_report, want, want_report = _convolve_both(f, g)
-        assert got.tau_span() == product_span
+        assert got.stored == product_span
         assert got_report["dropped_tau_mass"] > 0.0
         scale = max(want.max_abs(), grid.tau_step * f.max_abs() * g.max_abs())
         assert (got - want).max_abs() <= 1e-12 * scale
@@ -285,7 +285,7 @@ class TestTrimmedNorms:
     @PROPERTY
     @given(st.sampled_from(GRIDS).flatmap(fields), NORM_PARAMS, SPLITS)
     def test_full_span_bitwise(self, u, p, split):
-        assert u.tau_span() == (0, u.grid.n_tau)
+        assert u.stored == (0, u.grid.n_tau)
         with _split_at(split):
             pairs = _norm_pairs(u, p)
         for got, want in pairs:
@@ -327,8 +327,8 @@ class TestTrimmedNorms:
         # column; blocking never changes a column's bits
         u = random_field(grid, np.random.default_rng(block), envelope_power=-1.0)
         assert u.n_columns % block != 0
-        trimmed = SpaceTimeField(grid, u.index.copy(), u.data.copy())
-        trimmed.data[:, : grid.n_tau // 3] = 0.0
+        lo = grid.n_tau // 3
+        trimmed = SpaceTimeField.from_columns(grid, u.index, u.data[:, lo:], lo=lo)
         p = NormParams(s=-0.6)
         assert np.array_equal(_x_in_blocks(u, p, block), _oracle_l2_tau_sq(u, p.b))
         assert np.array_equal(_x_in_blocks(trimmed, p, block),

@@ -215,6 +215,24 @@ class TestFusedProduct:
         assert np.array_equal(uv.index, vu.index)
         assert np.abs(uv.data - vu.data).max() <= 1e-13 * np.abs(uv.data).max()
 
+    def test_span_stored_operands_match_their_window_twins(self):
+        # a field zero off window samples [20, 60), stored as that block and
+        # on the whole window: the product reads both the same
+        grid = FrequencyGrid.for_box(1, 4, 0.25)
+        rng = np.random.default_rng(3)
+        full, other = (rng.standard_normal((grid.box_count, grid.n_tau))
+                       + 1j * rng.standard_normal((grid.box_count, grid.n_tau))
+                       for _ in range(2))
+        u = SpaceTimeField.from_columns(grid, grid.box_index, full[:, 20:60], lo=20)
+        v = SpaceTimeField.from_columns(grid, grid.box_index, other)
+        assert u.stored == (20, 60)
+        twin = u.on_window()
+        T = 0.125
+        for (a, b), (wa, wb) in (((u, u), (twin, twin)), ((u, v), (twin, v))):
+            got, want = nonlinear_fourier_data(a, b, T), nonlinear_fourier_data(wa, wb, T)
+            assert np.array_equal(got.index, want.index) and got.stored == want.stored
+            assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+
     @SHORT_WINDOWS
     def test_empty_operand_gives_zero_field(self, box):
         u, _, T = _product_pair(box)
