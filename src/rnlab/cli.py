@@ -245,9 +245,11 @@ def _checked(key, check, *args):
 
 
 def _grid(cfg):
-    # d, tau_step and tau_pad have passed their rules; what can still fail is
-    # a window of n_max at tau_step with more samples than float64 counts
-    return _checked("n_max", FrequencyGrid.for_box, cfg.d, cfg.n_max, cfg.tau_step, cfg.tau_pad)
+    # d, tau_step and tau_pad have passed their rules; what can still fail is the
+    # window: at tau_step 1 its length, from n_max, then its samples, from tau_step
+    _checked("n_max", FrequencyGrid.for_box, cfg.d, cfg.n_max, 1.0, cfg.tau_pad)
+    return _checked("tau_step", FrequencyGrid.for_box, cfg.d, cfg.n_max, cfg.tau_step,
+                    cfg.tau_pad)
 
 
 def _out_path(cfg, name):
@@ -274,8 +276,11 @@ def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _check_budget(nbytes, key="n_max", remedy="reduce n_max, tau_pad or d"):
+def _check_budget(nbytes, key="n_max", remedy="reduce n_max, tau_pad or d", grid=None):
     gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf  # an int beyond float64
+    # over grid's window: tau_step's fault when 1/tau_step outweighs 2 tau_max in n_tau
+    if grid is not None and 2.0 * grid.tau_max * grid.tau_step < 1.0:
+        key, remedy = "tau_step", f"tau_step={grid.tau_step}; use a larger tau_step"
     if gib > _BUDGET_GIB:
         raise ConfigError(f"key '{key}': needs {gib:.3g} GiB, over the {_BUDGET_GIB} GiB "
                           f"budget; {remedy}")
@@ -302,7 +307,7 @@ def _cmd_norm(cfg):
     grid = _grid(cfg)
     sampled = grid.box_count * grid.n_tau > 4_000_000
     n_columns = min(64, grid.box_count) if sampled else grid.box_count
-    _check_budget(_NORM_BYTES_PER_ENTRY * n_columns * grid.n_tau)
+    _check_budget(_NORM_BYTES_PER_ENTRY * n_columns * grid.n_tau, grid=grid)
     # rng.choice, the int64 flat keys and the int64 |n|^2 all stop below 2^63
     if max(grid.box_count, grid.dimension * grid.n_max**2) >= 2**63:
         raise ConfigError(f"key 'n_max': the d={grid.dimension} box of n_max={grid.n_max} "
@@ -390,8 +395,8 @@ def _cmd_solve(cfg):
     _checked("tau_step", steps_per_unit, cfg.tau_step)
     grid = _grid(cfg)
     # peak_bytes, slow to evaluate on a huge grid, is at least its three iterates
-    _check_budget(48 * grid.box_count * grid.n_tau)
-    _check_budget(peak_bytes(grid, params))
+    _check_budget(48 * grid.box_count * grid.n_tau, grid=grid)
+    _check_budget(peak_bytes(grid, params), grid=grid)
     u0 = rough_initial_data(grid, cfg.s, cfg.seed)
 
     def dump(k, field):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded at import, not by the first transform)
@@ -80,8 +80,10 @@ class FrequencyGrid:
     @classmethod
     def for_box(cls, dimension, n_max, tau_step=0.25, tau_pad=8.0):
         """Grid with the default window [-(2 n_max^2 + pad), 2 n_max^2 + pad]."""
-        target = 2.0 * n_max**2 + tau_pad
-        tau_max = math.ceil(target / tau_step - 1e-9) * tau_step
+        steps = (2.0 * n_max**2 + tau_pad) / tau_step  # tau_max in steps, before rounding up
+        if not 1e-9 < steps < math.inf:
+            raise ValueError(f"tau_step={tau_step} makes the half-window {steps:.3g} steps")
+        tau_max = math.ceil(steps - 1e-9) * tau_step
         return cls(dimension, n_max, tau_max, tau_step)
 
     # -- tau axis ---------------------------------------------------------
@@ -568,23 +570,22 @@ def _ifftn(x, d):
 # -- time synthesis ----------------------------------------------------------
 
 
+@lru_cache(maxsize=1)  # the last one: the L^4 norm's blocks of columns share it
 def _time_kernel(grid, times):
-    """e^{i t tau} times the tau quadrature weights, shape (n_tau, len(times))."""
+    """e^{i t tau} times the tau quadrature weights, shape (n_tau, len(times)), read-only."""
     kernel = np.exp(1j * np.outer(grid.tau_nodes, times))
     kernel *= grid.tau_weights[:, None]  # in place: the L^4 check's kernel is 4 MB
+    kernel.setflags(write=False)
     return kernel
 
 
 def time_slices(u, times):
-    """Per-column values u_hat(n, t) = Int u_hat(n, tau) e^{i t tau} dtau.
-
-    Returns an array of shape (K, len(times)).  A BLAS product over the whole
-    window, whose last bits follow the thread count: of the norms only
-    ``l4_spacetime_norm`` takes it, where np.einsum took 2.3 s against 0.18 s
-    on the check's N = 32 field, and the check prints that norm's slope to 4
-    decimals.
-    """
-    return u.on_window().data @ _time_kernel(u.grid, times)
+    """Per-column values u_hat(n, t) = Int u_hat(n, tau) e^{i t tau} dtau, shape
+    (K, len(times)).  A BLAS product over the whole window, whose last bits
+    follow the thread count: of the norms only ``l4_spacetime_norm`` takes it,
+    where np.einsum took 2.5 s against 0.17 s over the L^4 check's N = 32
+    annulus, and the check prints that norm's slope to 4 decimals."""
+    return u.on_window().data @ _time_kernel(u.grid, tuple(times))
 
 
 # -- data-independent weights -------------------------------------------------

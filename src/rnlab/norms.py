@@ -221,29 +221,29 @@ def ct_hs_norm(u, s, t_window):
         raise ValueError("time window exceeds the reciprocal resolution of the tau-grid")
     count = max(2, int(np.ceil((t1 - t0) * _CT_TIMES_PER_UNIT)) + 1)
     times = np.linspace(t0, t1, count)
-    slices = _tau_integral(u.on_window().data, _time_kernel(u.grid, times))
+    slices = _tau_integral(u.on_window().data, _time_kernel(u.grid, tuple(times)))
     w = (1.0 + u.norm_sq_columns().astype(float)) ** s
     vals = np.sqrt((w[:, None] * np.abs(slices) ** 2).sum(axis=0))
     return float(vals.max())
 
 
-def l4_spacetime_norm(u, t_window):
-    """Physical-space L^4 norm over T^d x window, synthesized on twice the box side."""
+def l4_spacetime_norm(grid, fields, t_window):
+    """Physical-space L^4 norm over T^d x window of the sum of the ``fields``
+    on ``grid``, synthesized on twice the box side one field at a time: a
+    field given as blocks of its columns is never whole."""
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
         raise ValueError("empty time window")
-    grid = u.grid
     count = max(3, int(np.ceil((t1 - t0) * _L4_TIMES_PER_UNIT)) + 1)
     times = np.linspace(t0, t1, count)
     tw = np.full(count, (t1 - t0) / (count - 1))
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    slices = time_slices(u, times)
+    tw[[0, -1]] *= 0.5
     P = _next_fast_len(2 * grid.box_side)
-    shape = (P,) * grid.dimension + (count,)
-    spectral = np.zeros(shape, dtype=np.complex128)
-    idx = [u.index[:, a] % P for a in range(grid.dimension)]
-    spectral[tuple(idx)] = slices
+    spectral = np.zeros((P,) * grid.dimension + (count,), dtype=np.complex128)
+    for u in fields:
+        grid.assert_compatible(u.grid)
+        spectral[tuple(u.index.T % P)] += time_slices(u, times)
+        del u  # released before the iterable builds the next field
     phys = _ifftn(spectral, grid.dimension) * P**grid.dimension
     cell = (2.0 * np.pi / P) ** grid.dimension
     integrand = (np.abs(phys) ** 4).reshape(-1, count)

@@ -124,17 +124,13 @@ def _validate_n_list(n_list):
     return ns
 
 
-def _family_grid(N, tau_step):
-    return FrequencyGrid.for_box(2, N, tau_step)
-
-
 def _sweep_point(kind, N, tau_step):
     """Family member plus its Duhamel-weighted product data on a minimal per-N grid.
 
     The fields, the weight <tau+|n|^2>^{-1} included, are s-independent: a
     sweep or scan builds each point once and re-norms it for every s.
     """
-    inst = build_family(kind, N, _family_grid(N, tau_step))
+    inst = build_family(kind, N, FrequencyGrid.for_box(2, N, tau_step))
     return inst, apply_modulation_weight(conjugate_product(inst), -1.0)
 
 

@@ -245,7 +245,7 @@ def norms_over_s_window(u, b, s_values, mode):
 
 def sweep_point_window(kind, N, tau_step):
     """``sweep._sweep_point`` on whole-window fields."""
-    inst = build_family_window(kind, N, sweep._family_grid(N, tau_step))
+    inst = build_family_window(kind, N, FrequencyGrid.for_box(2, N, tau_step))
     return inst, modulation_weight_window(conjugate_product_window(inst), -1.0)
 
 

@@ -2,9 +2,15 @@
 
 import tracemalloc
 
+import numpy as np
+import pytest
+
+from rnlab import checks
 from rnlab import grid as grid_module
 from rnlab.checks import check_l4_slope
+from rnlab.cutoffs import free_evolution_data
 from rnlab.grid import FrequencyGrid
+from rnlab.norms import NormParams, l4_spacetime_norm, xsb_norm
 
 from test_factors import cached_arrays
 
@@ -29,6 +35,30 @@ def test_l4_slope_peak_memory_near_one_field():
         tracemalloc.stop()
     assert result.passed, result.line()
     assert peak <= 1.25 * field, f"peak {peak / field:.2f}x the N=32 field"
+    # the field is built in blocks of columns, one alive at a time (0.17x measured)
+    assert peak <= 0.25 * field, f"peak {peak / field:.2f}x the N=32 field"
     # the weight cache took none of the large fields' weights and kept its budget
     assert grid_module._weights_bytes <= grid_module._CACHE_BYTES
     assert all(a.size <= grid_module._CACHED_ENTRIES for a in cached_arrays())
+
+
+@pytest.mark.parametrize("block", [7, 10, 1000])
+def test_blocked_l4_and_x_match_the_whole_field(block, monkeypatch):
+    # K = 148 annulus columns: blocks of 7 leave a last block of one column,
+    # blocks of 10 one of 8, and 1000 is one block.  The X-norm's column
+    # integrals are einsums, whose bits follow no BLAS thread count: it is
+    # compared exactly.  The L^4 slices are BLAS products, measured bitwise
+    # equal on one and on two OpenBLAS threads; 1e-13 relative allows for a
+    # BLAS that tiles a block's rows differently.
+    grid = FrequencyGrid.for_box(2, 8, tau_step=0.5)
+    nsq = FrequencyGrid.norm_sq(grid.box_index)
+    ns = grid.box_index[(4 * nsq > 64) & (nsq <= 64)]
+    vals = np.exp(2j * np.pi * np.random.default_rng(3).uniform(size=len(ns)))
+    assert len(ns) == 148
+    u = free_evolution_data(grid, (ns, vals))
+    whole_l4 = l4_spacetime_norm(grid, [u], (-1.0, 1.0))
+    whole_x = xsb_norm(u, NormParams(s=0.0, b=0.38))
+    monkeypatch.setattr(checks, "_L4_BLOCK", block)
+    l4, x = checks._free_l4_and_x(grid, ns, vals, 0.38)
+    assert x == whole_x
+    assert l4 == pytest.approx(whole_l4, rel=1e-13, abs=0.0)

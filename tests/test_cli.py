@@ -344,6 +344,14 @@ class TestRunCommands:
         (["norm", "--n-max", "1600000000", "--tau-step", "1e18"], "n_max"),
         # 4e9^2 wraps in int64 |n|^2, which made the norms NaN
         (["norm", "--d", "1", "--n-max", "4000000000", "--tau-step", "1e19"], "n_max"),
+        # 8200 / 1e-310 steps each way is past float64; 8200 / 1e13 and
+        # 16 / 1e12 round to no step
+        (["norm", "--tau-step", "1e-310"], "tau_step"),
+        (["norm", "--tau-step", "1e13"], "tau_step"),
+        (["norm", "--n-max", "2", "--tau-step", "1e12"], "tau_step"),
+        # 1.6e304 samples a column: 1/tau_step, not the window's length, is over
+        (["solve", "--tau-step", "1e-300"], "tau_step"),
+        (["norm", "--tau-step", "1e-300"], "tau_step"),
         (["norm", "--tau-pad", "inf"], "tau_pad"),
         (["norm", "--tau-pad", "nan"], "tau_pad"),
         (["threshold", "--s-range", "-0.9:-0.4:1e-12"], "s_range"),

@@ -148,7 +148,7 @@ class TestEnergyAndCt:
 
 class TestL4:
     def test_zero(self, small_grid):
-        assert l4_spacetime_norm(SpaceTimeField.zero(small_grid), (-1, 1)) == 0.0
+        assert l4_spacetime_norm(small_grid, [SpaceTimeField.zero(small_grid)], (-1, 1)) == 0.0
 
     def test_constant_modulus_mode(self):
         # free single mode of amplitude a on a window where eta == 1:
@@ -156,13 +156,20 @@ class TestL4:
         grid = FrequencyGrid.for_box(2, 2, 0.25, tau_pad=300.0)
         a = 0.7
         u = free_evolution_data(grid, (np.array([[1, 0]]), np.array([a + 0j])))
-        val = l4_spacetime_norm(u, (-0.5, 0.5))
+        val = l4_spacetime_norm(grid, [u], (-0.5, 0.5))
         expected = a * ((2 * np.pi) ** 2 * 1.0) ** 0.25
         assert val == pytest.approx(expected, rel=1e-5)
 
     def test_amplitude_scaling(self, sample_field):
-        assert l4_spacetime_norm(3.0 * sample_field, (-1, 1)) == pytest.approx(
-            3.0 * l4_spacetime_norm(sample_field, (-1, 1)), rel=1e-12)
+        grid = sample_field.grid
+        assert l4_spacetime_norm(grid, [3.0 * sample_field], (-1, 1)) == pytest.approx(
+            3.0 * l4_spacetime_norm(grid, [sample_field], (-1, 1)), rel=1e-12)
+
+    def test_norm_of_the_sum_of_the_fields(self, sample_field):
+        # fields sharing columns add: u given twice is 2u
+        grid = sample_field.grid
+        assert l4_spacetime_norm(grid, [sample_field, sample_field], (-1, 1)) == pytest.approx(
+            l4_spacetime_norm(grid, [2.0 * sample_field], (-1, 1)), rel=1e-12)
 
 
 class TestDyadicProfile:

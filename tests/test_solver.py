@@ -447,7 +447,7 @@ with tempfile.TemporaryDirectory() as out:
 grid = FrequencyGrid.for_box(2, 3)
 u = random_field(grid, np.random.default_rng(0), envelope_power=-1.0)
 print(rnlab.__file__)
-print(codes, spacetime_convolve(u, u).n_columns, l4_spacetime_norm(u, (-0.5, 0.5)) > 0)
+print(codes, spacetime_convolve(u, u).n_columns, l4_spacetime_norm(grid, [u], (-0.5, 0.5)) > 0)
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
