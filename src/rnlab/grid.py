@@ -29,6 +29,11 @@ import numpy.fft  # noqa: F401  (loaded at import, not by the first transform)
 # Guard on dense materialization and on the padded product's workspace.
 _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
 
+# Bytes of one block of the Picard step's transients: the product's rows of
+# tau-samples at length P, and the Duhamel step's columns of N1's series.  A
+# grid whose transient fits takes one block.
+_BLOCK_BYTES = 8 << 20
+
 # The one split of the Z-space: modulation |tau + |n|^2| below MOD_THRESHOLD
 # times |n|^2 is low, the rest high.
 MOD_THRESHOLD = 2.0**-10
@@ -462,15 +467,20 @@ def _padded_product(f, g, weight=None, report=None):
     window and the t-nodes are those of ``_workspace``.  Each operand's
     rows are tau-transformed at length P, weighted, and taken through the
     spatial axes; the pointwise product (one transform squared when
-    ``g is f``) goes back and is cropped to the box and window.  The result
-    holds the box columns of the product's support box and stores only the
-    offset span, the window samples the linear convolution reaches (the
-    whole window with a ``weight``).  An operand with no stored entry gives
-    the zero field.  A ``report`` dict receives the masses
-    ``spacetime_convolve`` documents.
+    ``g is f`` or ``g is None``) goes back and is cropped to the box and
+    window.  Both tau passes run _BLOCK_BYTES of rows at a time through one
+    buffer, so no (rows, P) array is formed, and the operands are dropped
+    between them: one that the caller does not hold is freed there.  The
+    result holds the box columns of the product's support box and stores
+    only the offset span, the window samples the linear convolution reaches
+    (the whole window with a ``weight``).  An operand with no stored entry
+    gives the zero field.  A ``report`` dict receives the masses
+    ``spacetime_convolve`` documents, summed block by block.
     """
     grid, d = f.grid, f.grid.dimension
     M, h = grid.n_tau, grid.tau_step
+    if g is None:
+        g = f
     if weight is not None:
         f, g = (f.on_window(), g.on_window()) if g is not f else (f.on_window(),) * 2
     if report is not None:
@@ -490,40 +500,64 @@ def _padded_product(f, g, weight=None, report=None):
     shape = tuple(_next_fast_len(n) for n in full)
     if math.prod(shape) * n_live > _DENSE_ENTRY_LIMIT:
         raise MemoryError("padded product workspace is too large; reduce n_max or the tau-window")
-
-    def samples(u, lo, ext):
-        rows = np.fft.fft(u.data, n=P, axis=1)
-        box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
-        box[np.ravel_multi_index((u.index - lo).T, ext)] = rows if w is None else rows[:, live] * w
-        box = box.reshape(tuple(ext) + (n_live,))
-        return _fftn(box, shape)
-
-    conv = samples(f, lo_f, ext_f)
-    conv *= conv if g is f else samples(g, lo_g, ext_g)
-    conv = _ifftn(conv, d)
     lo = lo_f + lo_g  # the lattice point at the workspace origin
     first = np.maximum(lo, -grid.n_max)  # lattice corners of the crop to the box
     last = np.maximum(np.minimum(lo + full, grid.n_max + 1), first) - 1
     core = tuple(slice(a - c, b + 1 - c) for a, b, c in zip(first, last, lo))
-    kept = conv[core] if report is None else conv[tuple(slice(0, n) for n in full)]
-    rows = np.zeros((kept[..., 0].size, P), dtype=np.complex128)
-    rows[:, live] = kept.reshape(len(rows), n_live)
-    del conv, kept
-    out = np.fft.ifft(rows, axis=1, out=rows)
+    out_rows = math.prod(last - first + 1)
+    inverse_rows = out_rows if report is None else math.prod(full)
+    buf = np.empty((min(_block_rows(16 * P), max(f.n_columns, g.n_columns, inverse_rows)), P),
+                   dtype=np.complex128)  # the one buffer of both tau passes
+
+    def samples(u, lo, ext):
+        box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
+        keys = np.ravel_multi_index((u.index - lo).T, ext)
+        for a in range(0, len(keys), len(buf)):
+            part = u.data[a:a + len(buf)]
+            rows = np.fft.fft(part, n=P, axis=1, out=buf[:len(part)])
+            box[keys[a:a + len(buf)]] = rows if w is None else rows[:, live] * w
+        return _fftn(box.reshape(tuple(ext) + (n_live,)), shape)
+
     # samples [k0, k1) of the linear convolution land inside the window
     start = f.lo + g.lo - grid.half_index
     k0 = min(max(0, -start), length)
     k1 = max(k0, min(length, M - start))
-    if report is not None:
-        out = out.reshape(full + (P,))
-        spatial = np.abs(out[..., k0:k1])
-        report["dropped_spatial_mass"] = h * float(spatial.sum() - spatial[core].sum())
-        tau = np.abs(out[..., :length])
-        report["dropped_tau_mass"] = h * float(tau[..., :k0].sum() + tau[..., k1:].sum())
-        out = out[core].reshape(-1, P)
+    conv = samples(f, lo_f, ext_f)
+    conv *= conv if g is f else samples(g, lo_g, ext_g)
+    del f, g
+    conv = _ifftn(conv, d)
+    if report is None:
+        kept = conv[core]
+    else:
+        kept = conv[tuple(slice(0, n) for n in full)]
+        inside = np.zeros(full, dtype=bool)
+        inside[core] = True
+        inside = inside.ravel()
+    kept = kept.reshape(-1, n_live)
+    data = np.empty((out_rows, k1 - k0), dtype=np.complex128)
+    at = 0
+    for a in range(0, len(kept), len(buf)):
+        rows = buf[:min(len(buf), len(kept) - a)]
+        if w is not None:  # only the live t-nodes are written
+            rows.fill(0.0)
+        rows[:, live] = kept[a:a + len(rows)]
+        np.fft.ifft(rows, axis=1, out=rows)
+        if report is not None:
+            keep = inside[a:a + len(rows)]
+            mass = np.abs(rows[:, :length])
+            report["dropped_spatial_mass"] += h * float(mass[~keep, k0:k1].sum())
+            report["dropped_tau_mass"] += h * float(mass[:, :k0].sum() + mass[:, k1:].sum())
+            rows = rows[keep]
+        np.multiply(h, rows[:, k0:k1], out=data[at:at + len(rows)])
+        at += len(rows)
     ns = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(first, last)), indexing="ij")
     return SpaceTimeField(grid, np.stack([n.ravel() for n in ns], axis=1),
-                          h * out[:, k0:k1], start + k0 if k1 > k0 else 0)
+                          data, start + k0 if k1 > k0 else 0)
+
+
+def _block_rows(row_bytes):
+    """Rows of ``row_bytes`` bytes in one block (at least one)."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 # numpy.fft (numpy >= 2.0) runs the C++ pocketfft.  The n-D helpers keep the

@@ -28,15 +28,16 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cutoffs
 from .cutoffs import SUPPORT, free_evolution_data, standard_bump
-from .grid import FrequencyGrid, SpaceTimeField, _padded_product, _workspace, conjugate_reflect
+from .grid import (FrequencyGrid, SpaceTimeField, _block_rows, _padded_product, _workspace,
+                   conjugate_reflect)
 from .norms import NormParams, _tau_integral, _z_apply, _z_factors, spatial_hs_norm
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
+_SERIES_ALIGN = 64  # lattice columns: a multiple of any BLAS kernel's column unroll
 
 
 @dataclass(frozen=True)
@@ -115,16 +116,17 @@ def nonlinear_fourier_data(u, v, T):
     eta(t / 2T), which vanishes off |t| < 4T, so only those t-nodes pass
     the spatial transforms.  The cut-off factor is not truncated to the
     tau-window: its transform tail aliases at the workspace period.  When
-    ``v is u`` the one reflected factor is passed twice and squared.
+    ``v is u`` the one reflected factor is transformed once and squared.
     The scale must satisfy 0 < T <= 1/4, as in ``SolverParams``.
     """
     _check_scale(T)
     u.grid.assert_compatible(v.grid)
     if not (u.data.any() and v.data.any()):
         return SpaceTimeField.zero(u.grid)
-    fu = conjugate_reflect(u)
-    fv = fu if v is u else conjugate_reflect(v)
-    return _padded_product(fu, fv, _eta_weight(T))
+    # no name here holds a reflected factor, so the product frees each once it
+    # is transformed (CPython 3.11 and later hand a call's arguments over)
+    return _padded_product(conjugate_reflect(u), None if v is u else conjugate_reflect(v),
+                           _eta_weight(T))
 
 
 def _eta_weight(T):
@@ -237,9 +239,39 @@ def _rows(fhat):
     return fhat.grid.flat_keys(fhat.index)
 
 
-def _gather(series, offsets, n_tau):
-    """Row i of ``series`` from offsets[i] on, n_tau long: its sigma-lattice at column i."""
-    return sliding_window_view(series, n_tau, axis=1)[np.arange(len(offsets)), offsets]
+def _add_series(out, coefs, lattices, offsets):
+    """out[i] += the (K x terms) @ (terms x lattice) series' row i from
+    offsets[i] on, n_tau long: its sigma-lattice at column i.
+
+    Each block of lattice columns is one BLAS product of the coefficients
+    and that block of the cached lattice rows, added into the row windows
+    it reaches, so no whole series or lattice stack exists.  Blocks start at
+    multiples of _SERIES_ALIGN and the last takes the remainder: each column
+    then passes the BLAS kernel as in the whole product and keeps its bits,
+    where a one-column block (a matrix-vector product), a narrow one or a
+    split by rows changes last bits.
+    """
+    coefs = np.stack(coefs, axis=1)
+    K, n_tau = out.shape
+    n = len(lattices[0])
+    step = _series_step(K, coefs.shape[1])
+    starts = range(0, max(n - step, 0) + 1, step)
+    for a, b in zip(starts, [*starts[1:], n]):
+        # a BLAS product: einsum took 0.42 s against 0.035 s at d=1, n_max=32,
+        # and solve reports match on 1 and 2 BLAS threads
+        block = coefs @ np.stack([lattice[a:b] for lattice in lattices])
+        for i in np.flatnonzero((offsets < b) & (offsets + n_tau > a)):
+            lo, hi = max(a, offsets[i]), min(b, offsets[i] + n_tau)
+            out[i, lo - offsets[i]:hi - offsets[i]] += block[i, lo - a:hi - a]
+        del block  # not alive beside the next one
+
+
+def _series_step(K, terms):
+    """Lattice columns of one block of the series of K rows and ``terms`` terms:
+    as many whole _SERIES_ALIGN as _BLOCK_BYTES holds of K + terms rows (the
+    block's result and its lattice stack), and at least one _SERIES_ALIGN."""
+    columns = _block_rows(16 * (K + terms))
+    return max(_SERIES_ALIGN, columns // _SERIES_ALIGN * _SERIES_ALIGN)
 
 
 def _eta_lattice(plan):
@@ -256,10 +288,9 @@ def duhamel_n1(fhat, plan):
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
-    coefs, lattices = _n1_terms(fhat, plan, rows)
-    series = np.stack(coefs, axis=1) @ np.stack(lattices)
-    return SpaceTimeField(fhat.grid, fhat.index.copy(),
-                          _gather(series, plan.offsets[rows], fhat.grid.n_tau))
+    out = np.zeros(fhat.data.shape, dtype=np.complex128)
+    _add_series(out, *_n1_terms(fhat, plan, rows), plan.offsets[rows])
+    return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
 def duhamel_n2(fhat, plan):
@@ -287,20 +318,19 @@ def duhamel_rhs(fhat, plan):
     """N1 + N2 + N3 of the product data ``fhat`` in one array.
 
     N2 is the k = 0 term of N1's series, with coefficient Int F r dtau and
-    the F(eta) lattice; one contraction and one gather give N1 + N2, and
-    N3 = -r F is subtracted in place.
+    the F(eta) lattice.  The result array holds F r, is negated in place to
+    N3 = -r F once integrated, and the one contraction adds N1 + N2 into it:
+    (-r F) + series rounds as series - r F does.
     """
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
-    high = fhat.data * plan.r[rows]
+    out = fhat.data * plan.r[rows]
+    high_sums = _tau_integral(out, plan.grid.tau_weights)
+    np.negative(out, out=out)
     coefs, lattices = _n1_terms(fhat, plan, rows)
-    # a BLAS product (K x terms) @ (terms x lattice): einsum took 0.42 s against
-    # 0.035 s at d=1, n_max=32, and solve reports match on 1 and 2 BLAS threads
-    series = (np.stack([_tau_integral(high, plan.grid.tau_weights)] + coefs, axis=1)
-              @ np.stack([_eta_lattice(plan)[0]] + lattices))
-    out = _gather(series, plan.offsets[rows], plan.grid.n_tau)
-    out -= high
+    _add_series(out, [high_sums] + coefs, [_eta_lattice(plan)[0]] + lattices,
+                plan.offsets[rows])
     return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
@@ -325,17 +355,24 @@ def peak_bytes(grid, params):
 
     With K box columns: three iterate fields (linear, current and next, at
     any max_iterations), the plan (r and the Z weight on every entry, the
-    psi band), and the larger step transient, the product
-    (reflected factor, result, (K, P) rows, spatial workspace at eta's
-    t-nodes) or the Duhamel step (F, F r, N1's series of K plus at most
-    _SERIES_MAX_TERMS + 1 lattice rows).  Cached cutoff transforms are not counted.
+    psi band), and the larger step transient.  The product holds its
+    reflected factor and its result, one block of tau-rows at length P and
+    two spatial workspaces at eta's t-nodes; the Duhamel step holds its
+    result and one block of N1's series and lattice rows: at most
+    _SERIES_MAX_TERMS + 1 terms, on fewer than two blocks' worth of lattice
+    columns, since the last block takes the remainder.  Either exceeds the
+    Z-norm of a difference (the difference and two float temporaries).
+    Cached cutoff transforms are not counted.
     """
     K, M = grid.box_count, grid.n_tau
     shape, _, n_live, _ = _workspace(grid, _eta_weight(params.T))
+    P = shape[-1]
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
     plan = 16 * K * M + 24 * K * (2.0 * SUPPORT / grid.tau_step + 2)
-    product = 32 * K * M + 16 * (K * shape[-1] + math.prod(shape[:-1]) * n_live)
-    series = 32 * K * M + 16 * (K + _SERIES_MAX_TERMS + 1) * lattice
+    product = 32 * K * M + 16 * P * min(K, _block_rows(16 * P)) \
+        + 32 * math.prod(shape[:-1]) * n_live
+    series = 16 * K * M \
+        + 16 * (K + _SERIES_MAX_TERMS + 1) * min(lattice, 2 * _series_step(K, 0))
     return int(16 * K * M * 3 + plan + max(product, series))
 
 

@@ -417,17 +417,17 @@ class TestRunCommands:
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_convolution_guard_names_key(self, tmp_path, monkeypatch, capsys):
-        # d=1, n_max=101 is the smallest d=1 box the peak-bytes estimate
-        # (4.03 GiB) puts over the budget; rejected before any field is built
+        # d=1, n_max=110 is the smallest d=1 box the peak-bytes estimate
+        # (4.04 GiB) puts over the budget; rejected before any field is built
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "1", "--n-max", "101", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "110", "--out", str(tmp_path)])
         assert run(cfg) == 2
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_guard_counts_kept_iterates(self, tmp_path, monkeypatch, capsys):
         # the solve keeps three fields (linear, current, next) at any
         # max_iterations: d=2, n_max=24 (2401 x 9281 entries a field) is
-        # 2.77 GiB, and n_max=27, the smallest d=2 box over the budget, 4.40 GiB
+        # 2.21 GiB, and n_max=28, the smallest d=2 box over the budget, 4.10 GiB
         _admit(monkeypatch)
         for iterations in ("10", "1000"):
             cfg = parse_config(["solve", "--d", "2", "--n-max", "24",
@@ -435,7 +435,7 @@ class TestRunCommands:
             with pytest.raises(_Admitted):
                 run(cfg)
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "2", "--n-max", "27", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "2", "--n-max", "28", "--out", str(tmp_path)])
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert "'n_max'" in err and "budget" in err

@@ -13,11 +13,13 @@ import pytest
 from scipy import fft as sfft
 
 import rnlab
-from rnlab import cutoffs
+from rnlab import cutoffs, solver
+from rnlab import grid as grid_module
 from rnlab.cutoffs import apply_time_cutoff, free_evolution_data, standard_bump
 from rnlab.grid import (
     FrequencyGrid,
     SpaceTimeField,
+    _padded_product,
     _workspace,
     conjugate_reflect,
     spacetime_convolve,
@@ -28,6 +30,7 @@ from rnlab.solver import (
     DivergenceError,
     PicardPlan,
     SolverParams,
+    _eta_weight,
     dump_field,
     duhamel_n1,
     duhamel_n2,
@@ -40,6 +43,7 @@ from rnlab.solver import (
     rough_initial_data,
 )
 
+import oracles
 from oracles import continuous_dependence, duhamel_time_integral, reference_integrate
 
 
@@ -675,8 +679,8 @@ class TestPeakBytes:
             tracemalloc.stop()
         assert len(trace.z_norms) == 4
         estimate = peak_bytes(grid, params)
-        # measured: 1.49x on line_8 (17 columns, where N1's lattice rows
-        # weigh most), 1.15x on box_2_4 and 1.05x on box_2_8; on d=2 the
+        # measured: 1.37x on line_8 (17 columns, where N1's lattice rows
+        # weigh most), 1.15x on box_2_4 and 1.16x on box_2_8; on d=2 the
         # peak is the Duhamel step, with the plan's r and Z weight alive
         assert peak <= estimate <= 1.5 * peak, f"estimate {estimate / peak:.2f}x the peak"
 
@@ -699,6 +703,86 @@ class TestPeakBytes:
         traced_peak(2)  # fills the per-process cutoff-transform cache
         short, long = traced_peak(2), traced_peak(8)
         assert long <= 1.1 * short, f"8 iterations peak at {long / short:.2f}x 2 iterations"
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBlockedStep:
+    """The product's tau passes and the Duhamel step's series run in blocks of
+    grid._BLOCK_BYTES; each matches its whole-array oracle bit for bit."""
+
+    @pytest.mark.parametrize("box", [(1, 8), (2, 4), (2, 3)],
+                             ids=["line_8", "box_2_4", "box_2_3"])
+    def test_blocks_match_the_whole_arrays(self, box, monkeypatch):
+        u, v, T = _product_pair(box)
+        grid, plan, weight = u.grid, _plan(u.grid), _eta_weight(T)
+        K, M, P = grid.box_count, grid.n_tau, _workspace(grid)[0][-1]
+        # four Duhamel rows a block, so 17, 81 and 49 columns end in a block
+        # of one; the product takes one or two tau-rows a block, the series
+        # its fewest lattice columns a block
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 4 * 16 * M)
+        lattice = len(cutoffs.sigma_lattice(grid)[0])
+        assert K >= 3 * grid_module._block_rows(16 * M)
+        assert K >= 3 * grid_module._block_rows(16 * P)
+        assert lattice >= 3 * solver._series_step(K, 0)
+        for a, b in ((u, v), (u, u)):
+            fa = conjugate_reflect(a)
+            fb = fa if b is a else conjugate_reflect(b)
+            fhat = nonlinear_fourier_data(a, b, T)
+            want = oracles.padded_product_whole(fa, fb, weight)
+            assert np.array_equal(fhat.index, want.index)
+            assert _same_bits(fhat.data, want.data)
+            assert _same_bits(_padded_product(fa, fb, weight).data, want.data)
+            got_report, want_report = {}, {}
+            got = _padded_product(fa, fb, report=got_report)
+            want = oracles.padded_product_whole(fa, fb, report=want_report)
+            assert got.stored == want.stored and _same_bits(got.data, want.data)
+            scale = max(want.max_abs(), grid.tau_step * fa.max_abs() * fb.max_abs())
+            for key in ("dropped_spatial_mass", "dropped_tau_mass"):
+                assert abs(got_report[key] - want_report[key]) \
+                    <= 1e-12 * max(scale, want_report[key])
+            # the whole box, whose plan rows are a slice, and every third column
+            for f in (fhat, SpaceTimeField(grid, fhat.index[::3], fhat.data[::3])):
+                assert _same_bits(duhamel_rhs(f, plan).data,
+                                  oracles.duhamel_rhs_whole(f, plan).data)
+
+    def test_default_blocks_on_the_benchmark_grid(self):
+        # 65 columns: the product runs 15 tau-rows a block, and the series
+        # 5952 lattice columns a block, the last taking 6785 of 24641
+        grid = FrequencyGrid.for_box(1, 32, 0.25)
+        u = free_evolution_data(grid, rough_initial_data(grid, -0.6, 3))
+        fhat = nonlinear_fourier_data(u, u, 0.125)
+        fu = conjugate_reflect(u)
+        assert _same_bits(fhat.data,
+                          oracles.padded_product_whole(fu, fu, _eta_weight(0.125)).data)
+        plan = _plan(grid)
+        assert _same_bits(duhamel_rhs(fhat, plan).data, oracles.duhamel_rhs_whole(fhat, plan).data)
+
+    def test_step_peaks_on_the_benchmark_grid(self):
+        # above its inputs the product holds its result, one block of
+        # tau-rows and the spatial workspace, and the Duhamel step its result
+        # and one block of the series: 1.70 and 1.56 box fields measured,
+        # where the whole (K, P) rows and (K, lattice) series held 4.0 and 3.5
+        grid = FrequencyGrid.for_box(1, 32, 0.25)
+        field = 16 * grid.box_count * grid.n_tau
+        u = free_evolution_data(grid, rough_initial_data(grid, -0.6, 3))
+        plan = _plan(grid)
+        duhamel_rhs(nonlinear_fourier_data(u, u, 0.125), plan)  # fills the cutoff-transform cache
+
+        def traced(step, *args):
+            tracemalloc.start()
+            try:
+                out = step(*args)
+                return out, tracemalloc.get_traced_memory()[1] / field
+            finally:
+                tracemalloc.stop()
+
+        fhat, product = traced(nonlinear_fourier_data, u, u, 0.125)
+        _, duhamel = traced(duhamel_rhs, fhat, plan)
+        assert product <= 3.0, f"the product peaks at {product:.2f} box fields"
+        assert duhamel <= 2.0, f"the Duhamel step peaks at {duhamel:.2f} box fields"
 
 
 class TestFieldDumps:
