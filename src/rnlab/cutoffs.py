@@ -104,7 +104,7 @@ def free_evolution_data(grid, phi_hat):
     array or a pair (columns, values); its zero coefficients get no column.
 
     The pairs are put in field order before the gather, so the gathered rows
-    are the field's data: one (K, n_tau) array, scaled in place.
+    are the field's data (``free_evolution_rows``).
     """
     ns, vals = _spatial_pairs(grid, phi_hat)
     if not np.isfinite(vals).all():  # spatial data enters the field model here
@@ -113,12 +113,18 @@ def free_evolution_data(grid, phi_hat):
     ns, vals = ns[keep], vals[keep]
     order = np.argsort(grid.flat_keys(ns), kind="stable")
     ns, vals = ns[order], vals[order]
+    return SpaceTimeField(grid, ns, free_evolution_rows(grid, FrequencyGrid.norm_sq(ns), vals))
+
+
+def free_evolution_rows(grid, norm_sq, vals):
+    """Rows F(eta)(tau + |n|^2) phi_hat(n) of the free evolution's data at
+    the columns with these |n|^2 and coefficients: one (K, n_tau) array,
+    gathered and scaled in place."""
     lattice, j_max = sigma_lattice(grid)
-    rows = gather_profile(grid, FrequencyGrid.norm_sq(ns), lattice, j_max)
+    rows = gather_profile(grid, norm_sq, lattice, j_max)
     # the out= form keeps the operand order of vals[:, None] * rows, and with
     # it the rounding; `rows *= vals[:, None]` differs in the last bit
-    np.multiply(vals[:, None], rows, out=rows)
-    return SpaceTimeField(grid, ns, rows)
+    return np.multiply(vals[:, None], rows, out=rows)
 
 
 def _spatial_pairs(grid, phi_hat):

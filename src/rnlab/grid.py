@@ -30,8 +30,9 @@ import numpy.fft  # noqa: F401  (loaded at import, not by the first transform)
 _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
 
 # Bytes of one block of the Picard step's transients: the product's rows of
-# tau-samples at length P, and the Duhamel step's columns of N1's series.  A
-# grid whose transient fits takes one block.
+# tau-samples at length P, the Duhamel step's columns of N1's series, and the
+# rows of the linear solution and of the Z-norms' temporaries.  A grid whose
+# transient fits takes one block.
 _BLOCK_BYTES = 8 << 20
 
 # The one split of the Z-space: modulation |tau + |n|^2| below MOD_THRESHOLD
@@ -687,8 +688,10 @@ def random_field(grid, rng, columns=None, envelope_power=0.0):
     """
     ns = grid.box_index if columns is None else \
         np.asarray(columns, dtype=np.int64).reshape(-1, grid.dimension)
-    data = rng.standard_normal((len(ns), grid.n_tau)) \
-        + 1j * rng.standard_normal((len(ns), grid.n_tau))
+    # the draws of a + 1j * b, real part first, without its complex temporaries
+    data = np.empty((len(ns), grid.n_tau), dtype=np.complex128)
+    data.real = rng.standard_normal(data.shape)
+    data.imag = rng.standard_normal(data.shape)
     field = SpaceTimeField.from_columns(grid, ns, data)
     if envelope_power != 0.0:
         field.data *= _Factors(field)(_envelope, envelope_power)

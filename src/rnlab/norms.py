@@ -27,6 +27,7 @@ from . import grid as grid_module
 from .grid import (
     SpaceTimeField,
     _Factors,
+    _block_rows,
     _ifftn,
     _next_fast_len,
     _time_kernel,
@@ -101,12 +102,17 @@ def _x_apply(data, x_weight, weights):
     return _tau_integral(np.abs(data) ** 2 * x_weight, weights)
 
 
-def _y_apply(hi, y_weight, col_weight, weights):
-    """Y-norm of a field with |u| = ``hi`` from its ``_s_factors``: the energy
-    term plus the modulation-weighted L^2 term."""
-    l1 = _tau_integral(hi, weights)
+def _y_rows(hi, y_weight, weights):
+    """Per column the Y-norm's integrals of |u| = ``hi``: Int |u| dtau and
+    Int <tau+|n|^2>^{s+2b} |u|^2 dtau, with ``y_weight`` from ``_s_factors``."""
+    return _tau_integral(hi, weights), _tau_integral(hi ** 2 * y_weight, weights)
+
+
+def _y_sum(l1, y_cols, col_weight):
+    """Y-norm from the per column integrals of ``_y_rows``: the energy term
+    plus the modulation-weighted L^2 term."""
     energy = float(np.sqrt((col_weight * l1 * l1).sum()))
-    return energy + float(np.sqrt(_tau_integral(hi ** 2 * y_weight, weights).sum()))
+    return energy + float(np.sqrt(y_cols.sum()))
 
 
 def _z_split(data, lo, x_weight, weights):
@@ -119,20 +125,32 @@ def _z_split(data, lo, x_weight, weights):
     return hi, _tau_integral(x_integrand, weights)
 
 
-def _z_sum(hi, x_cols, y_weight, col_weight, weights):
-    """X-norm of the lo part plus Y-norm of the hi part, from ``_z_split``."""
-    x = float(np.sqrt((col_weight * x_cols).sum()))
-    return x + _y_apply(hi, y_weight, col_weight, weights)
+def _z_sum(x_cols, l1, y_cols, col_weight):
+    """X-norm of the lo part plus Y-norm of the hi part, from the per column
+    integrals of ``_z_split`` and ``_y_rows``."""
+    return float(np.sqrt((col_weight * x_cols).sum())) + _y_sum(l1, y_cols, col_weight)
 
 
-def _z_apply(data, factors, weights):
-    """Z-norm of ``data`` (K, L) from its ``_z_factors`` and quadrature weights.
+def _z_apply(data, factors, weights, minus=None):
+    """Z-norm of ``data`` (K, L), or of ``data - minus``, from its
+    ``_z_factors`` and quadrature weights.
 
-    The lo integrand and the hi |u| are entry for entry those of the X- and
-    Y-norms of the lo and hi projections, with the same reductions.
+    The rows go a block at a time, as many as _BLOCK_BYTES holds of the
+    difference and the float temporaries, so neither is ever whole.  Each
+    row's integrals are those of the whole array, and each sum runs once
+    over all K rows, so the norm is ``zsb_norm``'s bit for bit.
     """
     lo, x_weight, y_weight, col_weight = factors
-    return _z_sum(*_z_split(data, lo, x_weight, weights), y_weight, col_weight, weights)
+    K, L = data.shape
+    x_cols, l1, y_cols = np.empty(K), np.empty(K), np.empty(K)
+    step = _block_rows(40 * max(L, 1))  # 16 bytes of difference, 24 of floats
+    for i in range(0, K, step):
+        j = min(i + step, K)
+        block = data[i:j] if minus is None else data[i:j] - minus[i:j]
+        a, b = np.searchsorted(lo[0], (i, j))  # the lo entries are in row order
+        hi, x_cols[i:j] = _z_split(block, (lo[0][a:b] - i, lo[1][a:b]), x_weight[a:b], weights)
+        l1[i:j], y_cols[i:j] = _y_rows(hi, y_weight[i:j], weights)
+    return _z_sum(x_cols, l1, y_cols, col_weight)
 
 
 # -- the norms --------------------------------------------------------------------
@@ -170,8 +188,8 @@ def energy_l2l1(u, s):
 
 def ysb_norm(u, p):
     """Energy term plus the modulation-weighted L^2 term with exponent s/2 + b."""
-    return _y_apply(np.abs(u.data), *_Factors(u)(_s_factors, p.s, p.b),
-                    u.grid.weights_on(*u.stored))
+    y_weight, col_weight = _Factors(u)(_s_factors, p.s, p.b)
+    return _y_sum(*_y_rows(np.abs(u.data), y_weight, u.grid.weights_on(*u.stored)), col_weight)
 
 
 def zsb_norm(u, p):
@@ -195,7 +213,8 @@ def norms_over_s(u, b, s_values, mode):
         w = u.grid.weights_on(*u.stored)
         factors = _Factors(u)
         hi, x_cols = _z_split(u.data, *factors(_lo_factors, b), w)
-        return [_z_sum(hi, x_cols, *factors(_s_factors, s, b), w) for s in s_values]
+        return [_z_sum(x_cols, *_y_rows(hi, y_weight, w), col_weight)
+                for y_weight, col_weight in (factors(_s_factors, s, b) for s in s_values)]
     raise ValueError("mode must be 'X' or 'Z'")
 
 

@@ -80,7 +80,7 @@ class IterationTrace:
 
     @property
     def iterates(self):
-        """``[final]``, for the benchmark's reader only; ROADMAP item 1a deletes it."""
+        """``[final]``, for the benchmark's reader only, which ROADMAP item 1 drops."""
         return [self.final]
 
     def contraction_ratios(self, floor=1e-14):
@@ -315,23 +315,31 @@ def duhamel_n3(fhat, plan):
 
 
 def duhamel_rhs(fhat, plan):
-    """N1 + N2 + N3 of the product data ``fhat`` in one array.
+    """N1 + N2 + N3 of the product data ``fhat`` in one new array; ``fhat``
+    is left as it is (``_duhamel_step`` on a copy)."""
+    return _duhamel_step(fhat.copy(), plan)
+
+
+def _duhamel_step(fhat, plan):
+    """N1 + N2 + N3 of the product data ``fhat``, formed in fhat's own array.
 
     N2 is the k = 0 term of N1's series, with coefficient Int F r dtau and
-    the F(eta) lattice.  The result array holds F r, is negated in place to
-    N3 = -r F once integrated, and the one contraction adds N1 + N2 into it:
+    the F(eta) lattice.  N1's coefficients are taken from F first; then the
+    array is scaled to F r, Int F r dtau is taken from it, it is negated in
+    place to N3 = -r F, and the one contraction adds N1 + N2 into it:
     (-r F) + series rounds as series - r F does.
     """
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
-    out = fhat.data * plan.r[rows]
+    coefs, lattices = _n1_terms(fhat, plan, rows)
+    out = fhat.data
+    np.multiply(out, plan.r[rows], out=out)
     high_sums = _tau_integral(out, plan.grid.tau_weights)
     np.negative(out, out=out)
-    coefs, lattices = _n1_terms(fhat, plan, rows)
     _add_series(out, [high_sums] + coefs, [_eta_lattice(plan)[0]] + lattices,
                 plan.offsets[rows])
-    return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
+    return fhat
 
 
 # -- Picard iteration --------------------------------------------------------
@@ -353,27 +361,27 @@ def rough_initial_data(grid, s, seed):
 def peak_bytes(grid, params):
     """Estimated peak bytes of ``picard_solve`` on ``grid``, without building anything.
 
-    With K box columns: three iterate fields (linear, current and next, at
-    any max_iterations), the plan (r and the Z weight on every entry, the
-    psi band), and the larger step transient.  The product holds its
-    reflected factor and its result, one block of tau-rows at length P and
-    two spatial workspaces at eta's t-nodes; the Duhamel step holds its
-    result and one block of N1's series and lattice rows: at most
-    _SERIES_MAX_TERMS + 1 terms, on fewer than two blocks' worth of lattice
-    columns, since the last block takes the remainder.  Either exceeds the
-    Z-norm of a difference (the difference and two float temporaries).
-    Cached cutoff transforms are not counted.
+    With K box columns: two iterate fields (current and next, at any
+    max_iterations), the plan (r and the Z weight on every entry, the psi
+    band), and the larger step transient.  The product holds its reflected
+    factor (its result is the next iterate), one block of tau-rows at
+    length P and two spatial workspaces at eta's t-nodes; the Duhamel step,
+    formed in the product's array, holds one block of N1's series and
+    lattice rows: at most _SERIES_MAX_TERMS + 1 terms, on fewer than two
+    blocks' worth of lattice columns, since the last block takes the
+    remainder.  The product's transient exceeds the blocks that add the
+    linear solution and that take the Z-norms.  Cached cutoff transforms
+    are not counted.
     """
     K, M = grid.box_count, grid.n_tau
     shape, _, n_live, _ = _workspace(grid, _eta_weight(params.T))
     P = shape[-1]
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
     plan = 16 * K * M + 24 * K * (2.0 * SUPPORT / grid.tau_step + 2)
-    product = 32 * K * M + 16 * P * min(K, _block_rows(16 * P)) \
+    product = 16 * K * M + 16 * P * min(K, _block_rows(16 * P)) \
         + 32 * math.prod(shape[:-1]) * n_live
-    series = 16 * K * M \
-        + 16 * (K + _SERIES_MAX_TERMS + 1) * min(lattice, 2 * _series_step(K, 0))
-    return int(16 * K * M * 3 + plan + max(product, series))
+    series = 16 * (K + _SERIES_MAX_TERMS + 1) * min(lattice, 2 * _series_step(K, 0))
+    return int(16 * K * M * 2 + plan + max(product, series))
 
 
 def picard_solve(u0, params, grid, initial=None, on_iterate=None):
@@ -388,14 +396,19 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     DivergenceError (trace attached) when an iterate's Z-norm is not
     finite or exceeds ten times the ball radius, the Z-norm of the linear
     solution.
+
+    A step holds the current iterate, the next one and the plan: the
+    Duhamel step is formed in the product's array, the linear solution is
+    added into it a block of rows at a time from u0's box coefficients, and
+    the Z-norms run in row blocks (``norms._z_apply``).
     """
     if initial is not None:
         grid.assert_compatible(initial.grid)
     plan = PicardPlan.build(grid, params.norm_params())
     w = grid.tau_weights
-    linear = _on_box(free_evolution_data(grid, u0))
     trace = IterationTrace()
-    current = linear
+    current = _on_box(free_evolution_data(grid, u0))
+    coefs = _box_coefficients(grid, u0)
     z0 = _z_apply(current.data, plan.z, w)
     radius = max(z0, 1e-12)
     if initial is not None:
@@ -407,13 +420,13 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     emit(0, current)
     for k in range(1, params.max_iterations + 1):
         # the product is not held through the norms and the next product
-        nxt = duhamel_rhs(nonlinear_fourier_data(current, current, params.T), plan)
-        if nxt.n_columns:
-            nxt.data += linear.data
-        else:
-            nxt = linear.copy()
+        nxt = _duhamel_step(nonlinear_fourier_data(current, current, params.T), plan)
+        if not nxt.n_columns:  # -0.0 + x is x bit for bit: nxt is the linear solution
+            nxt = SpaceTimeField(grid, grid.box_index.copy(),
+                                 np.full((grid.box_count, grid.n_tau), complex(-0.0, -0.0)))
+        _add_free_evolution(nxt.data, grid, coefs)
         z = _z_apply(nxt.data, plan.z, w)
-        diff = _z_apply(nxt.data - current.data, plan.z, w)
+        diff = _z_apply(nxt.data, plan.z, w, minus=current.data)
         trace.final = current = nxt
         trace.z_norms.append(z)
         trace.successive_diffs.append(diff)
@@ -426,6 +439,34 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
             trace.converged = True
             break
     return trace
+
+
+def _box_coefficients(grid, u0):
+    """u0's coefficient at every box column, zero where it has none; u0 has
+    passed ``free_evolution_data``'s checks."""
+    ns, vals = cutoffs._spatial_pairs(grid, u0)
+    keep = vals != 0
+    coefs = np.zeros(grid.box_count, dtype=np.complex128)
+    coefs[grid.flat_keys(ns[keep])] = vals[keep]
+    return coefs
+
+
+def _add_free_evolution(out, grid, coefs):
+    """out += eta(t) e^{it Lap} u0 on the box and window, from u0's box
+    coefficients ``coefs``, _BLOCK_BYTES of rows at a time.
+
+    Each block is ``free_evolution_rows``, as in ``free_evolution_data``, so
+    its bits are those of the linear solution; a zero coefficient adds +0.0
+    rows, as the box array of that solution holds.
+    """
+    nsq = FrequencyGrid.norm_sq(grid.box_index)
+    step = _block_rows(16 * grid.n_tau)
+    for a in range(0, len(coefs), step):
+        rows = slice(a, a + step)
+        block = cutoffs.free_evolution_rows(grid, nsq[rows], coefs[rows])
+        block[coefs[rows] == 0] = 0.0
+        out[rows] += block
+        del block  # not alive beside the next one
 
 
 def _on_box(u):

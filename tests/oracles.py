@@ -4,7 +4,7 @@ the replaced argsort reflection and per-s threshold scan, the
 whole-window family fields, product, weight and norms that the span-stored
 ones replaced, the norms that built their weights on every call, the
 random field's envelope formula, the solver's continuous-dependence
-measurement, and the Picard product and Duhamel step on whole arrays.
+measurement, and the Picard product, Duhamel step and loop on whole arrays.
 
 They live outside the package, so ``import rnlab`` does not load
 ``scipy.integrate``.
@@ -34,7 +34,17 @@ from rnlab.grid import (
     spacetime_convolve,
 )
 from rnlab.norms import NormParams, ct_hs_norm, spatial_hs_norm
-from rnlab.solver import _eta_lattice, _n1_terms, _rows, picard_solve
+from rnlab.solver import (
+    DivergenceError,
+    IterationTrace,
+    PicardPlan,
+    _eta_lattice,
+    _n1_terms,
+    _on_box,
+    _rows,
+    nonlinear_fourier_data,
+    picard_solve,
+)
 
 
 def duhamel_time_integral(fhat, times):
@@ -478,3 +488,46 @@ def duhamel_rhs_whole(fhat, plan):
     out = _gather(series, plan.offsets[rows], plan.grid.n_tau)
     out -= high
     return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
+
+
+def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None):
+    """``solver.picard_solve`` as it was before it stopped holding the linear
+    solution: the linear solution is held and added whole, the Duhamel step
+    and the Z-norms run on whole arrays (``duhamel_rhs_whole``, ``_z_apply``
+    above), and the difference of two iterates is formed whole."""
+    if initial is not None:
+        grid.assert_compatible(initial.grid)
+    plan = PicardPlan.build(grid, params.norm_params())
+    w = grid.tau_weights
+    linear = _on_box(cutoffs.free_evolution_data(grid, u0))
+    trace = IterationTrace()
+    current = linear
+    z0 = _z_apply(current.data, plan.z, w)
+    radius = max(z0, 1e-12)
+    if initial is not None:
+        current = _on_box(initial)
+        z0 = _z_apply(current.data, plan.z, w)
+    emit = on_iterate or (lambda k, u: None)
+    trace.final = current
+    trace.z_norms.append(z0)
+    emit(0, current)
+    for k in range(1, params.max_iterations + 1):
+        nxt = duhamel_rhs_whole(nonlinear_fourier_data(current, current, params.T), plan)
+        if nxt.n_columns:
+            nxt.data += linear.data
+        else:
+            nxt = linear.copy()
+        z = _z_apply(nxt.data, plan.z, w)
+        diff = _z_apply(nxt.data - current.data, plan.z, w)
+        trace.final = current = nxt
+        trace.z_norms.append(z)
+        trace.successive_diffs.append(diff)
+        emit(k, nxt)
+        if not math.isfinite(z) or z > 10.0 * radius:
+            raise DivergenceError(
+                f"iterate Z-norm {z:.3e} exceeded 10x ball radius {radius:.3e}", trace
+            )
+        if diff < params.contraction_tolerance:
+            trace.converged = True
+            break
+    return trace

@@ -104,6 +104,23 @@ class TestFieldBasics:
             SpaceTimeField.from_columns(small_grid, [[99, 0]],
                                         np.zeros((1, small_grid.n_tau)))
 
+    @pytest.mark.parametrize("box, tau_step", [((2, 4), 0.25), ((1, 8), 0.25), ((2, 3), 0.5)])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_random_field_draws_the_bytes_of_a_plus_1j_b(self, box, tau_step, seed):
+        # the real and imaginary parts are set from the two draws in place,
+        # without the complex temporaries of a + 1j * b, and keep its bytes
+        grid = FrequencyGrid.for_box(*box, tau_step=tau_step)
+        for columns in (None, grid.box_index[::-2]):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            ns = grid.box_index if columns is None else columns
+            want = ref.standard_normal((len(ns), grid.n_tau)) \
+                + 1j * ref.standard_normal((len(ns), grid.n_tau))
+            got = random_field(grid, rng, columns=columns)
+            want = SpaceTimeField.from_columns(grid, ns, want)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert np.array_equal(got.index, want.index)
+            assert rng.standard_normal() == ref.standard_normal()
+
     def test_algebra(self, small_grid, rng):
         u = random_field(small_grid, rng)
         v = random_field(small_grid, rng)

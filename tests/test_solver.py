@@ -679,9 +679,10 @@ class TestPeakBytes:
             tracemalloc.stop()
         assert len(trace.z_norms) == 4
         estimate = peak_bytes(grid, params)
-        # measured: 1.37x on line_8 (17 columns, where N1's lattice rows
-        # weigh most), 1.15x on box_2_4 and 1.16x on box_2_8; on d=2 the
-        # peak is the Duhamel step, with the plan's r and Z weight alive
+        # measured: 1.49x on line_8 (17 columns, where N1's lattice rows
+        # weigh most: the estimate counts 61 terms where the solve takes 24),
+        # 1.15x on box_2_4 and 1.20x on box_2_8; on d=2 the peak is the
+        # product, with the current iterate and the plan's r and Z weight alive
         assert peak <= estimate <= 1.5 * peak, f"estimate {estimate / peak:.2f}x the peak"
 
     def test_peak_does_not_grow_with_iterations(self):
@@ -783,6 +784,99 @@ class TestBlockedStep:
         _, duhamel = traced(duhamel_rhs, fhat, plan)
         assert product <= 3.0, f"the product peaks at {product:.2f} box fields"
         assert duhamel <= 2.0, f"the Duhamel step peaks at {duhamel:.2f} box fields"
+
+    def test_solve_peak_on_the_benchmark_grid(self):
+        # the solve holds two iterates and the plan (about one box field, r
+        # and the Z weight) above its step's transient: 3.71 box fields
+        # measured, where a held linear solution, the Duhamel step beside the
+        # product and the whole difference in the Z-norm took 6.00
+        grid = FrequencyGrid.for_box(1, 32, 0.25)
+        field = 16 * grid.box_count * grid.n_tau
+        u0 = rough_initial_data(grid, -0.6, 3)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=3, contraction_tolerance=0.0)
+        picard_solve(u0, params, grid)  # fills the cutoff-transform cache
+        tracemalloc.start()
+        try:
+            trace = picard_solve(u0, params, grid)
+            peak = tracemalloc.get_traced_memory()[1] / field
+        finally:
+            tracemalloc.stop()
+        assert len(trace.z_norms) == 4
+        assert peak <= 4.1, f"the solve peaks at {peak:.2f} box fields"
+
+
+def _zeroed(u0, every):
+    """Rough data as (columns, values) with every ``every``-th value zero."""
+    ns, vals = u0
+    vals = vals.copy()
+    vals[::every] = 0.0
+    return ns, vals
+
+
+class TestPicardLoop:
+    """The loop holds two iterates: it adds the linear solution a block of
+    rows at a time from u0's box coefficients, forms the Duhamel step in the
+    product's array and takes the Z-norms in row blocks.  Every emitted
+    iterate and the trace match ``oracles.picard_solve_whole``, the loop that
+    held the linear solution, byte for byte."""
+
+    GRIDS = [((1, 8), True), ((2, 4), True), ((1, 32), False)]
+
+    @staticmethod
+    def _compare(box, small_blocks, monkeypatch, u0=None, initial=None, iterations=3):
+        grid = FrequencyGrid.for_box(*box)
+        if small_blocks:  # several blocks of every kind on a small grid
+            monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 4 * 16 * grid.n_tau)
+            assert grid.box_count >= 3 * grid_module._block_rows(16 * grid.n_tau)
+        u0 = rough_initial_data(grid, -0.6, 3) if u0 is None else u0(grid)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=iterations,
+                              contraction_tolerance=0.0)
+        runs = []
+        for solve in (picard_solve, oracles.picard_solve_whole):
+            seen = []
+            trace = solve(u0, params, grid, initial=initial(grid) if initial else None,
+                          on_iterate=lambda k, u: seen.append((k, u)))
+            runs.append((trace, seen))
+        (got, got_seen), (want, want_seen) = runs
+        assert np.array(got.z_norms).tobytes() == np.array(want.z_norms).tobytes()
+        assert np.array(got.successive_diffs).tobytes() \
+            == np.array(want.successive_diffs).tobytes()
+        assert [k for k, _ in got_seen] == [k for k, _ in want_seen] \
+            == list(range(iterations + 1))
+        for (_, x), (_, y) in zip(got_seen, want_seen):
+            assert x.stored == y.stored and _same_bits(x.index, y.index)
+            assert _same_bits(x.data, y.data)
+        return got
+
+    @pytest.mark.parametrize("box, small_blocks", GRIDS, ids=["line_8", "box_2_4", "line_32"])
+    def test_matches_the_loop_on_whole_arrays(self, box, small_blocks, monkeypatch):
+        self._compare(box, small_blocks, monkeypatch)
+
+    @pytest.mark.parametrize("box, small_blocks", GRIDS, ids=["line_8", "box_2_4", "line_32"])
+    def test_initial_given(self, box, small_blocks, monkeypatch):
+        def initial(grid):
+            u = free_evolution_data(grid, rough_initial_data(grid, -0.6, 5))
+            return SpaceTimeField(grid, u.index[::2], 0.5 * u.data[::2])
+
+        self._compare(box, small_blocks, monkeypatch, initial=initial)
+
+    @pytest.mark.parametrize("box, small_blocks", GRIDS, ids=["line_8", "box_2_4", "line_32"])
+    def test_initial_data_with_zero_coefficients(self, box, small_blocks, monkeypatch):
+        def u0(grid):
+            ns, vals = _zeroed(rough_initial_data(grid, -0.6, 3), 3)
+            return ns[1:], vals[1:]  # one column absent, every third zero
+
+        self._compare(box, small_blocks, monkeypatch, u0=u0)
+
+    @pytest.mark.parametrize("box, small_blocks", GRIDS, ids=["line_8", "box_2_4", "line_32"])
+    def test_zero_product(self, box, small_blocks, monkeypatch):
+        # a zero first iterate makes the first product the zero field, so
+        # the first step is the linear solution alone: its zero-coefficient
+        # columns hold +0.0, as the linear solution's box array does
+        trace = self._compare(box, small_blocks, monkeypatch,
+                              u0=lambda grid: _zeroed(rough_initial_data(grid, -0.6, 3), 2),
+                              initial=SpaceTimeField.zero, iterations=2)
+        assert trace.z_norms[0] == 0.0
 
 
 class TestFieldDumps:
