@@ -19,6 +19,7 @@ from .grid import (
     FrequencyGrid,
     SpaceTimeField,
     _Factors,
+    _block_rows,
     conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
@@ -56,9 +57,12 @@ def _check_grid():
 
 
 def _sample_fields(seed, count):
+    """``count`` seeded random fields on the check grid, drawn lazily: each is
+    drawn when the caller takes it, so a check that drops it holds one."""
     grid = _check_grid()
     rng = np.random.default_rng(seed)
-    return [random_field(grid, rng, envelope_power=-1.0) for _ in range(count)]
+    for _ in range(count):
+        yield random_field(grid, rng, envelope_power=-1.0)
 
 
 _NORMS = (xsb_norm, ysb_norm, zsb_norm, lambda u, p: energy_l2l1(u, p.s))
@@ -83,7 +87,7 @@ def check_triangle(seed=102):
     p = NormParams(s=-0.6)
     worst = -np.inf
     fields = _sample_fields(seed, 200)
-    for u, v in zip(fields[::2], fields[1::2]):
+    for u, v in zip(fields, fields):  # the draws two at a time
         for fn in _NORMS:
             nu, nv = fn(u, p), fn(v, p)
             excess = fn(u + v, p) - nu - nv
@@ -165,18 +169,12 @@ def _calibrate_validate(pairs_cal, pairs_val):
 def check_embedding_chain(seed=106):
     """ct_hs <= energy and energy <= C * zsb with calibrated C and 2x headroom."""
     p = NormParams(s=-0.6)
-    fields = _sample_fields(seed, 100)
-    cal, val = fields[:50], fields[50:]
-
-    def pair(u):
-        return energy_l2l1(u, p.s), zsb_norm(u, p)
-
-    val_pairs = [pair(u) for u in val]
-    C, worst, ok = _calibrate_validate([pair(u) for u in cal], val_pairs)
-    sup_ok = True
-    for u, (energy, _) in zip(val[:10], val_pairs):
-        sup = ct_hs_norm(u, p.s, (-0.5, 0.5))
-        sup_ok &= sup <= energy * (1 + 1e-9)
+    pairs, sup_ok = [], True
+    for i, u in enumerate(_sample_fields(seed, 100)):  # 50 calibration, then validation
+        pairs.append((energy_l2l1(u, p.s), zsb_norm(u, p)))
+        if 50 <= i < 60:
+            sup_ok &= ct_hs_norm(u, p.s, (-0.5, 0.5)) <= pairs[-1][0] * (1 + 1e-9)
+    C, worst, ok = _calibrate_validate(pairs[:50], pairs[50:])
     passed = ok and sup_ok
     return CheckResult("embedding chain ct_hs <= energy <= C zsb (2x headroom)",
                        bool(passed), f"calibrated C {C:.3f}, validation max {worst:.3f}")
@@ -185,8 +183,7 @@ def check_embedding_chain(seed=106):
 def check_est2_embedding(seed=107):
     """zsb <= C xsb for s <= 0 (the X-space embeds in Z)."""
     p = NormParams(s=-0.6)
-    fields = _sample_fields(seed, 100)
-    pairs = [(zsb_norm(u, p), xsb_norm(u, p)) for u in fields]
+    pairs = [(zsb_norm(u, p), xsb_norm(u, p)) for u in _sample_fields(seed, 100)]
     C, worst, ok = _calibrate_validate(pairs[:50], pairs[50:])
     return CheckResult("Z embeds in X for s<=0 (2x headroom)", ok,
                        f"calibrated C {C:.3f}, validation max {worst:.3f}")
@@ -250,19 +247,18 @@ def check_convolution_bilinear(seed=110):
     return CheckResult("convolution bilinearity", diff < 1e-12, f"relative defect {diff:.2e}")
 
 
-_L4_BLOCK = 256  # columns per block of the L^4 check's free evolution: 32 MiB at N = 32
-
-
 def _free_l4_and_x(grid, ns, vals, b):
     """L^4 norm over t in [-1, 1] and X^{0,b} norm of the free evolution of
-    (ns, vals), ns in field order, built _L4_BLOCK columns at a time; X^{0,b}
-    squared sums one array of all the column integrals, as ``xsb_norm`` does."""
+    (ns, vals), ns in field order, built as many columns at a time as
+    _BLOCK_BYTES holds; X^{0,b} squared sums one array of all the column
+    integrals, as ``xsb_norm`` does."""
     x_cols = []
+    step = _block_rows(16 * grid.n_tau)
     def block(i):
-        u = free_evolution_data(grid, (ns[i:i + _L4_BLOCK], vals[i:i + _L4_BLOCK]))
+        u = free_evolution_data(grid, (ns[i:i + step], vals[i:i + step]))
         x_cols.append(_x_columns(u, b))
         return u
-    l4 = l4_spacetime_norm(grid, map(block, range(0, len(ns), _L4_BLOCK)), (-1.0, 1.0))
+    l4 = l4_spacetime_norm(grid, map(block, range(0, len(ns), step)), (-1.0, 1.0))
     return l4, float(np.sqrt(np.concatenate(x_cols).sum()))
 
 

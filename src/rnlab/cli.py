@@ -246,8 +246,10 @@ def _checked(key, check, *args):
 
 def _grid(cfg):
     # d, tau_step and tau_pad have passed their rules; what can still fail is the
-    # window: at tau_step 1 its length, from n_max, then its samples, from tau_step
-    _checked("n_max", FrequencyGrid.for_box, cfg.d, cfg.n_max, 1.0, cfg.tau_pad)
+    # window: at tau_step 1 its length, from n_max or from tau_pad where it
+    # outweighs 2 n_max^2, then its samples, from tau_step
+    key = "tau_pad" if cfg.tau_pad > 2 * cfg.n_max**2 else "n_max"
+    _checked(key, FrequencyGrid.for_box, cfg.d, cfg.n_max, 1.0, cfg.tau_pad)
     return _checked("tau_step", FrequencyGrid.for_box, cfg.d, cfg.n_max, cfg.tau_step,
                     cfg.tau_pad)
 
@@ -278,12 +280,28 @@ def _json_text(obj):
 
 def _check_budget(nbytes, key="n_max", remedy="reduce n_max, tau_pad or d", grid=None):
     gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf  # an int beyond float64
-    # over grid's window: tau_step's fault when 1/tau_step outweighs 2 tau_max in n_tau
+    # over grid's window: tau_step's fault when 1/tau_step outweighs 2 tau_max in
+    # n_tau, else tau_pad's when it outweighs 2 n_max^2 in tau_max
     if grid is not None and 2.0 * grid.tau_max * grid.tau_step < 1.0:
         key, remedy = "tau_step", f"tau_step={grid.tau_step}; use a larger tau_step"
+    elif grid is not None and grid.tau_max > 4 * grid.n_max**2:
+        key, remedy = "tau_pad", "use a smaller tau_pad"
     if gib > _BUDGET_GIB:
         raise ConfigError(f"key '{key}': needs {gib:.3g} GiB, over the {_BUDGET_GIB} GiB "
                           f"budget; {remedy}")
+
+
+def _check_finite(cfg, values, nsq, s_key="s", s=None):
+    """Refuse a report, before it is written, unless all its ``values`` are
+    finite.  The key named is ``s_key`` when the <n>^{2s} weight at |n|^2 = nsq
+    overflows float64 (s, by default cfg.s, at its largest), else b, whose
+    modulation weights <tau+|n|^2>^{2b} and ^{s+2b} then did."""
+    if all(map(math.isfinite, values)):
+        return
+    s = cfg.s if s is None else s
+    key = s_key if s * math.log1p(nsq) > math.log(sys.float_info.max) else "b"
+    raise ConfigError(f"key '{key}': {key}={getattr(cfg, key)} overflows the norms' "
+                      f"weights past float64; use a smaller {key}")
 
 
 def _family_n_list(cfg, default):
@@ -329,6 +347,8 @@ def _cmd_norm(cfg):
         "energy_l2l1": energy_l2l1(u, cfg.s),
         "dyadic_profile": [[N, val] for N, val in dyadic_norm_profile(u, p)],
     }
+    _check_finite(cfg, [*(obj[k] for k in ("xsb", "ysb", "zsb", "energy_l2l1")),
+                        *(v for _, v in obj["dyadic_profile"])], grid.dimension * grid.n_max**2)
     _write(cfg, "norms.json", _json_text(obj))
     return 0
 
@@ -351,6 +371,9 @@ def _cmd_family(cfg):
             "product_column": list(col), "tent_center": center,
             "tent_max_abs_deviation": deviation,
         })
+    _check_finite(cfg, [r[k] for r in rows for k in ("u_xsb", "v_xsb", "u_zsb", "v_zsb",
+                                                      "tent_max_abs_deviation")],
+                  2 * n_list[-1]**2)
     obj = {"family": cfg.family, "s": cfg.s, "b": cfg.b, "rows": rows}
     _write(cfg, "family.json", _json_text(obj))
     lines = ["N,u_xsb,v_xsb,u_zsb,v_zsb,tent_max_abs_deviation"]
@@ -366,6 +389,8 @@ def _cmd_sweep(cfg):
     n_list = _family_n_list(cfg, DEFAULT_SWEEP_N)
     report = run_sweep(cfg.family, n_list, NormParams(s=cfg.s, b=cfg.b), cfg.mode,
                        cfg.tau_step)
+    _check_finite(cfg, [x for r in report.rows for x in (r.u_norm, r.v_norm, r.lhs, r.ratio)]
+                  + [report.fitted_slope, report.fit_residual], 2 * n_list[-1]**2)
     _write(cfg, "sweep.csv", report.to_csv_text())
     _write(cfg, "sweep.json", report.to_json_text())
     print(f"fitted ratio slope {report.fitted_slope:+.4f} "
@@ -382,6 +407,8 @@ def _cmd_threshold(cfg):
     s_values = np.arange(lo, hi + step / 2, step)
     scan = threshold_scan(cfg.family, s_values, cfg.b, cfg.mode, n_list,
                           tau_step=cfg.tau_step)
+    _check_finite(cfg, [slope for _, slope in scan.points], 2 * n_list[-1]**2, "s_range",
+                  s_values[-1])
     _write(cfg, "threshold.json", scan.to_json_text())
     if scan.crossing is None:
         print("no ratio-slope sign change in the scanned range")

@@ -189,6 +189,17 @@ def _admit(monkeypatch):
     monkeypatch.setattr(rnlab.cli, "rough_initial_data", admitted)
 
 
+# Refused after their norms, which overflow float64: these build their fields.
+_OVERFLOWING = {
+    ("norm", "--b", "100"): "b",
+    ("norm", "--s", "300"): "s",
+    ("sweep", "--b", "100"): "b",
+    ("sweep", "--s", "300"): "s",
+    ("family", "--s", "300"): "s",
+    ("threshold", "--b", "100", "--mode", "X"): "b",
+}
+
+
 class TestRunCommands:
     def test_sweep_outputs_and_schema(self, tmp_path):
         cfg = parse_config(["sweep", "--family", "example1", "--mode", "X",
@@ -355,6 +366,13 @@ class TestRunCommands:
         (["norm", "--tau-step", "1e-300"], "tau_step"),
         (["norm", "--tau-pad", "inf"], "tau_pad"),
         (["norm", "--tau-pad", "nan"], "tau_pad"),
+        # a half-window of 1e308 at tau_step 1 has inf samples; 1e12 is over
+        # the budget, and tau_pad, not n_max, outweighs 2 n_max^2 in it
+        (["norm", "--tau-pad", "1e308"], "tau_pad"),
+        (["solve", "--d", "1", "--n-max", "4", "--tau-pad", "1e308"], "tau_pad"),
+        (["norm", "--n-max", "1", "--tau-pad", "1e12"], "tau_pad"),
+        (["solve", "--d", "1", "--n-max", "4", "--tau-pad", "1e12"], "tau_pad"),
+        *[(list(args), key) for args, key in _OVERFLOWING.items()],
         (["threshold", "--s-range", "-0.9:-0.4:1e-12"], "s_range"),
         (["threshold", "--s-range", "-0.9:inf:0.1"], "s_range"),
         (["sweep", "--N", f"4,8,{2**700}"], "N"),
@@ -370,7 +388,7 @@ class TestRunCommands:
         if "a_file" in args:  # an out path taken by a file, after every check
             (tmp_path / "a_file").touch()
             args = [str(tmp_path / a) if a == "a_file" else a for a in args]
-        else:
+        elif tuple(args) not in _OVERFLOWING:
             _forbid_fields(monkeypatch)
             _forbid_family_fields(monkeypatch)
             monkeypatch.setattr(rnlab.cli, "peak_bytes", lambda *a: pytest.fail("peak_bytes ran"))
@@ -380,6 +398,13 @@ class TestRunCommands:
         out, err = capsys.readouterr()
         assert f"key '{key}'" in err
         assert "Traceback" not in out + err
+        assert not list(tmp_path.glob("*.json"))  # and no report
+
+    def test_finite_report_at_a_large_b_is_written(self, tmp_path):
+        # the family's members sit near the paraboloid, so their <sigma>^{2b}
+        # weights stay finite at b = 100, and so do the norms
+        assert run(parse_config(["family", "--b", "100", "--out", str(tmp_path)])) == 0
+        json.loads((tmp_path / "family.json").read_text(), parse_constant=pytest.fail)
 
     @pytest.mark.parametrize("args", [
         # members of 2^25 + 1 samples at tau_step 2^-24: 9 GiB for family,
