@@ -19,7 +19,7 @@ from .grid import (
     FrequencyGrid,
     SpaceTimeField,
     _Factors,
-    _block_rows,
+    _row_blocks,
     conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
@@ -249,16 +249,15 @@ def check_convolution_bilinear(seed=110):
 
 def _free_l4_and_x(grid, ns, vals, b):
     """L^4 norm over t in [-1, 1] and X^{0,b} norm of the free evolution of
-    (ns, vals), ns in field order, built as many columns at a time as
-    _BLOCK_BYTES holds; X^{0,b} squared sums one array of all the column
+    (ns, vals), ns in field order, built in the column blocks of
+    ``grid._row_blocks``; X^{0,b} squared sums one array of all the column
     integrals, as ``xsb_norm`` does."""
     x_cols = []
-    step = _block_rows(16 * grid.n_tau)
-    def block(i):
-        u = free_evolution_data(grid, (ns[i:i + step], vals[i:i + step]))
+    def block(rows):
+        u = free_evolution_data(grid, (ns[rows], vals[rows]))
         x_cols.append(_x_columns(u, b))
         return u
-    l4 = l4_spacetime_norm(grid, map(block, range(0, len(ns), step)), (-1.0, 1.0))
+    l4 = l4_spacetime_norm(grid, map(block, _row_blocks(len(ns), 16 * grid.n_tau)), (-1.0, 1.0))
     return l4, float(np.sqrt(np.concatenate(x_cols).sum()))
 
 

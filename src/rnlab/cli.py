@@ -387,8 +387,8 @@ def _cmd_family(cfg):
 
 def _cmd_sweep(cfg):
     n_list = _family_n_list(cfg, DEFAULT_SWEEP_N)
-    report = run_sweep(cfg.family, n_list, NormParams(s=cfg.s, b=cfg.b), cfg.mode,
-                       cfg.tau_step)
+    report = _checked("s", run_sweep, cfg.family, n_list, NormParams(s=cfg.s, b=cfg.b),
+                      cfg.mode, cfg.tau_step)
     _check_finite(cfg, [x for r in report.rows for x in (r.u_norm, r.v_norm, r.lhs, r.ratio)]
                   + [report.fitted_slope, report.fit_residual], 2 * n_list[-1]**2)
     _write(cfg, "sweep.csv", report.to_csv_text())
@@ -405,8 +405,8 @@ def _cmd_threshold(cfg):
     _check_budget(_SCAN_BYTES_PER_S_AND_N * len(n_list) * count, "s_range",
                   f"{count:.3g} values of s; use a larger step")
     s_values = np.arange(lo, hi + step / 2, step)
-    scan = threshold_scan(cfg.family, s_values, cfg.b, cfg.mode, n_list,
-                          tau_step=cfg.tau_step)
+    scan = _checked("s_range", threshold_scan, cfg.family, s_values, cfg.b, cfg.mode, n_list,
+                    cfg.tau_step)
     _check_finite(cfg, [slope for _, slope in scan.points], 2 * n_list[-1]**2, "s_range",
                   s_values[-1])
     _write(cfg, "threshold.json", scan.to_json_text())

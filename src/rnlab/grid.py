@@ -29,10 +29,10 @@ import numpy.fft  # noqa: F401  (loaded at import, not by the first transform)
 # Guard on dense materialization and on the padded product's workspace.
 _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
 
-# Bytes of one block of the Picard step's transients: the product's rows of
-# tau-samples at length P, the Duhamel step's columns of N1's series, and the
-# rows of the linear solution and of the Z-norms' temporaries.  A grid whose
-# transient fits takes one block.
+# Bytes of one block of a streamed pass: the rows (``_row_blocks``) of the
+# product's tau-samples at length P, of the Z- and X-norms' temporaries, of the
+# linear solution and of the L^4 check's free evolution, and the Duhamel step's
+# columns of N1's series.  A pass whose transient fits takes one block.
 _BLOCK_BYTES = 8 << 20
 
 # The one split of the Z-space: modulation |tau + |n|^2| below MOD_THRESHOLD
@@ -73,9 +73,10 @@ class FrequencyGrid:
             raise ValueError("tau_step must be positive")
         if not self.tau_max > 0:
             raise ValueError("tau_max must be positive (window is [-tau_max, tau_max])")
-        steps = 2.0 * self.tau_max / self.tau_step
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValueError("window length must be an integer multiple of tau_step")
+        steps = 2.0 * self.tau_max / self.tau_step  # inf past float64, which round() refuses
+        if not steps < math.inf or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"window [{-self.tau_max}, {self.tau_max}] must be a finite "
+                             f"integer multiple of tau_step={self.tau_step}")
         required = 2.0 * self.n_max**2 + 4.0
         if self.tau_max < required - 1e-9:
             raise ValueError(
@@ -469,14 +470,14 @@ def _padded_product(f, g, weight=None, report=None):
     rows are tau-transformed at length P, weighted, and taken through the
     spatial axes; the pointwise product (one transform squared when
     ``g is f`` or ``g is None``) goes back and is cropped to the box and
-    window.  Both tau passes run _BLOCK_BYTES of rows at a time through one
-    buffer, so no (rows, P) array is formed, and the operands are dropped
-    between them: one that the caller does not hold is freed there.  The
-    result holds the box columns of the product's support box and stores
-    only the offset span, the window samples the linear convolution reaches
-    (the whole window with a ``weight``).  An operand with no stored entry
-    gives the zero field.  A ``report`` dict receives the masses
-    ``spacetime_convolve`` documents, summed block by block.
+    window.  Both tau passes run the rows in the blocks of ``_row_blocks``
+    through one buffer, so no (rows, P) array is formed, and the operands
+    are dropped between them: one that the caller does not hold is freed
+    there.  The result holds the box columns of the product's support box
+    and stores only the offset span, the window samples the linear
+    convolution reaches (the whole window with a ``weight``).  An operand
+    with no stored entry gives the zero field.  A ``report`` dict receives
+    the masses ``spacetime_convolve`` documents, summed block by block.
     """
     grid, d = f.grid, f.grid.dimension
     M, h = grid.n_tau, grid.tau_step
@@ -507,16 +508,15 @@ def _padded_product(f, g, weight=None, report=None):
     core = tuple(slice(a - c, b + 1 - c) for a, b, c in zip(first, last, lo))
     out_rows = math.prod(last - first + 1)
     inverse_rows = out_rows if report is None else math.prod(full)
-    buf = np.empty((min(_block_rows(16 * P), max(f.n_columns, g.n_columns, inverse_rows)), P),
-                   dtype=np.complex128)  # the one buffer of both tau passes
+    buf = np.empty((min(_block_rows(16 * P) + 1, max(f.n_columns, g.n_columns, inverse_rows)),
+                    P), dtype=np.complex128)  # the one buffer of both tau passes
 
     def samples(u, lo, ext):
         box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
         keys = np.ravel_multi_index((u.index - lo).T, ext)
-        for a in range(0, len(keys), len(buf)):
-            part = u.data[a:a + len(buf)]
-            rows = np.fft.fft(part, n=P, axis=1, out=buf[:len(part)])
-            box[keys[a:a + len(buf)]] = rows if w is None else rows[:, live] * w
+        for part in _row_blocks(len(keys), 16 * P):
+            rows = np.fft.fft(u.data[part], n=P, axis=1, out=buf[:part.stop - part.start])
+            box[keys[part]] = rows if w is None else rows[:, live] * w
         return _fftn(box.reshape(tuple(ext) + (n_live,)), shape)
 
     # samples [k0, k1) of the linear convolution land inside the window
@@ -537,14 +537,14 @@ def _padded_product(f, g, weight=None, report=None):
     kept = kept.reshape(-1, n_live)
     data = np.empty((out_rows, k1 - k0), dtype=np.complex128)
     at = 0
-    for a in range(0, len(kept), len(buf)):
-        rows = buf[:min(len(buf), len(kept) - a)]
+    for part in _row_blocks(len(kept), 16 * P):
+        rows = buf[:part.stop - part.start]
         if w is not None:  # only the live t-nodes are written
             rows.fill(0.0)
-        rows[:, live] = kept[a:a + len(rows)]
+        rows[:, live] = kept[part]
         np.fft.ifft(rows, axis=1, out=rows)
         if report is not None:
-            keep = inside[a:a + len(rows)]
+            keep = inside[part]
             mass = np.abs(rows[:, :length])
             report["dropped_spatial_mass"] += h * float(mass[~keep, k0:k1].sum())
             report["dropped_tau_mass"] += h * float(mass[:, :k0].sum() + mass[:, k1:].sum())
@@ -557,8 +557,17 @@ def _padded_product(f, g, weight=None, report=None):
 
 
 def _block_rows(row_bytes):
-    """Rows of ``row_bytes`` bytes in one block (at least one)."""
-    return max(1, _BLOCK_BYTES // row_bytes)
+    """Rows of ``row_bytes`` bytes in one block (at least two)."""
+    return max(2, _BLOCK_BYTES // row_bytes)
+
+
+def _row_blocks(count, row_bytes):
+    """Rows [0, count) in order as slices of ``_block_rows(row_bytes)`` rows,
+    the last taking the rest (no rows: one empty block).  No block starts on
+    the last row but row 0, so none is a lone row unless count is 1: np.einsum
+    rounds one row of over 8192 samples apart from the same row among others."""
+    starts = range(0, max(count - 1, 1), _block_rows(row_bytes))
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], count])]
 
 
 # numpy.fft (numpy >= 2.0) runs the C++ pocketfft.  The n-D helpers keep the

@@ -20,6 +20,7 @@ byte-bounded cache of ``grid._Factors``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from . import grid as grid_module
 from .grid import (
     SpaceTimeField,
     _Factors,
-    _block_rows,
     _ifftn,
     _next_fast_len,
+    _row_blocks,
     _time_kernel,
     dyadic_blocks,
     low_modulation_mask,
@@ -50,10 +51,6 @@ class NormParams:
 # quadrature in l4_spacetime_norm.
 _CT_TIMES_PER_UNIT = 8
 _L4_TIMES_PER_UNIT = 16
-
-# Spatial columns per block of an X-norm too large for the weight cache,
-# which bounds its temporaries.
-_X_BLOCK = 32
 
 
 def _bracket_sq(mod):
@@ -83,11 +80,6 @@ def _s_factors(mod, nsq, s, b):
     return _bracket_sq(mod) ** (s / 2.0 + b), (1.0 + nsq) ** s
 
 
-def _z_factors(mod, nsq, p):
-    """All the Z-norm's factors, in the order ``_z_apply`` takes them."""
-    return _lo_factors(mod, nsq, p.b) + _s_factors(mod, nsq, p.s, p.b)
-
-
 # -- apply: the data's part of each norm ----------------------------------------
 
 
@@ -102,55 +94,48 @@ def _x_apply(data, x_weight, weights):
     return _tau_integral(np.abs(data) ** 2 * x_weight, weights)
 
 
-def _y_rows(hi, y_weight, weights):
-    """Per column the Y-norm's integrals of |u| = ``hi``: Int |u| dtau and
-    Int <tau+|n|^2>^{s+2b} |u|^2 dtau, with ``y_weight`` from ``_s_factors``."""
-    return _tau_integral(hi, weights), _tau_integral(hi ** 2 * y_weight, weights)
-
-
 def _y_sum(l1, y_cols, col_weight):
-    """Y-norm from the per column integrals of ``_y_rows``: the energy term
-    plus the modulation-weighted L^2 term."""
+    """Y-norm from the per column Int |u| dtau and Int <tau+|n|^2>^{s+2b} |u|^2
+    dtau: the energy term plus the modulation-weighted L^2 term."""
     energy = float(np.sqrt((col_weight * l1 * l1).sum()))
     return energy + float(np.sqrt(y_cols.sum()))
 
 
-def _z_split(data, lo, x_weight, weights):
-    """|u| zeroed on the lo entries, and per column the lo integral of
-    <sigma>^{2b} |u|^2: the s-independent part of the Z-norm."""
-    hi = np.abs(data)
-    x_integrand = np.zeros_like(hi)
-    x_integrand[lo] = hi[lo] ** 2 * x_weight
-    hi[lo] = 0.0
-    return hi, _tau_integral(x_integrand, weights)
+def _z_apply(data, lo_factors, s_factors, s_values, weights, minus=None):
+    """Z^{s,b}-norm of ``data`` (K, L), or of ``data - minus``, for each of
+    ``s_values``, from its ``_lo_factors`` and quadrature weights;
+    ``s_factors(s)`` gives s's ``_s_factors``, fetched as it is used.
 
-
-def _z_sum(x_cols, l1, y_cols, col_weight):
-    """X-norm of the lo part plus Y-norm of the hi part, from the per column
-    integrals of ``_z_split`` and ``_y_rows``."""
-    return float(np.sqrt((col_weight * x_cols).sum())) + _y_sum(l1, y_cols, col_weight)
-
-
-def _z_apply(data, factors, weights, minus=None):
-    """Z-norm of ``data`` (K, L), or of ``data - minus``, from its
-    ``_z_factors`` and quadrature weights.
-
-    The rows go a block at a time, as many as _BLOCK_BYTES holds of the
-    difference and the float temporaries, so neither is ever whole.  Each
-    row's integrals are those of the whole array, and each sum runs once
-    over all K rows, so the norm is ``zsb_norm``'s bit for bit.
+    The rows go in the blocks of ``grid._row_blocks``, as many as
+    _BLOCK_BYTES holds of the difference and the float temporaries, so
+    neither is ever whole.  Each block is split once, into |u| on its hi
+    entries and the lo integrals, and every s is normed on that split.  No
+    block is a lone row, so each row's integrals are the whole array's, and
+    each sum runs once over all K rows: so are the norms, bit for bit.
     """
-    lo, x_weight, y_weight, col_weight = factors
+    lo, x_weight = lo_factors
     K, L = data.shape
-    x_cols, l1, y_cols = np.empty(K), np.empty(K), np.empty(K)
-    step = _block_rows(40 * max(L, 1))  # 16 bytes of difference, 24 of floats
-    for i in range(0, K, step):
-        j = min(i + step, K)
-        block = data[i:j] if minus is None else data[i:j] - minus[i:j]
-        a, b = np.searchsorted(lo[0], (i, j))  # the lo entries are in row order
-        hi, x_cols[i:j] = _z_split(block, (lo[0][a:b] - i, lo[1][a:b]), x_weight[a:b], weights)
-        l1[i:j], y_cols[i:j] = _y_rows(hi, y_weight[i:j], weights)
-    return _z_sum(x_cols, l1, y_cols, col_weight)
+    x_cols, l1, y_cols = np.empty(K), np.empty(K), np.empty((len(s_values), K))
+    blocks = _row_blocks(K, 40 * max(L, 1))  # 16 bytes of difference, 24 of floats
+    norms = []
+    for rows in blocks:
+        hi = np.abs(data[rows] if minus is None else data[rows] - minus[rows])
+        a, b = np.searchsorted(lo[0], (rows.start, rows.stop))  # the lo entries are in row order
+        block_lo = (lo[0][a:b] - rows.start, lo[1][a:b])
+        x_integrand = np.zeros_like(hi)
+        x_integrand[block_lo] = hi[block_lo] ** 2 * x_weight[a:b]
+        x_cols[rows] = _tau_integral(x_integrand, weights)
+        del x_integrand
+        hi[block_lo] = 0.0
+        l1[rows] = _tau_integral(hi, weights)
+        hi **= 2  # |u|^2 on the hi entries, for every s
+        for y, s in zip(y_cols, s_values):
+            y_weight, col_weight = s_factors(s)
+            y[rows] = _tau_integral(hi * y_weight[rows], weights)
+            if rows is blocks[-1]:  # every row's integrals are in
+                norms.append(float(np.sqrt((col_weight * x_cols).sum()))
+                             + _y_sum(l1, y, col_weight))
+    return norms
 
 
 # -- the norms --------------------------------------------------------------------
@@ -164,9 +149,9 @@ def xsb_norm(u, p):
 def _x_columns(u, b):
     """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau on u's stored block.
 
-    A block too large for the weight cache is taken _X_BLOCK columns at a
-    time, so the float temporaries stay a few MB on any window; per column
-    the arithmetic is that of the whole block.
+    A block too large for the weight cache goes in the row blocks of
+    ``grid._row_blocks``, 24 bytes an entry, none a lone row: its float
+    temporaries stay within _BLOCK_BYTES, and each column keeps its bits.
     """
     w = u.grid.weights_on(*u.stored)
     if u.data.size <= grid_module._CACHED_ENTRIES:
@@ -174,9 +159,8 @@ def _x_columns(u, b):
     nodes = u.grid.nodes_on(*u.stored)[None, :]
     nsq = u.norm_sq_columns().astype(float)
     cols = np.empty(len(nsq))
-    bounds = [*range(0, len(nsq), _X_BLOCK), len(nsq)]
-    for i, j in zip(bounds[:-1], bounds[1:]):
-        cols[i:j] = _x_apply(u.data[i:j], _x_weight(nodes + nsq[i:j, None], None, b), w)
+    for rows in _row_blocks(len(nsq), 24 * u.data.shape[1]):
+        cols[rows] = _x_apply(u.data[rows], _x_weight(nodes + nsq[rows, None], None, b), w)
     return cols
 
 
@@ -189,7 +173,8 @@ def energy_l2l1(u, s):
 def ysb_norm(u, p):
     """Energy term plus the modulation-weighted L^2 term with exponent s/2 + b."""
     y_weight, col_weight = _Factors(u)(_s_factors, p.s, p.b)
-    return _y_sum(*_y_rows(np.abs(u.data), y_weight, u.grid.weights_on(*u.stored)), col_weight)
+    hi, w = np.abs(u.data), u.grid.weights_on(*u.stored)
+    return _y_sum(_tau_integral(hi, w), _tau_integral(hi ** 2 * y_weight, w), col_weight)
 
 
 def zsb_norm(u, p):
@@ -202,19 +187,19 @@ def norms_over_s(u, b, s_values, mode):
 
     Every s is normed on u's stored block by the float operations of a one-s
     norm.  What does not depend on s is formed once: for X the column
-    integrals, for Z the lo factors and the data's split; each s adds its
-    ``_s_factors`` alone.
+    integrals, for Z the lo factors and each row block's split; each s adds
+    its ``_s_factors`` alone, fetched as it is used (``_z_apply``).
     """
     if mode == "X":
         nsq = u.norm_sq_columns().astype(float)
         cols = _x_columns(u, b)
         return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
     if mode == "Z":
-        w = u.grid.weights_on(*u.stored)
         factors = _Factors(u)
-        hi, x_cols = _z_split(u.data, *factors(_lo_factors, b), w)
-        return [_z_sum(x_cols, *_y_rows(hi, y_weight, w), col_weight)
-                for y_weight, col_weight in (factors(_s_factors, s, b) for s in s_values)]
+        # the last s's factors stay for its next row block; uncached, each block would rebuild them
+        s_factors = lru_cache(maxsize=1)(lambda s: factors(_s_factors, s, b))
+        return _z_apply(u.data, factors(_lo_factors, b), s_factors, s_values,
+                        u.grid.weights_on(*u.stored))
     raise ValueError("mode must be 'X' or 'Z'")
 
 

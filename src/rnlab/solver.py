@@ -31,9 +31,10 @@ import numpy as np
 
 from . import cutoffs
 from .cutoffs import SUPPORT, free_evolution_data, standard_bump
-from .grid import (FrequencyGrid, SpaceTimeField, _block_rows, _padded_product, _workspace,
-                   conjugate_reflect)
-from .norms import NormParams, _tau_integral, _z_apply, _z_factors, spatial_hs_norm
+from .grid import (FrequencyGrid, SpaceTimeField, _block_rows, _padded_product, _row_blocks,
+                   _workspace, conjugate_reflect)
+from .norms import (NormParams, _lo_factors, _s_factors, _tau_integral, _z_apply,
+                    spatial_hs_norm)
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
@@ -159,9 +160,10 @@ class PicardPlan:
     ``r``: the real high-modulation multiplier (1 - psi(sigma)) / sigma on
     every entry, zero where psi = 1, so (1 - psi) / (i sigma) = -i r.
     ``offsets``: each column's sigma-lattice position of tau_0,
-    |n|^2 / tau_step - half + j_max.  ``z``: the Z-norm factors of the box
-    (``norms._z_factors``).  Every array is read-only.  A field's columns
-    take the rows at their flat keys.
+    |n|^2 / tau_step - half + j_max.  ``z``: the Z-norm's lo factors and
+    s-factors of the box (``norms._lo_factors``, ``norms._s_factors``).
+    Every array is read-only.  A field's columns take the rows at their
+    flat keys.
     """
 
     grid: FrequencyGrid
@@ -178,8 +180,9 @@ class PicardPlan:
         nsq = FrequencyGrid.norm_sq(grid.box_index)
         cols, sigma, psi = _psi_band(grid, nsq)
         # the float operations of mod_array, so the Z factors are zsb_norm's
-        mod = grid.tau_nodes[None, :] + nsq[:, None].astype(float)
-        z = _z_factors(mod, nsq.astype(float), p)
+        fnsq = nsq.astype(float)
+        mod = grid.tau_nodes[None, :] + fnsq[:, None]
+        z = _lo_factors(mod, fnsq, p.b), _s_factors(mod, fnsq, p.s, p.b)
         np.put_along_axis(mod, cols, 1.0, axis=1)  # keeps sigma = 0 out of the division
         r = 1.0 / mod
         band = np.zeros(sigma.shape)
@@ -189,7 +192,7 @@ class PicardPlan:
         np.put_along_axis(r, cols, band, axis=1)
         _, j_max = cutoffs.sigma_lattice(grid, t_power=0)
         offsets = cutoffs.profile_offsets(grid, nsq, j_max)
-        arrays = (cols, sigma, psi, r, offsets) + z[0] + z[1:]
+        arrays = (cols, sigma, psi, r, offsets, *z[0][0], z[0][1], *z[1])
         for a in arrays:
             a.setflags(write=False)
         return cls(grid, cols, sigma, psi, r, offsets, z)
@@ -249,7 +252,8 @@ def _add_series(out, coefs, lattices, offsets):
     multiples of _SERIES_ALIGN and the last takes the remainder: each column
     then passes the BLAS kernel as in the whole product and keeps its bits,
     where a one-column block (a matrix-vector product), a narrow one or a
-    split by rows changes last bits.
+    split by rows changes last bits.  So this partition is its own, aligned
+    to zgemm's grouping of columns, not ``grid._row_blocks``.
     """
     coefs = np.stack(coefs, axis=1)
     K, n_tau = out.shape
@@ -378,7 +382,7 @@ def peak_bytes(grid, params):
     P = shape[-1]
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
     plan = 16 * K * M + 24 * K * (2.0 * SUPPORT / grid.tau_step + 2)
-    product = 16 * K * M + 16 * P * min(K, _block_rows(16 * P)) \
+    product = 16 * K * M + 16 * P * min(K, _block_rows(16 * P) + 1) \
         + 32 * math.prod(shape[:-1]) * n_live
     series = 16 * (K + _SERIES_MAX_TERMS + 1) * min(lattice, 2 * _series_step(K, 0))
     return int(16 * K * M * 2 + plan + max(product, series))
@@ -406,14 +410,16 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
         grid.assert_compatible(initial.grid)
     plan = PicardPlan.build(grid, params.norm_params())
     w = grid.tau_weights
+    def z_norm(data, minus=None):  # the plan holds the s-factors of params.s
+        return _z_apply(data, plan.z[0], lambda s: plan.z[1], [params.s], w, minus)[0]
     trace = IterationTrace()
     current = _on_box(free_evolution_data(grid, u0))
     coefs = _box_coefficients(grid, u0)
-    z0 = _z_apply(current.data, plan.z, w)
+    z0 = z_norm(current.data)
     radius = max(z0, 1e-12)
     if initial is not None:
         current = _on_box(initial)
-        z0 = _z_apply(current.data, plan.z, w)
+        z0 = z_norm(current.data)
     emit = on_iterate or (lambda k, u: None)
     trace.final = current
     trace.z_norms.append(z0)
@@ -425,8 +431,8 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
             nxt = SpaceTimeField(grid, grid.box_index.copy(),
                                  np.full((grid.box_count, grid.n_tau), complex(-0.0, -0.0)))
         _add_free_evolution(nxt.data, grid, coefs)
-        z = _z_apply(nxt.data, plan.z, w)
-        diff = _z_apply(nxt.data, plan.z, w, minus=current.data)
+        z = z_norm(nxt.data)
+        diff = z_norm(nxt.data, minus=current.data)
         trace.final = current = nxt
         trace.z_norms.append(z)
         trace.successive_diffs.append(diff)
@@ -453,16 +459,14 @@ def _box_coefficients(grid, u0):
 
 def _add_free_evolution(out, grid, coefs):
     """out += eta(t) e^{it Lap} u0 on the box and window, from u0's box
-    coefficients ``coefs``, _BLOCK_BYTES of rows at a time.
+    coefficients ``coefs``, in the row blocks of ``grid._row_blocks``.
 
     Each block is ``free_evolution_rows``, as in ``free_evolution_data``, so
     its bits are those of the linear solution; a zero coefficient adds +0.0
     rows, as the box array of that solution holds.
     """
     nsq = FrequencyGrid.norm_sq(grid.box_index)
-    step = _block_rows(16 * grid.n_tau)
-    for a in range(0, len(coefs), step):
-        rows = slice(a, a + step)
+    for rows in _row_blocks(len(coefs), 16 * grid.n_tau):
         block = cutoffs.free_evolution_rows(grid, nsq[rows], coefs[rows])
         block[coefs[rows] == 0] = 0.0
         out[rows] += block

@@ -138,7 +138,8 @@ def _point_rows(inst, weighted_product, b, s_values, mode):
     """One point's sweep row for each s; each of its three fields is normed once."""
     u, v, lhs = (norms_over_s(f, b, s_values, mode) for f in (inst.u, inst.v, weighted_product))
     if any(n <= 0 for n in u + v):
-        raise ValueError("family norms must be positive to form the ratio")
+        raise ValueError("family norms must be positive to form the ratio; the <n>^{2s} "
+                         "weights underflow to zero, use a larger s")
     return [SweepRow(inst.N, *n, n[2] / (n[0] * n[1])) for n in zip(u, v, lhs)]
 
 

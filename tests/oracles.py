@@ -253,7 +253,7 @@ def norms_over_s_window(u, b, s_values, mode):
     mod = u.grid.tau_nodes[None, lo:hi] + nsq[:, None]
     if mode == "X":
         cols = np.empty(len(nsq))
-        bounds = [*range(0, len(nsq), norms._X_BLOCK), len(nsq)]
+        bounds = [*range(0, len(nsq), _X_BLOCK), len(nsq)]
         for i, j in zip(bounds[:-1], bounds[1:]):
             cols[i:j] = _l2_tau_sq(data[i:j], _bracket_sq(mod[i:j]), w, b)
         return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
@@ -502,11 +502,12 @@ def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None):
     linear = _on_box(cutoffs.free_evolution_data(grid, u0))
     trace = IterationTrace()
     current = linear
-    z0 = _z_apply(current.data, plan.z, w)
+    z_factors = plan.z[0] + plan.z[1]
+    z0 = _z_apply(current.data, z_factors, w)
     radius = max(z0, 1e-12)
     if initial is not None:
         current = _on_box(initial)
-        z0 = _z_apply(current.data, plan.z, w)
+        z0 = _z_apply(current.data, z_factors, w)
     emit = on_iterate or (lambda k, u: None)
     trace.final = current
     trace.z_norms.append(z0)
@@ -517,8 +518,8 @@ def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None):
             nxt.data += linear.data
         else:
             nxt = linear.copy()
-        z = _z_apply(nxt.data, plan.z, w)
-        diff = _z_apply(nxt.data - current.data, plan.z, w)
+        z = _z_apply(nxt.data, z_factors, w)
+        diff = _z_apply(nxt.data - current.data, z_factors, w)
         trace.final = current = nxt
         trace.z_norms.append(z)
         trace.successive_diffs.append(diff)

@@ -70,12 +70,12 @@ def test_field_check_holds_a_few_fields(name, monkeypatch):
 
 @pytest.mark.parametrize("block", [7, 10, 1000])
 def test_blocked_l4_and_x_match_the_whole_field(block, monkeypatch):
-    # K = 148 annulus columns: blocks of 7 leave a last block of one column,
-    # blocks of 10 one of 8, and 1000 is one block.  The X-norm's column
-    # integrals are einsums, whose bits follow no BLAS thread count: it is
-    # compared exactly.  The L^4 slices are BLAS products, measured bitwise
-    # equal on one and on two OpenBLAS threads; 1e-13 relative allows for a
-    # BLAS that tiles a block's rows differently.
+    # K = 148 annulus columns: blocks of 7 end in one of 8, which takes the
+    # one column left over, blocks of 10 in one of 8, and 1000 is one
+    # block.  The X-norm's column integrals are einsums, whose bits follow
+    # no BLAS thread count: it is compared exactly.  The L^4 slices are BLAS
+    # products, measured bitwise equal on one and on two OpenBLAS threads;
+    # 1e-13 relative allows for a BLAS that tiles a block's rows differently.
     grid = FrequencyGrid.for_box(2, 8, tau_step=0.5)
     nsq = FrequencyGrid.norm_sq(grid.box_index)
     ns = grid.box_index[(4 * nsq > 64) & (nsq <= 64)]

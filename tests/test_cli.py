@@ -189,7 +189,8 @@ def _admit(monkeypatch):
     monkeypatch.setattr(rnlab.cli, "rough_initial_data", admitted)
 
 
-# Refused after their norms, which overflow float64: these build their fields.
+# Refused after their norms, which overflow float64 or, at a very negative s,
+# underflow to zero: these build their fields.
 _OVERFLOWING = {
     ("norm", "--b", "100"): "b",
     ("norm", "--s", "300"): "s",
@@ -197,6 +198,8 @@ _OVERFLOWING = {
     ("sweep", "--s", "300"): "s",
     ("family", "--s", "300"): "s",
     ("threshold", "--b", "100", "--mode", "X"): "b",
+    ("sweep", "--s", "-300"): "s",
+    ("threshold", "--s-range", "-400:-300:50"): "s_range",
 }
 
 
@@ -398,6 +401,7 @@ class TestRunCommands:
         out, err = capsys.readouterr()
         assert f"key '{key}'" in err
         assert "Traceback" not in out + err
+        assert "infinity to integer" not in err  # numpy's text on an overflowed window
         assert not list(tmp_path.glob("*.json"))  # and no report
 
     def test_finite_report_at_a_large_b_is_written(self, tmp_path):

@@ -24,7 +24,7 @@ from test_properties import GRIDS, NORM_PARAMS, PROPERTY, SPLITS, fields, tau_su
 S_VALUES = st.lists(st.floats(-0.9, 0.5), min_size=1, max_size=4)
 
 # the cache's entry limit, and 0, which sends every norm down the uncached
-# path (X in _X_BLOCK columns)
+# path (X in the row blocks of grid._row_blocks)
 ENTRY_LIMITS = st.sampled_from((grid_module._CACHED_ENTRIES, 0))
 
 

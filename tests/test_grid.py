@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import fft as sfft
 
+from rnlab import grid as grid_module
 from rnlab.grid import (
     DyadicBlock,
     FrequencyGrid,
     SpaceTimeField,
+    _block_rows,
     _fftn,
     _ifftn,
     _next_fast_len,
+    _row_blocks,
     conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
@@ -22,6 +27,25 @@ from rnlab.grid import (
     spacetime_convolve,
     steps_per_unit,
 )
+
+
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 80), st.integers(grid_module._BLOCK_BYTES // 12,
+                                           2 * grid_module._BLOCK_BYTES))
+    def test_one_partition(self, count, row_bytes):
+        # blocks of 2 to 12 rows: in order, over every row, none over one row
+        # more than a block, none a lone row unless the count is 1; no rows
+        # are one empty block
+        blocks = _row_blocks(count, row_bytes)
+        assert [(rows.start, rows.step) for rows in blocks[:1]] == [(0, None)]
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert blocks[-1].stop == count
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert all(size == _block_rows(row_bytes) for size in sizes[:-1])
+        assert sizes[-1] <= _block_rows(row_bytes) + 1
+        assert 1 not in sizes or count == 1
+        assert count or sizes == [0]
 
 
 class TestJapaneseBracket:
@@ -57,7 +81,7 @@ class TestFrequencyGrid:
             FrequencyGrid(2, 4, 10.0, 0.25)
 
     def test_step_divides_window(self):
-        with pytest.raises(ValueError, match="integer multiple"):
+        with pytest.raises(ValueError, match="finite integer multiple"):
             FrequencyGrid(1, 1, 6.01, 0.25)
 
     def test_tau_nodes_symmetric(self, small_grid):

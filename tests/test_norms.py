@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rnlab import grid as grid_module
 from rnlab.cutoffs import free_evolution_data
 from rnlab.grid import (
     FrequencyGrid,
@@ -18,12 +19,15 @@ from rnlab.norms import (
     dyadic_norm_profile,
     energy_l2l1,
     l4_spacetime_norm,
+    norms_over_s,
     spatial_hs_norm,
     xsb_norm,
     ysb_norm,
     zsb_norm,
 )
+from rnlab.solver import DivergenceError, SolverParams, _on_box, picard_solve, rough_initial_data
 
+import oracles
 from oracles import indicator_profile
 
 P_DEFAULT = NormParams(s=-0.6, b=2.0 / 3.0)
@@ -111,6 +115,35 @@ class TestZsb:
             ratios.append(zsb_norm(u, P_DEFAULT) / xsb_norm(u, P_DEFAULT))
         C = max(ratios[:50])
         assert max(ratios[50:]) <= 2.0 * C
+
+
+class TestOnePartition:
+    """The Z- and X-norms stream their rows in the blocks of grid._row_blocks,
+    which never leave a lone row: np.einsum rounds a single row of more than
+    8192 samples differently from the same row in a multi-row array."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_two_row_blocks_match_the_whole_arrays(self, seed, monkeypatch):
+        # L = 16449 samples; the Z-norm's two-row blocks cut five columns
+        # 2 + 3 and the solve's 65 box rows 2 + ... + 3, the X-norm's 3 + 2
+        grid = FrequencyGrid.for_box(1, 32)
+        rng = np.random.default_rng(seed)
+        keys = [*np.sort(rng.choice(grid.box_count - 1, 4, replace=False)), grid.box_count - 1]
+        u = random_field(grid, rng, columns=grid.index_from_keys(keys))
+        assert u.data.size > grid_module._CACHED_ENTRIES  # the uncached X path
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 2 * 40 * grid.n_tau)
+        p, s_values = NormParams(s=-0.6), [-0.6, -0.2, 0.3]
+        assert zsb_norm(u, p) == oracles.zsb_uncached(u, p)
+        assert norms_over_s(u, p.b, s_values, "Z") \
+            == oracles.norms_over_s_uncached(u, p.b, s_values, "Z")
+        assert xsb_norm(u, p) == oracles.xsb_uncached(u, p)
+        # the solve's Z-norm of its first iterate, u on every box column
+        params = SolverParams(s=p.s, T=0.125, max_iterations=1)
+        try:
+            trace = picard_solve(rough_initial_data(grid, p.s, seed), params, grid, initial=u)
+        except DivergenceError as exc:  # a random iterate is far outside the ball
+            trace = exc.trace
+        assert trace.z_norms[0] == oracles.zsb_uncached(_on_box(u), params.norm_params())
 
 
 class TestEnergyAndCt:

@@ -241,11 +241,16 @@ def _oracle_weight(u, power):
     return u.data * (1.0 + m * m) ** (power / 2.0)
 
 
+def _x_rows(u, block):
+    """A grid._BLOCK_BYTES of ``block`` of u's rows in the X-norm, 24 bytes an entry."""
+    return block * 24 * max(u.data.shape[1], 1)
+
+
 def _x_in_blocks(u, p, block):
-    """Per-column X integrals with the X-norm's block size set to ``block``,
-    on the blocked path of fields too large for the weight cache."""
+    """Per-column X integrals in row blocks of ``block`` columns, on the
+    blocked path of fields too large for the weight cache."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(norms, "_X_BLOCK", block)
+        mp.setattr(grid_module, "_BLOCK_BYTES", _x_rows(u, block))
         mp.setattr(grid_module, "_CACHED_ENTRIES", 0)
         return norms._x_columns(u, p.b)
 
@@ -316,15 +321,15 @@ class TestTrimmedNorms:
         for v in (full, zero, SpaceTimeField.zero(u.grid)):
             assert np.array_equal(_x_in_blocks(v, p, block), _oracle_l2_tau_sq(v, p.b))
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(norms, "_X_BLOCK", block)
+                mp.setattr(grid_module, "_BLOCK_BYTES", _x_rows(v, block))
                 mp.setattr(grid_module, "_CACHED_ENTRIES", 0)
                 assert xsb_norm(v, p) == _oracle_xsb(v, p)
 
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("block", [4, 8])
     def test_blocked_x_norm_on_the_box(self, grid, block):
-        # 13 and 49 columns: a short last block, among them a lone last
-        # column; blocking never changes a column's bits
+        # 13 and 49 columns: a short last block, and where one column is
+        # left over, a long one; blocking never changes a column's bits
         u = random_field(grid, np.random.default_rng(block), envelope_power=-1.0)
         assert u.n_columns % block != 0
         lo = grid.n_tau // 3
@@ -341,7 +346,9 @@ class TestTrimmedNorms:
         u = random_field(grid, np.random.default_rng(seed))
         with _split_at(split):
             plan = PicardPlan.build(grid, p)
-            assert _z_apply(u.data, plan.z, grid.tau_weights) == zsb_norm(u, p)
+            lo_factors, s_factors = plan.z
+            assert _z_apply(u.data, lo_factors, lambda s: s_factors, [p.s],
+                            grid.tau_weights) == [zsb_norm(u, p)]
 
 
 class TestFieldAlgebra:

@@ -309,8 +309,9 @@ class TestPicardPlan:
     def test_arrays_are_read_only(self):
         grid = FrequencyGrid.for_box(1, 8, 0.25)
         plan = _plan(grid)
-        lo, *weights = plan.z
-        arrays = [plan.cols, plan.sigma, plan.psi, plan.r, plan.offsets, *lo, *weights]
+        (lo, x_weight), s_factors = plan.z
+        arrays = [plan.cols, plan.sigma, plan.psi, plan.r, plan.offsets, *lo, x_weight,
+                  *s_factors]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
@@ -721,8 +722,8 @@ class TestBlockedStep:
         grid, plan, weight = u.grid, _plan(u.grid), _eta_weight(T)
         K, M, P = grid.box_count, grid.n_tau, _workspace(grid)[0][-1]
         # four Duhamel rows a block, so 17, 81 and 49 columns end in a block
-        # of one; the product takes one or two tau-rows a block, the series
-        # its fewest lattice columns a block
+        # of five; the product takes two tau-rows a block (three in a last
+        # block), the series its fewest lattice columns a block
         monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 4 * 16 * M)
         lattice = len(cutoffs.sigma_lattice(grid)[0])
         assert K >= 3 * grid_module._block_rows(16 * M)
