@@ -421,9 +421,9 @@ def _cmd_solve(cfg):
     params = _checked("s", SolverParams, cfg.s, cfg.T, cfg.max_iterations, cfg.tolerance)
     _checked("tau_step", steps_per_unit, cfg.tau_step)
     grid = _grid(cfg)
-    # peak_bytes, slow to evaluate on a huge grid, is at least its two iterates
-    # and the plan's r and Z weight, 48 bytes an entry
-    _check_budget(48 * grid.box_count * grid.n_tau, grid=grid)
+    # peak_bytes, slow to evaluate on a huge grid, is at least its two
+    # iterates, 32 bytes an entry
+    _check_budget(32 * grid.box_count * grid.n_tau, grid=grid)
     _check_budget(peak_bytes(grid, params), grid=grid)
     u0 = rough_initial_data(grid, cfg.s, cfg.seed)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import grid as grid_module
 from .grid import (
@@ -104,7 +105,8 @@ def _y_sum(l1, y_cols, col_weight):
 def _z_apply(data, lo_factors, s_factors, s_values, weights, minus=None):
     """Z^{s,b}-norm of ``data`` (K, L), or of ``data - minus``, for each of
     ``s_values``, from its ``_lo_factors`` and quadrature weights;
-    ``s_factors(s)`` gives s's ``_s_factors``, fetched as it is used.
+    ``s_factors(s)`` gives s's ``_s_factors``, fetched as it is used, with
+    the weight as a function of a block's rows.
 
     The rows go in the blocks of ``grid._row_blocks``, as many as
     _BLOCK_BYTES holds of the difference and the float temporaries, so
@@ -131,7 +133,7 @@ def _z_apply(data, lo_factors, s_factors, s_values, weights, minus=None):
         hi **= 2  # |u|^2 on the hi entries, for every s
         for y, s in zip(y_cols, s_values):
             y_weight, col_weight = s_factors(s)
-            y[rows] = _tau_integral(hi * y_weight[rows], weights)
+            y[rows] = _tau_integral(hi * y_weight(rows), weights)
             if rows is blocks[-1]:  # every row's integrals are in
                 norms.append(float(np.sqrt((col_weight * x_cols).sum()))
                              + _y_sum(l1, y, col_weight))
@@ -150,18 +152,53 @@ def _x_columns(u, b):
     """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau on u's stored block.
 
     A block too large for the weight cache goes in the row blocks of
-    ``grid._row_blocks``, 24 bytes an entry, none a lone row: its float
-    temporaries stay within _BLOCK_BYTES, and each column keeps its bits.
+    ``grid._row_blocks``, 16 bytes an entry, none a lone row: each block
+    gathers its weight (``_weight_rows``) and multiplies |u|^2 into it in
+    place, so its two float temporaries stay within _BLOCK_BYTES, and each
+    column keeps its bits.
     """
     w = u.grid.weights_on(*u.stored)
     if u.data.size <= grid_module._CACHED_ENTRIES:
         return _x_apply(u.data, _Factors(u)(_x_weight, b), w)
-    nodes = u.grid.nodes_on(*u.stored)[None, :]
-    nsq = u.norm_sq_columns().astype(float)
-    cols = np.empty(len(nsq))
-    for rows in _row_blocks(len(nsq), 24 * u.data.shape[1]):
-        cols[rows] = _x_apply(u.data[rows], _x_weight(nodes + nsq[rows, None], None, b), w)
+    x_weight = _weight_rows(u, lambda sigma: _x_weight(sigma, None, b))
+    cols = np.empty(u.n_columns)
+    for rows in _row_blocks(len(cols), 16 * u.data.shape[1]):
+        x = x_weight(rows)
+        hi = np.abs(u.data[rows])
+        hi **= 2
+        x *= hi  # the bits of _x_apply's |u|^2 * weight
+        cols[rows] = _tau_integral(x, w)
     return cols
+
+
+def _weight_rows(u, weight):
+    """``rows -> weight(tau + |n|^2)`` on u's stored block at a slice of
+    its rows, a new (rows, width) array.
+
+    Where 1/tau_step is an integer, the modulations of u's columns lie on
+    the lattice i tau_step: ``weight`` is evaluated once on their span and
+    each call gathers its rows from it, the bits of ``weight`` on
+    ``mod_array`` at a power-of-two tau_step, where both forms of the
+    modulation are exact.  Where it is not, or the span is longer than
+    _BLOCK_BYTES holds of floats, each call evaluates ``weight`` on its
+    rows' modulations.
+    """
+    grid, (lo, hi) = u.grid, u.stored
+    nsq = u.norm_sq_columns()
+    try:
+        per_unit = grid_module.steps_per_unit(grid.tau_step)
+    except ValueError:
+        per_unit = 0
+    if per_unit and len(nsq):
+        first = int(nsq.min())
+        span = (int(nsq.max()) - first) * per_unit + hi - lo  # Python ints: no overflow
+        if 8 * span <= grid_module._BLOCK_BYTES:
+            lattice = weight((np.arange(span) + (first * per_unit + lo - grid.half_index))
+                             * grid.tau_step)
+            offsets = (nsq - first) * per_unit
+            return lambda rows: sliding_window_view(lattice, hi - lo)[offsets[rows]]
+    nodes = grid.nodes_on(lo, hi)[None, :]
+    return lambda rows: weight(nodes + nsq[rows, None].astype(float))
 
 
 def energy_l2l1(u, s):
@@ -196,8 +233,13 @@ def norms_over_s(u, b, s_values, mode):
         return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
     if mode == "Z":
         factors = _Factors(u)
+
         # the last s's factors stay for its next row block; uncached, each block would rebuild them
-        s_factors = lru_cache(maxsize=1)(lambda s: factors(_s_factors, s, b))
+        @lru_cache(maxsize=1)
+        def s_factors(s):
+            y_weight, col_weight = factors(_s_factors, s, b)
+            return y_weight.__getitem__, col_weight
+
         return _z_apply(u.data, factors(_lo_factors, b), s_factors, s_values,
                         u.grid.weights_on(*u.stored))
     raise ValueError("mode must be 'X' or 'Z'")

@@ -28,6 +28,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cutoffs
 from .cutoffs import SUPPORT, free_evolution_data, standard_bump
@@ -154,48 +155,77 @@ def _psi_band(grid, nsq):
 
 @dataclass(frozen=True)
 class PicardPlan:
-    """What no Picard step changes, built once per solve on every box column.
+    """What no Picard step changes, built once per solve; no array is box-sized.
 
     ``cols``, ``sigma``, ``psi``: each column's supp-psi band (``_psi_band``).
-    ``r``: the real high-modulation multiplier (1 - psi(sigma)) / sigma on
-    every entry, zero where psi = 1, so (1 - psi) / (i sigma) = -i r.
-    ``offsets``: each column's sigma-lattice position of tau_0,
-    |n|^2 / tau_step - half + j_max.  ``z``: the Z-norm's lo factors and
-    s-factors of the box (``norms._lo_factors``, ``norms._s_factors``).
-    Every array is read-only.  A field's columns take the rows at their
-    flat keys.
+    ``offsets``: each column's position of tau_0 on the sigma-lattice
+    sigma_j = (j - j_max) tau_step of ``cutoffs.sigma_lattice``,
+    |n|^2 / tau_step - half + j_max.  On that lattice, one float each:
+    ``r``, the real high-modulation multiplier (1 - psi(sigma)) / sigma,
+    zero where psi = 1, so (1 - psi) / (i sigma) = -i r; and ``y_weight``,
+    the Z-norm's <sigma>^{s+2b}.  ``gather`` takes a lattice vector at a
+    block of rows, where a step uses it.  ``lo_factors``: the Z-norm's lo
+    entries and <sigma>^{2b} on them (``norms._lo_factors``);
+    ``col_weight``: (1 + |n|^2)^s per column.  At a power-of-two tau_step
+    the lattice's sigma and the box's tau + |n|^2 are both exact, so each
+    gathered row has the bits of the weight built on the box.  Every array
+    is read-only.  A field's columns take the rows at their flat keys.
     """
 
     grid: FrequencyGrid
     cols: np.ndarray
     sigma: np.ndarray
     psi: np.ndarray
-    r: np.ndarray
     offsets: np.ndarray
-    z: tuple
+    r: np.ndarray
+    y_weight: np.ndarray
+    lo_factors: tuple
+    col_weight: np.ndarray
 
     @classmethod
     def build(cls, grid, p):
         """The plan of ``grid`` for the Z-norm parameters ``p``; no array depends on T."""
         nsq = FrequencyGrid.norm_sq(grid.box_index)
         cols, sigma, psi = _psi_band(grid, nsq)
-        # the float operations of mod_array, so the Z factors are zsb_norm's
-        fnsq = nsq.astype(float)
-        mod = grid.tau_nodes[None, :] + fnsq[:, None]
-        z = _lo_factors(mod, fnsq, p.b), _s_factors(mod, fnsq, p.s, p.b)
-        np.put_along_axis(mod, cols, 1.0, axis=1)  # keeps sigma = 0 out of the division
-        r = 1.0 / mod
-        band = np.zeros(sigma.shape)
-        keep = psi < 1.0
-        # (1 - psi) * (1 / sigma): the rounding of the complex (1 - psi) / (i sigma)
-        band[keep] = (1.0 - psi[keep]) * (1.0 / sigma[keep])
-        np.put_along_axis(r, cols, band, axis=1)
         _, j_max = cutoffs.sigma_lattice(grid, t_power=0)
         offsets = cutoffs.profile_offsets(grid, nsq, j_max)
-        arrays = (cols, sigma, psi, r, offsets, *z[0][0], z[0][1], *z[1])
+        lattice = (np.arange(2 * j_max + 1) - j_max) * grid.tau_step
+        lattice_psi = standard_bump(lattice)
+        r = np.zeros_like(lattice)
+        keep = lattice_psi < 1.0
+        # (1 - psi) * (1 / sigma): the rounding of the complex (1 - psi) / (i sigma)
+        r[keep] = (1.0 - lattice_psi[keep]) * (1.0 / lattice[keep])
+        fnsq = nsq.astype(float)
+        y_weight, col_weight = _s_factors(lattice, fnsq, p.s, p.b)
+        lo_factors = _box_lo_factors(grid, fnsq, p.b)
+        arrays = (cols, sigma, psi, offsets, r, y_weight, *lo_factors[0], lo_factors[1],
+                  col_weight)
         for a in arrays:
             a.setflags(write=False)
-        return cls(grid, cols, sigma, psi, r, offsets, z)
+        return cls(grid, cols, sigma, psi, offsets, r, y_weight, lo_factors, col_weight)
+
+    def gather(self, lattice, offsets):
+        """The rows of a sigma-lattice vector from ``offsets`` on, n_tau long, shape
+        (len(offsets), n_tau): the vector at the columns of those offsets."""
+        return sliding_window_view(lattice, self.grid.n_tau)[offsets]
+
+    def s_factors(self, s):
+        """The plan's s-factors as ``norms._z_apply`` takes them: the
+        <sigma>^{s+2b} of a block of box rows, gathered, and the column
+        weights.  ``s`` is the plan's."""
+        return (lambda rows: self.gather(self.y_weight, self.offsets[rows])), self.col_weight
+
+
+def _box_lo_factors(grid, fnsq, b):
+    """``norms._lo_factors`` of the whole box, found a block of rows at a time
+    by the float operations of mod_array, so they are zsb_norm's; no
+    box-sized modulation exists."""
+    parts = []
+    for rows in _row_blocks(len(fnsq), 40 * grid.n_tau):  # the modulations and temporaries
+        (i, j), x = _lo_factors(grid.tau_nodes[None, :] + fnsq[rows, None], fnsq[rows], b)
+        parts.append((i + rows.start, j, x))
+    i, j, x = (np.concatenate(a) for a in zip(*parts))
+    return (i, j), x
 
 
 def _n1_terms(fhat, plan, rows):
@@ -240,6 +270,15 @@ def _rows(fhat):
     if fhat.n_columns == fhat.grid.box_count:
         return slice(None)
     return fhat.grid.flat_keys(fhat.index)
+
+
+def _r_blocks(fhat, plan):
+    """(rows, r at fhat's columns of those rows) over the row blocks of
+    ``grid._row_blocks``, 24 bytes an entry: the gathered r and a complex
+    product of it."""
+    offsets = plan.offsets[_rows(fhat)]
+    for rows in _row_blocks(fhat.n_columns, 24 * fhat.grid.n_tau):
+        yield rows, plan.gather(plan.r, offsets[rows])
 
 
 def _add_series(out, coefs, lattices, offsets):
@@ -306,7 +345,9 @@ def duhamel_n2(fhat, plan):
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     grid = fhat.grid
-    column_sums = -1j * _tau_integral(fhat.data * plan.r[_rows(fhat)], grid.tau_weights)
+    # no block is a lone row, so each row's integral is the whole array's
+    column_sums = -1j * np.concatenate([_tau_integral(fhat.data[rows] * r, grid.tau_weights)
+                                        for rows, r in _r_blocks(fhat, plan)])
     profile = cutoffs.gather_profile(grid, fhat.norm_sq_columns(), *_eta_lattice(plan))
     return SpaceTimeField(grid, fhat.index.copy(), 1j * profile * column_sums[:, None])
 
@@ -315,7 +356,10 @@ def duhamel_n3(fhat, plan):
     """Stationary high-modulation piece: -r F, the multiplier -i (1-psi)/(i sigma)."""
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
-    return SpaceTimeField(fhat.grid, fhat.index.copy(), -fhat.data * plan.r[_rows(fhat)])
+    out = np.empty_like(fhat.data)
+    for rows, r in _r_blocks(fhat, plan):
+        np.multiply(-fhat.data[rows], r, out=out[rows])
+    return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
 def duhamel_rhs(fhat, plan):
@@ -329,16 +373,19 @@ def _duhamel_step(fhat, plan):
 
     N2 is the k = 0 term of N1's series, with coefficient Int F r dtau and
     the F(eta) lattice.  N1's coefficients are taken from F first; then the
-    array is scaled to F r, Int F r dtau is taken from it, it is negated in
-    place to N3 = -r F, and the one contraction adds N1 + N2 into it:
-    (-r F) + series rounds as series - r F does.
+    array is scaled to F r, a block of rows at a time (``_r_blocks``), Int
+    F r dtau is taken from it, it is negated in place to N3 = -r F, and the
+    one contraction adds N1 + N2 into it: (-r F) + series rounds as
+    series - r F does.
     """
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
     coefs, lattices = _n1_terms(fhat, plan, rows)
     out = fhat.data
-    np.multiply(out, plan.r[rows], out=out)
+    for block, r in _r_blocks(fhat, plan):
+        np.multiply(out[block], r, out=out[block])
+        del r  # not alive beside the next block or the series
     high_sums = _tau_integral(out, plan.grid.tau_weights)
     np.negative(out, out=out)
     _add_series(out, [high_sums] + coefs, [_eta_lattice(plan)[0]] + lattices,
@@ -366,14 +413,15 @@ def peak_bytes(grid, params):
     """Estimated peak bytes of ``picard_solve`` on ``grid``, without building anything.
 
     With K box columns: two iterate fields (current and next, at any
-    max_iterations), the plan (r and the Z weight on every entry, the psi
-    band), and the larger step transient.  The product holds its reflected
-    factor (its result is the next iterate), one block of tau-rows at
-    length P and two spatial workspaces at eta's t-nodes; the Duhamel step,
-    formed in the product's array, holds one block of N1's series and
-    lattice rows: at most _SERIES_MAX_TERMS + 1 terms, on fewer than two
-    blocks' worth of lattice columns, since the last block takes the
-    remainder.  The product's transient exceeds the blocks that add the
+    max_iterations), the plan (the psi band, and r and the Z weight on the
+    sigma-lattice; its lo entries are left out, a few per column), and the
+    larger step transient.  The product holds its reflected factor (its
+    result is the next iterate), one block of tau-rows at length P and two
+    spatial workspaces at eta's t-nodes; the Duhamel step, formed in the
+    product's array, holds one block of N1's series and lattice rows: the
+    ``_series_terms`` its tolerance can reach, on fewer than two blocks'
+    worth of lattice columns, since the last block takes the remainder.
+    The product's transient exceeds the blocks that gather r, that add the
     linear solution and that take the Z-norms.  Cached cutoff transforms
     are not counted.
     """
@@ -381,11 +429,22 @@ def peak_bytes(grid, params):
     shape, _, n_live, _ = _workspace(grid, _eta_weight(params.T))
     P = shape[-1]
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
-    plan = 16 * K * M + 24 * K * (2.0 * SUPPORT / grid.tau_step + 2)
+    plan = 24 * K * (2.0 * SUPPORT / grid.tau_step + 2) + 16 * lattice
     product = 16 * K * M + 16 * P * min(K, _block_rows(16 * P) + 1) \
         + 32 * math.prod(shape[:-1]) * n_live
-    series = 16 * (K + _SERIES_MAX_TERMS + 1) * min(lattice, 2 * _series_step(K, 0))
+    series = 16 * (K + _series_terms()) * min(lattice, 2 * _series_step(K, 0))
     return int(16 * K * M * 2 + plan + max(product, series))
+
+
+def _series_terms():
+    """Terms of the Duhamel step's series that ``_n1_terms``' tolerance can
+    reach, N2's k = 0 term included: with |sigma| <= 2 on supp psi and
+    |t| <= 2 on supp eta, term k is bounded by a multiple of 4^k / k!, which
+    first falls below _SERIES_TOL times its largest value (10.7, at k = 3
+    and 4) at k = 27, and the series stops on the next term: 29 terms, where
+    the d=1 and d=2 solves at n_max 4-32 take 22 or 23."""
+    bounds = [4.0**k / math.factorial(k) for k in range(1, _SERIES_MAX_TERMS + 1)]
+    return 2 + next(k for k, c in enumerate(bounds, 1) if c <= _SERIES_TOL * max(bounds))
 
 
 def picard_solve(u0, params, grid, initial=None, on_iterate=None):
@@ -411,7 +470,7 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     plan = PicardPlan.build(grid, params.norm_params())
     w = grid.tau_weights
     def z_norm(data, minus=None):  # the plan holds the s-factors of params.s
-        return _z_apply(data, plan.z[0], lambda s: plan.z[1], [params.s], w, minus)[0]
+        return _z_apply(data, plan.lo_factors, plan.s_factors, [params.s], w, minus)[0]
     trace = IterationTrace()
     current = _on_box(free_evolution_data(grid, u0))
     coefs = _box_coefficients(grid, u0)

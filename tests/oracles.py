@@ -4,7 +4,8 @@ the replaced argsort reflection and per-s threshold scan, the
 whole-window family fields, product, weight and norms that the span-stored
 ones replaced, the norms that built their weights on every call, the
 random field's envelope formula, the solver's continuous-dependence
-measurement, and the Picard product, Duhamel step and loop on whole arrays.
+measurement, the Picard plan's weights on every box entry, and the Picard
+product, Duhamel step and loop on whole arrays.
 
 They live outside the package, so ``import rnlab`` does not load
 ``scipy.integrate``.
@@ -41,6 +42,7 @@ from rnlab.solver import (
     _eta_lattice,
     _n1_terms,
     _on_box,
+    _psi_band,
     _rows,
     nonlinear_fourier_data,
     picard_solve,
@@ -384,6 +386,36 @@ def continuous_dependence(u0a, u0b, params, grid):
     return input_dist, output_dist, output_dist / input_dist
 
 
+# -- the Picard plan's weights on every box entry -------------------------------
+# ``solver.PicardPlan.build`` as it was before r and the Z weight became
+# sigma-lattice vectors gathered per row block.
+
+
+def plan_r_box(grid):
+    """The real multiplier r = (1 - psi(sigma)) / sigma on every box entry,
+    zero where psi = 1: ``1 / mod`` off each column's psi band, the band's
+    values on it."""
+    nsq = FrequencyGrid.norm_sq(grid.box_index)
+    cols, sigma, psi = _psi_band(grid, nsq)
+    mod = grid.tau_nodes[None, :] + nsq.astype(float)[:, None]
+    np.put_along_axis(mod, cols, 1.0, axis=1)  # keeps sigma = 0 out of the division
+    r = 1.0 / mod
+    band = np.zeros(sigma.shape)
+    keep = psi < 1.0
+    # (1 - psi) * (1 / sigma): the rounding of the complex (1 - psi) / (i sigma)
+    band[keep] = (1.0 - psi[keep]) * (1.0 / sigma[keep])
+    np.put_along_axis(r, cols, band, axis=1)
+    return r
+
+
+def plan_z_box(grid, p):
+    """The Z-norm's factors of the box, (lo entries, <sigma>^{2b} on them,
+    <sigma>^{s+2b} on every entry, (1 + |n|^2)^s), from the whole modulations."""
+    fnsq = FrequencyGrid.norm_sq(grid.box_index).astype(float)
+    mod = grid.tau_nodes[None, :] + fnsq[:, None]
+    return (*norms._lo_factors(mod, fnsq, p.b), *norms._s_factors(mod, fnsq, p.s, p.b))
+
+
 # -- the Picard step on whole arrays ---------------------------------------------
 # ``grid._padded_product`` and ``solver.duhamel_rhs`` as they were before
 # their tau passes and their series ran in blocks: the product on whole
@@ -479,7 +511,7 @@ def duhamel_rhs_whole(fhat, plan):
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
-    high = fhat.data * plan.r[rows]
+    high = fhat.data * plan_r_box(plan.grid)[rows]
     coefs, lattices = _n1_terms(fhat, plan, rows)
     # a BLAS product (K x terms) @ (terms x lattice): einsum took 0.42 s against
     # 0.035 s at d=1, n_max=32, and solve reports match on 1 and 2 BLAS threads
@@ -494,7 +526,8 @@ def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None):
     """``solver.picard_solve`` as it was before it stopped holding the linear
     solution: the linear solution is held and added whole, the Duhamel step
     and the Z-norms run on whole arrays (``duhamel_rhs_whole``, ``_z_apply``
-    above), and the difference of two iterates is formed whole."""
+    above, on the factors of ``plan_z_box``), and the difference of two
+    iterates is formed whole."""
     if initial is not None:
         grid.assert_compatible(initial.grid)
     plan = PicardPlan.build(grid, params.norm_params())
@@ -502,7 +535,7 @@ def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None):
     linear = _on_box(cutoffs.free_evolution_data(grid, u0))
     trace = IterationTrace()
     current = linear
-    z_factors = plan.z[0] + plan.z[1]
+    z_factors = plan_z_box(grid, params.norm_params())
     z0 = _z_apply(current.data, z_factors, w)
     radius = max(z0, 1e-12)
     if initial is not None:

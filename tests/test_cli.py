@@ -349,8 +349,7 @@ class TestRunCommands:
         (["solve", "--d", "1", "--n-max", "4", "--tau-step", "0.3"], "tau_step"),
         (["solve", "--d", "1", "--n-max", "4", "--tau-step", "2"], "tau_step"),
         (["solve", "--tau-step", "5e-324"], "tau_step"),
-        # two iterates and the plan's r and Z weight alone are 1.3e27 GiB;
-        # peak_bytes would count up
+        # two iterates alone are 9.5e26 GiB; peak_bytes would count up
         # from 4e11 to the next fast FFT length
         (["solve", "--d", "1", "--n-max", "100000000000"], "n_max"),
         (["solve", "--n-max", str(8 * 10**153), "--tau-step", "1"], "n_max"),
@@ -447,17 +446,17 @@ class TestRunCommands:
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_convolution_guard_names_key(self, tmp_path, monkeypatch, capsys):
-        # d=1, n_max=125 is the smallest d=1 box the peak-bytes estimate
-        # (4.05 GiB) puts over the budget; rejected before any field is built
+        # d=1, n_max=136 is the smallest d=1 box the peak-bytes estimate
+        # (4.03 GiB) puts over the budget; rejected before any field is built
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "1", "--n-max", "125", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "136", "--out", str(tmp_path)])
         assert run(cfg) == 2
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_guard_counts_kept_iterates(self, tmp_path, monkeypatch, capsys):
         # the solve keeps two fields (current, next) at any max_iterations:
-        # d=2, n_max=24 (2401 x 9281 entries a field) is 1.55 GiB, and
-        # n_max=31, the smallest d=2 box over the budget, 4.24 GiB
+        # d=2, n_max=24 (2401 x 9281 entries a field) is 1.22 GiB, and
+        # n_max=33, the smallest d=2 box over the budget, 4.28 GiB
         _admit(monkeypatch)
         for iterations in ("10", "1000"):
             cfg = parse_config(["solve", "--d", "2", "--n-max", "24",
@@ -465,7 +464,7 @@ class TestRunCommands:
             with pytest.raises(_Admitted):
                 run(cfg)
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "2", "--n-max", "31", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "2", "--n-max", "33", "--out", str(tmp_path)])
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert "'n_max'" in err and "budget" in err

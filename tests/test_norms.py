@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rnlab import grid as grid_module
+from rnlab import norms
 from rnlab.cutoffs import free_evolution_data
 from rnlab.grid import (
     FrequencyGrid,
@@ -144,6 +145,48 @@ class TestOnePartition:
         except DivergenceError as exc:  # a random iterate is far outside the ball
             trace = exc.trace
         assert trace.z_norms[0] == oracles.zsb_uncached(_on_box(u), params.norm_params())
+
+
+class TestXWeightLattice:
+    """Fields too large for the weight cache gather the X weight from one
+    evaluation on the sigma-lattice span of their columns
+    (``norms._weight_rows``), against the per-block modulations of
+    ``oracles._x_columns``."""
+
+    @pytest.fixture(autouse=True)
+    def uncached(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "_CACHED_ENTRIES", 0)  # the uncached X path
+
+    @staticmethod
+    def _field(grid, seed, lo=0):
+        u = random_field(grid, np.random.default_rng(seed), envelope_power=-1.0)
+        return SpaceTimeField.from_columns(grid, u.index, u.data[:, lo:], lo=lo)
+
+    @pytest.mark.parametrize("box, lo", [((2, 4), 0), ((2, 4), 300), ((1, 12), 17)])
+    def test_power_of_two_step_bitwise(self, box, lo, monkeypatch):
+        u = self._field(FrequencyGrid.for_box(*box, tau_step=0.25), 1, lo)
+        want = oracles._x_columns(u, P_DEFAULT.b)
+        assert norms._x_columns(u, P_DEFAULT.b).tobytes() == want.tobytes()
+        # the lattice in blocks of a few rows, then a span longer than a
+        # block holds, which evaluates each two-row block's modulations
+        span = 8 * (u.grid.dimension * u.grid.n_max**2 * 4 + u.data.shape[1])
+        for block_bytes in (span + 3 * 16 * u.data.shape[1], 8 * u.data.shape[1]):
+            monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
+            assert norms._x_columns(u, P_DEFAULT.b).tobytes() == want.tobytes()
+
+    def test_step_off_the_lattice_bitwise(self):
+        # 1 / 0.3 is not an integer: no lattice, each block's modulations
+        grid = FrequencyGrid(1, 12, 300.0, 0.3)
+        u = self._field(grid, 2)
+        assert norms._x_columns(u, P_DEFAULT.b).tobytes() \
+            == oracles._x_columns(u, P_DEFAULT.b).tobytes()
+
+    @pytest.mark.parametrize("tau_step", [1.0 / 3.0, 0.1])
+    def test_non_dyadic_step_within_rounding(self, tau_step):
+        # sigma rounds once on the lattice, twice as tau_j + |n|^2
+        u = self._field(FrequencyGrid.for_box(2, 4, tau_step), 3)
+        got, want = norms._x_columns(u, P_DEFAULT.b), oracles._x_columns(u, P_DEFAULT.b)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 class TestEnergyAndCt:

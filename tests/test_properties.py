@@ -242,8 +242,8 @@ def _oracle_weight(u, power):
 
 
 def _x_rows(u, block):
-    """A grid._BLOCK_BYTES of ``block`` of u's rows in the X-norm, 24 bytes an entry."""
-    return block * 24 * max(u.data.shape[1], 1)
+    """A grid._BLOCK_BYTES of ``block`` of u's rows in the X-norm, 16 bytes an entry."""
+    return block * 16 * max(u.data.shape[1], 1)
 
 
 def _x_in_blocks(u, p, block):
@@ -342,12 +342,11 @@ class TestTrimmedNorms:
     @PROPERTY
     @given(st.sampled_from(GRIDS), st.integers(0, 2**32 - 1), NORM_PARAMS, SPLITS)
     def test_plan_factors_bitwise(self, grid, seed, p, split):
-        # the Picard plan's box factors give zsb_norm's value on a full-box field
+        # the Picard plan's factors give zsb_norm's value on a full-box field
         u = random_field(grid, np.random.default_rng(seed))
         with _split_at(split):
             plan = PicardPlan.build(grid, p)
-            lo_factors, s_factors = plan.z
-            assert _z_apply(u.data, lo_factors, lambda s: s_factors, [p.s],
+            assert _z_apply(u.data, plan.lo_factors, plan.s_factors, [p.s],
                             grid.tau_weights) == [zsb_norm(u, p)]
 
 
