@@ -42,9 +42,9 @@ DEFAULT_SWEEP_N = (4, 8, 16, 32, 64, 128)
 # for the interpreter, the libraries and allocator slack.
 _BUDGET_GIB = 4
 
-# Peak bytes of the norm command per drawn field entry: the two float draws,
-# the complex field and the Z-norm's per-entry weights (tracemalloc: 56-59).
-_NORM_BYTES_PER_ENTRY = 64
+# Peak bytes of the norm command per drawn field entry: the field and the copy
+# from_columns takes, beside a row block (tracemalloc: 34-41, 0.14M-4.2M entries).
+_NORM_BYTES_PER_ENTRY = 48
 
 # Peak bytes of the family command per indicator sample, 2 / tau_step + 1:
 # it holds one point at a time, and no array of its is window-sized

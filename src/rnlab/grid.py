@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded at import, not by the first transform)
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Guard on dense materialization and on the padded product's workspace.
 _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
@@ -634,11 +635,14 @@ def time_slices(u, times):
 
 # -- data-independent weights -------------------------------------------------
 
-# Weights of at most _CACHED_ENTRIES entries are kept, read-only, in a cache
-# of at most _CACHE_BYTES: their arrays' bytes plus _ENTRY_BYTES per key, so
-# many tiny entries stay bounded too.  An entry that would overflow the budget
-# empties the cache first; larger weights are built on every call.  Nothing in
-# the package runs threads, and the cache takes no lock.
+# Every weight a norm, the envelope or the solve applies is a function of
+# sigma = tau + |n|^2 alone, taken a block of rows at a time.  A stored block
+# of at most _CACHED_ENTRIES entries builds it whole on its modulations, once
+# per key, and reads it from a cache of at most _CACHE_BYTES: its arrays'
+# bytes plus _ENTRY_BYTES per key, emptied first by an entry that would
+# overflow it.  A larger block, and the Picard plan, gather it from the
+# sigma-lattice (``_weight_rows``) at each call.
+# Nothing in the package runs threads, and the cache takes no lock.
 _CACHED_ENTRIES = 1 << 16
 _CACHE_BYTES = 4 << 20
 _ENTRY_BYTES = 1024
@@ -654,39 +658,82 @@ def _read_only_bytes(value):
     return sum(_read_only_bytes(v) for v in value)
 
 
+def _weight_rows(grid, nsq, stored, weight):
+    """``rows -> weight(tau + |n|^2)`` on the window samples ``stored`` of the
+    columns with these |n|^2, at a slice or index array of them: a new array.
+
+    Where 1/tau_step is an integer, the modulations lie on the lattice
+    i tau_step: ``weight`` is evaluated once on the columns' span and each
+    call gathers its rows, the bits of ``weight`` on ``mod_array`` at a
+    power-of-two tau_step, where both are exact.  A box's span is shorter
+    than its block; where 1/tau_step is not an integer, or the span is
+    longer than the block (a few far-apart columns), each call evaluates
+    ``weight`` on its rows' modulations.
+    """
+    lo, hi = stored
+    try:
+        per_unit = steps_per_unit(grid.tau_step)
+    except ValueError:
+        per_unit = 0
+    if per_unit and len(nsq):
+        first = int(nsq.min())
+        span = (int(nsq.max()) - first) * per_unit + hi - lo  # Python ints: no overflow
+        if span <= len(nsq) * (hi - lo):
+            lattice = weight((np.arange(span) + (first * per_unit + lo - grid.half_index))
+                             * grid.tau_step)
+            offsets = (nsq - first) * per_unit
+            return lambda rows: sliding_window_view(lattice, hi - lo)[offsets[rows]]
+    nodes = grid.nodes_on(lo, hi)[None, :]
+    return lambda rows: weight(nodes + nsq[rows, None].astype(float))
+
+
 class _Factors:
-    """``self(build, *params)`` is ``build(mod, nsq, *params)`` on the
-    modulations (K, L) and |n|^2 (K,) of u's stored block, cached by value
-    (builder, params, grid, columns, block, split).  The modulations are
-    formed at most once."""
+    """The data-independent factors of u's stored block.  For a block of at
+    most _CACHED_ENTRIES entries (``cached``) each is built whole once and
+    read from the cache, by value (builder, params, grid, columns, block,
+    split); a larger block builds it at each call."""
 
     def __init__(self, u):
         self.u = u
+        self.cached = u.data.size <= _CACHED_ENTRIES
         self.key = (u.grid, u.index.tobytes(), u.stored, MOD_THRESHOLD)
 
     @cached_property
-    def columns(self):
-        return self.u.mod_array(), self.u.norm_sq_columns().astype(float)
+    def mod(self):
+        return self.u.mod_array()
 
-    def __call__(self, build, *params):
+    def weight(self, fn, *params):
+        """``rows -> fn(sigma, *params)`` at a slice of the block's rows.  A
+        cached block's rows are views of ``fn`` on its ``mod_array``, formed
+        once for every key of the block: a scan norms small blocks at many s,
+        and gathering each from the lattice made ``scan_xz`` 47% slower.  A
+        larger block's rows are gathered (``_weight_rows``)."""
+        if self.cached:
+            return self.get(fn, params, lambda: fn(self.mod, *params)).__getitem__
+        u = self.u
+        return _weight_rows(u.grid, u.norm_sq_columns(), u.stored, lambda x: fn(x, *params))
+
+    def get(self, build, params, make):
+        """``make()``, the factor of ``build`` at ``params``: cached if the block is."""
         global _weights_bytes
+        if not self.cached:
+            return make()
         key = (build, params, *self.key)
         value = _weights.get(key)
         if value is None:
-            value = build(*self.columns, *params)
-            if self.u.data.size <= _CACHED_ENTRIES:
-                charge = _read_only_bytes(value) + _ENTRY_BYTES
-                if _weights_bytes + charge > _CACHE_BYTES:
-                    _weights.clear()
-                    _weights_bytes = 0
-                _weights[key] = value
-                _weights_bytes += charge
+            value = make()
+            charge = _read_only_bytes(value) + _ENTRY_BYTES
+            if _weights_bytes + charge > _CACHE_BYTES:
+                _weights.clear()
+                _weights_bytes = 0
+            _weights[key] = value
+            _weights_bytes += charge
         return value
 
 
-def _envelope(mod, nsq, power):
-    """<tau+|n|^2>^power on every entry."""
-    return japanese_bracket(mod) ** power
+def _envelope(sigma, power):
+    """<sigma>^power."""
+    return japanese_bracket(sigma) ** power
 
 
 def random_field(grid, rng, columns=None, envelope_power=0.0):
@@ -703,5 +750,7 @@ def random_field(grid, rng, columns=None, envelope_power=0.0):
     data.imag = rng.standard_normal(data.shape)
     field = SpaceTimeField.from_columns(grid, ns, data)
     if envelope_power != 0.0:
-        field.data *= _Factors(field)(_envelope, envelope_power)
+        envelope = _Factors(field).weight(_envelope, envelope_power)
+        for rows in _row_blocks(field.n_columns, 8 * grid.n_tau):
+            field.data[rows] *= envelope(rows)
     return field

@@ -10,11 +10,12 @@ norms:
   Z^{s,b}:  X-norm of the low-modulation part plus Y-norm of the
             high-modulation part, split at |tau+|n|^2| = MOD_THRESHOLD * |n|^2.
 
-Each norm builds its factors, then applies them to the stored block.  The
-factors (the modulation weights, the lo entries and the column weights)
-depend on the grid, the columns, the stored block, (s, b) and the split,
-never on the data, so each is built once per key and held read-only in the
-byte-bounded cache of ``grid._Factors``.
+Each weight is a function of sigma = tau + |n|^2 alone, taken a block of
+rows at a time (``grid._Factors.weight``): built whole on ``mod_array`` and
+cached for a stored block of at most ``grid._CACHED_ENTRIES`` entries, else
+gathered from the sigma-lattice (``grid._weight_rows``), as the Picard plan
+does.  The Z-norm's lo entries are found a row block at a time
+(``_lo_rows``), and cached for a small block.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import grid as grid_module
 from .grid import (
     SpaceTimeField,
     _Factors,
@@ -59,13 +58,16 @@ def _bracket_sq(mod):
 
 
 # -- factors: what a norm needs of the columns besides the data ----------------
-#
-# Builders for ``grid._Factors``, each of the modulations (K, L) and |n|^2 (K,).
 
 
-def _x_weight(mod, nsq, b):
-    """<sigma>^{2b} on every entry."""
-    return _bracket_sq(mod) ** b
+def _x_weight(sigma, b):
+    """<sigma>^{2b}."""
+    return _bracket_sq(sigma) ** b
+
+
+def _y_weight(sigma, s, b):
+    """<sigma>^{s+2b}: the Y-norm's weight, and the Z-norm's for each s."""
+    return _bracket_sq(sigma) ** (s / 2.0 + b)
 
 
 def _lo_factors(mod, nsq, b):
@@ -75,10 +77,17 @@ def _lo_factors(mod, nsq, b):
     return lo, _bracket_sq(mod)[lo] ** b
 
 
-def _s_factors(mod, nsq, s, b):
-    """The Y-norm's factors, also the Z-norm's s-dependent ones: <sigma>^{s+2b}
-    on every entry and (1+|n|^2)^s per column."""
-    return _bracket_sq(mod) ** (s / 2.0 + b), (1.0 + nsq) ** s
+def _lo_rows(grid, fnsq, stored, b):
+    """``_lo_factors`` on the window samples ``stored`` of the columns with
+    the float |n|^2 ``fnsq``, a row block (40 bytes an entry) at a time, by
+    mod_array's float operations: so is the split at any tau_step."""
+    nodes = grid.nodes_on(*stored)[None, :]
+    parts = []
+    for rows in _row_blocks(len(fnsq), 40 * max(stored[1] - stored[0], 1)):
+        (i, j), x = _lo_factors(nodes + fnsq[rows, None], fnsq[rows], b)
+        parts.append((i + rows.start, j, x))
+    i, j, x = (np.concatenate(a) for a in zip(*parts))
+    return (i, j), x
 
 
 # -- apply: the data's part of each norm ----------------------------------------
@@ -90,9 +99,26 @@ def _tau_integral(a, weights):
     return np.einsum("kl,l...->k...", a, weights)
 
 
-def _x_apply(data, x_weight, weights):
-    """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau from ``_x_weight``."""
-    return _tau_integral(np.abs(data) ** 2 * x_weight, weights)
+def _weighted_columns(u, weight, l1=None):
+    """Per column Int weight |u|^2 dtau on u's stored block, ``weight`` a
+    function of a block's rows, and into ``l1``, if given, Int |u| dtau; in
+    the blocks of ``grid._row_blocks`` (16 bytes an entry, none a lone row,
+    so each column keeps its bits)."""
+    w = u.grid.weights_on(*u.stored)
+    cols = np.empty(u.n_columns)
+    for rows in _row_blocks(len(cols), 16 * max(u.data.shape[1], 1)):
+        x = np.abs(u.data[rows])
+        if l1 is not None:
+            l1[rows] = _tau_integral(x, w)
+        x **= 2
+        x *= weight(rows)
+        cols[rows] = _tau_integral(x, w)
+    return cols
+
+
+def _x_columns(u, b):
+    """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau on u's stored block."""
+    return _weighted_columns(u, _Factors(u).weight(_x_weight, b))
 
 
 def _y_sum(l1, y_cols, col_weight):
@@ -102,11 +128,11 @@ def _y_sum(l1, y_cols, col_weight):
     return energy + float(np.sqrt(y_cols.sum()))
 
 
-def _z_apply(data, lo_factors, s_factors, s_values, weights, minus=None):
+def _z_apply(data, fnsq, lo_factors, y_weights, s_values, weights, minus=None):
     """Z^{s,b}-norm of ``data`` (K, L), or of ``data - minus``, for each of
-    ``s_values``, from its ``_lo_factors`` and quadrature weights;
-    ``s_factors(s)`` gives s's ``_s_factors``, fetched as it is used, with
-    the weight as a function of a block's rows.
+    ``s_values``, from its columns' float |n|^2 ``fnsq``, its lo entries
+    (``_lo_factors``) and quadrature weights; ``y_weights(s)`` gives s's
+    <sigma>^{s+2b} as a function of a block's rows, fetched as it is used.
 
     The rows go in the blocks of ``grid._row_blocks``, as many as
     _BLOCK_BYTES holds of the difference and the float temporaries, so
@@ -132,9 +158,9 @@ def _z_apply(data, lo_factors, s_factors, s_values, weights, minus=None):
         l1[rows] = _tau_integral(hi, weights)
         hi **= 2  # |u|^2 on the hi entries, for every s
         for y, s in zip(y_cols, s_values):
-            y_weight, col_weight = s_factors(s)
-            y[rows] = _tau_integral(hi * y_weight(rows), weights)
+            y[rows] = _tau_integral(hi * y_weights(s)(rows), weights)
             if rows is blocks[-1]:  # every row's integrals are in
+                col_weight = (1.0 + fnsq) ** s
                 norms.append(float(np.sqrt((col_weight * x_cols).sum()))
                              + _y_sum(l1, y, col_weight))
     return norms
@@ -148,59 +174,6 @@ def xsb_norm(u, p):
     return norms_over_s(u, p.b, [p.s], "X")[0]
 
 
-def _x_columns(u, b):
-    """Per column Int <tau+|n|^2>^{2b} |u|^2 dtau on u's stored block.
-
-    A block too large for the weight cache goes in the row blocks of
-    ``grid._row_blocks``, 16 bytes an entry, none a lone row: each block
-    gathers its weight (``_weight_rows``) and multiplies |u|^2 into it in
-    place, so its two float temporaries stay within _BLOCK_BYTES, and each
-    column keeps its bits.
-    """
-    w = u.grid.weights_on(*u.stored)
-    if u.data.size <= grid_module._CACHED_ENTRIES:
-        return _x_apply(u.data, _Factors(u)(_x_weight, b), w)
-    x_weight = _weight_rows(u, lambda sigma: _x_weight(sigma, None, b))
-    cols = np.empty(u.n_columns)
-    for rows in _row_blocks(len(cols), 16 * u.data.shape[1]):
-        x = x_weight(rows)
-        hi = np.abs(u.data[rows])
-        hi **= 2
-        x *= hi  # the bits of _x_apply's |u|^2 * weight
-        cols[rows] = _tau_integral(x, w)
-    return cols
-
-
-def _weight_rows(u, weight):
-    """``rows -> weight(tau + |n|^2)`` on u's stored block at a slice of
-    its rows, a new (rows, width) array.
-
-    Where 1/tau_step is an integer, the modulations of u's columns lie on
-    the lattice i tau_step: ``weight`` is evaluated once on their span and
-    each call gathers its rows from it, the bits of ``weight`` on
-    ``mod_array`` at a power-of-two tau_step, where both forms of the
-    modulation are exact.  Where it is not, or the span is longer than
-    _BLOCK_BYTES holds of floats, each call evaluates ``weight`` on its
-    rows' modulations.
-    """
-    grid, (lo, hi) = u.grid, u.stored
-    nsq = u.norm_sq_columns()
-    try:
-        per_unit = grid_module.steps_per_unit(grid.tau_step)
-    except ValueError:
-        per_unit = 0
-    if per_unit and len(nsq):
-        first = int(nsq.min())
-        span = (int(nsq.max()) - first) * per_unit + hi - lo  # Python ints: no overflow
-        if 8 * span <= grid_module._BLOCK_BYTES:
-            lattice = weight((np.arange(span) + (first * per_unit + lo - grid.half_index))
-                             * grid.tau_step)
-            offsets = (nsq - first) * per_unit
-            return lambda rows: sliding_window_view(lattice, hi - lo)[offsets[rows]]
-    nodes = grid.nodes_on(lo, hi)[None, :]
-    return lambda rows: weight(nodes + nsq[rows, None].astype(float))
-
-
 def energy_l2l1(u, s):
     """|| <n>^s u_hat ||_{l^2_n L^1_tau}, the H^s-energy functional."""
     l1 = _tau_integral(np.abs(u.data), u.grid.weights_on(*u.stored))
@@ -209,9 +182,10 @@ def energy_l2l1(u, s):
 
 def ysb_norm(u, p):
     """Energy term plus the modulation-weighted L^2 term with exponent s/2 + b."""
-    y_weight, col_weight = _Factors(u)(_s_factors, p.s, p.b)
-    hi, w = np.abs(u.data), u.grid.weights_on(*u.stored)
-    return _y_sum(_tau_integral(hi, w), _tau_integral(hi ** 2 * y_weight, w), col_weight)
+    col_weight = (1.0 + u.norm_sq_columns().astype(float)) ** p.s
+    l1 = np.empty(u.n_columns)
+    y_cols = _weighted_columns(u, _Factors(u).weight(_y_weight, p.s, p.b), l1)
+    return _y_sum(l1, y_cols, col_weight)
 
 
 def zsb_norm(u, p):
@@ -225,23 +199,23 @@ def norms_over_s(u, b, s_values, mode):
     Every s is normed on u's stored block by the float operations of a one-s
     norm.  What does not depend on s is formed once: for X the column
     integrals, for Z the lo factors and each row block's split; each s adds
-    its ``_s_factors`` alone, fetched as it is used (``_z_apply``).
+    its <sigma>^{s+2b} alone, fetched as it is used (``_z_apply``).
     """
+    fnsq = u.norm_sq_columns().astype(float)
     if mode == "X":
-        nsq = u.norm_sq_columns().astype(float)
         cols = _x_columns(u, b)
-        return [float(np.sqrt(((1.0 + nsq) ** s * cols).sum())) for s in s_values]
+        return [float(np.sqrt(((1.0 + fnsq) ** s * cols).sum())) for s in s_values]
     if mode == "Z":
         factors = _Factors(u)
 
-        # the last s's factors stay for its next row block; uncached, each block would rebuild them
+        # the last s's weight stays for its next row block; a gathered one
+        # would be evaluated on the lattice again
         @lru_cache(maxsize=1)
-        def s_factors(s):
-            y_weight, col_weight = factors(_s_factors, s, b)
-            return y_weight.__getitem__, col_weight
+        def y_weights(s):
+            return factors.weight(_y_weight, s, b)
 
-        return _z_apply(u.data, factors(_lo_factors, b), s_factors, s_values,
-                        u.grid.weights_on(*u.stored))
+        lo = factors.get(_lo_rows, (b,), lambda: _lo_rows(u.grid, fnsq, u.stored, b))
+        return _z_apply(u.data, fnsq, lo, y_weights, s_values, u.grid.weights_on(*u.stored))
     raise ValueError("mode must be 'X' or 'Z'")
 
 

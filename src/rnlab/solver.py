@@ -28,14 +28,12 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cutoffs
 from .cutoffs import SUPPORT, free_evolution_data, standard_bump
 from .grid import (FrequencyGrid, SpaceTimeField, _block_rows, _padded_product, _row_blocks,
-                   _workspace, conjugate_reflect)
-from .norms import (NormParams, _lo_factors, _s_factors, _tau_integral, _z_apply,
-                    spatial_hs_norm)
+                   _weight_rows, _workspace, conjugate_reflect)
+from .norms import NormParams, _lo_rows, _tau_integral, _y_weight, _z_apply, spatial_hs_norm
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
@@ -153,6 +151,17 @@ def _psi_band(grid, nsq):
     return cols, sigma, standard_bump(sigma)
 
 
+def _r_weight(sigma):
+    """The real high-modulation multiplier r = (1 - psi(sigma)) / sigma, zero
+    where psi = 1, so (1 - psi) / (i sigma) = -i r."""
+    psi = standard_bump(sigma)
+    r = np.zeros_like(sigma)
+    keep = psi < 1.0
+    # (1 - psi) * (1 / sigma): the rounding of the complex (1 - psi) / (i sigma)
+    r[keep] = (1.0 - psi[keep]) * (1.0 / sigma[keep])
+    return r
+
+
 @dataclass(frozen=True)
 class PicardPlan:
     """What no Picard step changes, built once per solve; no array is box-sized.
@@ -160,16 +169,11 @@ class PicardPlan:
     ``cols``, ``sigma``, ``psi``: each column's supp-psi band (``_psi_band``).
     ``offsets``: each column's position of tau_0 on the sigma-lattice
     sigma_j = (j - j_max) tau_step of ``cutoffs.sigma_lattice``,
-    |n|^2 / tau_step - half + j_max.  On that lattice, one float each:
-    ``r``, the real high-modulation multiplier (1 - psi(sigma)) / sigma,
-    zero where psi = 1, so (1 - psi) / (i sigma) = -i r; and ``y_weight``,
-    the Z-norm's <sigma>^{s+2b}.  ``gather`` takes a lattice vector at a
-    block of rows, where a step uses it.  ``lo_factors``: the Z-norm's lo
-    entries and <sigma>^{2b} on them (``norms._lo_factors``);
-    ``col_weight``: (1 + |n|^2)^s per column.  At a power-of-two tau_step
-    the lattice's sigma and the box's tau + |n|^2 are both exact, so each
-    gathered row has the bits of the weight built on the box.  Every array
-    is read-only.  A field's columns take the rows at their flat keys.
+    |n|^2 / tau_step - half + j_max, for N1's series.  ``r`` (``_r_weight``)
+    and ``y_weight``, the Z-norm's <sigma>^{s+2b}: functions of box rows,
+    gathered from the sigma-lattice (``grid._weight_rows``).  ``lo_factors``:
+    the Z-norm's lo entries and <sigma>^{2b} on them (``norms._lo_rows``).
+    Every array is read-only.  A field's columns take the rows at their keys.
     """
 
     grid: FrequencyGrid
@@ -177,55 +181,24 @@ class PicardPlan:
     sigma: np.ndarray
     psi: np.ndarray
     offsets: np.ndarray
-    r: np.ndarray
-    y_weight: np.ndarray
+    r: object
+    y_weight: object
     lo_factors: tuple
-    col_weight: np.ndarray
 
     @classmethod
     def build(cls, grid, p):
-        """The plan of ``grid`` for the Z-norm parameters ``p``; no array depends on T."""
+        """The plan of ``grid`` for the Z-norm parameters ``p``; nothing depends on T."""
         nsq = FrequencyGrid.norm_sq(grid.box_index)
         cols, sigma, psi = _psi_band(grid, nsq)
         _, j_max = cutoffs.sigma_lattice(grid, t_power=0)
         offsets = cutoffs.profile_offsets(grid, nsq, j_max)
-        lattice = (np.arange(2 * j_max + 1) - j_max) * grid.tau_step
-        lattice_psi = standard_bump(lattice)
-        r = np.zeros_like(lattice)
-        keep = lattice_psi < 1.0
-        # (1 - psi) * (1 / sigma): the rounding of the complex (1 - psi) / (i sigma)
-        r[keep] = (1.0 - lattice_psi[keep]) * (1.0 / lattice[keep])
-        fnsq = nsq.astype(float)
-        y_weight, col_weight = _s_factors(lattice, fnsq, p.s, p.b)
-        lo_factors = _box_lo_factors(grid, fnsq, p.b)
-        arrays = (cols, sigma, psi, offsets, r, y_weight, *lo_factors[0], lo_factors[1],
-                  col_weight)
-        for a in arrays:
+        window = (0, grid.n_tau)
+        lo_factors = _lo_rows(grid, nsq.astype(float), window, p.b)
+        for a in (cols, sigma, psi, offsets, *lo_factors[0], lo_factors[1]):
             a.setflags(write=False)
-        return cls(grid, cols, sigma, psi, offsets, r, y_weight, lo_factors, col_weight)
-
-    def gather(self, lattice, offsets):
-        """The rows of a sigma-lattice vector from ``offsets`` on, n_tau long, shape
-        (len(offsets), n_tau): the vector at the columns of those offsets."""
-        return sliding_window_view(lattice, self.grid.n_tau)[offsets]
-
-    def s_factors(self, s):
-        """The plan's s-factors as ``norms._z_apply`` takes them: the
-        <sigma>^{s+2b} of a block of box rows, gathered, and the column
-        weights.  ``s`` is the plan's."""
-        return (lambda rows: self.gather(self.y_weight, self.offsets[rows])), self.col_weight
-
-
-def _box_lo_factors(grid, fnsq, b):
-    """``norms._lo_factors`` of the whole box, found a block of rows at a time
-    by the float operations of mod_array, so they are zsb_norm's; no
-    box-sized modulation exists."""
-    parts = []
-    for rows in _row_blocks(len(fnsq), 40 * grid.n_tau):  # the modulations and temporaries
-        (i, j), x = _lo_factors(grid.tau_nodes[None, :] + fnsq[rows, None], fnsq[rows], b)
-        parts.append((i + rows.start, j, x))
-    i, j, x = (np.concatenate(a) for a in zip(*parts))
-    return (i, j), x
+        return cls(grid, cols, sigma, psi, offsets, _weight_rows(grid, nsq, window, _r_weight),
+                   _weight_rows(grid, nsq, window, lambda sigma: _y_weight(sigma, p.s, p.b)),
+                   lo_factors)
 
 
 def _n1_terms(fhat, plan, rows):
@@ -276,9 +249,9 @@ def _r_blocks(fhat, plan):
     """(rows, r at fhat's columns of those rows) over the row blocks of
     ``grid._row_blocks``, 24 bytes an entry: the gathered r and a complex
     product of it."""
-    offsets = plan.offsets[_rows(fhat)]
+    box_rows = np.arange(fhat.grid.box_count)[_rows(fhat)]
     for rows in _row_blocks(fhat.n_columns, 24 * fhat.grid.n_tau):
-        yield rows, plan.gather(plan.r, offsets[rows])
+        yield rows, plan.r(box_rows[rows])
 
 
 def _add_series(out, coefs, lattices, offsets):
@@ -468,9 +441,10 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     if initial is not None:
         grid.assert_compatible(initial.grid)
     plan = PicardPlan.build(grid, params.norm_params())
-    w = grid.tau_weights
-    def z_norm(data, minus=None):  # the plan holds the s-factors of params.s
-        return _z_apply(data, plan.lo_factors, plan.s_factors, [params.s], w, minus)[0]
+    fnsq, w = FrequencyGrid.norm_sq(grid.box_index).astype(float), grid.tau_weights
+    def z_norm(data, minus=None):  # the plan holds the Z weight of params.s
+        return _z_apply(data, fnsq, plan.lo_factors, lambda s: plan.y_weight, [params.s], w,
+                        minus)[0]
     trace = IterationTrace()
     current = _on_box(free_evolution_data(grid, u0))
     coefs = _box_coefficients(grid, u0)

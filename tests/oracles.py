@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy.integrate import quad_vec
 
-from rnlab import cutoffs, families, norms, sweep
+from rnlab import cutoffs, families, sweep
 from rnlab.grid import (
     _DENSE_ENTRY_LIMIT,
     FrequencyGrid,
@@ -387,8 +387,8 @@ def continuous_dependence(u0a, u0b, params, grid):
 
 
 # -- the Picard plan's weights on every box entry -------------------------------
-# ``solver.PicardPlan.build`` as it was before r and the Z weight became
-# sigma-lattice vectors gathered per row block.
+# ``solver.PicardPlan.build`` as it was before r and the Z weight were
+# gathered per row block from the sigma-lattice.
 
 
 def plan_r_box(grid):
@@ -412,8 +412,7 @@ def plan_z_box(grid, p):
     """The Z-norm's factors of the box, (lo entries, <sigma>^{2b} on them,
     <sigma>^{s+2b} on every entry, (1 + |n|^2)^s), from the whole modulations."""
     fnsq = FrequencyGrid.norm_sq(grid.box_index).astype(float)
-    mod = grid.tau_nodes[None, :] + fnsq[:, None]
-    return (*norms._lo_factors(mod, fnsq, p.b), *norms._s_factors(mod, fnsq, p.s, p.b))
+    return _z_factors(grid.tau_nodes[None, :] + fnsq[:, None], fnsq, p)
 
 
 # -- the Picard step on whole arrays ---------------------------------------------

@@ -6,12 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rnlab
+from rnlab import cli
+from rnlab import grid as grid_module
 from rnlab.cli import ConfigError, ExperimentConfig, parse_config, run
 from rnlab.grid import FrequencyGrid
 
@@ -260,7 +263,7 @@ class TestRunCommands:
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert "'n_max'" in err and "budget" in err
-        # a 1.53e95 GiB estimate prints to 3 significant digits, not 96 digits
+        # a 1.14e95 GiB estimate prints to 3 significant digits, not 96 digits
         cfg = parse_config(["norm", "--n-max", str(10**50), "--tau-step", "1",
                             "--out", str(tmp_path)])
         assert run(cfg) == 2
@@ -555,3 +558,29 @@ def test_reports_do_not_depend_on_blas_threads(args, tmp_path):
             proc.kill()
     assert one[0] == 0
     assert one == two
+
+
+@pytest.mark.parametrize("args, sampled", [(["--d", "1", "--n-max", "16"], False),
+                                           (["--n-max", "8"], False),
+                                           (["--n-max", "16"], True)],
+                         ids=["line_16", "box_2_8", "sampled_2_16"])
+def test_norm_size_check_bounds_the_traced_peak(args, sampled, tmp_path):
+    # cli._NORM_BYTES_PER_ENTRY against a warm second run, whose field, drawn
+    # on the whole box or (sampled_2_16, a box of 4.5M entries) on 64 sampled
+    # columns, is too large for the weight cache
+    cfg = parse_config(["norm", *args, "--out", str(tmp_path)])
+    grid = cli._grid(cfg)
+    run(cfg)  # fills the per-process caches
+    tracemalloc.start()
+    try:
+        assert run(cfg) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = json.loads((tmp_path / "norms.json").read_text())["columns"]
+    assert columns == (64 if sampled else grid.box_count)
+    entries = columns * grid.n_tau
+    assert grid_module._CACHED_ENTRIES < entries
+    estimate = cli._NORM_BYTES_PER_ENTRY * entries
+    # measured: 1.16x on line_16, 1.18x on box_2_8 and 1.18x on sampled_2_16
+    assert peak <= estimate <= 2 * peak, f"estimate {estimate / peak:.2f}x the peak"

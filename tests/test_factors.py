@@ -1,11 +1,17 @@
-"""The norms' factor path against the norms that build every weight per call.
+"""The norms' weights, cached and built per call, against the per-call arithmetic.
 
-Every X, Y and Z norm builds its data-independent factors (weights, lo
-entries, column weights) once per key and keeps them read-only in the
-byte-bounded cache of ``grid._Factors``; ``random_field`` takes its envelope
-from the same cache.  Each is checked at zero tolerance against the
-per-call arithmetic kept in ``oracles``, on a first call that builds the
-factors and a second that reads them.
+Every weight of the X, Y and Z norms and ``random_field``'s envelope comes
+from one of two sources, by the stored block's size: a block of at most
+``grid._CACHED_ENTRIES`` entries builds each whole on its modulations, once
+per key, and keeps it read-only in the byte-bounded cache of
+``grid._Factors``; a larger block gathers its rows from the sigma-lattice
+(``grid._weight_rows``) at each call.  The Z-norm's lo entries are found a
+row block at a time (``norms._lo_rows``), cached for a small block.  Each is
+checked against the per-call arithmetic kept in ``oracles``: at zero
+tolerance on power-of-two steps, on a first call that builds the cached
+factors and a second that reads them, and within 1e-13 relative at
+tau_step 1/3 and 0.1, where the lattice's sigma rounds apart from
+tau + |n|^2.
 """
 
 import numpy as np
@@ -15,17 +21,22 @@ from hypothesis import strategies as st
 
 from rnlab import grid as grid_module
 from rnlab import norms as norms_module
-from rnlab.grid import FrequencyGrid, SpaceTimeField, dyadic_blocks, project_dyadic, random_field
-from rnlab.norms import NormParams, energy_l2l1, norms_over_s, xsb_norm, ysb_norm, zsb_norm
+from rnlab.grid import (FrequencyGrid, SpaceTimeField, _envelope, _Factors, dyadic_blocks,
+                        japanese_bracket, project_dyadic, random_field)
+from rnlab.norms import (NormParams, _lo_rows, _x_weight, _y_weight, energy_l2l1, norms_over_s,
+                         xsb_norm, ysb_norm, zsb_norm)
 
 import oracles
 from test_properties import GRIDS, NORM_PARAMS, PROPERTY, SPLITS, fields, tau_supports
 
 S_VALUES = st.lists(st.floats(-0.9, 0.5), min_size=1, max_size=4)
 
-# the cache's entry limit, and 0, which sends every norm down the uncached
-# path (X in the row blocks of grid._row_blocks)
+# the cache's entry limit, and 0, which sends every block but an empty one
+# to the sigma-lattice and its lo entries to norms._lo_rows
 ENTRY_LIMITS = st.sampled_from((grid_module._CACHED_ENTRIES, 0))
+
+# grids whose tau_step is not a power of two
+NON_DYADIC = (FrequencyGrid.for_box(1, 6, 1.0 / 3.0), FrequencyGrid.for_box(2, 3, 0.1))
 
 
 @st.composite
@@ -49,6 +60,23 @@ def _oracle_norms(u, p, s_values):
             oracles.zsb_uncached(u, p), oracles.energy_uncached(u, p.s),
             *oracles.norms_over_s_uncached(u, p.b, s_values, "X"),
             *oracles.norms_over_s_uncached(u, p.b, s_values, "Z")]
+
+
+def _weights(u, p):
+    """u's X and Y weights and its envelope <sigma>^-1 on the whole stored
+    block, as the norms and ``random_field`` take them, and its lo entries
+    found a row block at a time."""
+    factors = _Factors(u)
+    rows = [factors.weight(fn, *params)(slice(None))
+            for fn, params in ((_x_weight, (p.b,)), (_y_weight, (p.s, p.b)), (_envelope, (-1.0,)))]
+    (i, j), x = _lo_rows(u.grid, u.norm_sq_columns().astype(float), u.stored, p.b)
+    return rows, [i, j, x]
+
+
+def _oracle_weights(u, p):
+    mod, nsq = u.mod_array(), u.norm_sq_columns().astype(float)
+    (i, j), x, y, _ = oracles._z_factors(mod, nsq, p)
+    return [(1.0 + mod * mod) ** p.b, y, japanese_bracket(mod) ** -1.0], [i, j, x]
 
 
 def _arrays(value):
@@ -111,8 +139,39 @@ class TestFactorPath:
             keys = list(grid_module._weights)
             second = _norms(u, p, s_values)  # every factor from the cache
             assert set(grid_module._weights) == set(keys)
+            got, want_weights = _weights(u, p), _oracle_weights(u, p)
         assert first == want
         assert second == want
+        for a, b in zip(got[0] + got[1], want_weights[0] + want_weights[1]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @PROPERTY
+    @given(st.sampled_from(NON_DYADIC).flatmap(stored_fields), NORM_PARAMS, S_VALUES, SPLITS,
+           ENTRY_LIMITS)
+    def test_non_dyadic_steps_within_rounding(self, u, p, s_values, split, limit):
+        # sigma rounds once on the lattice, twice as tau_j + |n|^2; the lo
+        # entries take mod_array's float operations, so no split moves
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_module, "MOD_THRESHOLD", split)
+            mp.setattr(grid_module, "_CACHED_ENTRIES", limit)
+            got, want = _norms(u, p, s_values), _oracle_norms(u, p, s_values)
+            (rows, lo), (want_rows, want_lo) = _weights(u, p), _oracle_weights(u, p)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-13 * b
+        for a, b in zip(rows, want_rows):
+            assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-13 * b)
+        for a, b in zip(lo, want_lo):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("limit", [grid_module._CACHED_ENTRIES, 0])
+    def test_a_zero_width_block(self, limit, monkeypatch):
+        # a block of no samples: every norm is 0, as the per-call arithmetic's
+        grid = GRIDS[1]
+        u = random_field(grid, np.random.default_rng(13), columns=grid.box_index[:5])
+        u = SpaceTimeField.from_columns(grid, u.index, u.data[:, 7:7], lo=7)
+        p = NormParams(s=-0.6)
+        monkeypatch.setattr(grid_module, "_CACHED_ENTRIES", limit)
+        assert _norms(u, p, [-0.6, 0.1]) == _oracle_norms(u, p, [-0.6, 0.1]) == [0.0] * 8
 
     def test_the_split_is_part_of_the_key(self):
         # the same field and (s, b) under each split, and back: no split
@@ -219,3 +278,31 @@ def test_random_field_bitwise(grid, power, subset):
         assert np.array_equal(got.index, want.index)
         assert np.array_equal(got.data, want.data)
         assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"d{g.dimension}")
+@pytest.mark.parametrize("power", [-1.0, -0.5])
+def test_random_field_envelope_from_the_lattice(grid, power, monkeypatch):
+    # every block gathers its envelope from the sigma-lattice, in row blocks
+    # of a few rows
+    monkeypatch.setattr(grid_module, "_CACHED_ENTRIES", 0)
+    monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 3 * 8 * grid.n_tau)
+    test_random_field_bitwise(grid, power, True)
+    test_random_field_bitwise(grid, power, False)
+
+
+@pytest.mark.parametrize("nsq, stored, evaluations", [
+    (np.arange(13) ** 2, (0, None), 1),  # a box's span is shorter than its block
+    (np.array([0, 144]), (400, 409), 2),  # 585 lattice samples against 18 entries
+], ids=["box", "far_apart"])
+def test_weight_rows_on_the_lattice_or_per_call(nsq, stored, evaluations):
+    # the rows of both sources match the weight on mod_array's modulations
+    grid = FrequencyGrid.for_box(1, 12, 0.25)
+    stored = (stored[0], stored[1] or grid.n_tau)
+    calls = []
+    rows = grid_module._weight_rows(
+        grid, nsq, stored, lambda sigma: calls.append(sigma.shape) or _x_weight(sigma, 0.7))
+    mod = grid.nodes_on(*stored)[None, :] + nsq[:, None].astype(float)
+    for i in (slice(None), slice(0, 1)):
+        assert rows(i).tobytes() == _x_weight(mod[i], 0.7).tobytes()
+    assert len(calls) == evaluations

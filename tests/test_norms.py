@@ -131,7 +131,7 @@ class TestOnePartition:
         rng = np.random.default_rng(seed)
         keys = [*np.sort(rng.choice(grid.box_count - 1, 4, replace=False)), grid.box_count - 1]
         u = random_field(grid, rng, columns=grid.index_from_keys(keys))
-        assert u.data.size > grid_module._CACHED_ENTRIES  # the uncached X path
+        assert u.data.size > grid_module._CACHED_ENTRIES  # weights from the sigma-lattice
         monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 2 * 40 * grid.n_tau)
         p, s_values = NormParams(s=-0.6), [-0.6, -0.2, 0.3]
         assert zsb_norm(u, p) == oracles.zsb_uncached(u, p)
@@ -149,13 +149,13 @@ class TestOnePartition:
 
 class TestXWeightLattice:
     """Fields too large for the weight cache gather the X weight from one
-    evaluation on the sigma-lattice span of their columns
-    (``norms._weight_rows``), against the per-block modulations of
-    ``oracles._x_columns``."""
+    evaluation on the sigma-lattice span of their columns, or per row block
+    where that span is longer than the block (``grid._weight_rows``),
+    against the per-block modulations of ``oracles._x_columns``."""
 
     @pytest.fixture(autouse=True)
     def uncached(self, monkeypatch):
-        monkeypatch.setattr(grid_module, "_CACHED_ENTRIES", 0)  # the uncached X path
+        monkeypatch.setattr(grid_module, "_CACHED_ENTRIES", 0)  # the gathered X path
 
     @staticmethod
     def _field(grid, seed, lo=0):
@@ -167,12 +167,21 @@ class TestXWeightLattice:
         u = self._field(FrequencyGrid.for_box(*box, tau_step=0.25), 1, lo)
         want = oracles._x_columns(u, P_DEFAULT.b)
         assert norms._x_columns(u, P_DEFAULT.b).tobytes() == want.tobytes()
-        # the lattice in blocks of a few rows, then a span longer than a
-        # block holds, which evaluates each two-row block's modulations
-        span = 8 * (u.grid.dimension * u.grid.n_max**2 * 4 + u.data.shape[1])
-        for block_bytes in (span + 3 * 16 * u.data.shape[1], 8 * u.data.shape[1]):
-            monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
-            assert norms._x_columns(u, P_DEFAULT.b).tobytes() == want.tobytes()
+        # the lattice in blocks of three rows
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 3 * 16 * u.data.shape[1])
+        assert norms._x_columns(u, P_DEFAULT.b).tobytes() == want.tobytes()
+
+    def test_far_apart_columns_bitwise(self):
+        # n = 0 and n = 12 on a block of 9 samples: the lattice span, 585
+        # samples, is longer than the block, so each row block evaluates
+        # its own modulations
+        grid = FrequencyGrid.for_box(1, 12, tau_step=0.25)
+        u = self._field(grid, 4)
+        keep = np.flatnonzero(np.isin(u.index[:, 0], [0, 12]))
+        u = SpaceTimeField.from_columns(grid, u.index[keep], u.data[keep, 400:409], lo=400)
+        assert u.data.shape == (2, 9)
+        assert norms._x_columns(u, P_DEFAULT.b).tobytes() \
+            == oracles._x_columns(u, P_DEFAULT.b).tobytes()
 
     def test_step_off_the_lattice_bitwise(self):
         # 1 / 0.3 is not an integer: no lattice, each block's modulations

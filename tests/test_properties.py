@@ -346,7 +346,8 @@ class TestTrimmedNorms:
         u = random_field(grid, np.random.default_rng(seed))
         with _split_at(split):
             plan = PicardPlan.build(grid, p)
-            assert _z_apply(u.data, plan.lo_factors, plan.s_factors, [p.s],
+            fnsq = u.norm_sq_columns().astype(float)
+            assert _z_apply(u.data, fnsq, plan.lo_factors, lambda s: plan.y_weight, [p.s],
                             grid.tau_weights) == [zsb_norm(u, p)]
 
 

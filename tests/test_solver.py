@@ -310,13 +310,17 @@ class TestPicardPlan:
         grid = FrequencyGrid.for_box(1, 8, 0.25)
         plan = _plan(grid)
         (lo, x_weight) = plan.lo_factors
-        arrays = [plan.cols, plan.sigma, plan.psi, plan.offsets, plan.r, plan.y_weight, *lo,
-                  x_weight, plan.col_weight]
-        for a in arrays:
+        for a in [plan.cols, plan.sigma, plan.psi, plan.offsets, *lo, x_weight]:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
+        # r and the Z weight give new rows: writing into them leaves the plan as it is
+        for weight in (plan.r, plan.y_weight):
+            rows = weight(slice(2, 5))
+            want = rows.copy()
+            rows[...] = 0.0
+            assert weight(slice(2, 5)).tobytes() == want.tobytes()
         with pytest.raises(AttributeError):
-            plan.r = plan.r.copy()
+            plan.r = plan.y_weight
 
     def test_two_solves_give_the_same_trace(self):
         grid = FrequencyGrid.for_box(1, 8, 0.25)
@@ -360,9 +364,10 @@ def _arrays(value):
 
 
 class TestPlanLattice:
-    """The plan holds r and the Z weight as sigma-lattice vectors; the rows a
-    step gathers from them match ``oracles.plan_r_box`` and ``plan_z_box``,
-    the box-sized build they replace."""
+    """The plan gathers r and the Z weight from the sigma-lattice
+    (``grid._weight_rows``); the rows a step gathers match
+    ``oracles.plan_r_box`` and ``plan_z_box``, the box-sized build they
+    replace."""
 
     @staticmethod
     def _compare(grid, exact):
@@ -371,10 +376,9 @@ class TestPlanLattice:
         K = grid.box_count
         rows = [slice(None), np.arange(0, K, 3)]  # the whole box, and every third column
         r_box = oracles.plan_r_box(grid)
-        (lo_i, lo_j), x_weight, y_box, col_weight = oracles.plan_z_box(grid, p)
-        y_rows = plan.s_factors(p.s)[0]
-        for got, want in [(plan.gather(plan.r, plan.offsets[i]), r_box[i]) for i in rows] \
-                + [(y_rows(i), y_box[i]) for i in rows]:
+        (lo_i, lo_j), x_weight, y_box, _ = oracles.plan_z_box(grid, p)
+        for got, want in [(plan.r(i), r_box[i]) for i in rows] \
+                + [(plan.y_weight(i), y_box[i]) for i in rows]:
             assert got.shape == want.shape
             if exact:
                 assert got.tobytes() == want.tobytes()
@@ -385,7 +389,7 @@ class TestPlanLattice:
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the lo entries are found by the box's float operations at any step
         for got, want in [(plan.lo_factors[0][0], lo_i), (plan.lo_factors[0][1], lo_j),
-                          (plan.lo_factors[1], x_weight), (plan.col_weight, col_weight)]:
+                          (plan.lo_factors[1], x_weight)]:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("box", [(1, 8), (2, 4), (1, 32)])
@@ -395,6 +399,27 @@ class TestPlanLattice:
         # lo entries found in blocks of two rows
         monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 2 * 40 * grid.n_tau)
         self._compare(grid, exact=True)
+        # a lattice span longer than a block: still gathered from the lattice
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 8 * grid.n_tau)
+        self._compare(grid, exact=True)
+
+    def test_weights_evaluated_once_on_the_lattice(self, monkeypatch):
+        # r and <sigma>^{s+2b} are evaluated at build, once each on the
+        # lattice span, even where that span passes a block; a row call
+        # only gathers
+        grid = FrequencyGrid.for_box(1, 8, 0.25)
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 8 * grid.n_tau)
+        calls = []
+        def counted(fn):
+            return lambda sigma, *args: calls.append(sigma.shape) or fn(sigma, *args)
+        monkeypatch.setattr(solver, "_r_weight", counted(solver._r_weight))
+        monkeypatch.setattr(solver, "_y_weight", counted(solver._y_weight))
+        plan = PicardPlan.build(grid, NormParams(s=-0.6))
+        span = grid.dimension * grid.n_max**2 * 4 + grid.n_tau
+        assert calls == [(span,), (span,)]
+        for rows in grid_module._row_blocks(grid.box_count, 8 * grid.n_tau):
+            plan.r(rows), plan.y_weight(rows)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("tau_step", [1.0 / 3.0, 0.1])
     def test_gathered_rows_near_the_box_build(self, tau_step):
@@ -402,14 +427,22 @@ class TestPlanLattice:
         self._compare(FrequencyGrid.for_box(2, 3, tau_step), exact=False)
 
     def test_no_box_sized_array(self):
-        # the benchmark's grid: 65 columns of 16449 samples; the lattice has 24641
+        # the benchmark's grid: 65 columns of 16449 samples, a box field of 17 MB
         grid = FrequencyGrid.for_box(1, 32, 0.25)
-        plan = _plan(grid)
+        box_bytes = 16 * grid.box_count * grid.n_tau
+        plan = _plan(grid)  # warms the cached cutoff transforms
         arrays = _arrays(tuple(vars(plan).values()))
-        assert len(arrays) == 10  # the psi band, offsets, r, y_weight, lo entries, col_weight
-        assert len(plan.r) == len(plan.y_weight) == len(cutoffs.sigma_lattice(grid)[0])
+        assert len(arrays) == 7  # the psi band, offsets and lo entries
         for a in arrays:  # each under an eighth of a box field's entries
             assert a.size < grid.box_count * grid.n_tau / 8, a.shape
+        assert plan.r(slice(0, 2)).shape == plan.y_weight(slice(0, 2)).shape == (2, grid.n_tau)
+        tracemalloc.start()
+        try:
+            _plan(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < box_bytes / 2, peak / box_bytes
 
     def test_step_on_a_non_dyadic_step(self):
         # at tau_step 0.1 the gathered r differs from the box's in last bits only
