@@ -193,16 +193,18 @@ def _rows(data, count, width):
     return data.reshape(count, data.shape[1] if data.ndim == 2 else width)
 
 
-def _sorted_rows(grid, ns, data, width):
+def _sorted_rows(grid, ns, data, width, copy=True):
     """Lattice points ``ns`` and their rows of ``data`` in row-major key order.
 
-    Both come back as new arrays, copied once: by the argsort gather, or by a
-    plain copy when the keys already strictly increase.
+    ``ns`` comes back as a new array.  The rows are copied once, by the
+    argsort gather, or when the keys already strictly increase by a plain
+    copy, or, unless ``copy``, not at all: complex rows are then ``data``.
     """
     ns = np.asarray(ns, dtype=np.int64).reshape(-1, grid.dimension)
     keys = grid.flat_keys(ns)
     if (np.diff(keys) > 0).all():
-        return ns.copy(), _rows(np.array(data, dtype=np.complex128), len(ns), width)
+        return ns.copy(), _rows(np.array(data, dtype=np.complex128) if copy else data,
+                                len(ns), width)
     order = np.argsort(keys, kind="stable")
     return ns[order], _rows(data, len(ns), width)[order]
 
@@ -252,13 +254,15 @@ class SpaceTimeField:
         return cls(grid, grid.box_index.copy(), cls.zero(grid).box_array())
 
     @classmethod
-    def from_columns(cls, grid, ns, profiles, lo=0):
+    def from_columns(cls, grid, ns, profiles, lo=0, copy=True):
         """Field occupying the given lattice points with the given tau-profiles,
         each the window samples from ``lo`` on (the whole window by default).
 
-        The field owns its arrays: neither aliases the arguments.
+        The field owns its arrays: neither aliases the arguments, unless
+        ``copy`` is false, when complex (K, width) profiles in increasing key
+        order become the field's data (``random_field`` hands over its draw).
         """
-        ns, profiles = _sorted_rows(grid, ns, profiles, grid.n_tau - lo)
+        ns, profiles = _sorted_rows(grid, ns, profiles, grid.n_tau - lo, copy)
         if not np.isfinite(profiles).all():  # data enters here; derived fields are not rechecked
             raise ValueError("field contains non-finite coefficients")
         return cls(grid, ns, profiles, lo)
@@ -748,7 +752,7 @@ def random_field(grid, rng, columns=None, envelope_power=0.0):
     data = np.empty((len(ns), grid.n_tau), dtype=np.complex128)
     data.real = rng.standard_normal(data.shape)
     data.imag = rng.standard_normal(data.shape)
-    field = SpaceTimeField.from_columns(grid, ns, data)
+    field = SpaceTimeField.from_columns(grid, ns, data, copy=False)
     if envelope_power != 0.0:
         envelope = _Factors(field).weight(_envelope, envelope_power)
         for rows in _row_blocks(field.n_columns, 8 * grid.n_tau):

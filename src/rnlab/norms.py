@@ -102,11 +102,13 @@ def _tau_integral(a, weights):
 def _weighted_columns(u, weight, l1=None):
     """Per column Int weight |u|^2 dtau on u's stored block, ``weight`` a
     function of a block's rows, and into ``l1``, if given, Int |u| dtau; in
-    the blocks of ``grid._row_blocks`` (16 bytes an entry, none a lone row,
-    so each column keeps its bits)."""
+    the blocks of ``grid._row_blocks`` (none a lone row, so each column keeps
+    its bits) at 32 bytes an entry, twice its floats: u may itself be one
+    streamed block, as the L^4 check's free evolution is, and the pass then
+    adds half a block to it."""
     w = u.grid.weights_on(*u.stored)
     cols = np.empty(u.n_columns)
-    for rows in _row_blocks(len(cols), 16 * max(u.data.shape[1], 1)):
+    for rows in _row_blocks(len(cols), 32 * max(u.data.shape[1], 1)):
         x = np.abs(u.data[rows])
         if l1 is not None:
             l1[rows] = _tau_integral(x, w)
@@ -175,8 +177,13 @@ def xsb_norm(u, p):
 
 
 def energy_l2l1(u, s):
-    """|| <n>^s u_hat ||_{l^2_n L^1_tau}, the H^s-energy functional."""
-    l1 = _tau_integral(np.abs(u.data), u.grid.weights_on(*u.stored))
+    """|| <n>^s u_hat ||_{l^2_n L^1_tau}, the H^s-energy functional, its
+    column integrals in the blocks of ``grid._row_blocks`` (|u|, 8 bytes an
+    entry)."""
+    w = u.grid.weights_on(*u.stored)
+    l1 = np.empty(u.n_columns)
+    for rows in _row_blocks(len(l1), 8 * max(u.data.shape[1], 1)):
+        l1[rows] = _tau_integral(np.abs(u.data[rows]), w)
     return float(np.sqrt(((1.0 + u.norm_sq_columns().astype(float)) ** s * l1 * l1).sum()))
 
 
@@ -249,8 +256,16 @@ def ct_hs_norm(u, s, t_window):
 
 def l4_spacetime_norm(grid, fields, t_window):
     """Physical-space L^4 norm over T^d x window of the sum of the ``fields``
-    on ``grid``, synthesized on twice the box side one field at a time: a
-    field given as blocks of its columns is never whole."""
+    on ``grid``, synthesized on twice the box side.
+
+    Each field leaves only its time slices and their spectral keys, and is
+    released before the next is built: a field given as blocks of its columns
+    is never whole.  The physical field is then synthesized in the t-chunks of
+    ``grid._row_blocks`` (24 bytes a sample: the spectral chunk and |.|^4), the
+    fields' slices added into each chunk in field order.  Every t-sample's
+    transforms and spatial sum are those of the whole (P^d, count) array, and
+    no chunk is a lone sample: so is the norm, bit for bit.
+    """
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
         raise ValueError("empty time window")
@@ -259,15 +274,23 @@ def l4_spacetime_norm(grid, fields, t_window):
     tw = np.full(count, (t1 - t0) / (count - 1))
     tw[[0, -1]] *= 0.5
     P = _next_fast_len(2 * grid.box_side)
-    spectral = np.zeros((P,) * grid.dimension + (count,), dtype=np.complex128)
+    slices = []
     for u in fields:
         grid.assert_compatible(u.grid)
-        spectral[tuple(u.index.T % P)] += time_slices(u, times)
+        slices.append((tuple(u.index.T % P), time_slices(u, times)))
         del u  # released before the iterable builds the next field
-    phys = _ifftn(spectral, grid.dimension) * P**grid.dimension
+    sums = np.empty(count)
+    for t in _row_blocks(count, 24 * P**grid.dimension):
+        chunk = np.zeros((P,) * grid.dimension + (t.stop - t.start,), dtype=np.complex128)
+        for keys, values in slices:
+            chunk[keys] += values[:, t]
+        _ifftn(chunk, grid.dimension)
+        chunk *= P**grid.dimension
+        chunk = np.abs(chunk)  # the complex chunk is released
+        chunk **= 4
+        sums[t] = chunk.reshape(-1, t.stop - t.start).sum(axis=0)
     cell = (2.0 * np.pi / P) ** grid.dimension
-    integrand = (np.abs(phys) ** 4).reshape(-1, count)
-    return float((integrand.sum(axis=0) * cell * tw).sum() ** 0.25)
+    return float((sums * cell * tw).sum() ** 0.25)
 
 
 def dyadic_norm_profile(u, p):

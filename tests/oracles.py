@@ -4,8 +4,9 @@ the replaced argsort reflection and per-s threshold scan, the
 whole-window family fields, product, weight and norms that the span-stored
 ones replaced, the norms that built their weights on every call, the
 random field's envelope formula, the solver's continuous-dependence
-measurement, the Picard plan's weights on every box entry, and the Picard
-product, Duhamel step and loop on whole arrays.
+measurement, the Picard plan's weights on every box entry, the Picard
+product, Duhamel step and loop on whole arrays, and the L^4 norm
+synthesized on one whole spectral array.
 
 They live outside the package, so ``import rnlab`` does not load
 ``scipy.integrate``.
@@ -33,8 +34,9 @@ from rnlab.grid import (
     japanese_bracket,
     low_modulation_mask,
     spacetime_convolve,
+    time_slices,
 )
-from rnlab.norms import NormParams, ct_hs_norm, spatial_hs_norm
+from rnlab.norms import _L4_TIMES_PER_UNIT, NormParams, ct_hs_norm, spatial_hs_norm
 from rnlab.solver import (
     DivergenceError,
     IterationTrace,
@@ -368,6 +370,24 @@ def random_field_uncached(grid, rng, columns=None, envelope_power=0.0):
     if envelope_power != 0.0:
         field.data *= japanese_bracket(field.mod_array()) ** envelope_power
     return field
+
+
+def l4_spacetime_norm_whole(grid, fields, t_window):
+    """``norms.l4_spacetime_norm`` with every field's time slices added into
+    one (P, ..., P, count) spectral array, synthesized whole."""
+    t0, t1 = float(t_window[0]), float(t_window[1])
+    count = max(3, int(np.ceil((t1 - t0) * _L4_TIMES_PER_UNIT)) + 1)
+    times = np.linspace(t0, t1, count)
+    tw = np.full(count, (t1 - t0) / (count - 1))
+    tw[[0, -1]] *= 0.5
+    P = _next_fast_len(2 * grid.box_side)
+    spectral = np.zeros((P,) * grid.dimension + (count,), dtype=np.complex128)
+    for u in fields:
+        spectral[tuple(u.index.T % P)] += time_slices(u, times)
+    phys = _ifftn(spectral, grid.dimension) * P**grid.dimension
+    cell = (2.0 * np.pi / P) ** grid.dimension
+    integrand = (np.abs(phys) ** 4).reshape(-1, count)
+    return float((integrand.sum(axis=0) * cell * tw).sum() ** 0.25)
 
 
 def continuous_dependence(u0a, u0b, params, grid):

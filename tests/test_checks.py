@@ -43,6 +43,27 @@ def test_l4_slope_peak_memory_near_one_field():
     assert all(a.size <= grid_module._CACHED_ENTRIES for a in cached_arrays())
 
 
+def test_free_l4_and_x_peak_memory():
+    # the N = 32 annulus (2412 columns): one 8 MiB column block of the free
+    # evolution, its X pass in half-size row blocks, the time kernel (4.3 MB,
+    # built here) and every block's time slices (1.3 MB), then the t-chunks
+    # of the synthesis.  18.7 MB measured; 32.4 MB while the slices went into
+    # one 9.2 MiB (P, P, count) spectral array and the X pass took whole blocks
+    N = 32
+    grid = FrequencyGrid.for_box(2, N, tau_step=0.5)
+    nsq = FrequencyGrid.norm_sq(grid.box_index)
+    ns = grid.box_index[(4 * nsq > N**2) & (nsq <= N**2)]
+    vals = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=len(ns)))
+    grid_module._time_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        checks._free_l4_and_x(grid, ns, vals, 0.38)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21e6, f"peak {peak / 1e6:.1f} MB"
+
+
 _FIELD_CHECKS = ["check_homogeneity", "check_triangle", "check_monotonic_mask",
                  "check_dyadic_pythagoras", "check_lohi_partition", "check_embedding_chain",
                  "check_est2_embedding", "check_cauchy_schwarz_constant",

@@ -126,7 +126,7 @@ class TestOnePartition:
     @pytest.mark.parametrize("seed", range(8))
     def test_two_row_blocks_match_the_whole_arrays(self, seed, monkeypatch):
         # L = 16449 samples; the Z-norm's two-row blocks cut five columns
-        # 2 + 3 and the solve's 65 box rows 2 + ... + 3, the X-norm's 3 + 2
+        # 2 + 3 and the solve's 65 box rows 2 + ... + 3, as does the X-norm
         grid = FrequencyGrid.for_box(1, 32)
         rng = np.random.default_rng(seed)
         keys = [*np.sort(rng.choice(grid.box_count - 1, 4, replace=False)), grid.box_count - 1]
@@ -168,7 +168,7 @@ class TestXWeightLattice:
         want = oracles._x_columns(u, P_DEFAULT.b)
         assert norms._x_columns(u, P_DEFAULT.b).tobytes() == want.tobytes()
         # the lattice in blocks of three rows
-        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 3 * 16 * u.data.shape[1])
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 3 * 32 * u.data.shape[1])
         assert norms._x_columns(u, P_DEFAULT.b).tobytes() == want.tobytes()
 
     def test_far_apart_columns_bitwise(self):
@@ -215,6 +215,15 @@ class TestEnergyAndCt:
             u = random_field(small_grid, rng, envelope_power=-1.0)
             assert ct_hs_norm(u, -0.6, (-0.5, 0.5)) <= energy_l2l1(u, -0.6) * (1 + 1e-9)
 
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_energy_in_row_blocks_is_the_whole_array(self, rows, monkeypatch):
+        # 81 columns of 321 samples: blocks of 2 rows (the last of 3) and of 3,
+        # each column's L^1 integral the whole array's, bit for bit
+        u = random_field(FrequencyGrid.for_box(2, 4, 0.25), np.random.default_rng(rows))
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", rows * 8 * u.data.shape[1])
+        assert len(grid_module._row_blocks(u.n_columns, 8 * u.data.shape[1])) > 1
+        assert energy_l2l1(u, -0.6) == oracles.energy_uncached(u, -0.6)
+
     def test_empty_window_rejected(self, sample_field):
         with pytest.raises(ValueError, match="empty"):
             ct_hs_norm(sample_field, -0.6, (0.5, 0.5))
@@ -255,6 +264,28 @@ class TestL4:
         grid = sample_field.grid
         assert l4_spacetime_norm(grid, [sample_field, sample_field], (-1, 1)) == pytest.approx(
             l4_spacetime_norm(grid, [2.0 * sample_field], (-1, 1)), rel=1e-12)
+
+    @pytest.mark.parametrize("box", [(1, 6), (2, 4)], ids=["d1", "d2"])
+    @pytest.mark.parametrize("given", ["zero", "one", "overlapping"])
+    @pytest.mark.parametrize("width", ["2", "3", "count-2", "count-1"])
+    def test_t_chunks_match_the_whole_spectral_array(self, box, given, width, monkeypatch):
+        # the synthesis in t-chunks of ``width`` samples (the last chunk takes
+        # what is left, so count - 1 is one chunk) against one spectral array
+        # of all 33 t-samples; "overlapping" is two fields on the same columns,
+        # added in field order.  Both take the same time slices.
+        grid = FrequencyGrid.for_box(*box, tau_step=0.25)
+        rng = np.random.default_rng(7)
+        fields = {"zero": [SpaceTimeField.zero(grid)],
+                  "one": [random_field(grid, rng, envelope_power=-1.0)],
+                  "overlapping": [random_field(grid, rng, envelope_power=-1.0),
+                                  random_field(grid, rng, envelope_power=-1.0)]}[given]
+        want = oracles.l4_spacetime_norm_whole(grid, fields, (-1, 1))
+        count = 2 * norms._L4_TIMES_PER_UNIT + 1
+        sample = 24 * norms._next_fast_len(2 * grid.box_side) ** grid.dimension
+        width = {"2": 2, "3": 3, "count-2": count - 2, "count-1": count - 1}[width]
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", width * sample)
+        assert grid_module._block_rows(sample) == width
+        assert l4_spacetime_norm(grid, fields, (-1, 1)) == want
 
 
 class TestDyadicProfile:

@@ -242,8 +242,8 @@ def _oracle_weight(u, power):
 
 
 def _x_rows(u, block):
-    """A grid._BLOCK_BYTES of ``block`` of u's rows in the X-norm, 16 bytes an entry."""
-    return block * 16 * max(u.data.shape[1], 1)
+    """A grid._BLOCK_BYTES of ``block`` of u's rows in the X-norm, 32 bytes an entry."""
+    return block * 32 * max(u.data.shape[1], 1)
 
 
 def _x_in_blocks(u, p, block):
