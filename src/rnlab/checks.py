@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import free_evolution_data
+from .cutoffs import sigma_lattice, window_sums
 from .families import build_family, conjugate_product, product_support, tent_pairs
 from .grid import (
     MOD_THRESHOLD,
     FrequencyGrid,
     SpaceTimeField,
     _Factors,
-    _row_blocks,
     conjugate_reflect,
     dyadic_blocks,
     japanese_bracket,
@@ -30,11 +29,11 @@ from .grid import (
 )
 from .norms import (
     NormParams,
-    _x_columns,
+    _l4_integrals,
+    _l4_times,
     _x_weight,
     ct_hs_norm,
     energy_l2l1,
-    l4_spacetime_norm,
     xsb_norm,
     ysb_norm,
     zsb_norm,
@@ -247,18 +246,40 @@ def check_convolution_bilinear(seed=110):
     return CheckResult("convolution bilinearity", diff < 1e-12, f"relative defect {diff:.2e}")
 
 
+def _free_slices_and_x(grid, ns, vals, b, times):
+    """Time slices at ``times``, shape (K, len(times)), and X^{0,b} column
+    integrals, shape (K,), of the free evolution of (ns, vals), never built.
+
+    Its data phi(n) F(eta)(tau + |n|^2) is a function of sigma on each
+    column, so each tau-integral is a window sum on the sigma-lattice
+    (``cutoffs.window_sums``): the column integral is |phi(n)|^2 times that of
+    <sigma>^{2b} |F(eta)|^2, and the slice at t is phi(n) e^{-it|n|^2} times
+    that of F(eta) e^{it sigma}.
+    """
+    lattice, j_max = sigma_lattice(grid)
+    sigma = (np.arange(len(lattice)) - j_max) * grid.tau_step
+    nsq = FrequencyGrid.norm_sq(ns)
+
+    def waves(t):
+        f = np.multiply.outer(sigma, 1j * times[t])
+        np.exp(f, out=f)
+        f *= lattice[:, None]
+        return f
+
+    x_cols = window_sums(grid, nsq, j_max,
+                         lambda t: (_x_weight(sigma, b) * np.abs(lattice) ** 2)[:, None], 1)[:, 0]
+    slices = window_sums(grid, nsq, j_max, waves, len(times))
+    slices *= vals[:, None] * np.exp(np.multiply.outer(nsq, -1j * times))
+    return slices, np.abs(vals) ** 2 * x_cols
+
+
 def _free_l4_and_x(grid, ns, vals, b):
     """L^4 norm over t in [-1, 1] and X^{0,b} norm of the free evolution of
-    (ns, vals), ns in field order, built in the column blocks of
-    ``grid._row_blocks``; X^{0,b} squared sums one array of all the column
-    integrals, as ``xsb_norm`` does."""
-    x_cols = []
-    def block(rows):
-        u = free_evolution_data(grid, (ns[rows], vals[rows]))
-        x_cols.append(_x_columns(u, b))
-        return u
-    l4 = l4_spacetime_norm(grid, map(block, _row_blocks(len(ns), 16 * grid.n_tau)), (-1.0, 1.0))
-    return l4, float(np.sqrt(np.concatenate(x_cols).sum()))
+    (ns, vals), from its lattice window sums (``_free_slices_and_x``)."""
+    times, tw = _l4_times((-1.0, 1.0))
+    slices, x_cols = _free_slices_and_x(grid, ns, vals, b, times)
+    l4 = float((_l4_integrals(grid, [(ns, slices)], len(times)) * tw).sum() ** 0.25)
+    return l4, float(np.sqrt(x_cols.sum()))
 
 
 def check_l4_slope(seed=111):

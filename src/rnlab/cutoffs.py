@@ -13,7 +13,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import FrequencyGrid, SpaceTimeField, _next_fast_len, steps_per_unit
+from .grid import FrequencyGrid, SpaceTimeField, _next_fast_len, _row_blocks, steps_per_unit
 
 # Frequency headroom between the evaluated band and the first aliasing image
 # of the sampled-bump transform; the bump transform decays like
@@ -42,10 +42,11 @@ def standard_bump(t):
 def transform_on_lattice(spacing, j_max, t_power=0):
     """F(t^k eta)(j * spacing) for j = -j_max .. j_max (length 2 j_max + 1).
 
-    One zero-padded FFT of the sampled bump; the rectangle rule on the
+    One zero-padded real FFT of the sampled bump; the rectangle rule on the
     compactly supported smooth integrand is spectrally accurate and the pad
-    keeps the periodization images outside the evaluated band.  Results are
-    cached read-only, keyed by the lattice and the power.
+    keeps the periodization images outside the evaluated band.  The samples
+    are real, so the transform at -j is the conjugate of that at j.  Results
+    are cached read-only, keyed by the lattice and the power.
     """
     return _transform_on_lattice(float(spacing), int(j_max), int(t_power))
 
@@ -62,14 +63,19 @@ def _transform_on_lattice(spacing, j_max, t_power):
     delta = 2.0 * math.pi / (spacing * P)
     n_samples = int(math.floor(2.0 * SUPPORT / delta)) + 1
     t = -SUPPORT + delta * np.arange(n_samples)
-    vals = (standard_bump(t) * t**t_power if t_power else standard_bump(t)).astype(np.complex128)
+    vals = standard_bump(t) * t**t_power if t_power else standard_bump(t)
+    del t
     if n_samples > P:
         # evaluating the length-P DFT on more samples means folding, not cropping
         vals = np.pad(vals, (0, -n_samples % P)).reshape(-1, P).sum(axis=0)
-    spectrum = np.fft.fft(vals, n=P)
+    spectrum = np.fft.rfft(vals, n=P)  # bins 0 .. P // 2, and P > 2 j_max
+    del vals
     js = np.arange(-j_max, j_max + 1)
+    values = spectrum[np.abs(js)]
+    del spectrum
+    np.conjugate(values[:j_max], out=values[:j_max])  # bin P - j of a real signal
     out = (delta / (2.0 * math.pi)) * np.exp(1j * SUPPORT * js * spacing)
-    out = out * spectrum[js % P]
+    out = out * values
     out.setflags(write=False)
     return out
 
@@ -94,6 +100,32 @@ def profile_offsets(grid, norm_sq, j_max):
 def gather_profile(grid, norm_sq, lattice, j_max):
     """Per-column rows L(tau_j + |n|^2) for the given |n|^2 values, shape (K, n_tau)."""
     return sliding_window_view(lattice, grid.n_tau)[profile_offsets(grid, norm_sq, j_max)]
+
+
+def window_sums(grid, norm_sq, j_max, columns, count):
+    """Per column with these |n|^2, the window's trapezoid sums
+    Sum_tau w_tau f(tau + |n|^2) of ``count`` functions f on the sigma-lattice
+    of half-width j_max, shape (K, count): ``columns(t)`` gives the functions
+    of the slice t as a new (2 j_max + 1, len) array, which is overwritten.
+
+    Each sum is the difference of the lattice's prefix sums (np.cumsum, in
+    place) at the window's last sample and just before its first, less half
+    its two end samples; the windows of ``sigma_lattice`` start d n_max^2 /
+    tau_step samples in.  The functions are taken in the t-chunks of
+    ``grid._row_blocks`` at 32 bytes a lattice sample: a complex function and
+    the gathers of its sums.
+    """
+    first = profile_offsets(grid, norm_sq, j_max)
+    last = first + grid.n_tau - 1
+    out = None
+    for t in _row_blocks(count, 32 * (2 * j_max + 1)):
+        f = columns(t)
+        ends = f[first] + f[last]
+        np.cumsum(f, axis=0, out=f)
+        if out is None:
+            out = np.empty((len(first), count), dtype=f.dtype)
+        out[:, t] = grid.tau_step * (f[last] - f[first - 1] - 0.5 * ends)
+    return out
 
 
 def free_evolution_data(grid, phi_hat):

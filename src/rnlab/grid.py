@@ -32,8 +32,9 @@ _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
 
 # Bytes of one block of a streamed pass: the rows (``_row_blocks``) of the
 # product's tau-samples at length P, of the Z- and X-norms' temporaries, of the
-# linear solution and of the L^4 check's free evolution, and the Duhamel step's
-# columns of N1's series.  A pass whose transient fits takes one block.
+# linear solution and of a random field's draw, the t-samples of the L^4
+# norm's synthesis and of the L^4 check's lattice window sums, and the Duhamel
+# step's columns of N1's series.  A pass whose transient fits takes one block.
 _BLOCK_BYTES = 8 << 20
 
 # The one split of the Z-space: modulation |tau + |n|^2| below MOD_THRESHOLD
@@ -619,11 +620,11 @@ def _ifftn(x, d):
 # -- time synthesis ----------------------------------------------------------
 
 
-@lru_cache(maxsize=1)  # the last one: the L^4 norm's blocks of columns share it
+@lru_cache(maxsize=1)  # the last one: the fields of one L^4 norm share it
 def _time_kernel(grid, times):
     """e^{i t tau} times the tau quadrature weights, shape (n_tau, len(times)), read-only."""
     kernel = np.exp(1j * np.outer(grid.tau_nodes, times))
-    kernel *= grid.tau_weights[:, None]  # in place: the L^4 check's kernel is 4 MB
+    kernel *= grid.tau_weights[:, None]  # in place: no second (n_tau, len(times)) array
     kernel.setflags(write=False)
     return kernel
 
@@ -631,9 +632,9 @@ def _time_kernel(grid, times):
 def time_slices(u, times):
     """Per-column values u_hat(n, t) = Int u_hat(n, tau) e^{i t tau} dtau, shape
     (K, len(times)).  A BLAS product over the whole window, whose last bits
-    follow the thread count: of the norms only ``l4_spacetime_norm`` takes it,
-    where np.einsum took 2.5 s against 0.17 s over the L^4 check's N = 32
-    annulus, and the check prints that norm's slope to 4 decimals."""
+    follow the thread count: of the norms only ``l4_spacetime_norm`` takes it.
+    The L^4 check builds no field and takes its slices as sigma-lattice window
+    sums (``cutoffs.window_sums``), so no ``rnl`` report calls it."""
     return u.on_window().data @ _time_kernel(u.grid, tuple(times))
 
 
@@ -748,13 +749,17 @@ def random_field(grid, rng, columns=None, envelope_power=0.0):
     """
     ns = grid.box_index if columns is None else \
         np.asarray(columns, dtype=np.int64).reshape(-1, grid.dimension)
-    # the draws of a + 1j * b, real part first, without its complex temporaries
+    # the draws of a + 1j * b without its complex temporaries: every row's
+    # real part, then every imaginary part, a row block of floats at a time
+    # (the stream does not depend on how a draw is cut)
     data = np.empty((len(ns), grid.n_tau), dtype=np.complex128)
-    data.real = rng.standard_normal(data.shape)
-    data.imag = rng.standard_normal(data.shape)
+    blocks = _row_blocks(len(ns), 8 * grid.n_tau)
+    for part in (data.real, data.imag):
+        for rows in blocks:
+            part[rows] = rng.standard_normal((rows.stop - rows.start, grid.n_tau))
     field = SpaceTimeField.from_columns(grid, ns, data, copy=False)
     if envelope_power != 0.0:
         envelope = _Factors(field).weight(_envelope, envelope_power)
-        for rows in _row_blocks(field.n_columns, 8 * grid.n_tau):
+        for rows in blocks:
             field.data[rows] *= envelope(rows)
     return field

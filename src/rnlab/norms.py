@@ -103,9 +103,8 @@ def _weighted_columns(u, weight, l1=None):
     """Per column Int weight |u|^2 dtau on u's stored block, ``weight`` a
     function of a block's rows, and into ``l1``, if given, Int |u| dtau; in
     the blocks of ``grid._row_blocks`` (none a lone row, so each column keeps
-    its bits) at 32 bytes an entry, twice its floats: u may itself be one
-    streamed block, as the L^4 check's free evolution is, and the pass then
-    adds half a block to it."""
+    its bits) at 32 bytes an entry, twice its floats, so a pass adds at most
+    half a block of the field's bytes to it."""
     w = u.grid.weights_on(*u.stored)
     cols = np.empty(u.n_columns)
     for rows in _row_blocks(len(cols), 32 * max(u.data.shape[1], 1)):
@@ -256,41 +255,54 @@ def ct_hs_norm(u, s, t_window):
 
 def l4_spacetime_norm(grid, fields, t_window):
     """Physical-space L^4 norm over T^d x window of the sum of the ``fields``
-    on ``grid``, synthesized on twice the box side.
+    on ``grid``, synthesized on twice the box side (``_l4_integrals``).
 
-    Each field leaves only its time slices and their spectral keys, and is
-    released before the next is built: a field given as blocks of its columns
-    is never whole.  The physical field is then synthesized in the t-chunks of
-    ``grid._row_blocks`` (24 bytes a sample: the spectral chunk and |.|^4), the
-    fields' slices added into each chunk in field order.  Every t-sample's
-    transforms and spatial sum are those of the whole (P^d, count) array, and
-    no chunk is a lone sample: so is the norm, bit for bit.
+    Each field leaves only its time slices and its columns, and is released
+    before the next is built: a field given as blocks of its columns is
+    never whole.
     """
+    times, tw = _l4_times(t_window)
+    slices = []
+    for u in fields:
+        grid.assert_compatible(u.grid)
+        slices.append((u.index, time_slices(u, times)))
+        del u  # released before the iterable builds the next field
+    return float((_l4_integrals(grid, slices, len(times)) * tw).sum() ** 0.25)
+
+
+def _l4_times(t_window):
+    """The L^4 norm's t-samples on the window and their trapezoid weights."""
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not t1 > t0:
         raise ValueError("empty time window")
     count = max(3, int(np.ceil((t1 - t0) * _L4_TIMES_PER_UNIT)) + 1)
-    times = np.linspace(t0, t1, count)
     tw = np.full(count, (t1 - t0) / (count - 1))
     tw[[0, -1]] *= 0.5
+    return np.linspace(t0, t1, count), tw
+
+
+def _l4_integrals(grid, slices, count):
+    """Per t-sample Int |u(x, t)|^4 dx, shape (count,), of the sum of the
+    time slices ``slices``: pairs of columns (K, d) and their values (K, count).
+
+    The physical field is synthesized on twice the box side in the t-chunks
+    of ``grid._row_blocks`` (24 bytes a sample: the spectral chunk and
+    |.|^4), the slices added into each chunk in the given order.  Every
+    t-sample's transforms and spatial sum are those of the whole (P^d, count)
+    array, and no chunk is a lone sample: so are the integrals, bit for bit.
+    """
     P = _next_fast_len(2 * grid.box_side)
-    slices = []
-    for u in fields:
-        grid.assert_compatible(u.grid)
-        slices.append((tuple(u.index.T % P), time_slices(u, times)))
-        del u  # released before the iterable builds the next field
     sums = np.empty(count)
     for t in _row_blocks(count, 24 * P**grid.dimension):
         chunk = np.zeros((P,) * grid.dimension + (t.stop - t.start,), dtype=np.complex128)
-        for keys, values in slices:
-            chunk[keys] += values[:, t]
+        for ns, values in slices:
+            chunk[tuple(ns.T % P)] += values[:, t]
         _ifftn(chunk, grid.dimension)
         chunk *= P**grid.dimension
         chunk = np.abs(chunk)  # the complex chunk is released
         chunk **= 4
         sums[t] = chunk.reshape(-1, t.stop - t.start).sum(axis=0)
-    cell = (2.0 * np.pi / P) ** grid.dimension
-    return float((sums * cell * tw).sum() ** 0.25)
+    return sums * (2.0 * np.pi / P) ** grid.dimension
 
 
 def dyadic_norm_profile(u, p):

@@ -5,8 +5,9 @@ whole-window family fields, product, weight and norms that the span-stored
 ones replaced, the norms that built their weights on every call, the
 random field's envelope formula, the solver's continuous-dependence
 measurement, the Picard plan's weights on every box entry, the Picard
-product, Duhamel step and loop on whole arrays, and the L^4 norm
-synthesized on one whole spectral array.
+product, Duhamel step and loop on whole arrays, the L^4 norm
+synthesized on one whole spectral array, and the bump's lattice
+transform by a complex FFT.
 
 They live outside the package, so ``import rnlab`` does not load
 ``scipy.integrate``.
@@ -372,9 +373,10 @@ def random_field_uncached(grid, rng, columns=None, envelope_power=0.0):
     return field
 
 
-def l4_spacetime_norm_whole(grid, fields, t_window):
-    """``norms.l4_spacetime_norm`` with every field's time slices added into
-    one (P, ..., P, count) spectral array, synthesized whole."""
+def l4_integrals_whole(grid, fields, t_window):
+    """Per t-sample Int |u(x, t)|^4 dx of ``norms.l4_spacetime_norm``, with
+    every field's time slices added into one (P, ..., P, count) spectral
+    array, synthesized whole; and the t quadrature weights."""
     t0, t1 = float(t_window[0]), float(t_window[1])
     count = max(3, int(np.ceil((t1 - t0) * _L4_TIMES_PER_UNIT)) + 1)
     times = np.linspace(t0, t1, count)
@@ -387,7 +389,32 @@ def l4_spacetime_norm_whole(grid, fields, t_window):
     phys = _ifftn(spectral, grid.dimension) * P**grid.dimension
     cell = (2.0 * np.pi / P) ** grid.dimension
     integrand = (np.abs(phys) ** 4).reshape(-1, count)
-    return float((integrand.sum(axis=0) * cell * tw).sum() ** 0.25)
+    return integrand.sum(axis=0) * cell, tw
+
+
+def l4_spacetime_norm_whole(grid, fields, t_window):
+    """``norms.l4_spacetime_norm`` synthesized on one whole spectral array."""
+    integrals, tw = l4_integrals_whole(grid, fields, t_window)
+    return float((integrals * tw).sum() ** 0.25)
+
+
+def transform_on_lattice_complex(spacing, j_max, t_power=0):
+    """``cutoffs.transform_on_lattice`` by a complex FFT of the bump samples,
+    read at every bin j mod P."""
+    band = j_max * spacing
+    min_len = max(2 * j_max + 1, int(math.ceil((band + cutoffs._ALIAS_MARGIN) / spacing)))
+    P = _next_fast_len(16 * min_len)
+    delta = 2.0 * math.pi / (spacing * P)
+    n_samples = int(math.floor(2.0 * cutoffs.SUPPORT / delta)) + 1
+    t = -cutoffs.SUPPORT + delta * np.arange(n_samples)
+    bump = cutoffs.standard_bump(t)
+    vals = (bump * t**t_power if t_power else bump).astype(np.complex128)
+    if n_samples > P:
+        vals = np.pad(vals, (0, -n_samples % P)).reshape(-1, P).sum(axis=0)
+    spectrum = np.fft.fft(vals, n=P)
+    js = np.arange(-j_max, j_max + 1)
+    out = (delta / (2.0 * math.pi)) * np.exp(1j * cutoffs.SUPPORT * js * spacing)
+    return out * spectrum[js % P]
 
 
 def continuous_dependence(u0a, u0b, params, grid):

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rnlab import checks
+from rnlab import checks, cutoffs, norms
 from rnlab import grid as grid_module
 from rnlab.checks import check_l4_slope
 from rnlab.cutoffs import free_evolution_data
-from rnlab.grid import FrequencyGrid
+from rnlab.grid import FrequencyGrid, time_slices
 from rnlab.norms import NormParams, l4_spacetime_norm, xsb_norm
 
 from test_factors import cached_arrays
@@ -44,24 +44,25 @@ def test_l4_slope_peak_memory_near_one_field():
 
 
 def test_free_l4_and_x_peak_memory():
-    # the N = 32 annulus (2412 columns): one 8 MiB column block of the free
-    # evolution, its X pass in half-size row blocks, the time kernel (4.3 MB,
-    # built here) and every block's time slices (1.3 MB), then the t-chunks
-    # of the synthesis.  18.7 MB measured; 32.4 MB while the slices went into
-    # one 9.2 MiB (P, P, count) spectral array and the X pass took whole blocks
+    # the N = 32 annulus (2412 columns) is never built: the lattice transform
+    # (cold here), the window sums over t-chunks of the lattice, the time
+    # slices (1.3 MB), then the t-chunks of the synthesis.  10.5 MB measured;
+    # 18.7 MB while the free evolution was built in 8 MiB column blocks and
+    # its slices taken by the time kernel, 32.4 MB while the slices went into
+    # one 9.2 MiB (P, P, count) spectral array
     N = 32
     grid = FrequencyGrid.for_box(2, N, tau_step=0.5)
     nsq = FrequencyGrid.norm_sq(grid.box_index)
     ns = grid.box_index[(4 * nsq > N**2) & (nsq <= N**2)]
     vals = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=len(ns)))
-    grid_module._time_kernel.cache_clear()
+    cutoffs._transform_on_lattice.cache_clear()
     tracemalloc.start()
     try:
         checks._free_l4_and_x(grid, ns, vals, 0.38)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 21e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 _FIELD_CHECKS = ["check_homogeneity", "check_triangle", "check_monotonic_mask",
@@ -91,12 +92,13 @@ def test_field_check_holds_a_few_fields(name, monkeypatch):
 
 @pytest.mark.parametrize("block", [7, 10, 1000])
 def test_blocked_l4_and_x_match_the_whole_field(block, monkeypatch):
-    # K = 148 annulus columns: blocks of 7 end in one of 8, which takes the
-    # one column left over, blocks of 10 in one of 8, and 1000 is one
-    # block.  The X-norm's column integrals are einsums, whose bits follow
-    # no BLAS thread count: it is compared exactly.  The L^4 slices are BLAS
-    # products, measured bitwise equal on one and on two OpenBLAS threads;
-    # 1e-13 relative allows for a BLAS that tiles a block's rows differently.
+    # K = 148 annulus columns of the field the check never builds.  Blocks
+    # of 7 and 10 rows of 16 n_tau bytes make t-chunks of 2 (the last of 3)
+    # in the window sums and in the synthesis, and 1000 takes all 33 samples
+    # in one chunk of each.  The window sums are differences of prefix
+    # sums, which round apart from the field's einsum integrals (5.8e-16
+    # and 1.6e-16 measured): x and l4 are compared within 1e-12 and 1e-13
+    # relative.
     grid = FrequencyGrid.for_box(2, 8, tau_step=0.5)
     nsq = FrequencyGrid.norm_sq(grid.box_index)
     ns = grid.box_index[(4 * nsq > 64) & (nsq <= 64)]
@@ -107,5 +109,34 @@ def test_blocked_l4_and_x_match_the_whole_field(block, monkeypatch):
     whole_x = xsb_norm(u, NormParams(s=0.0, b=0.38))
     monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block * 16 * grid.n_tau)
     l4, x = checks._free_l4_and_x(grid, ns, vals, 0.38)
-    assert x == whole_x
+    assert x == pytest.approx(whole_x, rel=1e-12, abs=0.0)
     assert l4 == pytest.approx(whole_l4, rel=1e-13, abs=0.0)
+
+
+# d = 1 and 2, tau_step 1/4, 1/3 and 1/2, n_max 4 to 32
+_LATTICE_GRIDS = [(1, 4, 0.25), (1, 16, 1 / 3), (1, 32, 0.5), (2, 4, 0.5), (2, 8, 1 / 3),
+                  (2, 16, 0.25), (2, 32, 0.5)]
+
+
+@pytest.mark.parametrize("box", _LATTICE_GRIDS, ids=lambda b: "d%d-n%d-h%.3g" % b)
+@pytest.mark.parametrize("b", [0.38, 2.0 / 3.0])
+def test_lattice_window_sums_match_the_field(box, b):
+    # the check's time slices and X column integrals, as window sums on the
+    # sigma-lattice, against those of the built free evolution (grid.time_slices
+    # and norms._x_columns), entry by entry: 3.2e-14 relative measured.  At
+    # most 64 columns, all outside radius N / 2, keep the field small.
+    grid = FrequencyGrid.for_box(*box[:2], tau_step=box[2])
+    N = grid.n_max
+    nsq = FrequencyGrid.norm_sq(grid.box_index)
+    ns = grid.box_index[(4 * nsq > N**2) & (nsq <= grid.dimension * N**2)]
+    ns = ns[::-(-len(ns) // 64)]
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(0.5, 2.0, len(ns)) * np.exp(2j * np.pi * rng.uniform(size=len(ns)))
+    times, _ = norms._l4_times((-1.0, 1.0))
+    slices, x_cols = checks._free_slices_and_x(grid, ns, vals, b, times)
+    u = free_evolution_data(grid, (ns, vals))
+    assert np.array_equal(u.index, ns)
+    want = time_slices(u, times)
+    assert (np.abs(slices - want) <= 1e-12 * np.abs(want)).all()
+    want = norms._x_columns(u, b)
+    assert (np.abs(x_cols - want) <= 1e-12 * want).all()

@@ -17,6 +17,8 @@ from rnlab.grid import FrequencyGrid, SpaceTimeField, time_slices
 from rnlab.norms import NormParams, xsb_norm
 from rnlab.solver import SolverParams, picard_solve
 
+import oracles
+
 
 class TestBumpProfile:
     def test_plateau_and_support(self):
@@ -61,6 +63,17 @@ class TestTransformOnLattice:
     def test_cache_returns_readonly(self):
         arr = transform_on_lattice(0.5, 4)
         assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("box", [(1, 32, 0.25), (2, 4, 0.25), (1, 6, 1 / 3)],
+                             ids=["picard_1d", "d2-n4", "d1-n6-third"])
+    def test_real_fft_matches_the_complex_fft(self, box):
+        # the real FFT reads j < 0 as conjugates; the complex FFT of the same
+        # samples reads every bin: 5.2e-16 of the lattice's maximum measured
+        grid = FrequencyGrid.for_box(*box[:2], tau_step=box[2])
+        for k in range(25):
+            got, j_max = sigma_lattice(grid, t_power=k)
+            want = oracles.transform_on_lattice_complex(grid.tau_step, j_max, k)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_cache_key_and_size(self):
         # j_max is keyed as an int, so 8.0 and 8 share one entry

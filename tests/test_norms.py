@@ -12,6 +12,7 @@ from rnlab.grid import (
     dyadic_blocks,
     project_dyadic,
     random_field,
+    time_slices,
 )
 from rnlab.norms import (
     NormParams,
@@ -272,19 +273,26 @@ class TestL4:
         # the synthesis in t-chunks of ``width`` samples (the last chunk takes
         # what is left, so count - 1 is one chunk) against one spectral array
         # of all 33 t-samples; "overlapping" is two fields on the same columns,
-        # added in field order.  Both take the same time slices.
+        # added in field order.  Both take the same time slices.  Each
+        # t-sample's spatial integral is compared, not only the fourth root of
+        # their sum: a last chunk of one sample, summed pairwise by numpy,
+        # moves a last bit that the norm can hide.
         grid = FrequencyGrid.for_box(*box, tau_step=0.25)
         rng = np.random.default_rng(7)
         fields = {"zero": [SpaceTimeField.zero(grid)],
                   "one": [random_field(grid, rng, envelope_power=-1.0)],
                   "overlapping": [random_field(grid, rng, envelope_power=-1.0),
                                   random_field(grid, rng, envelope_power=-1.0)]}[given]
+        want_integrals, _ = oracles.l4_integrals_whole(grid, fields, (-1, 1))
         want = oracles.l4_spacetime_norm_whole(grid, fields, (-1, 1))
+        times, _ = norms._l4_times((-1, 1))
         count = 2 * norms._L4_TIMES_PER_UNIT + 1
         sample = 24 * norms._next_fast_len(2 * grid.box_side) ** grid.dimension
         width = {"2": 2, "3": 3, "count-2": count - 2, "count-1": count - 1}[width]
         monkeypatch.setattr(grid_module, "_BLOCK_BYTES", width * sample)
         assert grid_module._block_rows(sample) == width
+        slices = [(u.index, time_slices(u, times)) for u in fields]
+        assert np.array_equal(norms._l4_integrals(grid, slices, count), want_integrals)
         assert l4_spacetime_norm(grid, fields, (-1, 1)) == want
 
 
