@@ -264,10 +264,11 @@ def _out_path(cfg, name):
 
 
 def _write(cfg, name, text):
+    """Write the report ``name``: ``text``, or what ``text(f)`` writes to the open file."""
     path = _out_path(cfg, name)
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            text(f) if callable(text) else f.write(text)
     except OSError as exc:
         raise ConfigError(f"key 'out': cannot write {path}: {exc}") from None
     print(f"wrote {path}")
@@ -409,7 +410,7 @@ def _cmd_threshold(cfg):
                     cfg.tau_step)
     _check_finite(cfg, [slope for _, slope in scan.points], 2 * n_list[-1]**2, "s_range",
                   s_values[-1])
-    _write(cfg, "threshold.json", scan.to_json_text())
+    _write(cfg, "threshold.json", scan.write_json)
     if scan.crossing is None:
         print("no ratio-slope sign change in the scanned range")
         return 1
@@ -421,9 +422,9 @@ def _cmd_solve(cfg):
     params = _checked("s", SolverParams, cfg.s, cfg.T, cfg.max_iterations, cfg.tolerance)
     _checked("tau_step", steps_per_unit, cfg.tau_step)
     grid = _grid(cfg)
-    # peak_bytes, slow to evaluate on a huge grid, is at least its two
-    # iterates, 32 bytes an entry
-    _check_budget(32 * grid.box_count * grid.n_tau, grid=grid)
+    # peak_bytes, slow to evaluate on a huge grid, is at least its one
+    # iterate, 16 bytes an entry
+    _check_budget(16 * grid.box_count * grid.n_tau, grid=grid)
     _check_budget(peak_bytes(grid, params), grid=grid)
     u0 = rough_initial_data(grid, cfg.s, cfg.seed)
 

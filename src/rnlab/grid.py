@@ -31,10 +31,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 _DENSE_ENTRY_LIMIT = 180_000_000  # complex entries, ~2.9 GB
 
 # Bytes of one block of a streamed pass: the rows (``_row_blocks``) of the
-# product's tau-samples at length P, of the Z- and X-norms' temporaries, of the
-# linear solution and of a random field's draw, the t-samples of the L^4
-# norm's synthesis and of the L^4 check's lattice window sums, and the Duhamel
-# step's columns of N1's series.  A pass whose transient fits takes one block.
+# product's tau-samples at length P, of the Picard step, of the Z- and X-norms'
+# temporaries and of a random field's draw, the t-samples of the L^4 norm's
+# synthesis and of the L^4 check's lattice window sums, and the columns of a
+# row block's N1 series.  A pass whose transient fits takes one block.
 _BLOCK_BYTES = 8 << 20
 
 # The one split of the Z-space: modulation |tau + |n|^2| below MOD_THRESHOLD
@@ -466,24 +466,38 @@ def _workspace(grid, weight=None):
     return shape, live, len(live), w[live]
 
 
-def _padded_product(f, g, weight=None, report=None):
-    """h (f * g) on the box and window as one padded (x, t) product.
+def _padded_product(f, g, weight=None, report=None, reflect=False):
+    """h (f * g) on the box and window: ``_product_blocks`` in one array."""
+    index, lo, width, blocks = _product_blocks(f, g, weight, report, reflect)
+    data = np.empty((len(index), width), dtype=np.complex128)
+    for out, rows in blocks:
+        np.multiply(f.grid.tau_step, rows, out=data[out])
+    return SpaceTimeField(f.grid, index, data, lo)
+
+
+def _product_blocks(f, g, weight=None, report=None, reflect=False, row_bytes=None):
+    """(index, lo, width, blocks) of h (f * g) on the box and window:
+    ``blocks`` yields (output rows, their window samples before the factor
+    h), views of one buffer that the next block overwrites.
 
     The workspace holds the linear convolution of the operands' column
     bounding boxes and stored blocks; with a ``weight``, which spreads the
     product over the whole window, the operands are taken on the whole
     window and the t-nodes are those of ``_workspace``.  Each operand's
-    rows are tau-transformed at length P, weighted, and taken through the
-    spatial axes; the pointwise product (one transform squared when
-    ``g is f`` or ``g is None``) goes back and is cropped to the box and
-    window.  Both tau passes run the rows in the blocks of ``_row_blocks``
-    through one buffer, so no (rows, P) array is formed, and the operands
-    are dropped between them: one that the caller does not hold is freed
-    there.  The result holds the box columns of the product's support box
-    and stores only the offset span, the window samples the linear
-    convolution reaches (the whole window with a ``weight``).  An operand
-    with no stored entry gives the zero field.  A ``report`` dict receives
-    the masses ``spacetime_convolve`` documents, summed block by block.
+    rows are read into a buffer in the blocks of ``_row_blocks`` at 16 P
+    bytes a row, as the rows of ``conjugate_reflect(f)`` and ``(g)`` with
+    ``reflect``, bit for bit and with no reflected copy; they are
+    tau-transformed at length P, weighted and taken through the spatial
+    axes.  The pointwise product (one transform squared when ``g is f`` or
+    ``g is None``) goes back and is cropped to the box and window before
+    the first block, so the operands may then be overwritten, and one that
+    the caller does not hold is freed.  The inverse tau pass runs blocks of
+    ``row_bytes`` a row (16 P by default) through a buffer of its own,
+    allocated once the first is freed.  The result holds the box columns of
+    the product's support box and stores only the offset span, the window
+    samples the linear convolution reaches (the whole window with a
+    ``weight``).  An operand with no stored entry gives the zero field.  A
+    ``report`` dict receives the masses ``spacetime_convolve`` documents.
     """
     grid, d = f.grid, f.grid.dimension
     M, h = grid.n_tau, grid.tau_step
@@ -495,15 +509,16 @@ def _padded_product(f, g, weight=None, report=None):
         report["dropped_spatial_mass"] = 0.0
         report["dropped_tau_mass"] = 0.0
     if not (f.data.size and g.data.size):
-        return SpaceTimeField.zero(grid)
+        return np.zeros((0, d), dtype=np.int64), 0, 0, iter(())
     length = f.data.shape[1] + g.data.shape[1] - 1
     if weight is None:
         P = _next_fast_len(length)
         live, n_live, w = slice(None), P, None
     else:
         (*_, P), live, n_live, w = _workspace(grid, weight)
-    lo_f, lo_g = f.index.min(axis=0), g.index.min(axis=0)
-    ext_f, ext_g = f.index.max(axis=0) - lo_f + 1, g.index.max(axis=0) - lo_g + 1
+    ns_f, ns_g = (-f.index[::-1], -g.index[::-1]) if reflect else (f.index, g.index)
+    lo_f, lo_g = ns_f.min(axis=0), ns_g.min(axis=0)
+    ext_f, ext_g = ns_f.max(axis=0) - lo_f + 1, ns_g.max(axis=0) - lo_g + 1
     full = tuple(int(n) for n in ext_f + ext_g - 1)  # the linear convolution's range
     shape = tuple(_next_fast_len(n) for n in full)
     if math.prod(shape) * n_live > _DENSE_ENTRY_LIMIT:
@@ -512,26 +527,29 @@ def _padded_product(f, g, weight=None, report=None):
     first = np.maximum(lo, -grid.n_max)  # lattice corners of the crop to the box
     last = np.maximum(np.minimum(lo + full, grid.n_max + 1), first) - 1
     core = tuple(slice(a - c, b + 1 - c) for a, b, c in zip(first, last, lo))
-    out_rows = math.prod(last - first + 1)
-    inverse_rows = out_rows if report is None else math.prod(full)
-    buf = np.empty((min(_block_rows(16 * P) + 1, max(f.n_columns, g.n_columns, inverse_rows)),
-                    P), dtype=np.complex128)  # the one buffer of both tau passes
+    buf = np.empty((min(_block_rows(16 * P) + 1, max(f.n_columns, g.n_columns)), P),
+                   dtype=np.complex128)  # the forward pass's
 
-    def samples(u, lo, ext):
+    def samples(u, ns, lo, ext):
         box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
-        keys = np.ravel_multi_index((u.index - lo).T, ext)
-        for part in _row_blocks(len(keys), 16 * P):
-            rows = np.fft.fft(u.data[part], n=P, axis=1, out=buf[:part.stop - part.start])
+        keys = np.ravel_multi_index((ns - lo).T, ext)
+        K, width = u.data.shape
+        for part in _row_blocks(K, 16 * P):
+            rows = buf[:part.stop - part.start]
+            src = u.data[K - part.stop:K - part.start][::-1, ::-1] if reflect else u.data[part]
+            (np.conjugate if reflect else np.positive)(src, out=rows[:, :width])
+            rows[:, width:] = 0.0
+            np.fft.fft(rows, axis=1, out=rows)
             box[keys[part]] = rows if w is None else rows[:, live] * w
         return _fftn(box.reshape(tuple(ext) + (n_live,)), shape)
 
     # samples [k0, k1) of the linear convolution land inside the window
-    start = f.lo + g.lo - grid.half_index
+    start = (2 * M - f.stored[1] - g.stored[1] if reflect else f.lo + g.lo) - grid.half_index
     k0 = min(max(0, -start), length)
     k1 = max(k0, min(length, M - start))
-    conv = samples(f, lo_f, ext_f)
-    conv *= conv if g is f else samples(g, lo_g, ext_g)
-    del f, g
+    conv = samples(f, ns_f, lo_f, ext_f)
+    conv *= conv if g is f else samples(g, ns_g, lo_g, ext_g)
+    del f, g, buf
     conv = _ifftn(conv, d)
     if report is None:
         kept = conv[core]
@@ -541,25 +559,28 @@ def _padded_product(f, g, weight=None, report=None):
         inside[core] = True
         inside = inside.ravel()
     kept = kept.reshape(-1, n_live)
-    data = np.empty((out_rows, k1 - k0), dtype=np.complex128)
-    at = 0
-    for part in _row_blocks(len(kept), 16 * P):
-        rows = buf[:part.stop - part.start]
-        if w is not None:  # only the live t-nodes are written
-            rows.fill(0.0)
-        rows[:, live] = kept[part]
-        np.fft.ifft(rows, axis=1, out=rows)
-        if report is not None:
-            keep = inside[part]
-            mass = np.abs(rows[:, :length])
-            report["dropped_spatial_mass"] += h * float(mass[~keep, k0:k1].sum())
-            report["dropped_tau_mass"] += h * float(mass[:, :k0].sum() + mass[:, k1:].sum())
-            rows = rows[keep]
-        np.multiply(h, rows[:, k0:k1], out=data[at:at + len(rows)])
-        at += len(rows)
+
+    def blocks(row_bytes=row_bytes or 16 * P):
+        buf = np.empty((min(_block_rows(row_bytes) + 1, len(kept)), P), dtype=np.complex128)
+        at = 0
+        for part in _row_blocks(len(kept), row_bytes):
+            rows = buf[:part.stop - part.start]
+            if w is not None:  # only the live t-nodes are written
+                rows.fill(0.0)
+            rows[:, live] = kept[part]
+            np.fft.ifft(rows, axis=1, out=rows)
+            if report is not None:
+                keep = inside[part]
+                mass = np.abs(rows[:, :length])
+                report["dropped_spatial_mass"] += h * float(mass[~keep, k0:k1].sum())
+                report["dropped_tau_mass"] += h * float(mass[:, :k0].sum() + mass[:, k1:].sum())
+                rows = rows[keep]
+            yield slice(at, at + len(rows)), rows[:, k0:k1]
+            at += len(rows)
+
     ns = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(first, last)), indexing="ij")
-    return SpaceTimeField(grid, np.stack([n.ravel() for n in ns], axis=1),
-                          data, start + k0 if k1 > k0 else 0)
+    return np.stack([n.ravel() for n in ns], axis=1), start + k0 if k1 > k0 else 0, \
+        k1 - k0, blocks()
 
 
 def _block_rows(row_bytes):

@@ -131,26 +131,32 @@ def _y_sum(l1, y_cols, col_weight):
 
 def _z_apply(data, fnsq, lo_factors, y_weights, s_values, weights, minus=None):
     """Z^{s,b}-norm of ``data`` (K, L), or of ``data - minus``, for each of
-    ``s_values``, from its columns' float |n|^2 ``fnsq``, its lo entries
-    (``_lo_factors``) and quadrature weights; ``y_weights(s)`` gives s's
-    <sigma>^{s+2b} as a function of a block's rows, fetched as it is used.
+    ``s_values``: ``_z_sums`` in the blocks of ``grid._row_blocks`` at 40
+    bytes an entry (a difference and floats), so no temporary is whole."""
+    add, norms = _z_sums(fnsq, lo_factors, y_weights, s_values, weights)
+    for rows in _row_blocks(len(data), 40 * max(data.shape[1], 1)):
+        add(rows, data[rows], None if minus is None else minus[rows])
+    return norms()
 
-    The rows go in the blocks of ``grid._row_blocks``, as many as
-    _BLOCK_BYTES holds of the difference and the float temporaries, so
-    neither is ever whole.  Each block is split once, into |u| on its hi
-    entries and the lo integrals, and every s is normed on that split.  No
-    block is a lone row, so each row's integrals are the whole array's, and
-    each sum runs once over all K rows: so are the norms, bit for bit.
+
+def _z_sums(fnsq, lo_factors, y_weights, s_values, weights):
+    """(add, norms): ``add(rows, data, minus=None)`` takes the Z^{s,b}-norms'
+    integrals of the rows ``rows`` (a slice), ``data`` or ``data - minus``
+    there, and ``norms()`` gives one norm per s once every row is in; from
+    the rows' float |n|^2 ``fnsq``, their ``_lo_factors`` and s's
+    <sigma>^{s+2b} ``y_weights(s)``, a function of a block's rows.  Each
+    block is split once, into |u| on its hi entries and the lo integrals,
+    and every s is normed on that split.  With no lone-row block, each
+    row's integrals, and so the norms, are the same bits at any partition.
     """
-    lo, x_weight = lo_factors
-    K, L = data.shape
+    (lo_i, lo_j), x_weight = lo_factors
+    K = len(fnsq)
     x_cols, l1, y_cols = np.empty(K), np.empty(K), np.empty((len(s_values), K))
-    blocks = _row_blocks(K, 40 * max(L, 1))  # 16 bytes of difference, 24 of floats
-    norms = []
-    for rows in blocks:
-        hi = np.abs(data[rows] if minus is None else data[rows] - minus[rows])
-        a, b = np.searchsorted(lo[0], (rows.start, rows.stop))  # the lo entries are in row order
-        block_lo = (lo[0][a:b] - rows.start, lo[1][a:b])
+
+    def add(rows, data, minus=None):
+        hi = np.abs(data if minus is None else data - minus)
+        a, b = np.searchsorted(lo_i, (rows.start, rows.stop))  # the lo entries are in row order
+        block_lo = (lo_i[a:b] - rows.start, lo_j[a:b])
         x_integrand = np.zeros_like(hi)
         x_integrand[block_lo] = hi[block_lo] ** 2 * x_weight[a:b]
         x_cols[rows] = _tau_integral(x_integrand, weights)
@@ -160,11 +166,13 @@ def _z_apply(data, fnsq, lo_factors, y_weights, s_values, weights, minus=None):
         hi **= 2  # |u|^2 on the hi entries, for every s
         for y, s in zip(y_cols, s_values):
             y[rows] = _tau_integral(hi * y_weights(s)(rows), weights)
-            if rows is blocks[-1]:  # every row's integrals are in
-                col_weight = (1.0 + fnsq) ** s
-                norms.append(float(np.sqrt((col_weight * x_cols).sum()))
-                             + _y_sum(l1, y, col_weight))
-    return norms
+
+    def norms():
+        col_weights = [(1.0 + fnsq) ** s for s in s_values]
+        return [float(np.sqrt((col_weight * x_cols).sum())) + _y_sum(l1, y, col_weight)
+                for y, col_weight in zip(y_cols, col_weights)]
+
+    return add, norms
 
 
 # -- the norms --------------------------------------------------------------------

@@ -26,18 +26,22 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from . import cutoffs
 from .cutoffs import SUPPORT, free_evolution_data, standard_bump
-from .grid import (FrequencyGrid, SpaceTimeField, _block_rows, _padded_product, _row_blocks,
-                   _weight_rows, _workspace, conjugate_reflect)
-from .norms import NormParams, _lo_rows, _tau_integral, _y_weight, _z_apply, spatial_hs_norm
+from .grid import (FrequencyGrid, SpaceTimeField, _block_rows, _padded_product,
+                   _product_blocks, _row_blocks, _weight_rows, _workspace)
+from .norms import (NormParams, _lo_rows, _tau_integral, _y_weight, _z_apply, _z_sums,
+                    spatial_hs_norm)
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
 _SERIES_ALIGN = 64  # lattice columns: a multiple of any BLAS kernel's column unroll
+_STEP_BYTES = 40  # bytes an entry beside a step's rows: Z-norm or N1 series temporaries
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,9 @@ def _check_scale(T):
 class IterationTrace:
     """The last iterate, every iterate's Z-norm, successive differences, ratios.
 
-    Only ``final`` is kept; ``picard_solve`` streams the others to its
-    ``on_iterate`` callback, so its memory does not grow with the iterations.
+    ``final`` is the one iterate ``picard_solve`` holds, overwritten by
+    each step; the solve streams every iterate to its ``on_iterate``
+    callback, so its memory does not grow with the iterations.
     """
 
     final: SpaceTimeField | None = None
@@ -112,7 +117,8 @@ class DivergenceError(RuntimeError):
 def nonlinear_fourier_data(u, v, T):
     """Data of (eta_{2T} conj(u)) * (eta_{2T} conj(v)) as one dealiased (x, t) product.
 
-    The reflected factors go through ``grid._padded_product`` weighted by
+    The factors go through ``grid._padded_product``, which reads their
+    conjugate reflections a block of rows at a time, weighted by
     eta(t / 2T), which vanishes off |t| < 4T, so only those t-nodes pass
     the spatial transforms.  The cut-off factor is not truncated to the
     tau-window: its transform tail aliases at the workspace period.  When
@@ -123,10 +129,7 @@ def nonlinear_fourier_data(u, v, T):
     u.grid.assert_compatible(v.grid)
     if not (u.data.any() and v.data.any()):
         return SpaceTimeField.zero(u.grid)
-    # no name here holds a reflected factor, so the product frees each once it
-    # is transformed (CPython 3.11 and later hand a call's arguments over)
-    return _padded_product(conjugate_reflect(u), None if v is u else conjugate_reflect(v),
-                           _eta_weight(T))
+    return _padded_product(u, None if v is u else v, _eta_weight(T), reflect=True)
 
 
 def _eta_weight(T):
@@ -201,41 +204,67 @@ class PicardPlan:
                    lo_factors)
 
 
-def _n1_terms(fhat, plan, rows):
-    """N1's Taylor coefficients a_k (K,) and sigma-lattices F(t^k eta), k = 1, 2, ...
+# -i^k / k!, built in Python: a numpy cumprod at import costs every process 0.17 MB of RSS
+_COEFS = np.array([-c for c in accumulate((1j / k for k in range(1, _SERIES_MAX_TERMS + 1)),
+                                          lambda a, b: a * b)])
 
-    a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1} dtau,
-    taken over the supp-psi band of each column only.  The series is
-    truncated on the coefficients: the bound max|a_k| * max|F(t^k eta)| on
-    the largest entry of term k must fall below 1e-12 of the largest bound
-    so far twice in a row.  |sigma| <= 2 on supp psi keeps the terms bounded
-    by 4^k / k!, so the sigma -> 0 limit is removable by construction.
+
+def _n1_coefficients(fhat, plan, rows):
+    """N1's Taylor coefficients a_k, k = 1, 2, ..., of the product rows
+    ``fhat`` at the plan's rows ``rows``, shape (R, terms).
+
+    a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1}
+    dtau over the supp-psi band of each column.  Each row stops on its own
+    bound |a_k| max|F(t^k eta)|, at the second term in a row below 1e-12 of
+    its largest so far, and is zero after, so no row depends on another.
+    |sigma| <= 2 on supp psi keeps the terms bounded by 4^k / k!.
     """
-    grid = plan.grid
+    grid, lattices = plan.grid, _series_lattices(plan.grid)
     cols, sigma = plan.cols[rows], plan.sigma[rows]
-    weighted = (np.take_along_axis(fhat.data, cols, axis=1) * plan.psi[rows]
-                * grid.tau_weights[cols])
-    sigma_pow = np.ones_like(sigma)
-    coefs, lattices = [], []
-    coef = 1.0
-    largest = 0.0
-    below = 0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        coef *= 1j / k  # builds i^k / k!
-        a = (-coef) * (weighted * sigma_pow).sum(axis=1)
-        lattice, _ = cutoffs.sigma_lattice(grid, t_power=k)
-        coefs.append(a)
-        lattices.append(lattice)
-        bound = np.abs(a).max() * np.abs(lattice).max()
-        largest = max(largest, bound)
-        if bound <= _SERIES_TOL * max(largest, 1e-300):
-            below += 1
-            if below >= 2:
-                break
-        else:
-            below = 0
-        sigma_pow = sigma_pow * sigma
-    return coefs, lattices
+    weighted = np.take_along_axis(fhat, cols, axis=1) * plan.psi[rows] * grid.tau_weights[cols]
+    powers = np.empty((len(sigma), len(lattices.rows) - 1, sigma.shape[1]))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = sigma[:, None]
+    np.cumprod(powers, axis=1, out=powers)  # sigma^{k-1}, each a product of the last
+    coefs = _COEFS[:powers.shape[1]] * (weighted[:, None] * powers).sum(axis=2)
+    while True:  # until every row stops, or reaches _SERIES_MAX_TERMS
+        n = len(lattices.maxima) - 1
+        bound = np.abs(coefs[:, :n]) * lattices.maxima[1:]
+        below = bound <= _SERIES_TOL * np.maximum(np.maximum.accumulate(bound, axis=1), 1e-300)
+        stops = below[:, 1:] & below[:, :-1]
+        if n == _SERIES_MAX_TERMS or stops.any(axis=1).all():
+            break
+        lattices.extend()
+        if n == powers.shape[1]:  # the lattices have room for every term now
+            return _n1_coefficients(fhat, plan, rows)
+    terms = np.where(stops.any(axis=1), stops.argmax(axis=1) + 2, n)
+    coefs = coefs[:, :terms.max()]
+    coefs[np.arange(coefs.shape[1]) >= terms[:, None]] = 0.0
+    return coefs
+
+
+class _SeriesLattices:
+    """Rows k = 0, 1, ... of one array: the sigma-lattices F(t^k eta) of a
+    grid (``cutoffs.sigma_lattice``, uncached: this is their one copy), each
+    written when N1's truncation first reaches it, and ``maxima``, their
+    max |F(t^k eta)|.  Room for the ``_series_terms`` the tolerance reaches,
+    grown to every term if a row needs more."""
+
+    def __init__(self, grid):
+        self.grid, self.maxima = grid, np.empty(0)
+        self.rows = np.empty((_series_terms(), len(cutoffs.sigma_lattice(grid)[0])), complex)
+        self.extend()  # k = 0, N2's F(eta)
+
+    def extend(self):
+        k = len(self.maxima)
+        if k == len(self.rows):
+            more = np.empty((_SERIES_MAX_TERMS + 1 - k, self.rows.shape[1]), complex)
+            self.rows = np.concatenate([self.rows, more])
+        cutoffs.sigma_lattice(self.grid, k, out=self.rows[k])
+        self.maxima = np.append(self.maxima, np.abs(self.rows[k]).max())
+
+
+_series_lattices = lru_cache(maxsize=1)(_SeriesLattices)  # the last grid's, for every step
 
 
 def _rows(fhat):
@@ -245,67 +274,47 @@ def _rows(fhat):
     return fhat.grid.flat_keys(fhat.index)
 
 
-def _r_blocks(fhat, plan):
-    """(rows, r at fhat's columns of those rows) over the row blocks of
-    ``grid._row_blocks``, 24 bytes an entry: the gathered r and a complex
-    product of it."""
-    box_rows = np.arange(fhat.grid.box_count)[_rows(fhat)]
-    for rows in _row_blocks(fhat.n_columns, 24 * fhat.grid.n_tau):
-        yield rows, plan.r(box_rows[rows])
+def _add_series(out, coefs, offsets, lattices):
+    """out[i] += row i of the (R x terms) @ (terms x lattice) series from
+    offsets[i] on, n_tau long: its sigma-lattice at column i; the lattice
+    rows are the first rows of ``lattices``.
 
-
-def _add_series(out, coefs, lattices, offsets):
-    """out[i] += the (K x terms) @ (terms x lattice) series' row i from
-    offsets[i] on, n_tau long: its sigma-lattice at column i.
-
-    Each block of lattice columns is one BLAS product of the coefficients
-    and that block of the cached lattice rows, added into the row windows
-    it reaches, so no whole series or lattice stack exists.  Blocks start at
-    multiples of _SERIES_ALIGN and the last takes the remainder: each column
-    then passes the BLAS kernel as in the whole product and keeps its bits,
-    where a one-column block (a matrix-vector product), a narrow one or a
-    split by rows changes last bits.  So this partition is its own, aligned
-    to zgemm's grouping of columns, not ``grid._row_blocks``.
+    Over the lattice columns the rows reach, widened to multiples of
+    _SERIES_ALIGN or the lattice's end, in blocks of whole _SERIES_ALIGN
+    (as many as _BLOCK_BYTES holds of the rows; the last takes the rest),
+    each one BLAS product with a strided view of the rows.  A column then
+    keeps its bits of the whole (K x lattice) product: zgemm rounds a row
+    alike in any split without a lone row, and a zero term adds nothing,
+    where a narrow block or one ending off the alignment changes last bits.
     """
-    coefs = np.stack(coefs, axis=1)
-    K, n_tau = out.shape
-    n = len(lattices[0])
-    step = _series_step(K, coefs.shape[1])
-    starts = range(0, max(n - step, 0) + 1, step)
-    for a, b in zip(starts, [*starts[1:], n]):
+    (R, n_tau), align = out.shape, _SERIES_ALIGN
+    first = int(offsets.min()) // align * align
+    end = min(lattices.shape[1], -(-(int(offsets.max()) + n_tau) // align) * align)
+    step = max(align, _block_rows(16 * R) // align * align)
+    starts = range(first, max(end - step, first) + 1, step)
+    for a, b in zip(starts, [*starts[1:], end]):
         # a BLAS product: einsum took 0.42 s against 0.035 s at d=1, n_max=32,
         # and solve reports match on 1 and 2 BLAS threads
-        block = coefs @ np.stack([lattice[a:b] for lattice in lattices])
+        block = coefs @ lattices[:coefs.shape[1], a:b]
         for i in np.flatnonzero((offsets < b) & (offsets + n_tau > a)):
             lo, hi = max(a, offsets[i]), min(b, offsets[i] + n_tau)
             out[i, lo - offsets[i]:hi - offsets[i]] += block[i, lo - a:hi - a]
         del block  # not alive beside the next one
 
 
-def _series_step(K, terms):
-    """Lattice columns of one block of the series of K rows and ``terms`` terms:
-    as many whole _SERIES_ALIGN as _BLOCK_BYTES holds of K + terms rows (the
-    block's result and its lattice stack), and at least one _SERIES_ALIGN."""
-    columns = _block_rows(16 * (K + terms))
-    return max(_SERIES_ALIGN, columns // _SERIES_ALIGN * _SERIES_ALIGN)
-
-
-def _eta_lattice(plan):
-    return cutoffs.sigma_lattice(plan.grid, t_power=0)
-
-
 def duhamel_n1(fhat, plan):
     """psi-localized Duhamel piece via the convergent Taylor construction.
 
-    Term k is a_k(n) F(t^k eta)(sigma) (``_n1_terms``).  The output is one
-    (columns x terms) @ (terms x lattice) contraction of the cached
+    Term k is a_k(n) F(t^k eta)(sigma) (``_n1_coefficients``).  The output
+    is one (columns x terms) @ (terms x lattice) contraction of the cached
     sigma-lattice rows, gathered at each column's |n|^2 shift.
     """
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
     out = np.zeros(fhat.data.shape, dtype=np.complex128)
-    _add_series(out, *_n1_terms(fhat, plan, rows), plan.offsets[rows])
+    _add_series(out, _n1_coefficients(fhat.data, plan, rows), plan.offsets[rows],
+                _series_lattices(fhat.grid).rows[1:])
     return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
@@ -318,10 +327,8 @@ def duhamel_n2(fhat, plan):
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     grid = fhat.grid
-    # no block is a lone row, so each row's integral is the whole array's
-    column_sums = -1j * np.concatenate([_tau_integral(fhat.data[rows] * r, grid.tau_weights)
-                                        for rows, r in _r_blocks(fhat, plan)])
-    profile = cutoffs.gather_profile(grid, fhat.norm_sq_columns(), *_eta_lattice(plan))
+    column_sums = -1j * _tau_integral(fhat.data * plan.r(_rows(fhat)), grid.tau_weights)
+    profile = cutoffs.gather_profile(grid, fhat.norm_sq_columns(), *cutoffs.sigma_lattice(grid))
     return SpaceTimeField(grid, fhat.index.copy(), 1j * profile * column_sums[:, None])
 
 
@@ -329,41 +336,36 @@ def duhamel_n3(fhat, plan):
     """Stationary high-modulation piece: -r F, the multiplier -i (1-psi)/(i sigma)."""
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
-    out = np.empty_like(fhat.data)
-    for rows, r in _r_blocks(fhat, plan):
-        np.multiply(-fhat.data[rows], r, out=out[rows])
-    return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
+    return SpaceTimeField(fhat.grid, fhat.index.copy(), -fhat.data * plan.r(_rows(fhat)))
 
 
 def duhamel_rhs(fhat, plan):
-    """N1 + N2 + N3 of the product data ``fhat`` in one new array; ``fhat``
-    is left as it is (``_duhamel_step`` on a copy)."""
-    return _duhamel_step(fhat.copy(), plan)
+    """N1 + N2 + N3 of the product data ``fhat`` in one new array, formed in
+    the row blocks of the Picard step (``_duhamel_rows``); ``fhat`` is left
+    as it is."""
+    out, keys = fhat.copy(), _rows(fhat)
+    if out.n_columns:
+        for part in _row_blocks(out.n_columns, _STEP_BYTES * fhat.grid.n_tau):
+            _duhamel_rows(out.data[part], plan, part if isinstance(keys, slice) else keys[part])
+    return out
 
 
-def _duhamel_step(fhat, plan):
-    """N1 + N2 + N3 of the product data ``fhat``, formed in fhat's own array.
+def _duhamel_rows(block, plan, rows):
+    """N1 + N2 + N3 of the product rows ``block`` at the plan's rows
+    ``rows``, formed in place, each row alone.
 
     N2 is the k = 0 term of N1's series, with coefficient Int F r dtau and
     the F(eta) lattice.  N1's coefficients are taken from F first; then the
-    array is scaled to F r, a block of rows at a time (``_r_blocks``), Int
-    F r dtau is taken from it, it is negated in place to N3 = -r F, and the
-    one contraction adds N1 + N2 into it: (-r F) + series rounds as
-    series - r F does.
+    block is scaled to F r, Int F r dtau is taken from it, it is negated in
+    place to N3 = -r F, and the one contraction adds N1 + N2 into it:
+    (-r F) + series rounds as series - r F does.
     """
-    if fhat.n_columns == 0:
-        return SpaceTimeField.zero(fhat.grid)
-    rows = _rows(fhat)
-    coefs, lattices = _n1_terms(fhat, plan, rows)
-    out = fhat.data
-    for block, r in _r_blocks(fhat, plan):
-        np.multiply(out[block], r, out=out[block])
-        del r  # not alive beside the next block or the series
-    high_sums = _tau_integral(out, plan.grid.tau_weights)
-    np.negative(out, out=out)
-    _add_series(out, [high_sums] + coefs, [_eta_lattice(plan)[0]] + lattices,
-                plan.offsets[rows])
-    return fhat
+    coefs = _n1_coefficients(block, plan, rows)
+    np.multiply(block, plan.r(rows), out=block)
+    high = _tau_integral(block, plan.grid.tau_weights)
+    np.negative(block, out=block)
+    _add_series(block, np.column_stack([high, coefs]), plan.offsets[rows],
+                _series_lattices(plan.grid).rows)
 
 
 # -- Picard iteration --------------------------------------------------------
@@ -385,32 +387,27 @@ def rough_initial_data(grid, s, seed):
 def peak_bytes(grid, params):
     """Estimated peak bytes of ``picard_solve`` on ``grid``, without building anything.
 
-    With K box columns: two iterate fields (current and next, at any
-    max_iterations), the plan (the psi band, and r and the Z weight on the
-    sigma-lattice; its lo entries are left out, a few per column), and the
-    larger step transient.  The product holds its reflected factor (its
-    result is the next iterate), one block of tau-rows at length P and two
-    spatial workspaces at eta's t-nodes; the Duhamel step, formed in the
-    product's array, holds one block of N1's series and lattice rows: the
-    ``_series_terms`` its tolerance can reach, on fewer than two blocks'
-    worth of lattice columns, since the last block takes the remainder.
-    The product's transient exceeds the blocks that gather r, that add the
-    linear solution and that take the Z-norms.  Cached cutoff transforms
-    are not counted.
+    With K box columns: one iterate (at any max_iterations), the plan (the
+    psi band, and r and the Z weight on the sigma-lattice; its lo entries
+    are left out, a few per column), and the larger transient: the
+    product's forward pass, one block of tau-rows at length P, the
+    columns' samples at eta's t-nodes and up to three spatial workspaces
+    there (one between axes in d=2), or the streamed step, one workspace
+    and a block of ``_step_row_bytes`` rows.  Cached cutoff transforms and
+    N1's lattice rows are not counted.
     """
     K, M = grid.box_count, grid.n_tau
     shape, _, n_live, _ = _workspace(grid, _eta_weight(params.T))
-    P = shape[-1]
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
     plan = 24 * K * (2.0 * SUPPORT / grid.tau_step + 2) + 16 * lattice
-    product = 16 * K * M + 16 * P * min(K, _block_rows(16 * P) + 1) \
-        + 32 * math.prod(shape[:-1]) * n_live
-    series = 16 * (K + _series_terms()) * min(lattice, 2 * _series_step(K, 0))
-    return int(16 * K * M * 2 + plan + max(product, series))
+    forward = 16 * shape[-1] * min(K, _block_rows(16 * shape[-1]) + 1) + 16 * K * n_live
+    step = _step_row_bytes(grid) * min(K, _block_rows(_step_row_bytes(grid)) + 1)
+    spatial = 16 * math.prod(shape[:-1]) * n_live
+    return int(16 * K * M + plan + max(forward + 3 * spatial, step + spatial))
 
 
 def _series_terms():
-    """Terms of the Duhamel step's series that ``_n1_terms``' tolerance can
+    """Terms of the Duhamel step's series that ``_n1_coefficients``' tolerance can
     reach, N2's k = 0 term included: with |sigma| <= 2 on supp psi and
     |t| <= 2 on supp eta, term k is bounded by a multiple of 4^k / k!, which
     first falls below _SERIES_TOL times its largest value (10.7, at k = 3
@@ -425,51 +422,39 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
 
     ``u0`` is spatial data as a (columns, values) pair or box array;
     ``initial``, a field on ``grid``, replaces the linear solution as the
-    first iterate.  Both are taken onto every box column, where the
-    ``PicardPlan`` lives.  The returned trace keeps only the last iterate;
+    first iterate, and is left as it is.  Both are taken onto every box
+    column, where the ``PicardPlan`` lives.  The solve holds one iterate
+    and the plan: each step writes the next iterate over it a block of rows
+    at a time (``_picard_step``), and the trace keeps it as ``final``.
     ``on_iterate(k, field)``, when given, receives iterate k as soon as it
-    is made, from k = 0 up to and including one that diverges.  Raises
-    DivergenceError (trace attached) when an iterate's Z-norm is not
-    finite or exceeds ten times the ball radius, the Z-norm of the linear
-    solution.
-
-    A step holds the current iterate, the next one and the plan: the
-    Duhamel step is formed in the product's array, the linear solution is
-    added into it a block of rows at a time from u0's box coefficients, and
-    the Z-norms run in row blocks (``norms._z_apply``).
+    is made, from k = 0 up to and including one that diverges: that live
+    field, which the next step overwrites; a caller keeps a copy.  Raises
+    DivergenceError (trace attached) when an iterate's Z-norm is not finite
+    or exceeds ten times the ball radius, the Z-norm of the linear solution.
     """
     if initial is not None:
         grid.assert_compatible(initial.grid)
     plan = PicardPlan.build(grid, params.norm_params())
-    fnsq, w = FrequencyGrid.norm_sq(grid.box_index).astype(float), grid.tau_weights
-    def z_norm(data, minus=None):  # the plan holds the Z weight of params.s
-        return _z_apply(data, fnsq, plan.lo_factors, lambda s: plan.y_weight, [params.s], w,
-                        minus)[0]
+    # the Z-norm's arguments; the plan holds the Z weight of params.s
+    z_args = (FrequencyGrid.norm_sq(grid.box_index).astype(float), plan.lo_factors,
+              lambda s: plan.y_weight, [params.s], grid.tau_weights)
     trace = IterationTrace()
     current = _on_box(free_evolution_data(grid, u0))
     coefs = _box_coefficients(grid, u0)
-    z0 = z_norm(current.data)
+    z0 = _z_apply(current.data, *z_args)[0]
     radius = max(z0, 1e-12)
     if initial is not None:
-        current = _on_box(initial)
-        z0 = z_norm(current.data)
+        current = _on_box(initial.copy())  # the step writes into its iterate
+        z0 = _z_apply(current.data, *z_args)[0]
     emit = on_iterate or (lambda k, u: None)
     trace.final = current
     trace.z_norms.append(z0)
     emit(0, current)
     for k in range(1, params.max_iterations + 1):
-        # the product is not held through the norms and the next product
-        nxt = _duhamel_step(nonlinear_fourier_data(current, current, params.T), plan)
-        if not nxt.n_columns:  # -0.0 + x is x bit for bit: nxt is the linear solution
-            nxt = SpaceTimeField(grid, grid.box_index.copy(),
-                                 np.full((grid.box_count, grid.n_tau), complex(-0.0, -0.0)))
-        _add_free_evolution(nxt.data, grid, coefs)
-        z = z_norm(nxt.data)
-        diff = z_norm(nxt.data, minus=current.data)
-        trace.final = current = nxt
+        z, diff = _picard_step(current, plan, coefs, params.T, z_args)
         trace.z_norms.append(z)
         trace.successive_diffs.append(diff)
-        emit(k, nxt)
+        emit(k, current)
         if not math.isfinite(z) or z > 10.0 * radius:
             raise DivergenceError(
                 f"iterate Z-norm {z:.3e} exceeded 10x ball radius {radius:.3e}", trace
@@ -480,6 +465,44 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     return trace
 
 
+def _picard_step(u, plan, coefs, T, z_args):
+    """Overwrite the box field u with Gamma[u] a row block at a time, and
+    return the Z-norms (``_z_sums`` of ``z_args``) of it and of Gamma[u] - u.
+
+    Once the product (``grid._product_blocks``) has read u, each block of
+    ``_step_row_bytes`` rows comes back from its inverse tau pass, becomes
+    N1 + N2 + N3 (``_duhamel_rows``), gets the linear solution's rows from
+    u0's box coefficients ``coefs`` (as ``free_evolution_data`` forms them;
+    a zero coefficient adds +0.0 rows), is normed and goes over u's rows.
+    Every stage is row-local: no bit depends on the partition.  A zero u
+    makes +-0.0 blocks, to which the linear solution adds bit for bit.
+    """
+    (add, norms), (add_diff, diff_norms) = _z_sums(*z_args), _z_sums(*z_args)
+    grid, row_bytes = u.grid, _step_row_bytes(u.grid)
+    nsq = FrequencyGrid.norm_sq(grid.box_index)
+    rows_out = np.empty((min(grid.box_count, _block_rows(row_bytes) + 1), grid.n_tau), complex)
+    *_, blocks = _product_blocks(u, None, _eta_weight(T), reflect=True, row_bytes=row_bytes)
+    for rows, window in blocks:
+        block = rows_out[:rows.stop - rows.start]
+        np.multiply(grid.tau_step, window, out=block)
+        _duhamel_rows(block, plan, rows)
+        linear = cutoffs.free_evolution_rows(grid, nsq[rows], coefs[rows])
+        linear[coefs[rows] == 0] = 0.0
+        block += linear
+        del linear  # not alive beside the norms
+        add(rows, block)
+        add_diff(rows, block, u.data[rows])
+        u.data[rows] = block
+    return norms()[0], diff_norms()[0]
+
+
+def _step_row_bytes(grid):
+    """A Picard step's bytes a row: a tau-row at length P, a row of the next
+    iterate, _STEP_BYTES an entry and N1's moments (24 a term and sample)."""
+    return 16 * _workspace(grid)[0][-1] + (16 + _STEP_BYTES) * grid.n_tau \
+        + 24 * (_series_terms() - 1) * int(2.0 * SUPPORT / grid.tau_step + 2)
+
+
 def _box_coefficients(grid, u0):
     """u0's coefficient at every box column, zero where it has none; u0 has
     passed ``free_evolution_data``'s checks."""
@@ -488,22 +511,6 @@ def _box_coefficients(grid, u0):
     coefs = np.zeros(grid.box_count, dtype=np.complex128)
     coefs[grid.flat_keys(ns[keep])] = vals[keep]
     return coefs
-
-
-def _add_free_evolution(out, grid, coefs):
-    """out += eta(t) e^{it Lap} u0 on the box and window, from u0's box
-    coefficients ``coefs``, in the row blocks of ``grid._row_blocks``.
-
-    Each block is ``free_evolution_rows``, as in ``free_evolution_data``, so
-    its bits are those of the linear solution; a zero coefficient adds +0.0
-    rows, as the box array of that solution holds.
-    """
-    nsq = FrequencyGrid.norm_sq(grid.box_index)
-    for rows in _row_blocks(len(coefs), 16 * grid.n_tau):
-        block = cutoffs.free_evolution_rows(grid, nsq[rows], coefs[rows])
-        block[coefs[rows] == 0] = 0.0
-        out[rows] += block
-        del block  # not alive beside the next one
 
 
 def _on_box(u):

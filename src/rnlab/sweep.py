@@ -167,14 +167,21 @@ class ThresholdScan:
     crossing: float | None = None
 
     def to_json_text(self):
-        obj = {
+        f = io.StringIO()
+        self.write_json(f)
+        return f.getvalue()
+
+    def write_json(self, f):
+        """The report as JSON into the open text file f, chunk by chunk: a
+        long scan's text is never joined."""
+        json.dump({
             "kind": self.kind,
             "b": self.b,
             "mode": self.mode,
             "points": [[s, sl] for s, sl in self.points],
             "crossing": self.crossing,
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        }, f, indent=2)
+        f.write("\n")
 
 
 def locate_sign_change(points):

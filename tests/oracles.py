@@ -5,7 +5,8 @@ whole-window family fields, product, weight and norms that the span-stored
 ones replaced, the norms that built their weights on every call, the
 random field's envelope formula, the solver's continuous-dependence
 measurement, the Picard plan's weights on every box entry, the Picard
-product, Duhamel step and loop on whole arrays, the L^4 norm
+product, Duhamel step and loop on whole arrays, N1's series truncated on
+the whole box, the L^4 norm
 synthesized on one whole spectral array, and the bump's lattice
 transform by a complex FFT.
 
@@ -42,8 +43,9 @@ from rnlab.solver import (
     DivergenceError,
     IterationTrace,
     PicardPlan,
-    _eta_lattice,
-    _n1_terms,
+    _SERIES_MAX_TERMS,
+    _SERIES_TOL,
+    _n1_coefficients,
     _on_box,
     _psi_band,
     _rows,
@@ -547,33 +549,81 @@ def _gather(series, offsets, n_tau):
     return sliding_window_view(series, n_tau, axis=1)[np.arange(len(offsets)), offsets]
 
 
-def duhamel_rhs_whole(fhat, plan):
+def n1_terms_per_box(fhat, plan, rows):
+    """N1's Taylor coefficients a_k (K,) and sigma-lattices F(t^k eta), k = 1, 2, ...,
+    truncated on the whole box, as ``solver`` truncated them before each row
+    stopped on its own bound.
+
+    a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1} dtau,
+    taken over the supp-psi band of each column only.  The series is
+    truncated on the coefficients: the bound max|a_k| * max|F(t^k eta)| on
+    the largest entry of term k must fall below 1e-12 of the largest bound
+    so far twice in a row.
+    """
+    grid = plan.grid
+    cols, sigma = plan.cols[rows], plan.sigma[rows]
+    weighted = (np.take_along_axis(fhat.data, cols, axis=1) * plan.psi[rows]
+                * grid.tau_weights[cols])
+    sigma_pow = np.ones_like(sigma)
+    coefs, lattices = [], []
+    coef = 1.0
+    largest = 0.0
+    below = 0
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        coef *= 1j / k  # builds i^k / k!
+        a = (-coef) * (weighted * sigma_pow).sum(axis=1)
+        lattice, _ = cutoffs.sigma_lattice(grid, t_power=k)
+        coefs.append(a)
+        lattices.append(lattice)
+        bound = np.abs(a).max() * np.abs(lattice).max()
+        largest = max(largest, bound)
+        if bound <= _SERIES_TOL * max(largest, 1e-300):
+            below += 1
+            if below >= 2:
+                break
+        else:
+            below = 0
+        sigma_pow = sigma_pow * sigma
+    return coefs, lattices
+
+
+def _per_row_terms(fhat, plan, rows):
+    """``solver._n1_coefficients`` on the whole box, as (coefficients, lattices) lists."""
+    coefs = _n1_coefficients(fhat.data, plan, rows)
+    return list(coefs.T), [cutoffs.sigma_lattice(plan.grid, k)[0]
+                           for k in range(1, coefs.shape[1] + 1)]
+
+
+def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms):
     """N1 + N2 + N3 of the product data ``fhat`` in one array.
 
     N2 is the k = 0 term of N1's series, with coefficient Int F r dtau and
     the F(eta) lattice; one contraction and one gather give N1 + N2, and
-    N3 = -r F is subtracted in place.
+    N3 = -r F is subtracted in place.  ``n1_terms`` gives N1's coefficients
+    and lattices: each row truncated on its own, as the solver does, or
+    ``n1_terms_per_box``.
     """
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
     high = fhat.data * plan_r_box(plan.grid)[rows]
-    coefs, lattices = _n1_terms(fhat, plan, rows)
+    coefs, lattices = n1_terms(fhat, plan, rows)
     # a BLAS product (K x terms) @ (terms x lattice): einsum took 0.42 s against
     # 0.035 s at d=1, n_max=32, and solve reports match on 1 and 2 BLAS threads
     series = (np.stack([_tau_integral(high, plan.grid.tau_weights)] + coefs, axis=1)
-              @ np.stack([_eta_lattice(plan)[0]] + lattices))
+              @ np.stack([cutoffs.sigma_lattice(plan.grid)[0]] + lattices))
     out = _gather(series, plan.offsets[rows], plan.grid.n_tau)
     out -= high
     return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
-def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None):
+def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None,
+                       n1_terms=_per_row_terms):
     """``solver.picard_solve`` as it was before it stopped holding the linear
-    solution: the linear solution is held and added whole, the Duhamel step
-    and the Z-norms run on whole arrays (``duhamel_rhs_whole``, ``_z_apply``
-    above, on the factors of ``plan_z_box``), and the difference of two
-    iterates is formed whole."""
+    solution and the next iterate: the linear solution is held and added
+    whole, the Duhamel step and the Z-norms run on whole arrays
+    (``duhamel_rhs_whole`` with ``n1_terms``, ``_z_apply`` above, on the
+    factors of ``plan_z_box``), and each iterate is a new field."""
     if initial is not None:
         grid.assert_compatible(initial.grid)
     plan = PicardPlan.build(grid, params.norm_params())
@@ -592,7 +642,8 @@ def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None):
     trace.z_norms.append(z0)
     emit(0, current)
     for k in range(1, params.max_iterations + 1):
-        nxt = duhamel_rhs_whole(nonlinear_fourier_data(current, current, params.T), plan)
+        nxt = duhamel_rhs_whole(nonlinear_fourier_data(current, current, params.T), plan,
+                                n1_terms)
         if nxt.n_columns:
             nxt.data += linear.data
         else:

@@ -319,6 +319,25 @@ class TestRunCommands:
             assert run(parse_config(args + out, config_text=text)) == 0
         assert steps == [step for _, _, step in cases]
 
+    def test_threshold_report_is_the_scan_text(self, tmp_path, monkeypatch):
+        # threshold.json is streamed to the file by json.dump: the same bytes
+        # as ThresholdScan.to_json_text, here for 10,001 points
+        import rnlab.cli
+        from rnlab.sweep import ThresholdScan
+
+        rng = np.random.default_rng(73)
+        s = np.arange(-0.9, 0.1 + 0.00005, 0.0001)
+        slopes = rng.standard_normal(len(s)) * 10.0 ** rng.integers(-20, 20, len(s))
+        scan = ThresholdScan("example2", 2.0 / 3.0, "Z", [(float(a), float(b))
+                                                          for a, b in zip(s, slopes)], -0.6667)
+        assert len(scan.points) == 10_001
+        monkeypatch.setattr(rnlab.cli, "threshold_scan", lambda *args: scan)
+        monkeypatch.setattr(scan, "to_json_text", lambda: pytest.fail("the text was joined"))
+        assert run(parse_config(["threshold", "--s-range", "-0.9:0.1:0.0001",
+                                 "--out", str(tmp_path)])) == 0
+        monkeypatch.undo()
+        assert (tmp_path / "threshold.json").read_bytes() == scan.to_json_text().encode()
+
     def test_threshold_not_found_exits_one(self, tmp_path):
         cfg = parse_config(["threshold", "--family", "example2", "--mode", "Z",
                             "--s-range", "-0.3:-0.1:0.1",
@@ -352,7 +371,7 @@ class TestRunCommands:
         (["solve", "--d", "1", "--n-max", "4", "--tau-step", "0.3"], "tau_step"),
         (["solve", "--d", "1", "--n-max", "4", "--tau-step", "2"], "tau_step"),
         (["solve", "--tau-step", "5e-324"], "tau_step"),
-        # two iterates alone are 9.5e26 GiB; peak_bytes would count up
+        # its one iterate alone is 4.8e26 GiB; peak_bytes would count up
         # from 4e11 to the next fast FFT length
         (["solve", "--d", "1", "--n-max", "100000000000"], "n_max"),
         (["solve", "--n-max", str(8 * 10**153), "--tau-step", "1"], "n_max"),
@@ -449,25 +468,30 @@ class TestRunCommands:
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_convolution_guard_names_key(self, tmp_path, monkeypatch, capsys):
-        # d=1, n_max=136 is the smallest d=1 box the peak-bytes estimate
-        # (4.03 GiB) puts over the budget; rejected before any field is built
+        # d=1, n_max=175 is the smallest d=1 box the peak-bytes estimate
+        # (4.05 GiB) puts over the budget; rejected before any field is
+        # built, where n_max=174 (3.98 GiB) is admitted
+        _admit(monkeypatch)
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "174", "--out", str(tmp_path)])
+        with pytest.raises(_Admitted):
+            run(cfg)
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "1", "--n-max", "136", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "175", "--out", str(tmp_path)])
         assert run(cfg) == 2
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_guard_counts_kept_iterates(self, tmp_path, monkeypatch, capsys):
-        # the solve keeps two fields (current, next) at any max_iterations:
-        # d=2, n_max=24 (2401 x 9281 entries a field) is 1.22 GiB, and
-        # n_max=33, the smallest d=2 box over the budget, 4.28 GiB
+        # the solve keeps one field, the iterate, at any max_iterations:
+        # d=2, n_max=24 (2401 x 9281 entries) is 0.69 GiB, n_max=37 3.76 GiB,
+        # and n_max=38, the smallest d=2 box over the budget, 4.18 GiB
         _admit(monkeypatch)
-        for iterations in ("10", "1000"):
-            cfg = parse_config(["solve", "--d", "2", "--n-max", "24",
+        for n_max, iterations in (("24", "10"), ("24", "1000"), ("37", "10")):
+            cfg = parse_config(["solve", "--d", "2", "--n-max", n_max,
                                 "--max-iterations", iterations, "--out", str(tmp_path)])
             with pytest.raises(_Admitted):
                 run(cfg)
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "2", "--n-max", "33", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "2", "--n-max", "38", "--out", str(tmp_path)])
         assert run(cfg) == 2
         err = capsys.readouterr().err
         assert "'n_max'" in err and "budget" in err

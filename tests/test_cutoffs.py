@@ -202,7 +202,8 @@ class TestFreeEvolutionInPlace:
         phi = self._phi(grid, case)
         seen = []
         params = SolverParams(s=-0.6, T=0.125, max_iterations=1)
-        picard_solve(phi, params, grid, on_iterate=lambda k, u: seen.append((k, u)))
+        # the iterate is live: the next step overwrites it
+        picard_solve(phi, params, grid, on_iterate=lambda k, u: seen.append((k, u.copy())))
         unpruned = _free_evolution_oracle(grid, phi, prune=False)
         want = SpaceTimeField(grid, grid.box_index.copy(), unpruned.box_array())
         k, first = seen[0]

@@ -264,9 +264,11 @@ def _picard_oracle(u0, params, grid):
 
 
 def _solve_seen(u0, params, grid, **kwargs):
-    """(trace, every (k, iterate) picard_solve handed to on_iterate, in order)."""
+    """(trace, a copy of every (k, iterate) picard_solve handed to
+    on_iterate, in order): the iterate is live, and the next step
+    overwrites it."""
     seen = []
-    trace = picard_solve(u0, params, grid, on_iterate=lambda k, u: seen.append((k, u)),
+    trace = picard_solve(u0, params, grid, on_iterate=lambda k, u: seen.append((k, u.copy())),
                          **kwargs)
     return trace, seen
 
@@ -276,7 +278,8 @@ def _assert_same_trace(a, b):
     assert ta.z_norms == tb.z_norms
     assert ta.successive_diffs == tb.successive_diffs
     assert [k for k, _ in seen_a] == [k for k, _ in seen_b] == list(range(len(ta.z_norms)))
-    assert seen_a[-1][1] is ta.final and seen_b[-1][1] is tb.final
+    for trace, seen in a, b:  # the last iterate emitted is the one kept
+        assert _same_bits(seen[-1][1].data, trace.final.data)
     for (_, x), (_, y) in zip(seen_a, seen_b):
         assert np.array_equal(x.index, y.index)
         assert np.array_equal(x.data, y.data)
@@ -342,6 +345,19 @@ class TestPicardPlan:
         with pytest.raises(ValueError, match="grid mismatch"):
             picard_solve(rough_initial_data(grid, -0.6, 3), params, grid,
                          initial=SpaceTimeField.full(other))
+
+    def test_initial_is_left_as_it_is(self):
+        # the step writes into its iterate, which is a copy of an initial
+        # field already on the box and window
+        grid = FrequencyGrid.for_box(1, 8, 0.25)
+        u0 = rough_initial_data(grid, -0.6, 3)
+        initial = free_evolution_data(grid, rough_initial_data(grid, -0.6, 5))
+        assert initial.n_columns == grid.box_count and initial.stored == (0, grid.n_tau)
+        before = initial.data.tobytes()
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=3, contraction_tolerance=0.0)
+        trace = picard_solve(u0, params, grid, initial=initial)
+        assert initial.data.tobytes() == before
+        assert trace.final is not initial
 
     def test_initial_on_column_subset_is_scattered(self):
         grid = FrequencyGrid.for_box(1, 8, 0.25)
@@ -781,10 +797,9 @@ class TestPeakBytes:
             tracemalloc.stop()
         assert len(trace.z_norms) == 4
         estimate = peak_bytes(grid, params)
-        # measured: 1.08x on line_8 (17 columns, where N1's lattice rows
-        # weigh most: the estimate counts 29 terms where the solve takes 23),
-        # 1.18x on box_2_4 and 1.25x on box_2_8; on d=2 the peak is the
-        # product, with the current iterate alive
+        # measured: 1.27x on line_8 and box_2_4, whose step runs in one
+        # block (its N1 moments counted at 29 terms where the solve takes
+        # 23), and 1.05x on box_2_8, whose peak is the product's forward pass
         assert peak <= estimate <= 1.5 * peak, f"estimate {estimate / peak:.2f}x the peak"
 
     def test_peak_does_not_grow_with_iterations(self):
@@ -822,14 +837,13 @@ class TestBlockedStep:
         u, v, T = _product_pair(box)
         grid, plan, weight = u.grid, _plan(u.grid), _eta_weight(T)
         K, M, P = grid.box_count, grid.n_tau, _workspace(grid)[0][-1]
-        # four Duhamel rows a block, so 17, 81 and 49 columns end in a block
-        # of five; the product takes two tau-rows a block (three in a last
-        # block), the series its fewest lattice columns a block
-        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 4 * 16 * M)
-        lattice = len(cutoffs.sigma_lattice(grid)[0])
-        assert K >= 3 * grid_module._block_rows(16 * M)
-        assert K >= 3 * grid_module._block_rows(16 * P)
-        assert lattice >= 3 * solver._series_step(K, 0)
+        # two Duhamel rows and two product tau-rows a block, so 17, 81 and 49
+        # columns end in a block of three, and N1's series on each row block
+        # in blocks of at most a quarter of the window's lattice columns
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 8 * M)
+        assert grid_module._block_rows(solver._STEP_BYTES * M) == 2
+        assert grid_module._block_rows(16 * P) == 2
+        assert M >= 4 * grid_module._block_rows(16 * 2)
         for a, b in ((u, v), (u, u)):
             fa = conjugate_reflect(a)
             fb = fa if b is a else conjugate_reflect(b)
@@ -852,8 +866,9 @@ class TestBlockedStep:
                                   oracles.duhamel_rhs_whole(f, plan).data)
 
     def test_default_blocks_on_the_benchmark_grid(self):
-        # 65 columns: the product runs 15 tau-rows a block, and the series
-        # 5952 lattice columns a block, the last taking 6785 of 24641
+        # 65 columns: the product runs 15 tau-rows a block, and duhamel_rhs
+        # 12 rows a block, each row block's series one block of the lattice
+        # columns its rows reach
         grid = FrequencyGrid.for_box(1, 32, 0.25)
         u = free_evolution_data(grid, rough_initial_data(grid, -0.6, 3))
         fhat = nonlinear_fourier_data(u, u, 0.125)
@@ -866,7 +881,7 @@ class TestBlockedStep:
     def test_step_peaks_on_the_benchmark_grid(self):
         # above its inputs the product holds its result, one block of
         # tau-rows and the spatial workspace, and the Duhamel step its result
-        # and one block of the series: 1.70 and 1.56 box fields measured,
+        # and one row block's series: 1.66 and 1.21 box fields measured,
         # where the whole (K, P) rows and (K, lattice) series held 4.0 and 3.5
         grid = FrequencyGrid.for_box(1, 32, 0.25)
         field = 16 * grid.box_count * grid.n_tau
@@ -888,11 +903,12 @@ class TestBlockedStep:
         assert duhamel <= 2.0, f"the Duhamel step peaks at {duhamel:.2f} box fields"
 
     def test_solve_peak_on_the_benchmark_grid(self):
-        # the solve holds two iterates and the plan (0.03 box fields: r and
-        # the Z weight on the sigma-lattice) above its step's transient: 2.76
-        # box fields measured, where r and the Z weight on every box entry
-        # took 3.74, and a held linear solution, the Duhamel step beside the
-        # product and the whole difference in the Z-norm 6.00
+        # the solve holds one iterate and the plan (0.03 box fields: r and
+        # the Z weight on the sigma-lattice) above its product's forward pass:
+        # 1.85 box fields measured, where a next iterate beside the current one
+        # and a reflected copy in the product took 2.76, r and the Z weight
+        # on every box entry 3.74, and a held linear solution, the Duhamel
+        # step beside the product and the whole difference in the Z-norm 6.00
         grid = FrequencyGrid.for_box(1, 32, 0.25)
         field = 16 * grid.box_count * grid.n_tau
         u0 = rough_initial_data(grid, -0.6, 3)
@@ -905,7 +921,56 @@ class TestBlockedStep:
         finally:
             tracemalloc.stop()
         assert len(trace.z_norms) == 4
-        assert peak <= 3.1, f"the solve peaks at {peak:.2f} box fields"
+        assert peak <= 2.25, f"the solve peaks at {peak:.2f} box fields"
+
+    @pytest.mark.parametrize("box", [(1, 32), (2, 4)], ids=["line_32", "box_2_4"])
+    def test_no_bit_follows_the_block_bytes(self, box, monkeypatch):
+        # each row's N1 series stops on its own bound, and every stage of the
+        # step is row-local: the Duhamel step and a solve are the same bits
+        # in blocks of the default 8 MiB, of 1 MiB and of two rows, and when
+        # N1's lattice rows grow from room for 3 terms to every term
+        grid = FrequencyGrid.for_box(*box)
+        u0 = rough_initial_data(grid, -0.6, 3)
+        fhat = nonlinear_fourier_data(free_evolution_data(grid, u0),
+                                      free_evolution_data(grid, u0), 0.125)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=3, contraction_tolerance=0.0)
+        runs = []
+        for block_bytes in (grid_module._BLOCK_BYTES, 1 << 20, 8 * grid.n_tau, None):
+            if block_bytes is None:  # N1's lattice rows start with room for 3 terms
+                assert grid_module._block_rows(solver._step_row_bytes(grid)) == 2
+                monkeypatch.setattr(solver, "_series_terms", lambda: 4)
+                solver._series_lattices.cache_clear()
+            else:
+                monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
+            trace = picard_solve(u0, params, grid)
+            runs.append((duhamel_rhs(fhat, _plan(grid)).data, trace.final.data,
+                         np.array(trace.z_norms + trace.successive_diffs)))
+        assert len(solver._series_lattices(grid).rows) == solver._SERIES_MAX_TERMS + 1
+        solver._series_lattices.cache_clear()
+        for run in runs[1:]:
+            assert all(_same_bits(got, want) for got, want in zip(run, runs[0]))
+
+
+class TestPerRowTruncation:
+    """N1's series stops on each row's own bound (``solver._n1_coefficients``),
+    where it stopped on the whole box's (``oracles.n1_terms_per_box``); the
+    solve moves within rounding of the old rule's."""
+
+    @pytest.mark.parametrize("box, iterations", [((1, 32), 10), ((2, 8), 4)],
+                             ids=["line_32", "box_2_8"])
+    def test_solve_near_the_per_box_truncation(self, box, iterations):
+        # picard_1d's seed 3 measured 1.1e-15, 5.6e-13 and 3.7e-15
+        grid = FrequencyGrid.for_box(*box)
+        u0 = rough_initial_data(grid, -0.6, 3)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=iterations,
+                              contraction_tolerance=0.0)
+        got = picard_solve(u0, params, grid)
+        want = oracles.picard_solve_whole(u0, params, grid, n1_terms=oracles.n1_terms_per_box)
+        rel = lambda a, b: np.max(np.abs(np.subtract(a, b)) / np.abs(b))
+        assert rel(got.z_norms, want.z_norms) <= 1e-13
+        assert rel(got.successive_diffs, want.successive_diffs) <= 1e-10
+        assert np.abs(got.final.data - want.final.data).max() \
+            <= 1e-13 * np.abs(want.final.data).max()
 
 
 def _zeroed(u0, every):
@@ -917,11 +982,12 @@ def _zeroed(u0, every):
 
 
 class TestPicardLoop:
-    """The loop holds two iterates: it adds the linear solution a block of
-    rows at a time from u0's box coefficients, forms the Duhamel step in the
-    product's array and takes the Z-norms in row blocks.  Every emitted
-    iterate and the trace match ``oracles.picard_solve_whole``, the loop that
-    held the linear solution, byte for byte."""
+    """The loop holds one iterate: each step writes the next over it a row
+    block at a time, with the linear solution's rows from u0's box
+    coefficients and the blocks' Z-norm integrals.  Every emitted iterate
+    (copied: it is live) and the trace match ``oracles.picard_solve_whole``,
+    the loop that held the linear solution and a new iterate each step, on
+    whole arrays, byte for byte."""
 
     GRIDS = [((1, 8), True), ((2, 4), True), ((1, 32), False)]
 
@@ -938,7 +1004,7 @@ class TestPicardLoop:
         for solve in (picard_solve, oracles.picard_solve_whole):
             seen = []
             trace = solve(u0, params, grid, initial=initial(grid) if initial else None,
-                          on_iterate=lambda k, u: seen.append((k, u)))
+                          on_iterate=lambda k, u: seen.append((k, u.copy())))
             runs.append((trace, seen))
         (got, got_seen), (want, want_seen) = runs
         assert np.array(got.z_norms).tobytes() == np.array(want.z_norms).tobytes()
