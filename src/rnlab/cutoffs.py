@@ -39,25 +39,20 @@ def standard_bump(t):
     return out if out.shape else float(out)
 
 
-def transform_on_lattice(spacing, j_max, t_power=0, out=None):
+def transform_on_lattice(spacing, j_max, t_power=0):
     """F(t^k eta)(j * spacing) for j = -j_max .. j_max (length 2 j_max + 1).
 
     One zero-padded real FFT of the sampled bump; the rectangle rule on the
     compactly supported smooth integrand is spectrally accurate and the pad
     keeps the periodization images outside the evaluated band.  The samples
     are real, so the transform at -j is the conjugate of that at j.  Results
-    are cached read-only, keyed by the lattice and the power; into ``out``,
-    a row of 2 j_max + 1 entries, a result is written uncached.
+    are cached read-only, keyed by the lattice and the power.
     """
-    args = float(spacing), int(j_max), int(t_power)
-    if out is None:
-        return _transform_on_lattice(*args)
-    out[...] = _transform_on_lattice.__wrapped__(*args)
-    return out
+    return _transform_on_lattice(float(spacing), int(j_max), int(t_power))
 
 
-# A grid's F(eta) and cutoff kernels (the Picard solve writes N1's t-powers
-# into its own array); the bound keeps many grids from growing it.
+# A grid's F(eta) lattice and cutoff kernels; the bound keeps many grids from
+# growing it.
 @functools.lru_cache(maxsize=128)
 def _transform_on_lattice(spacing, j_max, t_power):
     band = j_max * spacing
@@ -85,16 +80,15 @@ def _transform_on_lattice(spacing, j_max, t_power):
     return out
 
 
-def sigma_lattice(grid, t_power=0, out=None):
+def sigma_lattice(grid, t_power=0):
     """Transform samples on the sigma = tau + |n|^2 lattice covering the grid.
 
     Returns (values, j_max); entry j + j_max holds F(t^k eta)(j * tau_step)
     for every shift tau_index - half + |n|^2 / tau_step the grid can produce.
-    ``out`` goes to ``transform_on_lattice``.
     """
     per_unit = steps_per_unit(grid.tau_step)
     j_max = grid.half_index + grid.dimension * grid.n_max**2 * per_unit
-    return transform_on_lattice(grid.tau_step, j_max, t_power, out), j_max
+    return transform_on_lattice(grid.tau_step, j_max, t_power), j_max
 
 
 def profile_offsets(grid, norm_sq, j_max):

@@ -483,16 +483,16 @@ def _product_blocks(f, g, weight=None, report=None, reflect=False, row_bytes=Non
     The workspace holds the linear convolution of the operands' column
     bounding boxes and stored blocks; with a ``weight``, which spreads the
     product over the whole window, the operands are taken on the whole
-    window and the t-nodes are those of ``_workspace``.  Each operand's
-    rows are read into a buffer in the blocks of ``_row_blocks`` at 16 P
-    bytes a row, as the rows of ``conjugate_reflect(f)`` and ``(g)`` with
-    ``reflect``, bit for bit and with no reflected copy; they are
+    window and the t-nodes are those of ``_workspace``.  Both tau passes
+    run the blocks of ``_row_blocks`` at ``row_bytes`` a row (16 P by
+    default), each through a buffer of its own.  Each operand's rows are
+    read into the first as the rows of ``conjugate_reflect(f)`` and ``(g)``
+    with ``reflect``, bit for bit and with no reflected copy; they are
     tau-transformed at length P, weighted and taken through the spatial
     axes.  The pointwise product (one transform squared when ``g is f`` or
     ``g is None``) goes back and is cropped to the box and window before
     the first block, so the operands may then be overwritten, and one that
-    the caller does not hold is freed.  The inverse tau pass runs blocks of
-    ``row_bytes`` a row (16 P by default) through a buffer of its own,
+    the caller does not hold is freed.  The inverse tau pass's buffer is
     allocated once the first is freed.  The result holds the box columns of
     the product's support box and stores only the offset span, the window
     samples the linear convolution reaches (the whole window with a
@@ -516,6 +516,7 @@ def _product_blocks(f, g, weight=None, report=None, reflect=False, row_bytes=Non
         live, n_live, w = slice(None), P, None
     else:
         (*_, P), live, n_live, w = _workspace(grid, weight)
+    row_bytes = row_bytes or 16 * P
     ns_f, ns_g = (-f.index[::-1], -g.index[::-1]) if reflect else (f.index, g.index)
     lo_f, lo_g = ns_f.min(axis=0), ns_g.min(axis=0)
     ext_f, ext_g = ns_f.max(axis=0) - lo_f + 1, ns_g.max(axis=0) - lo_g + 1
@@ -527,14 +528,14 @@ def _product_blocks(f, g, weight=None, report=None, reflect=False, row_bytes=Non
     first = np.maximum(lo, -grid.n_max)  # lattice corners of the crop to the box
     last = np.maximum(np.minimum(lo + full, grid.n_max + 1), first) - 1
     core = tuple(slice(a - c, b + 1 - c) for a, b, c in zip(first, last, lo))
-    buf = np.empty((min(_block_rows(16 * P) + 1, max(f.n_columns, g.n_columns)), P),
+    buf = np.empty((min(_block_rows(row_bytes) + 1, max(f.n_columns, g.n_columns)), P),
                    dtype=np.complex128)  # the forward pass's
 
     def samples(u, ns, lo, ext):
         box = np.zeros((math.prod(ext), n_live), dtype=np.complex128)
         keys = np.ravel_multi_index((ns - lo).T, ext)
         K, width = u.data.shape
-        for part in _row_blocks(K, 16 * P):
+        for part in _row_blocks(K, row_bytes):
             rows = buf[:part.stop - part.start]
             src = u.data[K - part.stop:K - part.start][::-1, ::-1] if reflect else u.data[part]
             (np.conjugate if reflect else np.positive)(src, out=rows[:, :width])
@@ -560,7 +561,7 @@ def _product_blocks(f, g, weight=None, report=None, reflect=False, row_bytes=Non
         inside = inside.ravel()
     kept = kept.reshape(-1, n_live)
 
-    def blocks(row_bytes=row_bytes or 16 * P):
+    def blocks():
         buf = np.empty((min(_block_rows(row_bytes) + 1, len(kept)), P), dtype=np.complex128)
         at = 0
         for part in _row_blocks(len(kept), row_bytes):

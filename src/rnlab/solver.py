@@ -8,7 +8,8 @@ the three nonlinear pieces are
   N1: psi(sigma)-localized part of the Duhamel multiplier, realized through
       the Taylor series (e^{it sigma}-1)/(i sigma) = sum_k (it)^k sigma^{k-1}/k!
       whose k-th term is a t^k eta(t) free evolution, i.e. a column profile
-      F(t^k eta)(sigma) times the sigma^{k-1}-moment of F;
+      F(t^k eta)(sigma) times the sigma^{k-1}-moment of F, summed in t on the
+      product's t-nodes and taken to sigma by one FFT a column;
   N2: the stationary-phase remainder collapsed in tau and freely evolved:
       i * F(eta)(sigma) * Int F (1-psi)/(i sigma) dtau;
   N3: the pointwise multiplier -i (1-psi(sigma))/(i sigma) applied to F.
@@ -40,8 +41,7 @@ from .norms import (NormParams, _lo_rows, _tau_integral, _y_weight, _z_apply, _z
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
-_SERIES_ALIGN = 64  # lattice columns: a multiple of any BLAS kernel's column unroll
-_STEP_BYTES = 40  # bytes an entry beside a step's rows: Z-norm or N1 series temporaries
+_STEP_BYTES = 40  # bytes an entry beside a step's rows: Z-norm or N1 temporaries
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,9 @@ class PicardPlan:
     """What no Picard step changes, built once per solve; no array is box-sized.
 
     ``cols``, ``sigma``, ``psi``: each column's supp-psi band (``_psi_band``).
-    ``offsets``: each column's position of tau_0 on the sigma-lattice
-    sigma_j = (j - j_max) tau_step of ``cutoffs.sigma_lattice``,
-    |n|^2 / tau_step - half + j_max, for N1's series.  ``r`` (``_r_weight``)
+    ``offsets``: each column's sigma-index of tau_0, |n|^2 / tau_step - half,
+    mod the product's tau length P, where N1's series reads its FFT
+    (``_add_t_series``).  ``r`` (``_r_weight``)
     and ``y_weight``, the Z-norm's <sigma>^{s+2b}: functions of box rows,
     gathered from the sigma-lattice (``grid._weight_rows``).  ``lo_factors``:
     the Z-norm's lo entries and <sigma>^{2b} on them (``norms._lo_rows``).
@@ -193,8 +193,7 @@ class PicardPlan:
         """The plan of ``grid`` for the Z-norm parameters ``p``; nothing depends on T."""
         nsq = FrequencyGrid.norm_sq(grid.box_index)
         cols, sigma, psi = _psi_band(grid, nsq)
-        _, j_max = cutoffs.sigma_lattice(grid, t_power=0)
-        offsets = cutoffs.profile_offsets(grid, nsq, j_max)
+        offsets = cutoffs.profile_offsets(grid, nsq, 0) % _workspace(grid)[0][-1]
         window = (0, grid.n_tau)
         lo_factors = _lo_rows(grid, nsq.astype(float), window, p.b)
         for a in (cols, sigma, psi, offsets, *lo_factors[0], lo_factors[1]):
@@ -209,62 +208,60 @@ _COEFS = np.array([-c for c in accumulate((1j / k for k in range(1, _SERIES_MAX_
                                           lambda a, b: a * b)])
 
 
-def _n1_coefficients(fhat, plan, rows):
+def _n1_coefficients(fhat, plan, rows, terms=None):
     """N1's Taylor coefficients a_k, k = 1, 2, ..., of the product rows
     ``fhat`` at the plan's rows ``rows``, shape (R, terms).
 
     a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1}
     dtau over the supp-psi band of each column.  Each row stops on its own
-    bound |a_k| max|F(t^k eta)|, at the second term in a row below 1e-12 of
-    its largest so far, and is zero after, so no row depends on another.
-    |sigma| <= 2 on supp psi keeps the terms bounded by 4^k / k!.
+    bound |a_k| m_k (``_series_table``), at the second term in a row below
+    1e-12 of its largest so far, and is zero after, so no row depends on
+    another.  |sigma| <= 2 on supp psi keeps the terms bounded by 4^k / k!;
+    the moments are taken for the ``_series_terms`` that bound reaches, and
+    for every term if a row needs more.
     """
-    grid, lattices = plan.grid, _series_lattices(plan.grid)
+    grid, bounds = plan.grid, _series_table(plan.grid)[2]
+    terms = terms or _series_terms() - 1
     cols, sigma = plan.cols[rows], plan.sigma[rows]
     weighted = np.take_along_axis(fhat, cols, axis=1) * plan.psi[rows] * grid.tau_weights[cols]
-    powers = np.empty((len(sigma), len(lattices.rows) - 1, sigma.shape[1]))
+    powers = np.empty((len(sigma), terms, sigma.shape[1]))
     powers[:, 0] = 1.0
     powers[:, 1:] = sigma[:, None]
     np.cumprod(powers, axis=1, out=powers)  # sigma^{k-1}, each a product of the last
-    coefs = _COEFS[:powers.shape[1]] * (weighted[:, None] * powers).sum(axis=2)
-    while True:  # until every row stops, or reaches _SERIES_MAX_TERMS
-        n = len(lattices.maxima) - 1
-        bound = np.abs(coefs[:, :n]) * lattices.maxima[1:]
-        below = bound <= _SERIES_TOL * np.maximum(np.maximum.accumulate(bound, axis=1), 1e-300)
-        stops = below[:, 1:] & below[:, :-1]
-        if n == _SERIES_MAX_TERMS or stops.any(axis=1).all():
-            break
-        lattices.extend()
-        if n == powers.shape[1]:  # the lattices have room for every term now
-            return _n1_coefficients(fhat, plan, rows)
-    terms = np.where(stops.any(axis=1), stops.argmax(axis=1) + 2, n)
-    coefs = coefs[:, :terms.max()]
-    coefs[np.arange(coefs.shape[1]) >= terms[:, None]] = 0.0
+    coefs = _COEFS[:terms] * (weighted[:, None] * powers).sum(axis=2)
+    bound = np.abs(coefs) * bounds[1:terms + 1]
+    below = bound <= _SERIES_TOL * np.maximum(np.maximum.accumulate(bound, axis=1), 1e-300)
+    pairs = below[:, 1:] & below[:, :-1]
+    if terms < _SERIES_MAX_TERMS and not pairs.any(axis=1).all():
+        return _n1_coefficients(fhat, plan, rows, _SERIES_MAX_TERMS)
+    stop = np.where(pairs.any(axis=1), pairs.argmax(axis=1) + 2, terms)
+    coefs = coefs[:, :stop.max()]
+    coefs[np.arange(coefs.shape[1]) >= stop[:, None]] = 0.0
     return coefs
 
 
-class _SeriesLattices:
-    """Rows k = 0, 1, ... of one array: the sigma-lattices F(t^k eta) of a
-    grid (``cutoffs.sigma_lattice``, uncached: this is their one copy), each
-    written when N1's truncation first reaches it, and ``maxima``, their
-    max |F(t^k eta)|.  Room for the ``_series_terms`` the tolerance reaches,
-    grown to every term if a row needs more."""
+@lru_cache(maxsize=1)  # the last grid's, for every step
+def _series_table(grid):
+    """N1's series on the product's t-nodes t_l = 2 pi l / (h P), l in
+    (-P/2, P/2], of ``_workspace``: (the live nodes |t_l| < 2 as indices
+    mod P, the read-only table T[k, l] = t_l^k eta(t_l) / (h P) there for
+    k = 0 .. _SERIES_MAX_TERMS, its row sums m_k = Sum_l |T[k, l]|, and
+    ``_add_t_series``' two length-P rows: t-samples, zero off the live
+    nodes, and their spectrum).
 
-    def __init__(self, grid):
-        self.grid, self.maxima = grid, np.empty(0)
-        self.rows = np.empty((_series_terms(), len(cutoffs.sigma_lattice(grid)[0])), complex)
-        self.extend()  # k = 0, N2's F(eta)
-
-    def extend(self):
-        k = len(self.maxima)
-        if k == len(self.rows):
-            more = np.empty((_SERIES_MAX_TERMS + 1 - k, self.rows.shape[1]), complex)
-            self.rows = np.concatenate([self.rows, more])
-        cutoffs.sigma_lattice(self.grid, k, out=self.rows[k])
-        self.maxima = np.append(self.maxima, np.abs(self.rows[k]).max())
-
-
-_series_lattices = lru_cache(maxsize=1)(_SeriesLattices)  # the last grid's, for every step
+    The FFT of row k at sigma-index q is the rectangle rule for
+    F(t^k eta)(q h) = (1/2 pi) Int t^k eta e^{-i q h t} dt, aliased at the
+    period h P as the product's own eta-tail is; m_k bounds its modulus,
+    and equals its maximum at even k.
+    """
+    shape, live, _, eta = _workspace(grid, standard_bump)
+    P = shape[-1]
+    table = np.empty((_SERIES_MAX_TERMS + 1, len(live)))
+    table[0] = eta / (grid.tau_step * P)
+    table[1:] = 2.0 * math.pi * np.where(live > P // 2, live - P, live) / (grid.tau_step * P)
+    np.cumprod(table, axis=0, out=table)
+    table.setflags(write=False)
+    return live, table, np.abs(table).sum(axis=1), np.zeros((2, P), dtype=np.complex128)
 
 
 def _rows(fhat):
@@ -274,62 +271,54 @@ def _rows(fhat):
     return fhat.grid.flat_keys(fhat.index)
 
 
-def _add_series(out, coefs, offsets, lattices):
-    """out[i] += row i of the (R x terms) @ (terms x lattice) series from
-    offsets[i] on, n_tau long: its sigma-lattice at column i; the lattice
-    rows are the first rows of ``lattices``.
-
-    Over the lattice columns the rows reach, widened to multiples of
-    _SERIES_ALIGN or the lattice's end, in blocks of whole _SERIES_ALIGN
-    (as many as _BLOCK_BYTES holds of the rows; the last takes the rest),
-    each one BLAS product with a strided view of the rows.  A column then
-    keeps its bits of the whole (K x lattice) product: zgemm rounds a row
-    alike in any split without a lone row, and a zero term adds nothing,
-    where a narrow block or one ending off the alignment changes last bits.
+def _add_t_series(out, coefs, plan, rows):
+    """out[i] += Sum_k coefs[i, k] F(t^k eta)(tau + |n|^2) at the plan's
+    rows ``rows``, k from 0: eta(t_l) Sum_k c_k t_l^k on the live t-nodes of
+    ``_series_table``, then one length-P FFT a row in its two rows, whose
+    window is read from the row's ``plan.offsets`` on, mod P.  Every row
+    alone: the sum is one BLAS product a row, of its coefficients' real and
+    imaginary parts, since dgemm rounds a row by its place in a larger
+    product, and a zero term adds nothing.
     """
-    (R, n_tau), align = out.shape, _SERIES_ALIGN
-    first = int(offsets.min()) // align * align
-    end = min(lattices.shape[1], -(-(int(offsets.max()) + n_tau) // align) * align)
-    step = max(align, _block_rows(16 * R) // align * align)
-    starts = range(first, max(end - step, first) + 1, step)
-    for a, b in zip(starts, [*starts[1:], end]):
-        # a BLAS product: einsum took 0.42 s against 0.035 s at d=1, n_max=32,
-        # and solve reports match on 1 and 2 BLAS threads
-        block = coefs @ lattices[:coefs.shape[1], a:b]
-        for i in np.flatnonzero((offsets < b) & (offsets + n_tau > a)):
-            lo, hi = max(a, offsets[i]), min(b, offsets[i] + n_tau)
-            out[i, lo - offsets[i]:hi - offsets[i]] += block[i, lo - a:hi - a]
-        del block  # not alive beside the next one
+    live, table, _, (samples, spectrum) = _series_table(plan.grid)
+    M, P = out.shape[1], len(spectrum)
+    parts = np.matmul(np.stack([coefs.real, coefs.imag], axis=1), table[:coefs.shape[1]])
+    for i, start in enumerate(plan.offsets[rows]):
+        samples.real[live], samples.imag[live] = parts[i]
+        np.fft.fft(samples, out=spectrum)
+        head = min(M, P - start)
+        out[i, :head] += spectrum[start:start + head]
+        out[i, head:] += spectrum[:M - head]
 
 
 def duhamel_n1(fhat, plan):
     """psi-localized Duhamel piece via the convergent Taylor construction.
 
-    Term k is a_k(n) F(t^k eta)(sigma) (``_n1_coefficients``).  The output
-    is one (columns x terms) @ (terms x lattice) contraction of the cached
-    sigma-lattice rows, gathered at each column's |n|^2 shift.
+    Term k is a_k(n) F(t^k eta)(sigma) (``_n1_coefficients``), summed by
+    ``_add_t_series`` with a zero k = 0 term.
     """
-    if fhat.n_columns == 0:
-        return SpaceTimeField.zero(fhat.grid)
-    rows = _rows(fhat)
-    out = np.zeros(fhat.data.shape, dtype=np.complex128)
-    _add_series(out, _n1_coefficients(fhat.data, plan, rows), plan.offsets[rows],
-                _series_lattices(fhat.grid).rows[1:])
-    return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
+    return _series_piece(fhat, plan, lambda data, rows: np.column_stack(
+        [np.zeros(len(data)), _n1_coefficients(data, plan, rows)]))
 
 
 def duhamel_n2(fhat, plan):
     """Collapsed high-modulation piece i F(eta)(sigma) Int F (1-psi)/(i sigma) dtau.
 
-    Written with the multiplier as -i r, which rounds as the complex
-    (1-psi)/(i sigma) does.
+    Written F(eta)(sigma) Int F r dtau, the k = 0 term of N1's series
+    (``_add_t_series``).
     """
+    return _series_piece(fhat, plan, lambda data, rows: _tau_integral(
+        data * plan.r(rows), plan.grid.tau_weights)[:, None])
+
+
+def _series_piece(fhat, plan, coefs):
+    """The series of ``coefs(data, rows)`` (``_add_t_series``) as a field on fhat's columns."""
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
-    grid = fhat.grid
-    column_sums = -1j * _tau_integral(fhat.data * plan.r(_rows(fhat)), grid.tau_weights)
-    profile = cutoffs.gather_profile(grid, fhat.norm_sq_columns(), *cutoffs.sigma_lattice(grid))
-    return SpaceTimeField(grid, fhat.index.copy(), 1j * profile * column_sums[:, None])
+    rows = _rows(fhat)
+    out = np.zeros(fhat.data.shape, dtype=np.complex128)
+    _add_t_series(out, coefs(fhat.data, rows), plan, rows)
+    return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
 def duhamel_n3(fhat, plan):
@@ -345,7 +334,7 @@ def duhamel_rhs(fhat, plan):
     as it is."""
     out, keys = fhat.copy(), _rows(fhat)
     if out.n_columns:
-        for part in _row_blocks(out.n_columns, _STEP_BYTES * fhat.grid.n_tau):
+        for part in _row_blocks(out.n_columns, _step_row_bytes(fhat.grid)):
             _duhamel_rows(out.data[part], plan, part if isinstance(keys, slice) else keys[part])
     return out
 
@@ -354,18 +343,17 @@ def _duhamel_rows(block, plan, rows):
     """N1 + N2 + N3 of the product rows ``block`` at the plan's rows
     ``rows``, formed in place, each row alone.
 
-    N2 is the k = 0 term of N1's series, with coefficient Int F r dtau and
-    the F(eta) lattice.  N1's coefficients are taken from F first; then the
-    block is scaled to F r, Int F r dtau is taken from it, it is negated in
-    place to N3 = -r F, and the one contraction adds N1 + N2 into it:
-    (-r F) + series rounds as series - r F does.
+    N2 is the k = 0 term of N1's series, with coefficient Int F r dtau.
+    N1's coefficients are taken from F first; then the block is scaled to
+    F r, Int F r dtau is taken from it, it is negated in place to
+    N3 = -r F, and the one series adds N1 + N2 into it: (-r F) + series
+    rounds as series - r F does.
     """
     coefs = _n1_coefficients(block, plan, rows)
     np.multiply(block, plan.r(rows), out=block)
     high = _tau_integral(block, plan.grid.tau_weights)
     np.negative(block, out=block)
-    _add_series(block, np.column_stack([high, coefs]), plan.offsets[rows],
-                _series_lattices(plan.grid).rows)
+    _add_t_series(block, np.column_stack([high, coefs]), plan, rows)
 
 
 # -- Picard iteration --------------------------------------------------------
@@ -387,21 +375,24 @@ def rough_initial_data(grid, s, seed):
 def peak_bytes(grid, params):
     """Estimated peak bytes of ``picard_solve`` on ``grid``, without building anything.
 
-    With K box columns: one iterate (at any max_iterations), the plan (the
-    psi band, and r and the Z weight on the sigma-lattice; its lo entries
-    are left out, a few per column), and the larger transient: the
-    product's forward pass, one block of tau-rows at length P, the
-    columns' samples at eta's t-nodes and up to three spatial workspaces
-    there (one between axes in d=2), or the streamed step, one workspace
-    and a block of ``_step_row_bytes`` rows.  Cached cutoff transforms and
-    N1's lattice rows are not counted.
+    With K box columns and blocks of ``_step_row_bytes`` rows: one iterate
+    (at any max_iterations), the plan (the psi band, and r and the Z weight
+    on the sigma-lattice; its lo entries are left out, a few per column),
+    N1's series table and two rows at length P (``_series_table``), and the
+    larger transient: the product's forward pass, one block of tau-rows at
+    length P, the columns' samples at eta's t-nodes and up to three spatial
+    workspaces there (one between axes in d=2), or the streamed step, one
+    workspace and a block of rows.  The cached cutoff transforms are not
+    counted.
     """
     K, M = grid.box_count, grid.n_tau
     shape, _, n_live, _ = _workspace(grid, _eta_weight(params.T))
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
-    plan = 24 * K * (2.0 * SUPPORT / grid.tau_step + 2) + 16 * lattice
-    forward = 16 * shape[-1] * min(K, _block_rows(16 * shape[-1]) + 1) + 16 * K * n_live
-    step = _step_row_bytes(grid) * min(K, _block_rows(_step_row_bytes(grid)) + 1)
+    table = 8 * (_SERIES_MAX_TERMS + 1) * _workspace(grid, standard_bump)[2] + 32 * shape[-1]
+    plan = 24 * K * (2.0 * SUPPORT / grid.tau_step + 2) + 16 * lattice + table
+    rows = min(K, _block_rows(_step_row_bytes(grid)) + 1)
+    forward = 16 * shape[-1] * rows + 16 * K * n_live
+    step = _step_row_bytes(grid) * rows
     spatial = 16 * math.prod(shape[:-1]) * n_live
     return int(16 * K * M + plan + max(forward + 3 * spatial, step + spatial))
 
@@ -469,19 +460,20 @@ def _picard_step(u, plan, coefs, T, z_args):
     """Overwrite the box field u with Gamma[u] a row block at a time, and
     return the Z-norms (``_z_sums`` of ``z_args``) of it and of Gamma[u] - u.
 
-    Once the product (``grid._product_blocks``) has read u, each block of
-    ``_step_row_bytes`` rows comes back from its inverse tau pass, becomes
-    N1 + N2 + N3 (``_duhamel_rows``), gets the linear solution's rows from
-    u0's box coefficients ``coefs`` (as ``free_evolution_data`` forms them;
-    a zero coefficient adds +0.0 rows), is normed and goes over u's rows.
+    The product (``grid._product_blocks``) reads u in blocks of
+    ``_step_row_bytes`` rows; then each block comes back from its inverse
+    tau pass, becomes N1 + N2 + N3 (``_duhamel_rows``), gets the linear
+    solution's rows from u0's box coefficients ``coefs`` (as
+    ``free_evolution_data`` forms them; a zero coefficient adds +0.0 rows),
+    is normed and goes over u's rows.
     Every stage is row-local: no bit depends on the partition.  A zero u
     makes +-0.0 blocks, to which the linear solution adds bit for bit.
     """
     (add, norms), (add_diff, diff_norms) = _z_sums(*z_args), _z_sums(*z_args)
     grid, row_bytes = u.grid, _step_row_bytes(u.grid)
     nsq = FrequencyGrid.norm_sq(grid.box_index)
-    rows_out = np.empty((min(grid.box_count, _block_rows(row_bytes) + 1), grid.n_tau), complex)
     *_, blocks = _product_blocks(u, None, _eta_weight(T), reflect=True, row_bytes=row_bytes)
+    rows_out = np.empty((min(grid.box_count, _block_rows(row_bytes) + 1), grid.n_tau), complex)
     for rows, window in blocks:
         block = rows_out[:rows.stop - rows.start]
         np.multiply(grid.tau_step, window, out=block)
@@ -498,9 +490,11 @@ def _picard_step(u, plan, coefs, T, z_args):
 
 def _step_row_bytes(grid):
     """A Picard step's bytes a row: a tau-row at length P, a row of the next
-    iterate, _STEP_BYTES an entry and N1's moments (24 a term and sample)."""
+    iterate, _STEP_BYTES an entry, N1's moments (24 a term and sample) and
+    its series' real and imaginary parts on the t-nodes (``_add_t_series``)."""
     return 16 * _workspace(grid)[0][-1] + (16 + _STEP_BYTES) * grid.n_tau \
-        + 24 * (_series_terms() - 1) * int(2.0 * SUPPORT / grid.tau_step + 2)
+        + 24 * (_series_terms() - 1) * int(2.0 * SUPPORT / grid.tau_step + 2) \
+        + 16 * _workspace(grid, standard_bump)[2]
 
 
 def _box_coefficients(grid, u0):
@@ -526,12 +520,18 @@ _HEADER = struct.Struct("<iiddd")  # dimension, n_max, tau_min, tau_max, tau_ste
 
 
 def dump_field(u, path):
-    """Write a field as header + little-endian complex64 in row-major (n, tau) order."""
-    box = u.box_array().reshape(u.grid.box_count, u.grid.n_tau)
+    """Write a field as header + little-endian complex64 in row-major (n, tau)
+    order: every box column's window, zero where u stores nothing, a block
+    of box rows (an eighth of ``grid._BLOCK_BYTES``) at a time."""
+    grid, keys, (lo, hi) = u.grid, u.grid.flat_keys(u.index), u.stored
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(u.grid.dimension, u.grid.n_max,
-                             u.grid.tau_min, u.grid.tau_max, u.grid.tau_step))
-        f.write(np.ascontiguousarray(box.astype(np.complex64)).tobytes())
+        f.write(_HEADER.pack(grid.dimension, grid.n_max, grid.tau_min, grid.tau_max,
+                             grid.tau_step))
+        for part in _row_blocks(grid.box_count, 64 * grid.n_tau):
+            rows = np.zeros((part.stop - part.start, grid.n_tau), dtype="<c8")
+            held = slice(*np.searchsorted(keys, (part.start, part.stop)))
+            rows[keys[held] - part.start, lo:hi] = u.data[held]
+            rows.tofile(f)
 
 
 def load_field(path):

@@ -6,9 +6,9 @@ ones replaced, the norms that built their weights on every call, the
 random field's envelope formula, the solver's continuous-dependence
 measurement, the Picard plan's weights on every box entry, the Picard
 product, Duhamel step and loop on whole arrays, N1's series truncated on
-the whole box, the L^4 norm
-synthesized on one whole spectral array, and the bump's lattice
-transform by a complex FFT.
+the whole box and taken from the sigma-lattices, the L^4 norm
+synthesized on one whole spectral array, the bump's lattice
+transform by a complex FFT, and the field dump written from the whole box.
 
 They live outside the package, so ``import rnlab`` does not load
 ``scipy.integrate``.
@@ -40,15 +40,18 @@ from rnlab.grid import (
 )
 from rnlab.norms import _L4_TIMES_PER_UNIT, NormParams, ct_hs_norm, spatial_hs_norm
 from rnlab.solver import (
+    _HEADER,
     DivergenceError,
     IterationTrace,
     PicardPlan,
     _SERIES_MAX_TERMS,
     _SERIES_TOL,
+    _add_t_series,
     _n1_coefficients,
     _on_box,
     _psi_band,
     _rows,
+    _series_table,
     nonlinear_fourier_data,
     picard_solve,
 )
@@ -467,8 +470,9 @@ def plan_z_box(grid, p):
 # -- the Picard step on whole arrays ---------------------------------------------
 # ``grid._padded_product`` and ``solver.duhamel_rhs`` as they were before
 # their tau passes and their series ran in blocks: the product on whole
-# (rows, P) arrays, the Duhamel step on the whole (K, lattice) series.  The
-# bodies are unchanged; the blocked ones must match them bit for bit.
+# (rows, P) arrays, the Duhamel step's series on every row at once.  The
+# blocked ones must match them bit for bit.  The step's series as it was
+# taken from the sigma-lattices is ``lattice_series``.
 
 
 def padded_product_whole(f, g, weight=None, report=None):
@@ -549,33 +553,44 @@ def _gather(series, offsets, n_tau):
     return sliding_window_view(series, n_tau, axis=1)[np.arange(len(offsets)), offsets]
 
 
+def lattice_series(out, coefs, plan, rows):
+    """``solver._add_t_series`` as it was taken before it summed in t on the
+    product's t-nodes: out += Sum_k coefs[:, k] F(t^k eta)(tau + |n|^2),
+    k from 0, from the sigma-lattices of ``cutoffs.sigma_lattice`` (each a
+    16x-oversampled transform of t^k eta), one (rows x terms) @ (terms x
+    lattice) product gathered at each column's lattice offset."""
+    grid = plan.grid
+    lattices = [cutoffs.sigma_lattice(grid, k) for k in range(coefs.shape[1])]
+    nsq = FrequencyGrid.norm_sq(grid.box_index)[rows]
+    offsets = cutoffs.profile_offsets(grid, nsq, lattices[0][1])
+    out += _gather(coefs @ np.stack([lattice for lattice, _ in lattices]), offsets, grid.n_tau)
+
+
 def n1_terms_per_box(fhat, plan, rows):
-    """N1's Taylor coefficients a_k (K,) and sigma-lattices F(t^k eta), k = 1, 2, ...,
+    """N1's Taylor coefficients a_k, k = 1, 2, ..., shape (K, terms),
     truncated on the whole box, as ``solver`` truncated them before each row
     stopped on its own bound.
 
     a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1} dtau,
     taken over the supp-psi band of each column only.  The series is
-    truncated on the coefficients: the bound max|a_k| * max|F(t^k eta)| on
-    the largest entry of term k must fall below 1e-12 of the largest bound
-    so far twice in a row.
+    truncated on the coefficients: the bound max|a_k| * m_k on the largest
+    entry of term k (m_k of ``solver._series_table``) must fall below 1e-12
+    of the largest bound so far twice in a row.
     """
-    grid = plan.grid
+    grid, bounds = plan.grid, _series_table(plan.grid)[2]
     cols, sigma = plan.cols[rows], plan.sigma[rows]
     weighted = (np.take_along_axis(fhat.data, cols, axis=1) * plan.psi[rows]
                 * grid.tau_weights[cols])
     sigma_pow = np.ones_like(sigma)
-    coefs, lattices = [], []
+    coefs = []
     coef = 1.0
     largest = 0.0
     below = 0
     for k in range(1, _SERIES_MAX_TERMS + 1):
         coef *= 1j / k  # builds i^k / k!
         a = (-coef) * (weighted * sigma_pow).sum(axis=1)
-        lattice, _ = cutoffs.sigma_lattice(grid, t_power=k)
         coefs.append(a)
-        lattices.append(lattice)
-        bound = np.abs(a).max() * np.abs(lattice).max()
+        bound = np.abs(a).max() * bounds[k]
         largest = max(largest, bound)
         if bound <= _SERIES_TOL * max(largest, 1e-300):
             below += 1
@@ -584,36 +599,31 @@ def n1_terms_per_box(fhat, plan, rows):
         else:
             below = 0
         sigma_pow = sigma_pow * sigma
-    return coefs, lattices
+    return np.stack(coefs, axis=1)
 
 
 def _per_row_terms(fhat, plan, rows):
-    """``solver._n1_coefficients`` on the whole box, as (coefficients, lattices) lists."""
-    coefs = _n1_coefficients(fhat.data, plan, rows)
-    return list(coefs.T), [cutoffs.sigma_lattice(plan.grid, k)[0]
-                           for k in range(1, coefs.shape[1] + 1)]
+    """``solver._n1_coefficients`` on the whole box."""
+    return _n1_coefficients(fhat.data, plan, rows)
 
 
-def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms):
+def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms, series=_add_t_series):
     """N1 + N2 + N3 of the product data ``fhat`` in one array.
 
-    N2 is the k = 0 term of N1's series, with coefficient Int F r dtau and
-    the F(eta) lattice; one contraction and one gather give N1 + N2, and
-    N3 = -r F is subtracted in place.  ``n1_terms`` gives N1's coefficients
-    and lattices: each row truncated on its own, as the solver does, or
-    ``n1_terms_per_box``.
+    N2 is the k = 0 term of N1's series, with coefficient Int F r dtau; the
+    one series, ``series`` on every row at once, adds N1 + N2 to N3 = -r F.
+    ``n1_terms`` gives N1's coefficients: each row truncated on its own, as
+    the solver does, or ``n1_terms_per_box``.  ``series`` is the solver's
+    t-series or ``lattice_series``.
     """
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
     high = fhat.data * plan_r_box(plan.grid)[rows]
-    coefs, lattices = n1_terms(fhat, plan, rows)
-    # a BLAS product (K x terms) @ (terms x lattice): einsum took 0.42 s against
-    # 0.035 s at d=1, n_max=32, and solve reports match on 1 and 2 BLAS threads
-    series = (np.stack([_tau_integral(high, plan.grid.tau_weights)] + coefs, axis=1)
-              @ np.stack([cutoffs.sigma_lattice(plan.grid)[0]] + lattices))
-    out = _gather(series, plan.offsets[rows], plan.grid.n_tau)
-    out -= high
+    coefs = np.column_stack([_tau_integral(high, plan.grid.tau_weights),
+                             n1_terms(fhat, plan, rows)])
+    out = -high
+    series(out, coefs, plan, rows)
     return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
@@ -662,3 +672,16 @@ def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None,
             trace.converged = True
             break
     return trace
+
+
+# -- the field dump from the whole box ---------------------------------------
+
+
+def dump_field_box(u, path):
+    """``solver.dump_field`` as it was before it wrote a block of box rows at
+    a time: the whole box array, its complex64 copy and that copy's bytes."""
+    box = u.box_array().reshape(u.grid.box_count, u.grid.n_tau)
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(u.grid.dimension, u.grid.n_max,
+                             u.grid.tau_min, u.grid.tau_max, u.grid.tau_step))
+        f.write(np.ascontiguousarray(box.astype(np.complex64)).tobytes())

@@ -468,21 +468,21 @@ class TestRunCommands:
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_convolution_guard_names_key(self, tmp_path, monkeypatch, capsys):
-        # d=1, n_max=175 is the smallest d=1 box the peak-bytes estimate
-        # (4.05 GiB) puts over the budget; rejected before any field is
-        # built, where n_max=174 (3.98 GiB) is admitted
+        # d=1, n_max=173 is the smallest d=1 box the peak-bytes estimate
+        # (4.01 GiB) puts over the budget; rejected before any field is
+        # built, where n_max=172 (3.95 GiB) is admitted
         _admit(monkeypatch)
-        cfg = parse_config(["solve", "--d", "1", "--n-max", "174", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "172", "--out", str(tmp_path)])
         with pytest.raises(_Admitted):
             run(cfg)
         _forbid_fields(monkeypatch)
-        cfg = parse_config(["solve", "--d", "1", "--n-max", "175", "--out", str(tmp_path)])
+        cfg = parse_config(["solve", "--d", "1", "--n-max", "173", "--out", str(tmp_path)])
         assert run(cfg) == 2
         assert "'n_max'" in capsys.readouterr().err
 
     def test_solve_guard_counts_kept_iterates(self, tmp_path, monkeypatch, capsys):
         # the solve keeps one field, the iterate, at any max_iterations:
-        # d=2, n_max=24 (2401 x 9281 entries) is 0.69 GiB, n_max=37 3.76 GiB,
+        # d=2, n_max=24 (2401 x 9281 entries) is 0.68 GiB, n_max=37 3.76 GiB,
         # and n_max=38, the smallest d=2 box over the budget, 4.18 GiB
         _admit(monkeypatch)
         for n_max, iterations in (("24", "10"), ("24", "1000"), ("37", "10")):
@@ -517,8 +517,8 @@ class TestRunCommands:
         # the dumps are byte-stable reports for a fixed config
         assert [hashlib.sha256((tmp_path / p).read_bytes()).hexdigest() for p in dumps] == [
             "4b922f33b04fbf9a9c6183a1c6d8208ab35b35a038848979e2abf683946edd02",
-            "6b76ad0debc054e5f63d3ec9211226e03bded8591bef9817f84ece3f52606aaa",
-            "b15a5c555477dc1f278bc396238e6d352e4db800814fd3ecea054fd275bd4ecf",
+            "b87f631be922f772bcb262d7c22bd015447b6b1b121755d667d96f7496e2288f",
+            "14ae7a26d46819a15567c54b93af6e6d89ad675bf05044f7a2a23415ac556dbe",
         ]
 
     def test_solve_dump_fields_include_the_diverged_iterate(self, tmp_path, monkeypatch,

@@ -145,13 +145,17 @@ class TestFastPathsAgainstOracles:
         return _product_pair(request.param)
 
     def test_n1_matches_taylor_oracle(self, pair):
+        # N1's series, summed in t on the product's t-nodes, aliases at the
+        # period h P, as the product's own eta-tail does (TestTSeries): 2.8e-8
+        # of N1's largest entry measured on the line and 2.5e-6 on box_2_4,
+        # whose window is 80 wide
         u, v, T = pair
         for a, b in ((u, v), (u, u)):
             fhat = nonlinear_fourier_data(a, b, T)
             old = _n1_taylor_oracle(fhat)
             new = duhamel_n1(fhat, _plan(a.grid))
             assert np.array_equal(new.index, fhat.index)
-            assert np.abs(new.data - old).max() <= 1e-12 * np.abs(old).max()
+            assert np.abs(new.data - old).max() <= 5e-6 * np.abs(old).max()
 
     def test_n2_n3_bitwise_against_full_window_multiplier(self, pair):
         u, v, T = pair
@@ -159,10 +163,12 @@ class TestFastPathsAgainstOracles:
         mult = _high_modulation_oracle(fhat)
         plan = _plan(u.grid)
         assert np.array_equal(duhamel_n3(fhat, plan).data, -1j * fhat.data * mult)
+        # N2 is i F(eta)(sigma) times these sums, as the k = 0 term of N1's
+        # series; i (-i x) is x bit for bit
         sums = np.einsum("kl,l->k", fhat.data * mult, fhat.grid.tau_weights)
-        lattice, j_max = cutoffs.sigma_lattice(fhat.grid, 0)
-        rows = cutoffs.gather_profile(fhat.grid, fhat.norm_sq_columns(), lattice, j_max)
-        assert np.array_equal(duhamel_n2(fhat, plan).data, 1j * rows * sums[:, None])
+        want = np.zeros_like(fhat.data)
+        solver._add_t_series(want, 1j * sums[:, None], plan, slice(None))
+        assert np.array_equal(duhamel_n2(fhat, plan).data, want)
 
     def test_self_product_bitwise(self, pair):
         u, _, T = pair
@@ -283,6 +289,44 @@ def _assert_same_trace(a, b):
     for (_, x), (_, y) in zip(seen_a, seen_b):
         assert np.array_equal(x.index, y.index)
         assert np.array_equal(x.data, y.data)
+
+
+def _oversampled_product(u, v, T, monkeypatch, factor=16):
+    """``nonlinear_fourier_data`` at tau length ``factor`` n_tau: the
+    package's own blocked passes, on the live t-nodes of the longer period,
+    where ``_workspace_product`` holds every workspace sample."""
+    M, fast = u.grid.n_tau, grid_module._next_fast_len
+    with monkeypatch.context() as m:
+        m.setattr(grid_module, "_next_fast_len",
+                  lambda n: fast(factor * M) if n == 2 * M - 1 else fast(n))
+        return nonlinear_fourier_data(u, v, T).data
+
+
+class TestTSeries:
+    """N1's series, summed in t on the product's t-nodes
+    (``solver._add_t_series``), aliases at the product's own period h P.
+    Against the series on the 16x-oversampled sigma-lattices
+    (``oracles.lattice_series``) its error stays a twentieth of the
+    product's own error against the 16x-oversampled product."""
+
+    @pytest.mark.parametrize("box", [(1, 8), (2, 4), "duhamel", (1, 32)],
+                             ids=["line_8", "box_2_4", "criterion_5", "line_32"])
+    def test_inside_the_product_error(self, box, monkeypatch):
+        # measured (series, product): 2.3e-8, 2.6e-6 on line_8; 2.0e-6,
+        # 5.6e-4 on box_2_4; 4.2e-9, 4.8e-7 on criterion 5's grid; 7.7e-12,
+        # 1.1e-9 on line_32
+        u, v, T = _product_pair(box)
+        plan = _plan(u.grid)
+        rel = lambda got, want: np.abs(got - want).max() / np.abs(want).max()
+        for a, b in ((u, v), (u, u)):
+            fhat = nonlinear_fourier_data(a, b, T)
+            lattice = oracles.duhamel_rhs_whole(fhat, plan, series=oracles.lattice_series)
+            series = rel(duhamel_rhs(fhat, plan).data, lattice.data)
+            fine = _oversampled_product(a, b, T, monkeypatch)
+            if box != (1, 32):  # every workspace sample: 556 MB an array on line_32
+                want = _workspace_product(a, b, T, sfft.next_fast_len(16 * a.grid.n_tau))
+                assert rel(fine, want) <= 1e-14
+            assert series <= rel(fhat.data, fine) / 20
 
 
 class TestPicardPlan:
@@ -797,9 +841,10 @@ class TestPeakBytes:
             tracemalloc.stop()
         assert len(trace.z_norms) == 4
         estimate = peak_bytes(grid, params)
-        # measured: 1.27x on line_8 and box_2_4, whose step runs in one
-        # block (its N1 moments counted at 29 terms where the solve takes
-        # 23), and 1.05x on box_2_8, whose peak is the product's forward pass
+        # measured: 1.46x on line_8 and 1.34x on box_2_4, whose step runs in
+        # one block (its N1 moments counted at 29 terms where the solve takes
+        # 23), and 1.34x on box_2_8; the estimate counts N1's t-series table
+        # and its two rows, which the first solve cached
         assert peak <= estimate <= 1.5 * peak, f"estimate {estimate / peak:.2f}x the peak"
 
     def test_peak_does_not_grow_with_iterations(self):
@@ -838,12 +883,10 @@ class TestBlockedStep:
         grid, plan, weight = u.grid, _plan(u.grid), _eta_weight(T)
         K, M, P = grid.box_count, grid.n_tau, _workspace(grid)[0][-1]
         # two Duhamel rows and two product tau-rows a block, so 17, 81 and 49
-        # columns end in a block of three, and N1's series on each row block
-        # in blocks of at most a quarter of the window's lattice columns
+        # columns end in a block of three
         monkeypatch.setattr(grid_module, "_BLOCK_BYTES", 8 * M)
-        assert grid_module._block_rows(solver._STEP_BYTES * M) == 2
+        assert grid_module._block_rows(solver._step_row_bytes(grid)) == 2
         assert grid_module._block_rows(16 * P) == 2
-        assert M >= 4 * grid_module._block_rows(16 * 2)
         for a, b in ((u, v), (u, u)):
             fa = conjugate_reflect(a)
             fb = fa if b is a else conjugate_reflect(b)
@@ -867,8 +910,7 @@ class TestBlockedStep:
 
     def test_default_blocks_on_the_benchmark_grid(self):
         # 65 columns: the product runs 15 tau-rows a block, and duhamel_rhs
-        # 12 rows a block, each row block's series one block of the lattice
-        # columns its rows reach
+        # 5 rows a block, each row's series one FFT
         grid = FrequencyGrid.for_box(1, 32, 0.25)
         u = free_evolution_data(grid, rough_initial_data(grid, -0.6, 3))
         fhat = nonlinear_fourier_data(u, u, 0.125)
@@ -881,8 +923,9 @@ class TestBlockedStep:
     def test_step_peaks_on_the_benchmark_grid(self):
         # above its inputs the product holds its result, one block of
         # tau-rows and the spatial workspace, and the Duhamel step its result
-        # and one row block's series: 1.66 and 1.21 box fields measured,
-        # where the whole (K, P) rows and (K, lattice) series held 4.0 and 3.5
+        # and one row block's series: 1.66 and 1.07 box fields measured
+        # (1.21 with the series on the sigma-lattice), where the whole (K, P)
+        # rows and (K, lattice) series held 4.0 and 3.5
         grid = FrequencyGrid.for_box(1, 32, 0.25)
         field = 16 * grid.box_count * grid.n_tau
         u = free_evolution_data(grid, rough_initial_data(grid, -0.6, 3))
@@ -904,9 +947,11 @@ class TestBlockedStep:
 
     def test_solve_peak_on_the_benchmark_grid(self):
         # the solve holds one iterate and the plan (0.03 box fields: r and
-        # the Z weight on the sigma-lattice) above its product's forward pass:
-        # 1.85 box fields measured, where a next iterate beside the current one
-        # and a reflected copy in the product took 2.76, r and the Z weight
+        # the Z weight on the sigma-lattice) above its product's forward pass,
+        # whose tau-rows run in the step's row blocks: 1.58 box fields
+        # measured, where 8 MiB forward blocks and N1's series on the
+        # sigma-lattice took 1.85, a next iterate beside the current one
+        # and a reflected copy in the product 2.76, r and the Z weight
         # on every box entry 3.74, and a held linear solution, the Duhamel
         # step beside the product and the whole difference in the Z-norm 6.00
         grid = FrequencyGrid.for_box(1, 32, 0.25)
@@ -928,25 +973,32 @@ class TestBlockedStep:
         # each row's N1 series stops on its own bound, and every stage of the
         # step is row-local: the Duhamel step and a solve are the same bits
         # in blocks of the default 8 MiB, of 1 MiB and of two rows, and when
-        # N1's lattice rows grow from room for 3 terms to every term
+        # N1's moments are first taken for 3 terms, then for every term
         grid = FrequencyGrid.for_box(*box)
         u0 = rough_initial_data(grid, -0.6, 3)
         fhat = nonlinear_fourier_data(free_evolution_data(grid, u0),
                                       free_evolution_data(grid, u0), 0.125)
         params = SolverParams(s=-0.6, T=0.125, max_iterations=3, contraction_tolerance=0.0)
         runs = []
+        taken = []
         for block_bytes in (grid_module._BLOCK_BYTES, 1 << 20, 8 * grid.n_tau, None):
-            if block_bytes is None:  # N1's lattice rows start with room for 3 terms
+            if block_bytes is None:  # N1's moments first taken for 3 terms
                 assert grid_module._block_rows(solver._step_row_bytes(grid)) == 2
                 monkeypatch.setattr(solver, "_series_terms", lambda: 4)
-                solver._series_lattices.cache_clear()
+                coefficients = solver._n1_coefficients
+
+                def counted(fhat, plan, rows, terms=None):
+                    taken.append(terms)
+                    return coefficients(fhat, plan, rows, terms)
+
+                monkeypatch.setattr(solver, "_n1_coefficients", counted)
             else:
                 monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
             trace = picard_solve(u0, params, grid)
             runs.append((duhamel_rhs(fhat, _plan(grid)).data, trace.final.data,
                          np.array(trace.z_norms + trace.successive_diffs)))
-        assert len(solver._series_lattices(grid).rows) == solver._SERIES_MAX_TERMS + 1
-        solver._series_lattices.cache_clear()
+        # no row stops within 3 terms: each block takes its moments again for every term
+        assert set(taken) == {None, solver._SERIES_MAX_TERMS}
         for run in runs[1:]:
             assert all(_same_bits(got, want) for got, want in zip(run, runs[0]))
 
@@ -1059,6 +1111,22 @@ class TestFieldDumps:
         assert back.grid == grid
         # payload is complex64, so round-trip is exact at single precision
         assert np.abs(back.data - u.data).max() <= 1e-6 * np.abs(u.data).max()
+
+    @pytest.mark.parametrize("rows", [None, 2], ids=["default_blocks", "two_row_blocks"])
+    def test_bytes_of_the_whole_box_writer(self, tmp_path, rows, monkeypatch):
+        # the bytes oracles.dump_field_box writes from the whole box array,
+        # of a field on every box column and of one on every third column,
+        # stored on window samples [40, 90) only
+        grid = FrequencyGrid.for_box(2, 3, 0.25)
+        if rows:  # a block is 64 bytes a sample of its rows
+            monkeypatch.setattr(grid_module, "_BLOCK_BYTES", rows * 64 * grid.n_tau)
+        u = free_evolution_data(grid, rough_initial_data(grid, -0.6, seed=2))
+        assert u.n_columns == grid.box_count and u.stored == (0, grid.n_tau)
+        span = SpaceTimeField(grid, u.index[1::3], u.data[1::3, 40:90], lo=40)
+        for field in (u, span):
+            dump_field(field, tmp_path / "rows.bin")
+            oracles.dump_field_box(field, tmp_path / "box.bin")
+            assert (tmp_path / "rows.bin").read_bytes() == (tmp_path / "box.bin").read_bytes()
 
     def test_load_rejects_non_finite(self, tmp_path):
         grid = FrequencyGrid.for_box(1, 4, 0.25)
