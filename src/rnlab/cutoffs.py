@@ -135,42 +135,44 @@ def free_evolution_data(grid, phi_hat):
     paraboloid tau = -|n|^2.  ``phi_hat`` is either a box-shaped coefficient
     array or a pair (columns, values); its zero coefficients get no column.
 
-    The pairs are put in field order before the gather, so the gathered rows
-    are the field's data (``free_evolution_rows``).
+    The pairs are put in field order before the gather, so the gathered
+    rows, scaled in place, are the field's data.
     """
     ns, vals = _spatial_pairs(grid, phi_hat)
-    if not np.isfinite(vals).all():  # spatial data enters the field model here
-        raise ValueError("spatial data contains non-finite coefficients")
     keep = vals != 0
     ns, vals = ns[keep], vals[keep]
     order = np.argsort(grid.flat_keys(ns), kind="stable")
     ns, vals = ns[order], vals[order]
-    return SpaceTimeField(grid, ns, free_evolution_rows(grid, FrequencyGrid.norm_sq(ns), vals))
-
-
-def free_evolution_rows(grid, norm_sq, vals):
-    """Rows F(eta)(tau + |n|^2) phi_hat(n) of the free evolution's data at
-    the columns with these |n|^2 and coefficients: one (K, n_tau) array,
-    gathered and scaled in place."""
     lattice, j_max = sigma_lattice(grid)
-    rows = gather_profile(grid, norm_sq, lattice, j_max)
+    rows = gather_profile(grid, FrequencyGrid.norm_sq(ns), lattice, j_max)
     # the out= form keeps the operand order of vals[:, None] * rows, and with
     # it the rounding; `rows *= vals[:, None]` differs in the last bit
-    return np.multiply(vals[:, None], rows, out=rows)
+    return SpaceTimeField(grid, ns, np.multiply(vals[:, None], rows, out=rows))
 
 
 def _spatial_pairs(grid, phi_hat):
+    """(columns, values) of spatial data, a pair of them or a box-shaped
+    array, where it enters the field model: raises ValueError, before
+    anything is gathered, unless every value is finite and every column
+    lies in the box, once."""
     if isinstance(phi_hat, tuple) and len(phi_hat) == 2:
         ns = np.asarray(phi_hat[0], dtype=np.int64).reshape(-1, grid.dimension)
         vals = np.asarray(phi_hat[1], dtype=np.complex128).reshape(len(ns))
-        return ns, vals
-    arr = np.asarray(phi_hat, dtype=np.complex128)
-    expected = (grid.box_side,) * grid.dimension
-    if arr.shape != expected:
-        raise ValueError(
-            f"spatial coefficient array has shape {arr.shape}, expected {expected}"
-        )
-    return grid.box_index.copy(), arr.reshape(-1)
+        if not grid.in_box(ns).all():
+            raise ValueError("field has columns outside the grid box")
+        if not np.diff(np.sort(grid.flat_keys(ns))).all():  # np.unique imports numpy.ma
+            raise ValueError("field index must not contain duplicate columns")
+    else:
+        arr = np.asarray(phi_hat, dtype=np.complex128)
+        expected = (grid.box_side,) * grid.dimension
+        if arr.shape != expected:
+            raise ValueError(
+                f"spatial coefficient array has shape {arr.shape}, expected {expected}"
+            )
+        ns, vals = grid.box_index.copy(), arr.reshape(-1)
+    if not np.isfinite(vals).all():
+        raise ValueError("spatial data contains non-finite coefficients")
+    return ns, vals
 
 
 # Only tests call this; it stays because perfbench/tracer.py wraps it by name.

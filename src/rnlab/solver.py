@@ -18,7 +18,8 @@ With the real r = (1-psi(sigma))/sigma, N2 = F(eta)(sigma) Int F r dtau and
 N3 = -r F.  Everything that depends only on the grid, the cutoffs and the
 norm parameters lives in a PicardPlan built once per solve.  The fixed-point
 iterate is Gamma[u] = eta(t) e^{it Lap} u0 + N1 + N2 + N3 applied with v = u,
-where N2 enters N1's series as its k = 0 term.
+where the linear solution, F(eta)(sigma) u0(n), and N2 enter N1's series as
+its k = 0 term.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import cutoffs
-from .cutoffs import SUPPORT, free_evolution_data, standard_bump
+from .cutoffs import SUPPORT, standard_bump
 from .grid import (FrequencyGrid, SpaceTimeField, _block_rows, _padded_product,
                    _product_blocks, _row_blocks, _weight_rows, _workspace)
 from .norms import (NormParams, _lo_rows, _tau_integral, _y_weight, _z_apply, _z_sums,
@@ -208,32 +209,27 @@ _COEFS = np.array([-c for c in accumulate((1j / k for k in range(1, _SERIES_MAX_
                                           lambda a, b: a * b)])
 
 
-def _n1_coefficients(fhat, plan, rows, terms=None):
+def _n1_coefficients(fhat, plan, rows):
     """N1's Taylor coefficients a_k, k = 1, 2, ..., of the product rows
     ``fhat`` at the plan's rows ``rows``, shape (R, terms).
 
     a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1}
-    dtau over the supp-psi band of each column.  Each row stops on its own
-    bound |a_k| m_k (``_series_table``), at the second term in a row below
-    1e-12 of its largest so far, and is zero after, so no row depends on
-    another.  |sigma| <= 2 on supp psi keeps the terms bounded by 4^k / k!;
-    the moments are taken for the ``_series_terms`` that bound reaches, and
-    for every term if a row needs more.
+    dtau over the supp-psi band of each column, taken for all
+    _SERIES_MAX_TERMS terms in one pass.  Each row stops on its own bound
+    |a_k| m_k (``_series_table``), at the second term in a row below 1e-12
+    of its largest so far, and is zero after, so no row depends on another.
     """
-    grid, bounds = plan.grid, _series_table(plan.grid)[2]
-    terms = terms or _series_terms() - 1
+    grid, bounds, terms = plan.grid, _series_table(plan.grid)[2], _SERIES_MAX_TERMS
     cols, sigma = plan.cols[rows], plan.sigma[rows]
     weighted = np.take_along_axis(fhat, cols, axis=1) * plan.psi[rows] * grid.tau_weights[cols]
     powers = np.empty((len(sigma), terms, sigma.shape[1]))
     powers[:, 0] = 1.0
     powers[:, 1:] = sigma[:, None]
     np.cumprod(powers, axis=1, out=powers)  # sigma^{k-1}, each a product of the last
-    coefs = _COEFS[:terms] * (weighted[:, None] * powers).sum(axis=2)
-    bound = np.abs(coefs) * bounds[1:terms + 1]
+    coefs = _COEFS * (weighted[:, None] * powers).sum(axis=2)
+    bound = np.abs(coefs) * bounds[1:]
     below = bound <= _SERIES_TOL * np.maximum(np.maximum.accumulate(bound, axis=1), 1e-300)
     pairs = below[:, 1:] & below[:, :-1]
-    if terms < _SERIES_MAX_TERMS and not pairs.any(axis=1).all():
-        return _n1_coefficients(fhat, plan, rows, _SERIES_MAX_TERMS)
     stop = np.where(pairs.any(axis=1), pairs.argmax(axis=1) + 2, terms)
     coefs = coefs[:, :stop.max()]
     coefs[np.arange(coefs.shape[1]) >= stop[:, None]] = 0.0
@@ -330,28 +326,29 @@ def duhamel_n3(fhat, plan):
 
 def duhamel_rhs(fhat, plan):
     """N1 + N2 + N3 of the product data ``fhat`` in one new array, formed in
-    the row blocks of the Picard step (``_duhamel_rows``); ``fhat`` is left
-    as it is."""
+    the row blocks of the Picard step (``_duhamel_rows``, with no linear
+    solution); ``fhat`` is left as it is."""
     out, keys = fhat.copy(), _rows(fhat)
     if out.n_columns:
         for part in _row_blocks(out.n_columns, _step_row_bytes(fhat.grid)):
-            _duhamel_rows(out.data[part], plan, part if isinstance(keys, slice) else keys[part])
+            _duhamel_rows(out.data[part], plan, part if isinstance(keys, slice) else keys[part], 0)
     return out
 
 
-def _duhamel_rows(block, plan, rows):
+def _duhamel_rows(block, plan, rows, linear):
     """N1 + N2 + N3 of the product rows ``block`` at the plan's rows
-    ``rows``, formed in place, each row alone.
+    ``rows``, plus the linear solution of the coefficients ``linear`` there
+    (0 for none), formed in place, each row alone.
 
-    N2 is the k = 0 term of N1's series, with coefficient Int F r dtau.
-    N1's coefficients are taken from F first; then the block is scaled to
-    F r, Int F r dtau is taken from it, it is negated in place to
-    N3 = -r F, and the one series adds N1 + N2 into it: (-r F) + series
-    rounds as series - r F does.
+    N2 and the linear solution are the k = 0 term of N1's series, with
+    coefficient Int F r dtau + linear.  N1's coefficients are taken from F
+    first; then the block is scaled to F r, Int F r dtau is taken from it,
+    it is negated in place to N3 = -r F, and the one series adds the rest
+    into it: (-r F) + series rounds as series - r F does.
     """
     coefs = _n1_coefficients(block, plan, rows)
     np.multiply(block, plan.r(rows), out=block)
-    high = _tau_integral(block, plan.grid.tau_weights)
+    high = _tau_integral(block, plan.grid.tau_weights) + linear
     np.negative(block, out=block)
     _add_t_series(block, np.column_stack([high, coefs]), plan, rows)
 
@@ -382,8 +379,7 @@ def peak_bytes(grid, params):
     larger transient: the product's forward pass, one block of tau-rows at
     length P, the columns' samples at eta's t-nodes and up to three spatial
     workspaces there (one between axes in d=2), or the streamed step, one
-    workspace and a block of rows.  The cached cutoff transforms are not
-    counted.
+    workspace and a block of rows.
     """
     K, M = grid.box_count, grid.n_tau
     shape, _, n_live, _ = _workspace(grid, _eta_weight(params.T))
@@ -397,26 +393,18 @@ def peak_bytes(grid, params):
     return int(16 * K * M + plan + max(forward + 3 * spatial, step + spatial))
 
 
-def _series_terms():
-    """Terms of the Duhamel step's series that ``_n1_coefficients``' tolerance can
-    reach, N2's k = 0 term included: with |sigma| <= 2 on supp psi and
-    |t| <= 2 on supp eta, term k is bounded by a multiple of 4^k / k!, which
-    first falls below _SERIES_TOL times its largest value (10.7, at k = 3
-    and 4) at k = 27, and the series stops on the next term: 29 terms, where
-    the d=1 and d=2 solves at n_max 4-32 take 22 or 23."""
-    bounds = [4.0**k / math.factorial(k) for k in range(1, _SERIES_MAX_TERMS + 1)]
-    return 2 + next(k for k, c in enumerate(bounds, 1) if c <= _SERIES_TOL * max(bounds))
-
-
 def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     """Iterate Gamma[u] = eta e^{it Lap} u0 + N(u, u) from the linear solution.
 
-    ``u0`` is spatial data as a (columns, values) pair or box array;
+    ``u0`` is spatial data as a (columns, values) pair or box array,
+    checked before anything is built (``cutoffs._spatial_pairs``);
     ``initial``, a field on ``grid``, replaces the linear solution as the
     first iterate, and is left as it is.  Both are taken onto every box
-    column, where the ``PicardPlan`` lives.  The solve holds one iterate
-    and the plan: each step writes the next iterate over it a block of rows
-    at a time (``_picard_step``), and the trace keeps it as ``final``.
+    column, where the ``PicardPlan`` lives, the linear solution as the
+    k = 0 term of N1's series (``_add_t_series``) with coefficient u0(n),
+    a row block at a time.  The solve holds one iterate and the plan: each
+    step writes the next iterate over it a block of rows at a time
+    (``_picard_step``), and the trace keeps it as ``final``.
     ``on_iterate(k, field)``, when given, receives iterate k as soon as it
     is made, from k = 0 up to and including one that diverges: that live
     field, which the next step overwrites; a caller keeps a copy.  Raises
@@ -425,13 +413,15 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     """
     if initial is not None:
         grid.assert_compatible(initial.grid)
+    coefs = _box_coefficients(grid, u0)
     plan = PicardPlan.build(grid, params.norm_params())
     # the Z-norm's arguments; the plan holds the Z weight of params.s
     z_args = (FrequencyGrid.norm_sq(grid.box_index).astype(float), plan.lo_factors,
               lambda s: plan.y_weight, [params.s], grid.tau_weights)
     trace = IterationTrace()
-    current = _on_box(free_evolution_data(grid, u0))
-    coefs = _box_coefficients(grid, u0)
+    current = SpaceTimeField.full(grid)
+    for part in _row_blocks(grid.box_count, _step_row_bytes(grid)):
+        _add_t_series(current.data[part], coefs[part, None], plan, part)
     z0 = _z_apply(current.data, *z_args)[0]
     radius = max(z0, 1e-12)
     if initial is not None:
@@ -462,26 +452,19 @@ def _picard_step(u, plan, coefs, T, z_args):
 
     The product (``grid._product_blocks``) reads u in blocks of
     ``_step_row_bytes`` rows; then each block comes back from its inverse
-    tau pass, becomes N1 + N2 + N3 (``_duhamel_rows``), gets the linear
-    solution's rows from u0's box coefficients ``coefs`` (as
-    ``free_evolution_data`` forms them; a zero coefficient adds +0.0 rows),
-    is normed and goes over u's rows.
-    Every stage is row-local: no bit depends on the partition.  A zero u
-    makes +-0.0 blocks, to which the linear solution adds bit for bit.
+    tau pass, becomes the linear solution of u0's box coefficients
+    ``coefs`` plus N1 + N2 + N3 (``_duhamel_rows``), is normed and goes
+    over u's rows.  Every stage is row-local: no bit depends on the
+    partition.
     """
     (add, norms), (add_diff, diff_norms) = _z_sums(*z_args), _z_sums(*z_args)
     grid, row_bytes = u.grid, _step_row_bytes(u.grid)
-    nsq = FrequencyGrid.norm_sq(grid.box_index)
     *_, blocks = _product_blocks(u, None, _eta_weight(T), reflect=True, row_bytes=row_bytes)
     rows_out = np.empty((min(grid.box_count, _block_rows(row_bytes) + 1), grid.n_tau), complex)
     for rows, window in blocks:
         block = rows_out[:rows.stop - rows.start]
         np.multiply(grid.tau_step, window, out=block)
-        _duhamel_rows(block, plan, rows)
-        linear = cutoffs.free_evolution_rows(grid, nsq[rows], coefs[rows])
-        linear[coefs[rows] == 0] = 0.0
-        block += linear
-        del linear  # not alive beside the norms
+        _duhamel_rows(block, plan, rows, coefs[rows])
         add(rows, block)
         add_diff(rows, block, u.data[rows])
         u.data[rows] = block
@@ -490,20 +473,20 @@ def _picard_step(u, plan, coefs, T, z_args):
 
 def _step_row_bytes(grid):
     """A Picard step's bytes a row: a tau-row at length P, a row of the next
-    iterate, _STEP_BYTES an entry, N1's moments (24 a term and sample) and
-    its series' real and imaginary parts on the t-nodes (``_add_t_series``)."""
+    iterate, _STEP_BYTES an entry, N1's moments (24 a term and sample, for
+    every term) and its series' real and imaginary parts on the t-nodes
+    (``_add_t_series``)."""
     return 16 * _workspace(grid)[0][-1] + (16 + _STEP_BYTES) * grid.n_tau \
-        + 24 * (_series_terms() - 1) * int(2.0 * SUPPORT / grid.tau_step + 2) \
+        + 24 * _SERIES_MAX_TERMS * int(2.0 * SUPPORT / grid.tau_step + 2) \
         + 16 * _workspace(grid, standard_bump)[2]
 
 
 def _box_coefficients(grid, u0):
-    """u0's coefficient at every box column, zero where it has none; u0 has
-    passed ``free_evolution_data``'s checks."""
+    """u0's coefficient at every box column, zero where it has none, once
+    ``cutoffs._spatial_pairs`` has checked u0."""
     ns, vals = cutoffs._spatial_pairs(grid, u0)
-    keep = vals != 0
     coefs = np.zeros(grid.box_count, dtype=np.complex128)
-    coefs[grid.flat_keys(ns[keep])] = vals[keep]
+    coefs[grid.flat_keys(ns)] = vals
     return coefs
 
 

@@ -117,11 +117,7 @@ def reference_integrate(u0, grid, T, steps, include_nonlinearity=True):
     d/dt u_hat = -i |n|^2 u_hat - i F_x(conj(u)^2) with the linear part
     removed exactly by the integrating factor.
     """
-    ns, vals = cutoffs._spatial_pairs(grid, u0)
-    if not np.array_equal(ns, grid.box_index):
-        full = np.zeros(grid.box_count, dtype=np.complex128)
-        full[grid.flat_keys(ns)] = vals
-        vals = full
+    vals = box_coefficients(grid, u0)
     pad = sfft.next_fast_len(2 * grid.box_side - 1)
     nsq = FrequencyGrid.norm_sq(grid.box_index).astype(float)
 
@@ -607,11 +603,13 @@ def _per_row_terms(fhat, plan, rows):
     return _n1_coefficients(fhat.data, plan, rows)
 
 
-def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms, series=_add_t_series):
-    """N1 + N2 + N3 of the product data ``fhat`` in one array.
+def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms, series=_add_t_series, linear=0):
+    """N1 + N2 + N3 of the product data ``fhat`` in one array, plus the
+    linear solution of the box coefficients ``linear`` at its rows.
 
-    N2 is the k = 0 term of N1's series, with coefficient Int F r dtau; the
-    one series, ``series`` on every row at once, adds N1 + N2 to N3 = -r F.
+    N2 and the linear solution are the k = 0 term of N1's series, with
+    coefficient Int F r dtau + linear; the one series, ``series`` on every
+    row at once, adds them and N1 to N3 = -r F.
     ``n1_terms`` gives N1's coefficients: each row truncated on its own, as
     the solver does, or ``n1_terms_per_box``.  ``series`` is the solver's
     t-series or ``lattice_series``.
@@ -620,25 +618,46 @@ def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms, series=_add_t_series)
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
     high = fhat.data * plan_r_box(plan.grid)[rows]
-    coefs = np.column_stack([_tau_integral(high, plan.grid.tau_weights),
+    linear = linear[rows] if np.ndim(linear) else linear
+    coefs = np.column_stack([_tau_integral(high, plan.grid.tau_weights) + linear,
                              n1_terms(fhat, plan, rows)])
     out = -high
     series(out, coefs, plan, rows)
     return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
+def box_coefficients(grid, u0):
+    """u0's coefficient at every box column, zero where it has none."""
+    ns, vals = cutoffs._spatial_pairs(grid, u0)
+    coefs = np.zeros(grid.box_count, dtype=np.complex128)
+    coefs[grid.flat_keys(ns)] = vals
+    return coefs
+
+
+def linear_solution(u0, plan):
+    """The linear solution eta(t) e^{it Lap} u0 on every box column, as the
+    solver takes it: the k = 0 term of N1's series, with coefficient u0(n),
+    on every row at once into a zero array."""
+    grid = plan.grid
+    out = np.zeros((grid.box_count, grid.n_tau), dtype=np.complex128)
+    _add_t_series(out, box_coefficients(grid, u0)[:, None], plan, slice(None))
+    return SpaceTimeField(grid, grid.box_index.copy(), out)
+
+
 def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None,
                        n1_terms=_per_row_terms):
     """``solver.picard_solve`` as it was before it stopped holding the linear
-    solution and the next iterate: the linear solution is held and added
-    whole, the Duhamel step and the Z-norms run on whole arrays
-    (``duhamel_rhs_whole`` with ``n1_terms``, ``_z_apply`` above, on the
-    factors of ``plan_z_box``), and each iterate is a new field."""
+    solution and the next iterate: the linear solution (``linear_solution``)
+    is held, the Duhamel step, which adds it in its series, and the Z-norms
+    run on whole arrays (``duhamel_rhs_whole`` with ``n1_terms``,
+    ``_z_apply`` above, on the factors of ``plan_z_box``), and each iterate
+    is a new field."""
     if initial is not None:
         grid.assert_compatible(initial.grid)
     plan = PicardPlan.build(grid, params.norm_params())
     w = grid.tau_weights
-    linear = _on_box(cutoffs.free_evolution_data(grid, u0))
+    linear = linear_solution(u0, plan)
+    coefs = box_coefficients(grid, u0)
     trace = IterationTrace()
     current = linear
     z_factors = plan_z_box(grid, params.norm_params())
@@ -653,10 +672,8 @@ def picard_solve_whole(u0, params, grid, initial=None, on_iterate=None,
     emit(0, current)
     for k in range(1, params.max_iterations + 1):
         nxt = duhamel_rhs_whole(nonlinear_fourier_data(current, current, params.T), plan,
-                                n1_terms)
-        if nxt.n_columns:
-            nxt.data += linear.data
-        else:
+                                n1_terms, linear=coefs)
+        if not nxt.n_columns:
             nxt = linear.copy()
         z = _z_apply(nxt.data, z_factors, w)
         diff = _z_apply(nxt.data - current.data, z_factors, w)

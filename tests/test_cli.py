@@ -516,9 +516,9 @@ class TestRunCommands:
         assert field.grid.dimension == 1 and field.grid.n_max == 4
         # the dumps are byte-stable reports for a fixed config
         assert [hashlib.sha256((tmp_path / p).read_bytes()).hexdigest() for p in dumps] == [
-            "4b922f33b04fbf9a9c6183a1c6d8208ab35b35a038848979e2abf683946edd02",
-            "b87f631be922f772bcb262d7c22bd015447b6b1b121755d667d96f7496e2288f",
-            "14ae7a26d46819a15567c54b93af6e6d89ad675bf05044f7a2a23415ac556dbe",
+            "39963b7b5e5208d539534670f40de3bf35d8a78e7ead35ea4d41cfcd078e30c1",
+            "3d828baf0346c5da8908dd67cffabb99f859433248deb9a7cfa0f7e19b6398cc",
+            "78970ca6a50d1b48e246ed444fd71e6994387ab6e164f152c6afa45e69a4400d",
         ]
 
     def test_solve_dump_fields_include_the_diverged_iterate(self, tmp_path, monkeypatch,

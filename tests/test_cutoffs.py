@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from rnlab import cutoffs, solver
+from rnlab import grid as grid_module
 from rnlab.cutoffs import (
     _spatial_pairs,
     apply_time_cutoff,
@@ -15,7 +17,7 @@ from rnlab.cutoffs import (
 )
 from rnlab.grid import FrequencyGrid, SpaceTimeField, time_slices
 from rnlab.norms import NormParams, xsb_norm
-from rnlab.solver import SolverParams, picard_solve
+from rnlab.solver import PicardPlan, SolverParams, picard_solve
 
 import oracles
 
@@ -146,13 +148,12 @@ class TestFreeEvolution:
         assert errs[2] < 1e-7
 
 
-def _free_evolution_oracle(grid, phi_hat, prune=True):
+def _free_evolution_oracle(grid, phi_hat):
     """The construction free_evolution_data replaced: scaled copy, then sorted
-    copy; ``prune=False`` keeps the zero coefficients' columns."""
+    copy."""
     ns, vals = _spatial_pairs(grid, phi_hat)
-    if prune:
-        keep = vals != 0
-        ns, vals = ns[keep], vals[keep]
+    keep = vals != 0
+    ns, vals = ns[keep], vals[keep]
     lattice, j_max = sigma_lattice(grid)
     rows = gather_profile(grid, FrequencyGrid.norm_sq(ns), lattice, j_max)
     return SpaceTimeField.from_columns(grid, ns, vals[:, None] * rows)
@@ -198,14 +199,15 @@ class TestFreeEvolutionInPlace:
     @_INPUT_GRIDS
     @_INPUT_CASES
     def test_solve_puts_the_dropped_columns_back(self, grid, case):
-        # a solve's iterate 0 is the unpruned construction on the whole box
+        # a solve's iterate 0 is the linear solution on the whole box, zero
+        # coefficients' columns included, formed in row blocks as
+        # oracles.linear_solution forms it whole
         phi = self._phi(grid, case)
         seen = []
         params = SolverParams(s=-0.6, T=0.125, max_iterations=1)
         # the iterate is live: the next step overwrites it
         picard_solve(phi, params, grid, on_iterate=lambda k, u: seen.append((k, u.copy())))
-        unpruned = _free_evolution_oracle(grid, phi, prune=False)
-        want = SpaceTimeField(grid, grid.box_index.copy(), unpruned.box_array())
+        want = oracles.linear_solution(phi, PicardPlan.build(grid, params.norm_params()))
         k, first = seen[0]
         assert k == 0
         assert np.array_equal(first.index, want.index)
@@ -226,6 +228,38 @@ class TestFreeEvolutionInPlace:
         assert after is lattice
         assert not lattice.flags.writeable
         assert np.array_equal(lattice, before)
+
+
+_BAD_DATA = pytest.mark.parametrize("box, ns, vals, match", [
+    ((1, 8), [[-9], [0]], [1.0, 1.0], "outside the grid box"),
+    ((2, 4), [[9, 0], [1, 0]], [1.0, 1.0], "outside the grid box"),
+    ((1, 8), [[1], [0], [1]], [1.0, 1.0, 0.0], "duplicate"),
+    ((2, 4), [[1, 0], [0, 2]], [1.0, np.nan], "non-finite"),
+], ids=["line_outside", "box_outside", "duplicate", "non_finite"])
+
+
+class TestSpatialDataChecks:
+    """Spatial data is checked where it enters (``cutoffs._spatial_pairs``),
+    by the free evolution and by a solve alike, before any gather or
+    product: on the line, a column outside the box once reached the
+    lattice gather as an IndexError."""
+
+    @_BAD_DATA
+    @pytest.mark.parametrize("enter", ["free_evolution_data", "picard_solve"])
+    def test_rejected_before_any_product(self, box, ns, vals, match, enter, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("bad spatial data reached a transform")
+
+        for module, name in ((grid_module, "_product_blocks"), (solver, "_product_blocks"),
+                             (solver, "_add_t_series"), (cutoffs, "gather_profile")):
+            monkeypatch.setattr(module, name, fail)
+        grid = FrequencyGrid.for_box(*box, tau_step=0.25)
+        u0 = (np.array(ns), np.array(vals, dtype=complex))
+        with pytest.raises(ValueError, match=match):
+            if enter == "free_evolution_data":
+                free_evolution_data(grid, u0)
+            else:
+                picard_solve(u0, SolverParams(s=-0.6, T=0.125, max_iterations=1), grid)
 
 
 class TestApplyTimeCutoff:
