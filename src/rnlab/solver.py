@@ -8,8 +8,8 @@ the three nonlinear pieces are
   N1: psi(sigma)-localized part of the Duhamel multiplier, realized through
       the Taylor series (e^{it sigma}-1)/(i sigma) = sum_k (it)^k sigma^{k-1}/k!
       whose k-th term is a t^k eta(t) free evolution, i.e. a column profile
-      F(t^k eta)(sigma) times the sigma^{k-1}-moment of F, summed in t on the
-      product's t-nodes and taken to sigma by one FFT a column;
+      F(t^k eta)(sigma) times the sigma^{k-1}-moment of F, read from a real
+      sigma-lattice of every term, one real FFT a term, by one dgemm a column;
   N2: the stationary-phase remainder collapsed in tau and freely evolved:
       i * F(eta)(sigma) * Int F (1-psi)/(i sigma) dtau;
   N3: the pointwise multiplier -i (1-psi(sigma))/(i sigma) applied to F.
@@ -36,12 +36,13 @@ import numpy as np
 from . import cutoffs
 from .cutoffs import SUPPORT, standard_bump
 from .grid import (FrequencyGrid, SpaceTimeField, _block_rows, _padded_product,
-                   _product_blocks, _row_blocks, _weight_rows, _workspace)
+                   _product_blocks, _row_blocks, _weight_rows, _workspace, steps_per_unit)
 from .norms import (NormParams, _lo_rows, _tau_integral, _y_weight, _z_apply, _z_sums,
                     spatial_hs_norm)
 
 _SERIES_TOL = 1e-12
 _SERIES_MAX_TERMS = 60
+_LATTICE_TERMS = 29  # the terms N1's tolerance reaches; _add_series grows the lattice past it
 _STEP_BYTES = 40  # bytes an entry beside a step's rows: Z-norm or N1 temporaries
 
 
@@ -171,9 +172,8 @@ class PicardPlan:
     """What no Picard step changes, built once per solve; no array is box-sized.
 
     ``cols``, ``sigma``, ``psi``: each column's supp-psi band (``_psi_band``).
-    ``offsets``: each column's sigma-index of tau_0, |n|^2 / tau_step - half,
-    mod the product's tau length P, where N1's series reads its FFT
-    (``_add_t_series``).  ``r`` (``_r_weight``)
+    ``offsets``: each column's index |n|^2 / tau_step of tau_0 in N1's
+    series lattice (``_add_series``).  ``r`` (``_r_weight``)
     and ``y_weight``, the Z-norm's <sigma>^{s+2b}: functions of box rows,
     gathered from the sigma-lattice (``grid._weight_rows``).  ``lo_factors``:
     the Z-norm's lo entries and <sigma>^{2b} on them (``norms._lo_rows``).
@@ -194,7 +194,7 @@ class PicardPlan:
         """The plan of ``grid`` for the Z-norm parameters ``p``; nothing depends on T."""
         nsq = FrequencyGrid.norm_sq(grid.box_index)
         cols, sigma, psi = _psi_band(grid, nsq)
-        offsets = cutoffs.profile_offsets(grid, nsq, 0) % _workspace(grid)[0][-1]
+        offsets = cutoffs.profile_offsets(grid, nsq, grid.half_index)
         window = (0, grid.n_tau)
         lo_factors = _lo_rows(grid, nsq.astype(float), window, p.b)
         for a in (cols, sigma, psi, offsets, *lo_factors[0], lo_factors[1]):
@@ -216,10 +216,10 @@ def _n1_coefficients(fhat, plan, rows):
     a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1}
     dtau over the supp-psi band of each column, taken for all
     _SERIES_MAX_TERMS terms in one pass.  Each row stops on its own bound
-    |a_k| m_k (``_series_table``), at the second term in a row below 1e-12
+    |a_k| m_k (``_series_lattice``), at the second term in a row below 1e-12
     of its largest so far, and is zero after, so no row depends on another.
     """
-    grid, bounds, terms = plan.grid, _series_table(plan.grid)[2], _SERIES_MAX_TERMS
+    grid, bounds, terms = plan.grid, _series_lattice(plan.grid)[0], _SERIES_MAX_TERMS
     cols, sigma = plan.cols[rows], plan.sigma[rows]
     weighted = np.take_along_axis(fhat, cols, axis=1) * plan.psi[rows] * grid.tau_weights[cols]
     powers = np.empty((len(sigma), terms, sigma.shape[1]))
@@ -237,18 +237,22 @@ def _n1_coefficients(fhat, plan, rows):
 
 
 @lru_cache(maxsize=1)  # the last grid's, for every step
-def _series_table(grid):
-    """N1's series on the product's t-nodes t_l = 2 pi l / (h P), l in
-    (-P/2, P/2], of ``_workspace``: (the live nodes |t_l| < 2 as indices
-    mod P, the read-only table T[k, l] = t_l^k eta(t_l) / (h P) there for
-    k = 0 .. _SERIES_MAX_TERMS, its row sums m_k = Sum_l |T[k, l]|, and
-    ``_add_t_series``' two length-P rows: t-samples, zero off the live
-    nodes, and their spectrum).
+def _series_lattice(grid):
+    """[m_k, L] of ``_lattice`` at _LATTICE_TERMS terms; ``_add_series`` grows L."""
+    return list(_lattice(grid, _LATTICE_TERMS))
 
-    The FFT of row k at sigma-index q is the rectangle rule for
-    F(t^k eta)(q h) = (1/2 pi) Int t^k eta e^{-i q h t} dt, aliased at the
-    period h P as the product's own eta-tail is; m_k bounds its modulus,
-    and equals its maximum at even k.
+
+def _lattice(grid, terms):
+    """(m_k for k = 0 .. _SERIES_MAX_TERMS, and the read-only real L of shape
+    (terms, d n_max^2 / h + M) with F(t^k eta) = i^(k mod 2) L[k] at the
+    sigma-index q = j - half of column j).
+
+    On the product's t-nodes t_l = 2 pi l / (h P), |t_l| < 2, the real FFT
+    of T[k, l] = t_l^k eta(t_l) / (h P) is the rectangle rule for
+    F(t^k eta)(q h), aliased at the period h P as the product's eta-tail
+    is; m_k = Sum_l |T[k, l]| bounds it, and is its maximum at even k.
+    L[k] is its real part at even k, its imaginary part at odd k, read at
+    |q| for q mod P in [-P/2, P/2), where an odd row changes sign.
     """
     shape, live, _, eta = _workspace(grid, standard_bump)
     P = shape[-1]
@@ -256,8 +260,17 @@ def _series_table(grid):
     table[0] = eta / (grid.tau_step * P)
     table[1:] = 2.0 * math.pi * np.where(live > P // 2, live - P, live) / (grid.tau_step * P)
     np.cumprod(table, axis=0, out=table)
-    table.setflags(write=False)
-    return live, table, np.abs(table).sum(axis=1), np.zeros((2, P), dtype=np.complex128)
+    bounds = np.abs(table).sum(axis=1)
+    width = grid.dimension * grid.n_max**2 * steps_per_unit(grid.tau_step) + grid.n_tau
+    q = (np.arange(width) - grid.half_index + P // 2) % P - P // 2
+    samples, lattice = np.zeros(P), np.empty((terms, width))
+    for k, row in enumerate(lattice):
+        samples[live] = table[k]
+        spectrum = np.fft.rfft(samples)
+        np.take(spectrum.imag if k % 2 else spectrum.real, np.abs(q), out=row)
+        np.negative(row, out=row, where=(q < 0) & (k % 2 == 1))
+    lattice.setflags(write=False)
+    return bounds, lattice
 
 
 def _rows(fhat):
@@ -267,31 +280,32 @@ def _rows(fhat):
     return fhat.grid.flat_keys(fhat.index)
 
 
-def _add_t_series(out, coefs, plan, rows):
+def _add_series(out, coefs, plan, rows):
     """out[i] += Sum_k coefs[i, k] F(t^k eta)(tau + |n|^2) at the plan's
-    rows ``rows``, k from 0: eta(t_l) Sum_k c_k t_l^k on the live t-nodes of
-    ``_series_table``, then one length-P FFT a row in its two rows, whose
-    window is read from the row's ``plan.offsets`` on, mod P.  Every row
-    alone: the sum is one BLAS product a row, of its coefficients' real and
-    imaginary parts, since dgemm rounds a row by its place in a larger
-    product, and a zero term adds nothing.
-    """
-    live, table, _, (samples, spectrum) = _series_table(plan.grid)
-    M, P = out.shape[1], len(spectrum)
-    parts = np.matmul(np.stack([coefs.real, coefs.imag], axis=1), table[:coefs.shape[1]])
-    for i, start in enumerate(plan.offsets[rows]):
-        samples.real[live], samples.imag[live] = parts[i]
-        np.fft.fft(samples, out=spectrum)
-        head = min(M, P - start)
-        out[i, :head] += spectrum[start:start + head]
-        out[i, head:] += spectrum[:M - head]
+    rows ``rows``, k from 0: one dgemm a row, of the real and imaginary
+    parts of coefs[i, k] i^(k mod 2) up to the row's last non-zero term,
+    against the lattice of ``_series_lattice`` from the row's
+    ``plan.offsets`` on (grown to every term when a row needs more).
+    Every row alone, since dgemm rounds a row by its place in a larger
+    product and by the terms it sums."""
+    held = _series_lattice(plan.grid)
+    nonzero = coefs != 0
+    counts = np.where(nonzero.any(axis=1), coefs.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0)
+    if counts.max(initial=0) > len(held[1]):
+        held[1] = _lattice(plan.grid, _SERIES_MAX_TERMS + 1)[1]
+    parts = np.stack([coefs.real, coefs.imag], axis=2)
+    parts[:, 1::2] = parts[:, 1::2, ::-1] * (-1.0, 1.0)  # i c = -Im c + i Re c
+    M, lattice = out.shape[1], held[1]
+    pairs = out.view(np.float64).reshape(len(out), M, 2)  # each entry's real and imaginary part
+    for row, start, terms, part in zip(pairs, plan.offsets[rows], counts, parts):
+        row += lattice[:terms, start:start + M].T @ part[:terms]
 
 
 def duhamel_n1(fhat, plan):
     """psi-localized Duhamel piece via the convergent Taylor construction.
 
     Term k is a_k(n) F(t^k eta)(sigma) (``_n1_coefficients``), summed by
-    ``_add_t_series`` with a zero k = 0 term.
+    ``_add_series`` with a zero k = 0 term.
     """
     return _series_piece(fhat, plan, lambda data, rows: np.column_stack(
         [np.zeros(len(data)), _n1_coefficients(data, plan, rows)]))
@@ -301,19 +315,19 @@ def duhamel_n2(fhat, plan):
     """Collapsed high-modulation piece i F(eta)(sigma) Int F (1-psi)/(i sigma) dtau.
 
     Written F(eta)(sigma) Int F r dtau, the k = 0 term of N1's series
-    (``_add_t_series``).
+    (``_add_series``).
     """
     return _series_piece(fhat, plan, lambda data, rows: _tau_integral(
         data * plan.r(rows), plan.grid.tau_weights)[:, None])
 
 
 def _series_piece(fhat, plan, coefs):
-    """The series of ``coefs(data, rows)`` (``_add_t_series``) as a field on fhat's columns."""
+    """The series of ``coefs(data, rows)`` (``_add_series``) as a field on fhat's columns."""
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
     rows = _rows(fhat)
     out = np.zeros(fhat.data.shape, dtype=np.complex128)
-    _add_t_series(out, coefs(fhat.data, rows), plan, rows)
+    _add_series(out, coefs(fhat.data, rows), plan, rows)
     return SpaceTimeField(fhat.grid, fhat.index.copy(), out)
 
 
@@ -350,7 +364,7 @@ def _duhamel_rows(block, plan, rows, linear):
     np.multiply(block, plan.r(rows), out=block)
     high = _tau_integral(block, plan.grid.tau_weights) + linear
     np.negative(block, out=block)
-    _add_t_series(block, np.column_stack([high, coefs]), plan, rows)
+    _add_series(block, np.column_stack([high, coefs]), plan, rows)
 
 
 # -- Picard iteration --------------------------------------------------------
@@ -375,17 +389,17 @@ def peak_bytes(grid, params):
     With K box columns and blocks of ``_step_row_bytes`` rows: one iterate
     (at any max_iterations), the plan (the psi band, and r and the Z weight
     on the sigma-lattice; its lo entries are left out, a few per column),
-    N1's series table and two rows at length P (``_series_table``), and the
-    larger transient: the product's forward pass, one block of tau-rows at
-    length P, the columns' samples at eta's t-nodes and up to three spatial
-    workspaces there (one between axes in d=2), or the streamed step, one
-    workspace and a block of rows.
+    N1's series lattice at _LATTICE_TERMS terms (``_series_lattice``) and
+    one row's dgemm output, and the larger transient: the product's forward
+    pass, one block of tau-rows at length P, the columns' samples at eta's
+    t-nodes and up to three spatial workspaces there (one between axes in
+    d=2), or the streamed step, one workspace and a block of rows.
     """
     K, M = grid.box_count, grid.n_tau
     shape, _, n_live, _ = _workspace(grid, _eta_weight(params.T))
     lattice = M + 2 * grid.dimension * grid.n_max**2 / grid.tau_step
-    table = 8 * (_SERIES_MAX_TERMS + 1) * _workspace(grid, standard_bump)[2] + 32 * shape[-1]
-    plan = 24 * K * (2.0 * SUPPORT / grid.tau_step + 2) + 16 * lattice + table
+    series = 8 * _LATTICE_TERMS * (M + grid.dimension * grid.n_max**2 / grid.tau_step) + 16 * M
+    plan = 24 * K * (2.0 * SUPPORT / grid.tau_step + 2) + 16 * lattice + series
     rows = min(K, _block_rows(_step_row_bytes(grid)) + 1)
     forward = 16 * shape[-1] * rows + 16 * K * n_live
     step = _step_row_bytes(grid) * rows
@@ -401,10 +415,12 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     ``initial``, a field on ``grid``, replaces the linear solution as the
     first iterate, and is left as it is.  Both are taken onto every box
     column, where the ``PicardPlan`` lives, the linear solution as the
-    k = 0 term of N1's series (``_add_t_series``) with coefficient u0(n),
-    a row block at a time.  The solve holds one iterate and the plan: each
-    step writes the next iterate over it a block of rows at a time
-    (``_picard_step``), and the trace keeps it as ``final``.
+    k = 0 term of N1's series (``_add_series``) with coefficient u0(n),
+    a row block at a time, each normed for the ball radius as it is made
+    (into a block of its own when ``initial`` is given).  The solve holds
+    one iterate and the plan: each step writes the next iterate over it a
+    block of rows at a time (``_picard_step``), and the trace keeps it as
+    ``final``.
     ``on_iterate(k, field)``, when given, receives iterate k as soon as it
     is made, from k = 0 up to and including one that diverges: that live
     field, which the next step overwrites; a caller keeps a copy.  Raises
@@ -419,13 +435,18 @@ def picard_solve(u0, params, grid, initial=None, on_iterate=None):
     z_args = (FrequencyGrid.norm_sq(grid.box_index).astype(float), plan.lo_factors,
               lambda s: plan.y_weight, [params.s], grid.tau_weights)
     trace = IterationTrace()
-    current = SpaceTimeField.full(grid)
+    add, norms = _z_sums(*z_args)
+    current = SpaceTimeField.full(grid) if initial is None else None
     for part in _row_blocks(grid.box_count, _step_row_bytes(grid)):
-        _add_t_series(current.data[part], coefs[part, None], plan, part)
-    z0 = _z_apply(current.data, *z_args)[0]
+        rows = np.zeros((part.stop - part.start, grid.n_tau), complex) if current is None \
+            else current.data[part]
+        _add_series(rows, coefs[part, None], plan, part)
+        add(part, rows)
+    del rows  # the last block, unless it is the iterate's
+    z0 = norms()[0]
     radius = max(z0, 1e-12)
     if initial is not None:
-        current = _on_box(initial.copy())  # the step writes into its iterate
+        current = _on_box(initial)  # a copy: the step writes into its iterate
         z0 = _z_apply(current.data, *z_args)[0]
     emit = on_iterate or (lambda k, u: None)
     trace.final = current
@@ -452,18 +473,16 @@ def _picard_step(u, plan, coefs, T, z_args):
 
     The product (``grid._product_blocks``) reads u in blocks of
     ``_step_row_bytes`` rows; then each block comes back from its inverse
-    tau pass, becomes the linear solution of u0's box coefficients
-    ``coefs`` plus N1 + N2 + N3 (``_duhamel_rows``), is normed and goes
-    over u's rows.  Every stage is row-local: no bit depends on the
-    partition.
+    tau pass, becomes, in that pass's window view, the linear solution of
+    u0's box coefficients ``coefs`` plus N1 + N2 + N3 (``_duhamel_rows``),
+    is normed and goes over u's rows.  Every stage is row-local: no bit
+    depends on the partition.
     """
     (add, norms), (add_diff, diff_norms) = _z_sums(*z_args), _z_sums(*z_args)
-    grid, row_bytes = u.grid, _step_row_bytes(u.grid)
-    *_, blocks = _product_blocks(u, None, _eta_weight(T), reflect=True, row_bytes=row_bytes)
-    rows_out = np.empty((min(grid.box_count, _block_rows(row_bytes) + 1), grid.n_tau), complex)
-    for rows, window in blocks:
-        block = rows_out[:rows.stop - rows.start]
-        np.multiply(grid.tau_step, window, out=block)
+    *_, blocks = _product_blocks(u, None, _eta_weight(T), reflect=True,
+                                 row_bytes=_step_row_bytes(u.grid))
+    for rows, block in blocks:
+        np.multiply(u.grid.tau_step, block, out=block)
         _duhamel_rows(block, plan, rows, coefs[rows])
         add(rows, block)
         add_diff(rows, block, u.data[rows])
@@ -472,13 +491,11 @@ def _picard_step(u, plan, coefs, T, z_args):
 
 
 def _step_row_bytes(grid):
-    """A Picard step's bytes a row: a tau-row at length P, a row of the next
-    iterate, _STEP_BYTES an entry, N1's moments (24 a term and sample, for
-    every term) and its series' real and imaginary parts on the t-nodes
-    (``_add_t_series``)."""
-    return 16 * _workspace(grid)[0][-1] + (16 + _STEP_BYTES) * grid.n_tau \
-        + 24 * _SERIES_MAX_TERMS * int(2.0 * SUPPORT / grid.tau_step + 2) \
-        + 16 * _workspace(grid, standard_bump)[2]
+    """A Picard step's bytes a row: a tau-row at length P, in whose window
+    the row is formed, _STEP_BYTES an entry and N1's moments (24 a term and
+    sample, for every term)."""
+    return 16 * _workspace(grid)[0][-1] + _STEP_BYTES * grid.n_tau \
+        + 24 * _SERIES_MAX_TERMS * int(2.0 * SUPPORT / grid.tau_step + 2)
 
 
 def _box_coefficients(grid, u0):
@@ -491,9 +508,7 @@ def _box_coefficients(grid, u0):
 
 
 def _on_box(u):
-    """u on every box column and the whole window, in box order."""
-    if u.n_columns == u.grid.box_count and u.stored == (0, u.grid.n_tau):
-        return u
+    """A copy of u on every box column and the whole window, in box order."""
     return SpaceTimeField(u.grid, u.grid.box_index.copy(), u.box_array())
 
 

@@ -6,7 +6,8 @@ ones replaced, the norms that built their weights on every call, the
 random field's envelope formula, the solver's continuous-dependence
 measurement, the Picard plan's weights on every box entry, the Picard
 product, Duhamel step and loop on whole arrays, N1's series truncated on
-the whole box and taken from the sigma-lattices, the L^4 norm
+the whole box, taken from the sigma-lattices and summed in t with one FFT
+a row, the L^4 norm
 synthesized on one whole spectral array, the bump's lattice
 transform by a complex FFT, and the field dump written from the whole box.
 
@@ -46,12 +47,12 @@ from rnlab.solver import (
     PicardPlan,
     _SERIES_MAX_TERMS,
     _SERIES_TOL,
-    _add_t_series,
+    _add_series,
     _n1_coefficients,
     _on_box,
     _psi_band,
     _rows,
-    _series_table,
+    _series_lattice,
     nonlinear_fourier_data,
     picard_solve,
 )
@@ -550,7 +551,7 @@ def _gather(series, offsets, n_tau):
 
 
 def lattice_series(out, coefs, plan, rows):
-    """``solver._add_t_series`` as it was taken before it summed in t on the
+    """``solver._add_series`` as it was taken before it summed in t on the
     product's t-nodes: out += Sum_k coefs[:, k] F(t^k eta)(tau + |n|^2),
     k from 0, from the sigma-lattices of ``cutoffs.sigma_lattice`` (each a
     16x-oversampled transform of t^k eta), one (rows x terms) @ (terms x
@@ -562,6 +563,28 @@ def lattice_series(out, coefs, plan, rows):
     out += _gather(coefs @ np.stack([lattice for lattice, _ in lattices]), offsets, grid.n_tau)
 
 
+def t_series(out, coefs, plan, rows):
+    """``solver._add_series`` as it was taken before it read a real
+    sigma-lattice: eta(t_l) Sum_k c_k t_l^k on the live t-nodes, from the
+    t-table of ``solver._lattice`` by one BLAS product of the coefficients'
+    real and imaginary parts, then one length-P FFT a row, whose window is
+    read from index |n|^2 / h - half on, mod P."""
+    grid = plan.grid
+    (*_, P), live, _, eta = _workspace(grid, cutoffs.standard_bump)
+    table = np.empty((coefs.shape[1], len(live)))
+    table[0] = eta / (grid.tau_step * P)
+    table[1:] = 2.0 * math.pi * np.where(live > P // 2, live - P, live) / (grid.tau_step * P)
+    np.cumprod(table, axis=0, out=table)
+    M, samples = out.shape[1], np.zeros(P, dtype=np.complex128)
+    parts = np.matmul(np.stack([coefs.real, coefs.imag], axis=1), table)
+    for i, start in enumerate((plan.offsets[rows] - grid.half_index) % P):
+        samples.real[live], samples.imag[live] = parts[i]
+        spectrum = np.fft.fft(samples)
+        head = min(M, P - start)
+        out[i, :head] += spectrum[start:start + head]
+        out[i, head:] += spectrum[:M - head]
+
+
 def n1_terms_per_box(fhat, plan, rows):
     """N1's Taylor coefficients a_k, k = 1, 2, ..., shape (K, terms),
     truncated on the whole box, as ``solver`` truncated them before each row
@@ -570,10 +593,10 @@ def n1_terms_per_box(fhat, plan, rows):
     a_k = -(i^k / k!) g_k with the moment g_k(n) = Int F psi sigma^{k-1} dtau,
     taken over the supp-psi band of each column only.  The series is
     truncated on the coefficients: the bound max|a_k| * m_k on the largest
-    entry of term k (m_k of ``solver._series_table``) must fall below 1e-12
+    entry of term k (m_k of ``solver._series_lattice``) must fall below 1e-12
     of the largest bound so far twice in a row.
     """
-    grid, bounds = plan.grid, _series_table(plan.grid)[2]
+    grid, bounds = plan.grid, _series_lattice(plan.grid)[0]
     cols, sigma = plan.cols[rows], plan.sigma[rows]
     weighted = (np.take_along_axis(fhat.data, cols, axis=1) * plan.psi[rows]
                 * grid.tau_weights[cols])
@@ -603,7 +626,7 @@ def _per_row_terms(fhat, plan, rows):
     return _n1_coefficients(fhat.data, plan, rows)
 
 
-def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms, series=_add_t_series, linear=0):
+def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms, series=_add_series, linear=0):
     """N1 + N2 + N3 of the product data ``fhat`` in one array, plus the
     linear solution of the box coefficients ``linear`` at its rows.
 
@@ -612,7 +635,7 @@ def duhamel_rhs_whole(fhat, plan, n1_terms=_per_row_terms, series=_add_t_series,
     row at once, adds them and N1 to N3 = -r F.
     ``n1_terms`` gives N1's coefficients: each row truncated on its own, as
     the solver does, or ``n1_terms_per_box``.  ``series`` is the solver's
-    t-series or ``lattice_series``.
+    lattice series, ``t_series`` or ``lattice_series``.
     """
     if fhat.n_columns == 0:
         return SpaceTimeField.zero(fhat.grid)
@@ -640,7 +663,7 @@ def linear_solution(u0, plan):
     on every row at once into a zero array."""
     grid = plan.grid
     out = np.zeros((grid.box_count, grid.n_tau), dtype=np.complex128)
-    _add_t_series(out, box_coefficients(grid, u0)[:, None], plan, slice(None))
+    _add_series(out, box_coefficients(grid, u0)[:, None], plan, slice(None))
     return SpaceTimeField(grid, grid.box_index.copy(), out)
 
 

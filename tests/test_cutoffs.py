@@ -251,7 +251,7 @@ class TestSpatialDataChecks:
             raise AssertionError("bad spatial data reached a transform")
 
         for module, name in ((grid_module, "_product_blocks"), (solver, "_product_blocks"),
-                             (solver, "_add_t_series"), (cutoffs, "gather_profile")):
+                             (solver, "_add_series"), (cutoffs, "gather_profile")):
             monkeypatch.setattr(module, name, fail)
         grid = FrequencyGrid.for_box(*box, tau_step=0.25)
         u0 = (np.array(ns), np.array(vals, dtype=complex))

@@ -167,7 +167,7 @@ class TestFastPathsAgainstOracles:
         # series; i (-i x) is x bit for bit
         sums = np.einsum("kl,l->k", fhat.data * mult, fhat.grid.tau_weights)
         want = np.zeros_like(fhat.data)
-        solver._add_t_series(want, 1j * sums[:, None], plan, slice(None))
+        solver._add_series(want, 1j * sums[:, None], plan, slice(None))
         assert np.array_equal(duhamel_n2(fhat, plan).data, want)
 
     def test_self_product_bitwise(self, pair):
@@ -339,6 +339,42 @@ class TestTSeries:
             assert series <= rel(fhat.data, fine) / 20
             assert linear <= rel(fhat.data, fine) / 20
 
+    @pytest.mark.parametrize("box", [(1, 8), (2, 4), "duhamel", (1, 32)],
+                             ids=["line_8", "box_2_4", "criterion_5", "line_32"])
+    def test_lattice_matches_the_t_series(self, box):
+        # the series on the real sigma-lattice against the t-series it
+        # replaced (oracles.t_series), each row against its own largest
+        # entry: the same rectangle rule, so they differ by rounding alone
+        # (at most 6.7e-16 measured, the forced row included)
+        u, v, T = _product_pair(box)
+        grid, plan = u.grid, _plan(u.grid)
+        fhat = nonlinear_fourier_data(u, v, T)
+        rows = slice(None)
+        coefs = np.column_stack([
+            np.einsum("kl,l->k", fhat.data * plan.r(rows), grid.tau_weights),
+            solver._n1_coefficients(fhat.data, plan, rows)])
+        # one more row that needs 40 terms, each of about the same size, so
+        # the lattice grows past its 29 rows
+        rng = np.random.default_rng(1)
+        forced = (rng.standard_normal((1, 40)) + 1j * rng.standard_normal((1, 40))) \
+            / 2.0**np.arange(40)
+
+        def both(coefs, rows):
+            got, want = (np.zeros((len(coefs), grid.n_tau), dtype=complex) for _ in range(2))
+            solver._add_series(got, coefs, plan, rows)
+            oracles.t_series(want, coefs, plan, rows)
+            scale = np.abs(want).max(axis=1)
+            assert (np.abs(got - want).max(axis=1) <= 1e-11 * scale).all()
+            return got
+
+        solver._series_lattice.cache_clear()
+        held = both(coefs, rows)
+        assert len(solver._series_lattice(grid)[1]) == 29
+        both(forced, np.array([grid.box_count - 1]))
+        assert len(solver._series_lattice(grid)[1]) == 61
+        # growing the lattice moves no bit of the rows it held
+        assert _same_bits(both(coefs, rows), held)
+
 
 class TestPicardPlan:
     @SHORT_WINDOWS
@@ -392,7 +428,7 @@ class TestPicardPlan:
         def fail(*args, **kwargs):
             raise AssertionError("transform reached")
 
-        monkeypatch.setattr(rnlab.solver, "_add_t_series", fail)
+        monkeypatch.setattr(rnlab.solver, "_add_series", fail)
         monkeypatch.setattr(rnlab.solver, "_product_blocks", fail)
         grid = FrequencyGrid.for_box(1, 8, 0.25)
         other = FrequencyGrid.for_box(1, 4, 0.25)
@@ -839,14 +875,14 @@ class TestPeakBytes:
     @pytest.mark.parametrize("box", [(1, 8), (2, 4), (2, 8)],
                              ids=["line_8", "box_2_4", "box_2_8"])
     def test_estimate_bounds_the_traced_peak(self, box):
-        # the solve caches nothing but N1's t-series table and its two rows
-        # (solver._series_table), which the estimate counts: it bounds a
-        # cold solve, which builds the table, and a warm one, which finds it
+        # the solve caches nothing but N1's series lattice
+        # (solver._series_lattice), which the estimate counts: it bounds a
+        # cold solve, which builds the lattice, and a warm one, which finds it
         grid = FrequencyGrid.for_box(*box)
         params = SolverParams(s=-0.6, T=0.125, max_iterations=3, contraction_tolerance=0.0)
         u0 = rough_initial_data(grid, params.s, seed=4)
         estimate = peak_bytes(grid, params)
-        solver._series_table.cache_clear()
+        solver._series_lattice.cache_clear()
         for run in ("cold", "warm"):
             tracemalloc.start()
             try:
@@ -878,7 +914,7 @@ class TestPeakBytes:
             assert len(trace.z_norms) == iterations + 1
             return peak
 
-        traced_peak(2)  # caches N1's t-series table
+        traced_peak(2)  # caches N1's series lattice
         short, long = traced_peak(2), traced_peak(8)
         assert long <= 1.1 * short, f"8 iterations peak at {long / short:.2f}x 2 iterations"
 
@@ -925,7 +961,7 @@ class TestBlockedStep:
 
     def test_default_blocks_on_the_benchmark_grid(self):
         # 65 columns: the product runs 15 tau-rows a block, and duhamel_rhs
-        # 5 rows a block, each row's series one FFT
+        # 6 rows a block, each row's series one dgemm
         grid = FrequencyGrid.for_box(1, 32, 0.25)
         u = free_evolution_data(grid, rough_initial_data(grid, -0.6, 3))
         fhat = nonlinear_fourier_data(u, u, 0.125)
@@ -938,14 +974,15 @@ class TestBlockedStep:
     def test_step_peaks_on_the_benchmark_grid(self):
         # above its inputs the product holds its result, one block of
         # tau-rows and the spatial workspace, and the Duhamel step its result
-        # and one row block's series: 1.66 and 1.07 box fields measured
-        # (1.21 with the series on the sigma-lattice), where the whole (K, P)
+        # and one row block's series: 1.66 and 1.05 box fields measured
+        # (1.07 with the series summed in t, 1.21 with it on the 16x
+        # sigma-lattices and one block's contraction), where the whole (K, P)
         # rows and (K, lattice) series held 4.0 and 3.5
         grid = FrequencyGrid.for_box(1, 32, 0.25)
         field = 16 * grid.box_count * grid.n_tau
         u = free_evolution_data(grid, rough_initial_data(grid, -0.6, 3))
         plan = _plan(grid)
-        duhamel_rhs(nonlinear_fourier_data(u, u, 0.125), plan)  # caches the series table
+        duhamel_rhs(nonlinear_fourier_data(u, u, 0.125), plan)  # caches the series lattice
 
         def traced(step, *args):
             tracemalloc.start()
@@ -963,17 +1000,19 @@ class TestBlockedStep:
     def test_solve_peak_on_the_benchmark_grid(self):
         # the solve holds one iterate and the plan (0.03 box fields: r and
         # the Z weight on the sigma-lattice) above its product's forward pass,
-        # whose tau-rows run in the step's row blocks: 1.58 box fields
-        # measured, where 8 MiB forward blocks and N1's series on the
-        # sigma-lattice took 1.85, a next iterate beside the current one
-        # and a reflected copy in the product 2.76, r and the Z weight
-        # on every box entry 3.74, and a held linear solution, the Duhamel
-        # step beside the product and the whole difference in the Z-norm 6.00
+        # whose tau-rows run in the step's row blocks and which forms each
+        # block in the inverse tau pass's window: 1.54 box fields measured,
+        # where a block of the next iterate's rows beside it took 1.58, 8 MiB
+        # forward blocks and N1's series on the 16x sigma-lattices 1.85, a
+        # next iterate beside the current one and a reflected copy in the
+        # product 2.76, r and the Z weight on every box entry 3.74, and a
+        # held linear solution, the Duhamel step beside the product and the
+        # whole difference in the Z-norm 6.00
         grid = FrequencyGrid.for_box(1, 32, 0.25)
         field = 16 * grid.box_count * grid.n_tau
         u0 = rough_initial_data(grid, -0.6, 3)
         params = SolverParams(s=-0.6, T=0.125, max_iterations=3, contraction_tolerance=0.0)
-        picard_solve(u0, params, grid)  # caches N1's t-series table
+        picard_solve(u0, params, grid)  # caches N1's series lattice
         tracemalloc.start()
         try:
             trace = picard_solve(u0, params, grid)
@@ -982,6 +1021,29 @@ class TestBlockedStep:
             tracemalloc.stop()
         assert len(trace.z_norms) == 4
         assert peak <= 2.25, f"the solve peaks at {peak:.2f} box fields"
+
+    def test_initial_peaks_as_a_plain_solve(self):
+        # the ball radius's linear solution is normed a row block at a time
+        # into a block of its own, and ``initial`` goes onto the box in one
+        # copy: 1.54 box fields measured for an on-box initial, one on half
+        # the columns and a plain solve, where the whole linear solution
+        # beside the copy took 2.02 and 2.53
+        grid = FrequencyGrid.for_box(1, 32, 0.25)
+        field = 16 * grid.box_count * grid.n_tau
+        u0 = rough_initial_data(grid, -0.6, 3)
+        params = SolverParams(s=-0.6, T=0.125, max_iterations=1, contraction_tolerance=0.0)
+        on_box = free_evolution_data(grid, rough_initial_data(grid, -0.6, 5))
+        half = SpaceTimeField(grid, on_box.index[::2], on_box.data[::2])
+        picard_solve(u0, params, grid)  # caches N1's series lattice
+        peaks = []
+        for initial in (None, on_box, half):
+            tracemalloc.start()
+            try:
+                picard_solve(u0, params, grid, initial=initial)
+                peaks.append(tracemalloc.get_traced_memory()[1] / field)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks[1:]) <= peaks[0] + 0.1, f"peaks {peaks} box fields"
 
     @pytest.mark.parametrize("box", [(1, 32), (2, 4)], ids=["line_32", "box_2_4"])
     def test_no_bit_follows_the_block_bytes(self, box, monkeypatch):
