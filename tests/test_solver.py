@@ -145,8 +145,8 @@ class TestFastPathsAgainstOracles:
         return _product_pair(request.param)
 
     def test_n1_matches_taylor_oracle(self, pair):
-        # N1's series, summed in t on the product's t-nodes, aliases at the
-        # period h P, as the product's own eta-tail does (TestTSeries): 2.8e-8
+        # N1's series, the rectangle rule on the product's t-nodes, aliases at
+        # the period h P, as the product's own eta-tail does (TestTSeries): 2.8e-8
         # of N1's largest entry measured on the line and 2.5e-6 on box_2_4,
         # whose window is 80 wide
         u, v, T = pair
@@ -304,8 +304,9 @@ def _oversampled_product(u, v, T, monkeypatch, factor=16):
 
 
 class TestTSeries:
-    """N1's series, summed in t on the product's t-nodes
-    (``solver._add_t_series``), aliases at the product's own period h P.
+    """N1's series, the rectangle rule on the product's t-nodes read from a
+    real sigma-lattice (``solver._add_series``), aliases at the product's
+    own period h P, as the t-series it replaced (``oracles.t_series``) did.
     Against the series on the 16x-oversampled sigma-lattices
     (``oracles.lattice_series``) its error stays a twentieth of the
     product's own error against the 16x-oversampled product, and so does
